@@ -252,8 +252,8 @@ let print_trace_summary ~total tr =
     ~lookup:s.Trace.s_lookup ~events:s.Trace.s_emitted
     ~dropped:s.Trace.s_dropped ~capacity:s.Trace.s_capacity
 
-let make_config ?faults ?(audit = false) ?(engine = Machine.Cpu.Decoded)
-    ?(prefetch = 0) ?(staging = 8) ?(trace_limit = 65_536) ?(chain = false)
+let make_config ?faults ?(engine = Machine.Cpu.Decoded) ?(prefetch = 0)
+    ?(staging = 8) ?(trace_limit = 65_536) ?(chain = false)
     ?(superblock_threshold = 0) ?(granularity = Softcache.Config.Block)
     ?(harts = 1) ?(shards = 1) ?(sched_seed = 1) tcache chunking eviction
     network =
@@ -264,8 +264,8 @@ let make_config ?faults ?(audit = false) ?(engine = Machine.Cpu.Decoded)
   in
   (* a superblock threshold implies chaining on the command line *)
   let chain = chain || superblock_threshold > 0 in
-  Softcache.Config.make ~tcache_bytes:tcache ~chunking ~eviction ~net ~audit
-    ~engine ~prefetch_degree:prefetch ~staging_chunks:staging ~trace_limit
+  Softcache.Config.make ~tcache_bytes:tcache ~chunking ~eviction ~net ~engine
+    ~prefetch_degree:prefetch ~staging_chunks:staging ~trace_limit
     ~chain ~superblock_threshold ~granularity ~harts ~shards ~sched_seed ()
 
 let list_cmd =
@@ -290,7 +290,7 @@ let run_cmd =
       Format.printf "%a@." Isa.Image.pp_summary img;
       let native = Softcache.Runner.native img in
       let cfg =
-        make_config ?faults ~audit ~engine ~prefetch ~staging ~trace_limit
+        make_config ?faults ~engine ~prefetch ~staging ~trace_limit
           ~chain ~superblock_threshold ~granularity ~harts ~shards
           ~sched_seed tcache chunking eviction network
       in
@@ -324,7 +324,7 @@ let run_cmd =
       in
       (* trrip primes its temperature prior only in deep thrash: the
          sizing estimate decides, and around or above the knee the
-         unprimed policy decides exactly like rrip *)
+         unprimed policy is plain RRIP *)
       let temperature, trrip_note =
         match (eviction, prof) with
         | Softcache.Config.Trrip, Some p ->
@@ -350,8 +350,7 @@ let run_cmd =
             ( None,
               Some
                 (Printf.sprintf
-                   "unprimed (predicted need %d B, tcache %d B: deciding as \
-                    rrip)"
+                   "unprimed (predicted need %d B, tcache %d B: plain RRIP)"
                    est.Softcache.Sizing.predicted_bytes tcache) )
         | _ -> (None, None)
       in
@@ -369,7 +368,7 @@ let run_cmd =
           Softcache.Controller.attach_tracer ctrl tr;
           tracer := Some tr
         | None -> ());
-        audits := Check.Audit.install_if_configured ctrl
+        if audit then audits := Some (Check.Audit.install ctrl)
       in
       if harts > 1 then begin
         (* sharded multi-hart path: N hart contexts replay the workload

@@ -247,7 +247,7 @@ let run (t : Controller.t) : violation list =
   (* -- reverse scan: every encoded branch out of a block lands on a
         block start and is recorded there.  This is the completeness
         direction — it catches incoming pointers that were created but
-        never recorded, the bug class [chaos_drop_incoming] seeds.
+        never recorded.
         Function-granularity calls are the one legitimate exception: a
         [Jal] into a PLT slot targets the persistent-stub area, never a
         block start, and needs no record (the slot word, not the call
@@ -698,9 +698,6 @@ let install (t : Controller.t) =
         incr audits;
         check_exn t);
   audits
-
-let install_if_configured (t : Controller.t) =
-  if t.cfg.audit then Some (install t) else None
 
 (* ---- multi-hart (sharded CC) invariants ---------------------------
 

@@ -52,9 +52,6 @@ val install : Softcache.Controller.t -> int ref
     translation, eviction, patch, invalidation and flush. Returns the
     audit counter. *)
 
-val install_if_configured : Softcache.Controller.t -> int ref option
-(** [install] if the controller's [Config.audit] flag is set. *)
-
 val fleet : Fleet.t -> violation list
 (** Audit a whole fleet: the shared chunk cache respects its bound (and
     is empty when dedup is off); request conservation holds at the MC

@@ -72,10 +72,10 @@ let untag x = if x land 1 = 0 then Load (x lsr 1) else Store (x lsr 1)
 
 exception Stop
 
-let run ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) ?on_controller
+let run ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) ?on_controller
     (cfg : Config.t) img : verdict =
   (* native reference run, trace collected *)
-  let ncpu = Machine.Cpu.of_image ?cost img in
+  let ncpu = Machine.Cpu.of_image img in
   let trace = Vec.create () in
   ncpu.on_load <- Some (fun a -> Vec.push trace (a lsl 1));
   ncpu.on_store <- Some (fun a -> Vec.push trace ((a lsl 1) lor 1));
@@ -84,7 +84,7 @@ let run ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) ?on_controller
   | Machine.Cpu.Halted -> (
     let native_outs = Machine.Cpu.outputs ncpu in
     (* cached run, compared in-hook *)
-    let ctrl = Controller.create ?cost cfg img in
+    let ctrl = Controller.create cfg img in
     if audit then ignore (Audit.install ctrl);
     (match on_controller with Some f -> f ctrl | None -> ());
     let idx = ref 0 in
@@ -305,13 +305,13 @@ let drive_pair ?hash_range ?step_a ~fuel ~ops ~labels ~compare_cycles
         Engines_diverged { step = !steps; detail = "final memory differs" }
       else Engines_equivalent { steps = !steps })
 
-let engines ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg
+let engines ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg
     img : engine_verdict =
   (* each side gets its own Config (and thus its own Netmodel state) so
      shared transport RNG/counters cannot desynchronise the pair *)
   let mk engine =
     let cfg = { (mk_cfg ()) with Config.engine } in
-    Controller.create ?cost cfg img
+    Controller.create cfg img
   in
   let cd = mk Machine.Cpu.Decoded in
   let ci = mk Machine.Cpu.Interpretive in
@@ -327,7 +327,7 @@ let engines ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg
    every instruction. Cycle accounting is the one thing allowed to
    differ — saving cycles is the point — so it is excluded from the
    per-step comparison. *)
-let prefetch ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg
+let prefetch ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg
     img : engine_verdict =
   let mk degree_override =
     let cfg = mk_cfg () in
@@ -336,7 +336,7 @@ let prefetch ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg
       | Some d -> { cfg with Config.prefetch_degree = d }
       | None -> cfg
     in
-    Controller.create ?cost cfg img
+    Controller.create cfg img
   in
   let con = mk None in
   let coff = mk (Some 0) in
@@ -355,13 +355,13 @@ let prefetch ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg
    checked: the attribution categories must sum exactly to the traced
    run's cycle counter (the conservation law [Check.Audit] also
    enforces). *)
-let trace ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg img
+let trace ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg img
     : engine_verdict =
   (* fresh Config per side: each gets its own Netmodel state, so the
      comparison proves the tracer does not disturb the rng draw
      stream *)
-  let traced = Controller.create ?cost (mk_cfg ()) img in
-  let plain = Controller.create ?cost (mk_cfg ()) img in
+  let traced = Controller.create (mk_cfg ()) img in
+  let plain = Controller.create (mk_cfg ()) img in
   let tr = Trace.create ~limit:traced.cfg.Config.trace_limit () in
   Controller.attach_tracer traced tr;
   if audit then ignore (Audit.install traced);
@@ -406,12 +406,12 @@ let trace ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg img
    and *counter*-identical to a plain [Controller] over the same
    config, not merely equivalent. Each side gets its own Config (and
    thus its own Netmodel rng), exactly as in [trace]. *)
-let fleet ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg img
+let fleet ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg img
     : engine_verdict =
-  let solo = Controller.create ?cost (mk_cfg ()) img in
+  let solo = Controller.create (mk_cfg ()) img in
   let fcfg = mk_cfg () in
   let fl =
-    Fleet.create ?cost
+    Fleet.create
       ~config:(Fleet.config ~clients:1 ())
       ~net:fcfg.Config.net
       (fun _ -> fcfg)
@@ -458,11 +458,11 @@ let fleet ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg img
    difference: the solo path bypasses it entirely. On top of the
    drive, the lone hart must have been charged zero wait cycles, and
    the final state must pass the full [Audit.shards] suite. *)
-let shards ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg img
+let shards ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg img
     : engine_verdict =
-  let solo = Controller.create ?cost (mk_cfg ()) img in
+  let solo = Controller.create (mk_cfg ()) img in
   let hcfg = { (mk_cfg ()) with Config.harts = 1 } in
-  let hosted = Controller.create ?cost hcfg img in
+  let hosted = Controller.create hcfg img in
   let sh = Shard.attach hosted in
   if audit then ignore (Audit.install hosted);
   let verdict =
@@ -546,7 +546,7 @@ let pp_modes_verdict ppf = function
     Format.fprintf ppf "mode '%s' disagrees with '%s': %s" mode baseline
       detail
 
-let chain_modes ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false)
+let chain_modes ?(fuel = 2_000_000) ?(ops = []) ?(audit = false)
     ?oracle ?(superblock_threshold = 1) mk_cfg img : modes_verdict =
   let data_lo = img.Isa.Image.data_base in
   let data_hi = data_lo + Bytes.length img.Isa.Image.data in
@@ -557,7 +557,7 @@ let chain_modes ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false)
     in
     let ctrl = ref None in
     let v =
-      run ?cost ~fuel ~ops ~audit
+      run ~fuel ~ops ~audit
         ~on_controller:(fun c ->
           c.Controller.chain_oracle <- (if threshold > 0 then oracle else None);
           ctrl := Some c)
@@ -643,7 +643,7 @@ let pp_policies_verdict ppf = function
     Format.fprintf ppf "policy '%s' disagrees with '%s': %s" policy baseline
       detail
 
-let policies ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg
+let policies ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg
     img : policies_verdict =
   let data_lo = img.Isa.Image.data_base in
   let data_hi = data_lo + Bytes.length img.Isa.Image.data in
@@ -652,7 +652,7 @@ let policies ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg
     let cfg = { (mk_cfg ()) with Config.eviction = ev } in
     let ctrl = ref None in
     let v =
-      run ?cost ~fuel ~ops ~audit
+      run ~fuel ~ops ~audit
         ~on_controller:(fun c -> ctrl := Some c)
         cfg img
     in
@@ -708,7 +708,7 @@ let policies ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg
    data segment. [eviction] pins the replacement policy so callers can
    sweep the whole policy × granularity grid. *)
 
-let granularity ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false)
+let granularity ?(fuel = 2_000_000) ?(ops = []) ?(audit = false)
     ?eviction mk_cfg img : modes_verdict =
   let data_lo = img.Isa.Image.data_base in
   let data_hi = data_lo + Bytes.length img.Isa.Image.data in
@@ -722,7 +722,7 @@ let granularity ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false)
     in
     let ctrl = ref None in
     let v =
-      run ?cost ~fuel ~ops ~audit
+      run ~fuel ~ops ~audit
         ~on_controller:(fun c -> ctrl := Some c)
         cfg img
     in

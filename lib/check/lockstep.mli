@@ -27,7 +27,6 @@ type verdict =
           that point matched *)
 
 val run :
-  ?cost:Machine.Cost.t ->
   ?fuel:int ->
   ?ops:(Softcache.Controller.t -> unit) list ->
   ?audit:bool ->
@@ -70,7 +69,6 @@ type engine_verdict =
           that point matched *)
 
 val engines :
-  ?cost:Machine.Cost.t ->
   ?fuel:int ->
   ?ops:(Softcache.Controller.t -> unit) list ->
   ?audit:bool ->
@@ -89,7 +87,6 @@ val engines :
 val pp_engine_verdict : Format.formatter -> engine_verdict -> unit
 
 val prefetch :
-  ?cost:Machine.Cost.t ->
   ?fuel:int ->
   ?ops:(Softcache.Controller.t -> unit) list ->
   ?audit:bool ->
@@ -107,7 +104,6 @@ val prefetch :
     section, goes on the prefetching side). *)
 
 val trace :
-  ?cost:Machine.Cost.t ->
   ?fuel:int ->
   ?ops:(Softcache.Controller.t -> unit) list ->
   ?audit:bool ->
@@ -129,7 +125,6 @@ val trace :
     instructions. *)
 
 val fleet :
-  ?cost:Machine.Cost.t ->
   ?fuel:int ->
   ?ops:(Softcache.Controller.t -> unit) list ->
   ?audit:bool ->
@@ -151,7 +146,6 @@ val fleet :
     {!Audit.install} on the fleet-hosted side. *)
 
 val shards :
-  ?cost:Machine.Cost.t ->
   ?fuel:int ->
   ?ops:(Softcache.Controller.t -> unit) list ->
   ?audit:bool ->
@@ -201,7 +195,6 @@ type modes_verdict =
           a bug here is named, not lumped into divergence *)
 
 val chain_modes :
-  ?cost:Machine.Cost.t ->
   ?fuel:int ->
   ?ops:(Softcache.Controller.t -> unit) list ->
   ?audit:bool ->
@@ -249,7 +242,6 @@ type policies_verdict =
           a bug here is named, not lumped into divergence *)
 
 val policies :
-  ?cost:Machine.Cost.t ->
   ?fuel:int ->
   ?ops:(Softcache.Controller.t -> unit) list ->
   ?audit:bool ->
@@ -280,7 +272,6 @@ val pp_policies_verdict : Format.formatter -> policies_verdict -> unit
     sequences). *)
 
 val granularity :
-  ?cost:Machine.Cost.t ->
   ?fuel:int ->
   ?ops:(Softcache.Controller.t -> unit) list ->
   ?audit:bool ->

@@ -78,7 +78,7 @@ let patch_exit t k ~eager ~block ~site_paddr ~kind ~target ~revert_word
       pending_remove t ~target k;
       t.stats.patches <- t.stats.patches + 1;
       if eager then t.stats.chained <- t.stats.chained + 1;
-      charge t Trace.Patch t.cfg.patch_cycles;
+      charge t Trace.Patch Config.patch_cycles;
       trace t
         (Trace.Cc_backpatch { site = site_paddr; target = target_block.paddr });
       emit_event t Patched
@@ -154,8 +154,6 @@ let register_superblock t ~head (members : Tcache.block list) =
     List.fold_left (fun a (b : Tcache.block) -> a + (4 * b.words)) 0 members
   in
   trace t (Trace.Cc_promote { head; members = List.length ids; bytes });
-  let module P = (val t.policy : Policy.S) in
-  P.on_superblock sb members;
   emit_event t (Promoted (List.length ids));
   sb
 
@@ -173,9 +171,7 @@ let dissolve_superblock t (b : Tcache.block) =
       t.stats.depromotions <- t.stats.depromotions + 1;
       trace t
         (Trace.Cc_depromote
-           { head = sb_head; members = List.length sb_members });
-      let module P = (val t.policy : Policy.S) in
-      P.on_superblock_evict sb
+           { head = sb_head; members = List.length sb_members })
     | None -> Hashtbl.remove t.sb_of_block b.id)
 
 (* ---- the profile-derived chain oracle ----

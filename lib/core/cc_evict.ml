@@ -108,32 +108,7 @@ and scrub_stack t ~on_evicted padtbl =
       List.iter (fun (lo, hi) -> scan_range lo hi) t.ra_regions)
     (cpus t);
   t.stats.scrubbed_words <- t.stats.scrubbed_words + !scanned;
-  charge t Trace.Scrub (t.cfg.scrub_cycles_per_word * !scanned)
-
-and debug_check_stale t victims =
-  (* SOFTCACHE_DEBUG: detect return addresses pointing into freed blocks *)
-  let in_victim v =
-    List.exists
-      (fun (b : Tcache.block) ->
-        v >= b.paddr && v < b.paddr + (4 * b.words))
-      victims
-  in
-  List.iter
-    (fun (cpu : Machine.Cpu.t) ->
-      let ra = Machine.Cpu.reg cpu Isa.Reg.ra in
-      if in_victim ra then
-        Printf.eprintf "STALE ra=0x%x after scrub! pc=0x%x\n%!" ra cpu.pc;
-      let sp = max 0 (Machine.Cpu.reg cpu Isa.Reg.sp land lnot 3) in
-      let addr = ref sp in
-      while !addr + 4 <= t.stack_top do
-        let v = Machine.Memory.read32 cpu.mem !addr in
-        if in_victim v then
-          Printf.eprintf
-            "STALE stack[0x%x]=0x%x after scrub! pc=0x%x sp=0x%x\n%!" !addr v
-            cpu.pc sp;
-        addr := !addr + 4
-      done)
-    (cpus t)
+  charge t Trace.Scrub (Config.scrub_cycles_per_word * !scanned)
 
 and revert_incoming t victims =
   (* unlink: revert every recorded incoming pointer whose own block
@@ -147,7 +122,7 @@ and revert_incoming t victims =
           then begin
             write_word t inc.site_paddr inc.revert_word;
             t.stats.reverts <- t.stats.reverts + 1;
-            charge t Trace.Patch t.cfg.patch_cycles;
+            charge t Trace.Patch Config.patch_cycles;
             trace t
               (Trace.Cc_unpatch { site = inc.site_paddr; target = b.paddr });
             if inc.from_block >= 0 then
@@ -161,7 +136,7 @@ and revert_incoming t victims =
                 match t.stubs.(l.l_stub) with
                 | Stub.Exit { target; _ } -> pending_add t ~target l.l_stub
                 | _ -> ())
-              | None -> () (* link was chaos-dropped alongside [inc] *)
+              | None -> ()
           end)
         b.incoming)
     victims
@@ -214,8 +189,6 @@ and process_evicted t ~reason_of victims =
               cpu.pc <- persistent_ret_stub t ~on_evicted:on_stub_growth rv)
           (cpus t))
       victims;
-    if Sys.getenv_opt "SOFTCACHE_DEBUG" <> None then
-      debug_check_stale t victims;
     emit_event t (Evicted n)
   end
 
@@ -299,15 +272,13 @@ let do_flush t =
       (cpus t)
   in
   t.stats.scrubbed_words <- t.stats.scrubbed_words + !scanned;
-  charge t Trace.Scrub (t.cfg.scrub_cycles_per_word * !scanned);
+  charge t Trace.Scrub (Config.scrub_cycles_per_word * !scanned);
   Log.debug (fun m ->
       m "flush: %d resident blocks, pc=0x%x" (Tcache.resident_blocks t.tc)
         t.cpu.pc);
   let former = Tcache.reset t.tc in
   (* pinned survivors may have patched exits into flushed blocks *)
   List.iter (fun b -> note_evicted t ~reason:Policy.Flushed b) former;
-  let module P = (val t.policy : Policy.S) in
-  P.on_flush ();
   revert_incoming t former;
   Cc_chain.unlink_sources t former;
   free_block_stubs t former;

@@ -79,11 +79,11 @@ let fetch_chunk t ~vaddr ~(words : int array) ~prefetch =
       t.stats.net_retries <- t.stats.net_retries + 1;
       t.stats.max_chunk_retries <- max t.stats.max_chunk_retries tries;
       trace t (Trace.Cc_retry { chunk = vaddr; attempt = tries });
-      charge t Trace.Wire (t.cfg.retry_backoff_cycles * (1 lsl (tries - 1)))
+      charge t Trace.Wire (Config.retry_backoff_cycles * (1 lsl (tries - 1)))
     end;
     match send () with
     | Error (`Dropped wasted) ->
-      charge t Trace.Wire (wasted + t.cfg.timeout_cycles);
+      charge t Trace.Wire (wasted + Config.timeout_cycles);
       t.stats.net_timeouts <- t.stats.net_timeouts + 1;
       attempt (tries + 1)
     | Ok (cycles, received) ->

@@ -99,9 +99,6 @@ type t = {
          processing keeps growing the persistent stub area into the
          fresh placement; mutable as a test hook so the exhaustion
          exception is reachable without a pathological workload *)
-  mutable chaos_drop_incoming : int;
-      (* test hook: silently skip the next N incoming-pointer records,
-         seeding the bookkeeping bug the auditor must catch *)
   mutable chaos_evict_bound : bool;
       (* test hook: evict the first bound-exit target block between
          translation and incoming-pointer recording, making the
@@ -169,8 +166,8 @@ let write_word t addr w =
   Machine.Memory.write32 t.cpu.mem addr w;
   if
     Array.length t.harts > 0
-    && addr >= t.cfg.tcache_base
-    && addr < t.cfg.tcache_base + t.cfg.tcache_bytes
+    && addr >= Config.tcache_base
+    && addr < Config.tcache_base + t.cfg.tcache_bytes
   then
     Array.iter
       (fun (h : Machine.Cpu.t) ->
@@ -229,9 +226,8 @@ let pending_at t target =
 (* ---- reverse link map ----
    [links] mirrors the per-target [incoming] records from the source
    side: source block id -> the sites of that block patched to jump
-   tcache-direct. Kept exactly in sync with [record_incoming] (and so
-   subject to the same [chaos_drop_incoming] test hook), consumed when
-   either endpoint dies. *)
+   tcache-direct. Kept exactly in sync with [record_incoming], consumed
+   when either endpoint dies. *)
 
 let add_link t ~from_block ~site_paddr ~target_id ~stub =
   let l = { l_site = site_paddr; l_target = target_id; l_stub = stub } in
@@ -269,18 +265,13 @@ let free_block_stubs t victims =
 
 let record_incoming ?stub t (b : Tcache.block) ~from_block ~site_paddr
     ~revert_word =
-  if t.chaos_drop_incoming > 0 then
-    t.chaos_drop_incoming <- t.chaos_drop_incoming - 1
-  else begin
-    b.incoming <-
-      { Tcache.from_block; site_paddr; revert_word } :: b.incoming;
-    (* the reverse view, for source-side unlinking and the auditor;
-       persistent-stub patches (from_block = -1) have no source block *)
-    match stub with
-    | Some k when from_block >= 0 ->
-      add_link t ~from_block ~site_paddr ~target_id:b.id ~stub:k
-    | Some _ | None -> ()
-  end
+  b.incoming <- { Tcache.from_block; site_paddr; revert_word } :: b.incoming;
+  (* the reverse view, for source-side unlinking and the auditor;
+     persistent-stub patches (from_block = -1) have no source block *)
+  match stub with
+  | Some k when from_block >= 0 ->
+    add_link t ~from_block ~site_paddr ~target_id:b.id ~stub:k
+  | Some _ | None -> ()
 
 (* ---- granularity ----
    The single effective-granularity chunk acquisition point. Block mode

@@ -235,7 +235,7 @@ let translate_unit ?placed t v =
   t.stats.max_occupied_bytes <-
     max t.stats.max_occupied_bytes (Tcache.occupied_bytes t.tc);
   charge t Trace.Translate
-    (t.cfg.miss_fixed_cycles + (t.cfg.translate_cycles_per_word * emitted));
+    (Config.miss_fixed_cycles + (Config.translate_cycles_per_word * emitted));
   trace t (Trace.Cc_translated { chunk = v; base; words = emitted });
   emit_event t (Translated v);
   (* function granularity: specialise this unit's own PLT slot into a
@@ -249,7 +249,7 @@ let translate_unit ?placed t v =
       ~revert_word:(enc (Isa.Instr.Trap k));
     t.stats.patches <- t.stats.patches + 1;
     t.stats.plt_patches <- t.stats.plt_patches + 1;
-    charge t Trace.Patch t.cfg.patch_cycles;
+    charge t Trace.Patch Config.patch_cycles;
     trace t (Trace.Cc_backpatch { site = slot_paddr; target = base });
     emit_event t Patched
   | None -> ());

@@ -21,20 +21,20 @@ let handle_trap t k =
     t.cpu.pc <- b.paddr
   | Stub.Computed { rs } ->
     t.stats.lookups <- t.stats.lookups + 1;
-    charge t Trace.Lookup t.cfg.lookup_cycles;
+    charge t Trace.Lookup Config.lookup_cycles;
     let target = Machine.Cpu.reg t.cpu rs in
     let b = Cc_translate.ensure_resident t target in
     t.cpu.pc <- b.paddr
   | Stub.Icall { rd; rs; pad_paddr } ->
     t.stats.lookups <- t.stats.lookups + 1;
-    charge t Trace.Lookup t.cfg.lookup_cycles;
+    charge t Trace.Lookup Config.lookup_cycles;
     let target = Machine.Cpu.reg t.cpu rs in
     Machine.Cpu.set_reg t.cpu rd pad_paddr;
     let b = Cc_translate.ensure_resident t target in
     t.cpu.pc <- b.paddr
   | Stub.Ret_stub { site_paddr; target } ->
     t.stats.lookups <- t.stats.lookups + 1;
-    charge t Trace.Lookup t.cfg.lookup_cycles;
+    charge t Trace.Lookup Config.lookup_cycles;
     let b = Cc_translate.ensure_resident t target in
     (* specialise this stub into a direct jump while the target lives,
        unless a flush has re-purposed the stub area in the meantime *)
@@ -46,7 +46,7 @@ let handle_trap t k =
         record_incoming t tb ~from_block:(-1) ~site_paddr
           ~revert_word:(enc (Isa.Instr.Trap k));
         t.stats.patches <- t.stats.patches + 1;
-        charge t Trace.Patch t.cfg.patch_cycles;
+        charge t Trace.Patch Config.patch_cycles;
         trace t (Trace.Cc_backpatch { site = site_paddr; target = b.paddr });
         emit_event t Patched
       | None -> ())
@@ -54,7 +54,7 @@ let handle_trap t k =
     t.cpu.pc <- b.paddr
   | Stub.Plt { slot_paddr; target } ->
     t.stats.lookups <- t.stats.lookups + 1;
-    charge t Trace.Lookup t.cfg.lookup_cycles;
+    charge t Trace.Lookup Config.lookup_cycles;
     let b = Cc_translate.ensure_resident t target in
     (* translating a missing callee patches its slot on install, so
        this trap usually resumes through an already-patched slot; only
@@ -70,7 +70,7 @@ let handle_trap t k =
            ~revert_word:(enc (Isa.Instr.Trap k));
          t.stats.patches <- t.stats.patches + 1;
          t.stats.plt_patches <- t.stats.plt_patches + 1;
-         charge t Trace.Patch t.cfg.patch_cycles;
+         charge t Trace.Patch Config.patch_cycles;
          trace t
            (Trace.Cc_backpatch { site = slot_paddr; target = tb.paddr });
          emit_event t Patched

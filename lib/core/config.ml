@@ -1,12 +1,11 @@
 type chunking = Basic_block | Procedure
-type eviction = Flush_all | Fifo | Lru | Rrip | Trrip
+type eviction = Flush_all | Fifo | Lru | Trrip
 
 (* The one place the CLI flag, the pretty-printer and the policy sweep
    all draw the valid-policy set from; adding a policy here is what
    makes it exist everywhere. *)
 let eviction_table =
-  [ ("fifo", Fifo); ("flush", Flush_all); ("lru", Lru); ("rrip", Rrip);
-    ("trrip", Trrip) ]
+  [ ("fifo", Fifo); ("flush", Flush_all); ("lru", Lru); ("trrip", Trrip) ]
 
 let eviction_name ev =
   match List.find_opt (fun (_, e) -> e = ev) eviction_table with
@@ -31,20 +30,11 @@ let granularity_of_name n = List.assoc_opt n granularity_table
 
 type t = {
   tcache_bytes : int;
-  tcache_base : int;
   chunking : chunking;
   eviction : eviction;
-  lookup_cycles : int;
-  patch_cycles : int;
-  miss_fixed_cycles : int;
-  translate_cycles_per_word : int;
-  scrub_cycles_per_word : int;
   bind_at_translate : bool;
   net : Netmodel.t;
   max_retries : int;
-  retry_backoff_cycles : int;
-  timeout_cycles : int;
-  audit : bool;
   engine : Machine.Cpu.engine;
   prefetch_degree : int;
   staging_chunks : int;
@@ -55,25 +45,27 @@ type t = {
   harts : int;
   shards : int;
   sched_seed : int;
-  quantum : int;
 }
 
-let make ?(tcache_bytes = 48 * 1024) ?(tcache_base = 0x10000)
-    ?(chunking = Basic_block) ?(eviction = Fifo) ?(lookup_cycles = 12)
-    ?(patch_cycles = 4) ?(miss_fixed_cycles = 30)
-    ?(translate_cycles_per_word = 2) ?(scrub_cycles_per_word = 2)
-    ?(bind_at_translate = true) ?net ?(max_retries = 8)
-    ?(retry_backoff_cycles = 64) ?(timeout_cycles = 1000) ?(audit = false)
+let tcache_base = 0x10000
+let lookup_cycles = 12
+let patch_cycles = 4
+let miss_fixed_cycles = 30
+let translate_cycles_per_word = 2
+let scrub_cycles_per_word = 2
+let retry_backoff_cycles = 64
+let timeout_cycles = 1000
+let quantum = 64
+
+let make ?(tcache_bytes = 48 * 1024) ?(chunking = Basic_block)
+    ?(eviction = Fifo) ?(bind_at_translate = true) ?net ?(max_retries = 8)
     ?(engine = Machine.Cpu.Decoded) ?(prefetch_degree = 0)
     ?(staging_chunks = 8) ?(trace_limit = 65536) ?(chain = false)
     ?(superblock_threshold = 0) ?(granularity = Block) ?(harts = 1)
-    ?(shards = 1) ?(sched_seed = 1) ?(quantum = 64) () =
+    ?(shards = 1) ?(sched_seed = 1) () =
   let net = match net with Some n -> n | None -> Netmodel.local () in
   if tcache_bytes < 64 then invalid_arg "Config.make: tcache too small";
-  if tcache_base land 3 <> 0 then invalid_arg "Config.make: unaligned base";
   if max_retries < 0 then invalid_arg "Config.make: negative max_retries";
-  if retry_backoff_cycles < 0 || timeout_cycles < 0 then
-    invalid_arg "Config.make: negative transport cycle cost";
   if prefetch_degree < 0 then
     invalid_arg "Config.make: negative prefetch_degree";
   if staging_chunks < 0 then invalid_arg "Config.make: negative staging_chunks";
@@ -94,23 +86,13 @@ let make ?(tcache_bytes = 48 * 1024) ?(tcache_base = 0x10000)
     invalid_arg
       "Config.make: superblock group reservations are contiguous and break \
        home-shard routing; use shards=1 or superblock_threshold=0";
-  if quantum < 1 then invalid_arg "Config.make: quantum must be >= 1";
   {
     tcache_bytes;
-    tcache_base;
     chunking;
     eviction;
-    lookup_cycles;
-    patch_cycles;
-    miss_fixed_cycles;
-    translate_cycles_per_word;
-    scrub_cycles_per_word;
     bind_at_translate;
     net;
     max_retries;
-    retry_backoff_cycles;
-    timeout_cycles;
-    audit;
     engine;
     prefetch_degree;
     staging_chunks;
@@ -121,7 +103,6 @@ let make ?(tcache_bytes = 48 * 1024) ?(tcache_base = 0x10000)
     harts;
     shards;
     sched_seed;
-    quantum;
   }
 
 let sparc_prototype ?tcache_bytes () =
@@ -134,7 +115,7 @@ let arm_prototype ?tcache_bytes () =
 
 let pp ppf t =
   Format.fprintf ppf "tcache %dB @0x%x, %s chunks, %s eviction%s"
-    t.tcache_bytes t.tcache_base
+    t.tcache_bytes tcache_base
     (match t.chunking with
     | Basic_block -> "basic-block"
     | Procedure -> "procedure")

@@ -22,17 +22,17 @@ type eviction =
           (translations, computed jumps, indirect calls, return stubs),
           so there is no per-instruction cost — the paper's "cache
           state encoded in the branches" *)
-  | Rrip
-      (** 2-bit re-reference interval prediction over the same observed
-          entry events (in the spirit of TRRIP): blocks insert at RRPV
-          2, reset to 0 on entry, and the victim is the max-RRPV block *)
   | Trrip
-      (** temperature-aware RRIP: like [Rrip], but a profile-derived
-          temperature oracle ([Controller.set_temperature_oracle]) sets
-          the insertion RRPV per block — hot 0, warm 2, cold 3 — so
-          profile-hot blocks survive the sweep before their first
-          observed entry. With no oracle attached every block reads
-          cold and the policy's decisions are exactly [Rrip]'s *)
+      (** temperature-aware RRIP, 2-bit re-reference interval
+          prediction over the same observed entry events: blocks are
+          promoted to RRPV 0 on entry, an entry older than about two
+          sweep laps decays to the block's insertion prior, and the
+          sweep is overridden only for a strictly more distant block.
+          A profile-derived temperature oracle
+          ([Controller.set_temperature_oracle]) sets the prior per
+          block — hot 0, warm 2, cold 3 — so profile-hot blocks survive
+          the sweep before their first observed entry. With no oracle
+          attached ("unprimed") every block's prior is 3: plain RRIP *)
 
 val eviction_table : (string * eviction) list
 (** The canonical name <-> policy mapping. The CLI [--eviction] enum,
@@ -65,21 +65,8 @@ val granularity_of_name : string -> granularity option
 
 type t = {
   tcache_bytes : int;  (** CC translation-cache memory, bytes *)
-  tcache_base : int;  (** physical base of the tcache region *)
   chunking : chunking;
   eviction : eviction;
-  lookup_cycles : int;
-      (** client cost of one tcache-map hash probe (ambiguous-pointer
-          fallback) *)
-  patch_cycles : int;  (** client cost of rewriting one code word *)
-  miss_fixed_cycles : int;
-      (** fixed client-side bookkeeping per miss, on top of network and
-          per-word costs *)
-  translate_cycles_per_word : int;
-      (** MC-side rewriting work, charged per emitted word; "could
-          easily be reduced to near zero by more powerful MC systems" *)
-  scrub_cycles_per_word : int;
-      (** cost per stack word scanned when evicting live landing pads *)
   bind_at_translate : bool;
       (** when the MC rewrites a chunk, bind exits whose targets are
           already resident directly (the paper's design); disabling it
@@ -89,15 +76,6 @@ type t = {
   max_retries : int;
       (** how many times the CC re-requests a chunk after a dropped or
           corrupted frame before declaring it unavailable *)
-  retry_backoff_cycles : int;
-      (** base of the exponential backoff charged before retry [n]:
-          [retry_backoff_cycles * 2^(n-1)] cycles *)
-  timeout_cycles : int;
-      (** cycles the CC waits before concluding a frame was dropped *)
-  audit : bool;
-      (** run the [Check.Audit] tcache invariant auditor after every
-          controller event (installed via [Check.Audit.install_if_configured];
-          off by default, enabled in tests and by [--audit]) *)
   engine : Machine.Cpu.engine;
       (** CPU dispatch engine for the cached run: [Decoded] (default)
           fetches through the memory-coherent predecode cache;
@@ -154,27 +132,15 @@ type t = {
   sched_seed : int;
       (** seed of the deterministic hart-interleaving scheduler; the
           same seed replays the same interleaving byte-identically *)
-  quantum : int;
-      (** scheduler quantum: cycles a hart may advance before the
-          scheduler re-picks (smaller = finer interleaving) *)
 }
 
 val make :
   ?tcache_bytes:int ->
-  ?tcache_base:int ->
   ?chunking:chunking ->
   ?eviction:eviction ->
-  ?lookup_cycles:int ->
-  ?patch_cycles:int ->
-  ?miss_fixed_cycles:int ->
-  ?translate_cycles_per_word:int ->
-  ?scrub_cycles_per_word:int ->
   ?bind_at_translate:bool ->
   ?net:Netmodel.t ->
   ?max_retries:int ->
-  ?retry_backoff_cycles:int ->
-  ?timeout_cycles:int ->
-  ?audit:bool ->
   ?engine:Machine.Cpu.engine ->
   ?prefetch_degree:int ->
   ?staging_chunks:int ->
@@ -185,21 +151,55 @@ val make :
   ?harts:int ->
   ?shards:int ->
   ?sched_seed:int ->
-  ?quantum:int ->
   unit ->
   t
-(** Defaults: 48 KiB tcache at [0x10000], basic-block chunking, FIFO
-    eviction, lookup 12, patch 4, miss fixed 30, translate 2/word,
-    scrub 2/word, local (SPARC-style) interconnect, 8 retries with a
-    64-cycle backoff base and a 1000-cycle drop timeout, audit off,
-    decoded dispatch, prefetch off with an 8-chunk staging buffer, a
-    65536-event trace ring, chaining/superblocks off, block
-    granularity, one hart, one shard, scheduler seed 1 with a 64-cycle
-    quantum.
+(** Defaults: 48 KiB tcache, basic-block chunking, FIFO eviction,
+    local (SPARC-style) interconnect, 8 retries, decoded dispatch,
+    prefetch off with an 8-chunk staging buffer, a 65536-event trace
+    ring, chaining/superblocks off, block granularity, one hart, one
+    shard, scheduler seed 1.
     @raise Invalid_argument on out-of-range values (including
     [trace_limit <= 0], [superblock_threshold > 0] without [chain],
     [Function] granularity combined with [Procedure] chunking, and
     [shards > 1] combined with superblock formation). *)
+
+(** {2 Fixed controller constants}
+
+    The client-side cycle prices of the cache-controller operations,
+    the tcache's place in memory, the transport's retry timing and the
+    multi-hart scheduler's quantum. Every run uses these values. *)
+
+val tcache_base : int
+(** Physical base of the tcache region: [0x10000]. *)
+
+val lookup_cycles : int
+(** Client cost of one tcache-map hash probe (ambiguous-pointer
+    fallback): 12. *)
+
+val patch_cycles : int
+(** Client cost of rewriting one code word: 4. *)
+
+val miss_fixed_cycles : int
+(** Fixed client-side bookkeeping per miss, on top of network and
+    per-word costs: 30. *)
+
+val translate_cycles_per_word : int
+(** MC-side rewriting work, charged per emitted word: 2. "Could easily
+    be reduced to near zero by more powerful MC systems". *)
+
+val scrub_cycles_per_word : int
+(** Cost per stack word scanned when evicting live landing pads: 2. *)
+
+val retry_backoff_cycles : int
+(** Base of the exponential backoff charged before retry [n]:
+    [retry_backoff_cycles * 2^(n-1)] cycles, base 64. *)
+
+val timeout_cycles : int
+(** Cycles the CC waits before concluding a frame was dropped: 1000. *)
+
+val quantum : int
+(** Multi-hart scheduler quantum: cycles a hart may advance before the
+    scheduler re-picks: 64. *)
 
 val sparc_prototype : ?tcache_bytes:int -> unit -> t
 (** Basic-block chunking, local MC (no network), FIFO eviction. *)

@@ -57,7 +57,6 @@ type t = Cc_state.t = {
   mutable on_event : (event -> unit) option;
   mutable tracer : Trace.t option;
   mutable alloc_guard : int;
-  mutable chaos_drop_incoming : int;
   mutable chaos_evict_bound : bool;
   mutable mc_transport :
     (vaddr:int ->
@@ -76,18 +75,20 @@ exception Internal_invariant_broken = Cc_state.Internal_invariant_broken
 
 let ensure_resident = Cc_translate.ensure_resident
 
-let create ?cost ?(mem_bytes = 8 * 1024 * 1024) (cfg : Config.t) image =
+let mem_bytes = 8 * 1024 * 1024
+
+let create (cfg : Config.t) image =
   let data_end =
     image.Isa.Image.data_base + Bytes.length image.Isa.Image.data
   in
-  let tcache_end = cfg.tcache_base + cfg.tcache_bytes in
-  if cfg.tcache_base < data_end && tcache_end > image.Isa.Image.data_base
+  let tcache_end = Config.tcache_base + cfg.tcache_bytes in
+  if Config.tcache_base < data_end && tcache_end > image.Isa.Image.data_base
   then invalid_arg "Controller.create: tcache overlaps data segment";
   if tcache_end > mem_bytes then
     invalid_arg "Controller.create: tcache outside memory";
   let mem = Machine.Memory.create mem_bytes in
   Machine.Memory.load_data mem image;
-  let cpu = Machine.Cpu.create ?cost ~engine:cfg.engine ~mem ~pc:0 () in
+  let cpu = Machine.Cpu.create ~engine:cfg.engine ~mem ~pc:0 () in
   let t =
     {
       cfg;
@@ -95,7 +96,7 @@ let create ?cost ?(mem_bytes = 8 * 1024 * 1024) (cfg : Config.t) image =
       cpu;
       harts = [||];
       tc =
-        Tcache.create_sharded ~shards:cfg.shards ~base:cfg.tcache_base
+        Tcache.create_sharded ~shards:cfg.shards ~base:Config.tcache_base
           ~bytes:cfg.tcache_bytes;
       stats = Stats.create ();
       policy = Policy.create cfg.eviction;
@@ -124,7 +125,6 @@ let create ?cost ?(mem_bytes = 8 * 1024 * 1024) (cfg : Config.t) image =
       on_event = None;
       tracer = None;
       alloc_guard = 64;
-      chaos_drop_incoming = 0;
       chaos_evict_bound = false;
       mc_transport = None;
       mc_crc = None;

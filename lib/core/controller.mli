@@ -161,11 +161,6 @@ type t = Cc_state.t = {
           residents). Exhaustion raises {!Alloc_guard_exhausted}.
           Mutable as a test hook — lower it to make the exception
           reachable without a pathological workload. *)
-  mutable chaos_drop_incoming : int;
-      (** test hook: silently skip the next N incoming-pointer records.
-          Seeds a real bookkeeping bug (an unlinked patched exit) so
-          tests can prove the auditor's invariants are not vacuous.
-          Leave at 0 in production. *)
   mutable chaos_evict_bound : bool;
       (** test hook: evict the first translate-time-bound exit target
           between translation and incoming-pointer recording, breaking
@@ -229,10 +224,10 @@ exception Internal_invariant_broken of { chunk : int; detail : string }
     Replaces what used to be a bare assertion, so audit-off production
     runs fail with the failing chunk identified. *)
 
-val create :
-  ?cost:Machine.Cost.t -> ?mem_bytes:int -> Config.t -> Isa.Image.t -> t
-(** Build the client machine (default 8 MiB of memory: data segment +
-    tcache + stack) and wire the trap handler.
+val create : Config.t -> Isa.Image.t -> t
+(** Build the client machine (8 MiB of memory: data segment + tcache +
+    stack, priced by the default {!Machine.Cost} model) and wire the
+    trap handler.
     @raise Invalid_argument if the tcache region overlaps the image's
     data segment. *)
 

@@ -26,9 +26,6 @@ module type S = sig
   val on_entry : Tcache.block -> unit
   val on_hart_entry : hart:int -> Tcache.block -> unit
   val on_evict : reason -> Tcache.block -> unit
-  val on_flush : unit -> unit
-  val on_superblock : int -> Tcache.block list -> unit
-  val on_superblock_evict : int -> unit
   val victim : ?shard:int -> Tcache.t -> Tcache.block option
   val resident_ids : unit -> int list
   val hart_touches : unit -> (int * int) list
@@ -137,9 +134,6 @@ let fifo_like name kind : t =
     let on_entry _ = ()
     let on_hart_entry, hart_touches = hart_counter ()
     let on_evict _ (b : Tcache.block) = Hashtbl.remove tbl b.id
-    let on_flush () = ()
-    let on_superblock _ _ = ()
-    let on_superblock_evict _ = ()
     let victim ?shard:_ _ = None
     let resident_ids () = ids_of tbl
 
@@ -183,9 +177,6 @@ let lru () : t =
 
     let on_hart_entry, hart_touches = hart_counter ()
     let on_evict _ (b : Tcache.block) = Hashtbl.remove tbl b.id
-    let on_flush () = ()
-    let on_superblock _ _ = ()
-    let on_superblock_evict _ = ()
 
     (* The clock ticks once per install or entry, so [2 * residents]
        ticks is roughly two sweep laps: long enough that a block in
@@ -227,95 +218,6 @@ let lru () : t =
         (String.concat " " (List.sort compare stamps))
   end)
 
-type rrip_meta = {
-  mutable rrpv : int;  (* 2-bit re-reference prediction value *)
-  mutable last_entry : int option;  (* last observed entry tick *)
-  seq : int;  (* insertion order, for deterministic ties *)
-}
-
-let rrip () : t =
-  (module struct
-    let name = "rrip"
-    let kind = `Evict
-    let set_temperature_oracle _ = ()
-
-    (* 2-bit RRPV in the SRRIP mould: insert at 2 ("long re-reference
-       interval"), promote to 0 on an observed entry, evict the block
-       predicted most distant. Hardware SRRIP ages every RRPV until one
-       saturates; here aging is by wall-clock window instead — an entry
-       older than ~two sweep laps has expired and the block reads as
-       distant (RRPV 3) again. The windowed read keeps [victim] a pure
-       query (the auditor calls it freely) while still forgetting
-       blocks whose entries have been patched into silent direct
-       branches. Ties break by insertion order, oldest first. *)
-    let tbl : (int, Tcache.block * rrip_meta) Hashtbl.t = Hashtbl.create 64
-    let clock = ref 0
-
-    let tick () =
-      incr clock;
-      !clock
-
-    let on_install (b : Tcache.block) =
-      let s = tick () in
-      Hashtbl.replace tbl b.id (b, { rrpv = 2; last_entry = None; seq = s })
-
-    let on_entry (b : Tcache.block) =
-      match Hashtbl.find_opt tbl b.id with
-      | Some (_, m) ->
-        m.rrpv <- 0;
-        m.last_entry <- Some (tick ())
-      | None -> ()
-
-    let on_hart_entry, hart_touches = hart_counter ()
-    let on_evict _ (b : Tcache.block) = Hashtbl.remove tbl b.id
-    let on_flush () = ()
-    let on_superblock _ _ = ()
-    let on_superblock_evict _ = ()
-    let window () = 2 * (Hashtbl.length tbl + 2)
-
-    (* the aged read: promotion decays once the entry leaves the window *)
-    let effective m =
-      match m.last_entry with
-      | Some e when !clock - e <= window () -> m.rrpv
-      | Some _ -> 3
-      | None -> 3
-
-    let victim ?shard tc =
-      match sweep_candidate ?shard tbl tc with
-      | None -> None
-      | Some (sb, sm) ->
-        if effective sm >= 3 then None
-        else
-          (* max effective RRPV first, oldest insertion on ties — and
-             only a fully distant block is worth deviating to: the
-             seeded allocation restarts the sweep at the victim, so
-             evicting anything with expected reuse just teleports the
-             pointer for no benefit *)
-          let distant =
-            pick_min ?shard tbl ~key:(fun m -> (-effective m, m.seq)) tc
-          in
-          (match distant with
-          | Some b when b.Tcache.id <> sb.Tcache.id -> (
-            match Hashtbl.find_opt tbl b.id with
-            | Some (_, m) when effective m >= 3 -> Some b
-            | Some _ | None -> None)
-          | Some _ | None -> None)
-
-    let resident_ids () = ids_of tbl
-
-    let debug_state () =
-      let rrpvs =
-        Hashtbl.fold
-          (fun id (_, m) acc ->
-            Printf.sprintf "%d:rrpv=%d/eff=%d,seq=%d" id m.rrpv (effective m)
-              m.seq
-            :: acc)
-          tbl []
-      in
-      Printf.sprintf "rrip: clock=%d window=%d [%s]" !clock (window ())
-        (String.concat " " (List.sort compare rrpvs))
-  end)
-
 type trrip_meta = {
   mutable t_rrpv : int;
   mutable t_last_entry : int option;
@@ -328,18 +230,21 @@ let trrip () : t =
     let name = "trrip"
     let kind = `Evict
 
-    (* Temperature-aware RRIP: [rrip] with one twist. Plain rrip's
-       insertion RRPV is inert — [effective] reads 3 for any block
-       without an in-window entry, and an entry always resets the RRPV
-       to 0, so the stored insertion value is never actually observed.
-       The profile prior therefore has to replace the *fallback*, not
-       just the insertion value: a block with no (or an expired) entry
-       reads as its temperature prior — hot 0, warm 2, cold 3 —
-       instead of a hard-coded 3. Hot blocks stay protected before
-       their first observed entry and after their entries have been
-       patched into silent direct branches, which is exactly where
-       rrip is blind. With no oracle every prior is 3 and [effective]
-       collapses to rrip's: the decision stream is identical. *)
+    (* Temperature-aware RRIP. A 2-bit RRPV in the SRRIP mould: a
+       block is promoted to 0 ("near-immediate re-reference") on an
+       observed entry, and the victim is the block predicted most
+       distant. Hardware SRRIP ages every RRPV until one saturates;
+       here aging is by a clock window instead — an entry older than
+       ~two sweep laps has expired. The windowed read keeps [victim] a
+       pure query (the auditor calls it freely) while still forgetting
+       blocks whose entries have been patched into silent direct
+       branches. An expired (or never observed) entry reads as the
+       block's temperature prior — hot 0, warm 2, cold 3 — so hot
+       blocks stay protected before their first observed entry and
+       after their entries went silent, which is exactly where plain
+       RRIP is blind. With no oracle ("unprimed") every prior is 3,
+       the plain-RRIP "distant" reading. Ties break by insertion
+       order, oldest first. *)
     let tbl : (int, Tcache.block * trrip_meta) Hashtbl.t = Hashtbl.create 64
     let clock = ref 0
     let oracle : (lo:int -> hi:int -> temperature) option ref = ref None
@@ -373,9 +278,6 @@ let trrip () : t =
 
     let on_hart_entry, hart_touches = hart_counter ()
     let on_evict _ (b : Tcache.block) = Hashtbl.remove tbl b.id
-    let on_flush () = ()
-    let on_superblock _ _ = ()
-    let on_superblock_evict _ = ()
     let window () = 2 * (Hashtbl.length tbl + 2)
 
     (* aged read: an in-window entry speaks for itself; otherwise the
@@ -395,8 +297,8 @@ let trrip () : t =
              the victim must read strictly colder than the candidate,
              or the seeded sweep restart costs more than the candidate
              was worth. Without an oracle effective is two-valued
-             ({0,3}) and "strictly colder than a protected candidate"
-             is exactly rrip's "fully distant" condition. *)
+             ({0,3}), and "strictly colder than a protected candidate"
+             means fully distant. *)
           let distant =
             pick_min ?shard tbl ~key:(fun m -> (-effective m, m.t_seq)) tc
           in
@@ -428,5 +330,4 @@ let create = function
   | Config.Fifo -> fifo_like "fifo" `Evict
   | Config.Flush_all -> fifo_like "flush" `Flush_all
   | Config.Lru -> lru ()
-  | Config.Rrip -> rrip ()
   | Config.Trrip -> trrip ()

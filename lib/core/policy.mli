@@ -12,7 +12,8 @@
       straight into the tcache and are invisible; this is the paper's
       "cache state is encoded in the branches" trade-off, and it is what
       keeps hit tracking free of per-instruction cost;
-    - {b evict / flush}: blocks left the cache, with a {!reason}.
+    - {b evict}: a block left the cache, with a {!reason} (a flush
+      evicts every unpinned resident with reason [Flushed]).
 
     In return the policy answers one question on the miss path:
     {!S.victim} — which resident block should the allocation sweep be
@@ -88,20 +89,6 @@ module type S = sig
   val on_evict : reason -> Tcache.block -> unit
   (** The block left the tcache. Fired on every removal path,
       including flushes (once per unpinned former resident). *)
-
-  val on_flush : unit -> unit
-  (** The whole tcache was flushed (after the per-block [on_evict]
-      calls; pinned blocks survive and stay in the resident view). *)
-
-  val on_superblock : int -> Tcache.block list -> unit
-  (** A hot chain was fused: superblock [id] now groups these member
-      blocks (each already announced via [on_install]). Observational —
-      the members remain ordinary residents in the policy's view. *)
-
-  val on_superblock_evict : int -> unit
-  (** Superblock [id] dissolved because a member was evicted (the
-      member's own [on_evict] fires separately; surviving members stay
-      resident as independent blocks). *)
 
   val victim : ?shard:int -> Tcache.t -> Tcache.block option
   (** Which resident block should the allocator reclaim first? [None]

@@ -13,13 +13,13 @@ let of_cpu outcome (cpu : Machine.Cpu.t) =
     retired = cpu.retired;
   }
 
-let native ?cost ?fuel img =
-  let cpu = Machine.Cpu.of_image ?cost img in
+let native ?fuel img =
+  let cpu = Machine.Cpu.of_image img in
   let outcome = Machine.Cpu.run ?fuel cpu in
   of_cpu outcome cpu
 
-let cached ?cost ?fuel cfg img =
-  let ctrl = Controller.create ?cost cfg img in
+let cached ?fuel cfg img =
+  let ctrl = Controller.create cfg img in
   let outcome = Controller.run ?fuel ctrl in
   (of_cpu outcome ctrl.cpu, ctrl)
 
@@ -38,9 +38,8 @@ type robust = {
   retired : int;
 }
 
-let cached_robust ?cost ?fuel ?(prepare = fun (_ : Controller.t) -> ()) cfg
-    img =
-  let ctrl = Controller.create ?cost cfg img in
+let cached_robust ?fuel ?(prepare = fun (_ : Controller.t) -> ()) cfg img =
+  let ctrl = Controller.create cfg img in
   prepare ctrl;
   let status =
     match Controller.run ?fuel ctrl with

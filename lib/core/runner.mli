@@ -7,16 +7,11 @@ type result = {
   retired : int;
 }
 
-val native : ?cost:Machine.Cost.t -> ?fuel:int -> Isa.Image.t -> result
+val native : ?fuel:int -> Isa.Image.t -> result
 (** Run the image directly, with no caching — the paper's "ideal"
     baseline. *)
 
-val cached :
-  ?cost:Machine.Cost.t ->
-  ?fuel:int ->
-  Config.t ->
-  Isa.Image.t ->
-  result * Controller.t
+val cached : ?fuel:int -> Config.t -> Isa.Image.t -> result * Controller.t
 (** Run the image under the SoftCache; also returns the controller for
     statistics inspection. *)
 
@@ -38,7 +33,6 @@ type robust = {
 }
 
 val cached_robust :
-  ?cost:Machine.Cost.t ->
   ?fuel:int ->
   ?prepare:(Controller.t -> unit) ->
   Config.t ->

@@ -198,7 +198,7 @@ let attach (ctrl : Cc_state.t) =
             Machine.Memory.load_data mem ctrl.image;
             (* replicate whatever already landed in the tcache region
                (pre-attach preloads write through hart 0 only) *)
-            let lo = ctrl.cfg.tcache_base in
+            let lo = Config.tcache_base in
             let hi = lo + ctrl.cfg.tcache_bytes in
             let addr = ref lo in
             while !addr < hi do
@@ -227,7 +227,7 @@ let attach (ctrl : Cc_state.t) =
       ctrl;
       harts;
       sched =
-        Machine.Sched.create ~window:ctrl.cfg.quantum ctrl.cfg.sched_seed;
+        Machine.Sched.create ~window:Config.quantum ctrl.cfg.sched_seed;
       fills = Hashtbl.create 64;
       mc_free_at = 0;
       started = false;
@@ -325,7 +325,6 @@ let run ?(fuel = max_int) t =
         else (h.h_id, h.h_cpu.cycles) :: acc)
       [] t.harts
   in
-  let quantum = t.ctrl.cfg.quantum in
   let rec loop () =
     match runnable () with
     | [] -> ()
@@ -337,7 +336,7 @@ let run ?(fuel = max_int) t =
       let before_cyc = h.h_cpu.cycles in
       let before_wait = h.h_wait_fill + h.h_wait_mc in
       ignore
-        (Machine.Cpu.run ~fuel:(min quantum fuel_left.(h.h_id)) h.h_cpu);
+        (Machine.Cpu.run ~fuel:(min Config.quantum fuel_left.(h.h_id)) h.h_cpu);
       fuel_left.(h.h_id) <-
         fuel_left.(h.h_id) - (h.h_cpu.retired - before_ret);
       h.h_run <-

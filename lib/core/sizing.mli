@@ -72,6 +72,6 @@ val deep_thrash : estimate -> tcache_bytes:int -> bool
     is pure win. In the transition zone around the knee (within 2x of
     the prediction) the layout nearly fits and prior-driven sweep
     deviations churn more than they save, so [trrip] should run
-    unprimed there — it then decides exactly like [rrip]. The CLI and
+    unprimed there, as plain RRIP. The CLI and
     the policysweep bench both consult this before attaching
     [Controller.set_temperature_oracle]. *)

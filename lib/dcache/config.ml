@@ -6,23 +6,21 @@ type t = {
   scache_frames : int;
   prediction : prediction;
   specialise_constants : bool;
-  const_cycles : int;
-  predicted_hit_cycles : int;
-  search_step_cycles : int;
-  miss_fixed_cycles : int;
-  scache_check_cycles : int;
-  spill_refill_cycles : int;
   specialise_threshold : int;
   net : Netmodel.t;
 }
 
+let const_cycles = 2
+let predicted_hit_cycles = 9
+let search_step_cycles = 6
+let miss_fixed_cycles = 40
+let scache_check_cycles = 3
+let spill_refill_cycles = 64
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
 let make ?(dcache_bytes = 8 * 1024) ?(block_bytes = 32) ?(scache_frames = 16)
     ?(prediction = Same_index) ?(specialise_constants = true)
-    ?(const_cycles = 2) ?(predicted_hit_cycles = 9) ?(search_step_cycles = 6)
-    ?(miss_fixed_cycles = 40) ?(scache_check_cycles = 3)
-    ?(spill_refill_cycles = 64) ?(specialise_threshold = 32) ?net () =
+    ?(specialise_threshold = 32) () =
   if not (is_pow2 block_bytes) then
     invalid_arg "Dcache.Config.make: block size must be a power of two";
   if dcache_bytes < block_bytes then
@@ -30,21 +28,14 @@ let make ?(dcache_bytes = 8 * 1024) ?(block_bytes = 32) ?(scache_frames = 16)
   if scache_frames < 2 then
     invalid_arg
       "Dcache.Config.make: the stack cache must hold at least two frames";
-  let net = match net with Some n -> n | None -> Netmodel.local () in
   {
     dcache_bytes;
     block_bytes;
     scache_frames;
     prediction;
     specialise_constants;
-    const_cycles;
-    predicted_hit_cycles;
-    search_step_cycles;
-    miss_fixed_cycles;
-    scache_check_cycles;
-    spill_refill_cycles;
     specialise_threshold;
-    net;
+    net = Netmodel.local ();
   }
 
 let pp ppf t =

@@ -21,15 +21,11 @@ type t = {
   specialise_constants : bool;
       (** rewrite accesses that have shown a constant address into
           direct loads (deoptimised on the first conflicting access) *)
-  const_cycles : int;  (** specialised access (1 load) *)
-  predicted_hit_cycles : int;  (** Fig. 10 sequence, ~9 instructions *)
-  search_step_cycles : int;  (** per binary-search probe of a slow hit *)
-  miss_fixed_cycles : int;
-  scache_check_cycles : int;  (** presence check at entry/exit *)
-  spill_refill_cycles : int;  (** per frame moved to/from the server *)
   specialise_threshold : int;
       (** accesses with a stable address before a site is rewritten *)
   net : Netmodel.t;
+      (** a fresh local interconnect per config: the link holds the
+          run's message and byte counters *)
 }
 
 val make :
@@ -38,18 +34,31 @@ val make :
   ?scache_frames:int ->
   ?prediction:prediction ->
   ?specialise_constants:bool ->
-  ?const_cycles:int ->
-  ?predicted_hit_cycles:int ->
-  ?search_step_cycles:int ->
-  ?miss_fixed_cycles:int ->
-  ?scache_check_cycles:int ->
-  ?spill_refill_cycles:int ->
   ?specialise_threshold:int ->
-  ?net:Netmodel.t ->
   unit ->
   t
 (** Defaults: 8 KiB dcache of 32-byte blocks, 16-frame scache,
-    [Same_index] prediction, constant specialisation on (threshold 32),
-    costs 2 / 9 / 6 / 40 / 3 / 64 cycles, local interconnect. *)
+    [Same_index] prediction, constant specialisation on (threshold
+    32). *)
+
+(** {2 Cycle prices} *)
+
+val const_cycles : int
+(** Specialised access (1 load): 2. *)
+
+val predicted_hit_cycles : int
+(** Fig. 10 check-and-index sequence, ~9 instructions: 9. *)
+
+val search_step_cycles : int
+(** Per binary-search probe of a slow hit: 6. *)
+
+val miss_fixed_cycles : int
+(** Fixed client cost of a miss, on top of the transfer: 40. *)
+
+val scache_check_cycles : int
+(** Stack-cache presence check at entry/exit: 3. *)
+
+val spill_refill_cycles : int
+(** Per frame moved to/from the server: 64. *)
 
 val pp : Format.formatter -> t -> unit

@@ -7,9 +7,9 @@ type result = {
   dcache_stats : Sim.stats;
 }
 
-let run ?cost ?(fuel = max_int) (icfg : Softcache.Config.t)
-    (dcfg : Config.t) img =
-  let ctrl = Softcache.Controller.create ?cost icfg img in
+let run ?(fuel = max_int) (icfg : Softcache.Config.t) (dcfg : Config.t) img
+    =
+  let ctrl = Softcache.Controller.create icfg img in
   let cpu = ctrl.cpu in
   let dstats, after_step = Sim.attach dcfg cpu in
   Softcache.Controller.start ctrl;

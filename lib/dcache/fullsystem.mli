@@ -20,7 +20,6 @@ type result = {
 }
 
 val run :
-  ?cost:Machine.Cost.t ->
   ?fuel:int ->
   Softcache.Config.t ->
   Config.t ->

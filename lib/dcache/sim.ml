@@ -45,7 +45,8 @@ let log2_ceil = Bitmath.ceil_log2
 
 let guaranteed_latency_cycles (cfg : Config.t) =
   let blocks = cfg.dcache_bytes / cfg.block_bytes in
-  cfg.predicted_hit_cycles + (cfg.search_step_cycles * log2_ceil (max 2 blocks))
+  Config.predicted_hit_cycles
+  + (Config.search_step_cycles * log2_ceil (max 2 blocks))
 
 let tag_checks_avoided s =
   let total = s.stack_accesses + s.data_accesses in
@@ -93,7 +94,7 @@ let attach ?tracer (cfg : Config.t) (cpu : Machine.Cpu.t) =
     let s = site_for cpu.pc in
     if s.specialised && addr = s.mono_addr then begin
       stats.const_hits <- stats.const_hits + 1;
-      charge cfg.const_cycles
+      charge Config.const_cycles
     end
     else begin
       if s.specialised then begin
@@ -107,7 +108,7 @@ let attach ?tracer (cfg : Config.t) (cpu : Machine.Cpu.t) =
       (match Assoc.lookup assoc ~pred:s.pred ~tag with
       | Assoc.Fast_hit, idx ->
         stats.fast_hits <- stats.fast_hits + 1;
-        charge cfg.predicted_hit_cycles;
+        charge Config.predicted_hit_cycles;
         s.pred <- idx
       | Assoc.Slow_hit probes, idx ->
         if
@@ -115,13 +116,13 @@ let attach ?tracer (cfg : Config.t) (cpu : Machine.Cpu.t) =
           && Assoc.probe2 assoc ~pred:s.pred ~tag
         then begin
           stats.second_chance_hits <- stats.second_chance_hits + 1;
-          charge (cfg.predicted_hit_cycles + 2)
+          charge (Config.predicted_hit_cycles + 2)
         end
         else begin
           stats.slow_hits <- stats.slow_hits + 1;
           stats.slow_probes <- stats.slow_probes + probes;
           charge
-            (cfg.predicted_hit_cycles + (cfg.search_step_cycles * probes))
+            (Config.predicted_hit_cycles + (Config.search_step_cycles * probes))
         end;
         s.pred <- idx
       | Assoc.Miss, _ ->
@@ -129,9 +130,9 @@ let attach ?tracer (cfg : Config.t) (cpu : Machine.Cpu.t) =
         trace (Trace.Dc_miss { addr });
         let probes = log2_ceil (max 2 (Assoc.occupancy assoc)) in
         charge
-          (cfg.predicted_hit_cycles
-          + (cfg.search_step_cycles * probes)
-          + cfg.miss_fixed_cycles
+          (Config.predicted_hit_cycles
+          + (Config.search_step_cycles * probes)
+          + Config.miss_fixed_cycles
           + Netmodel.request cfg.net ~payload_bytes:cfg.block_bytes);
         let idx, _evicted = Assoc.insert assoc ~tag in
         s.pred <- idx);
@@ -166,14 +167,14 @@ let attach ?tracer (cfg : Config.t) (cpu : Machine.Cpu.t) =
     if now < !prev_sp then begin
       (* procedure entry *)
       stats.scache_checks <- stats.scache_checks + 1;
-      charge cfg.scache_check_cycles;
+      charge Config.scache_check_cycles;
       (match Scache.enter scache with
       | Scache.Entered -> ()
       | Scache.Entered_spilling n ->
         stats.scache_spills <- stats.scache_spills + n;
         trace (Trace.Dc_spill { words = n });
         charge
-          ((cfg.spill_refill_cycles * n)
+          ((Config.spill_refill_cycles * n)
           + Netmodel.request cfg.net ~payload_bytes:64)
       | Scache.Left | Scache.Left_refilling -> assert false);
       let d = Scache.depth scache in
@@ -185,7 +186,7 @@ let attach ?tracer (cfg : Config.t) (cpu : Machine.Cpu.t) =
       let d = Scache.depth scache in
       if flag_get d then begin
         stats.scache_checks <- stats.scache_checks + 1;
-        charge cfg.scache_check_cycles
+        charge Config.scache_check_cycles
       end;
       match Scache.leave scache with
       | Scache.Left -> ()
@@ -193,7 +194,7 @@ let attach ?tracer (cfg : Config.t) (cpu : Machine.Cpu.t) =
         stats.scache_refills <- stats.scache_refills + 1;
         trace (Trace.Dc_refill { words = 1 });
         charge
-          (cfg.spill_refill_cycles
+          (Config.spill_refill_cycles
           + Netmodel.request cfg.net ~payload_bytes:64)
       | Scache.Entered | Scache.Entered_spilling _ -> assert false
     end;
@@ -206,8 +207,8 @@ let attach ?tracer (cfg : Config.t) (cpu : Machine.Cpu.t) =
   in
   (stats, after_step)
 
-let run ?cost ?(fuel = max_int) ?tracer (cfg : Config.t) img =
-  let cpu = Machine.Cpu.of_image ?cost img in
+let run ?(fuel = max_int) ?tracer (cfg : Config.t) img =
+  let cpu = Machine.Cpu.of_image img in
   (match tracer with
   | Some tr ->
     Trace.set_clock tr (fun () -> cpu.cycles);

@@ -46,7 +46,6 @@ val attach :
     or cost. *)
 
 val run :
-  ?cost:Machine.Cost.t ->
   ?fuel:int ->
   ?tracer:Trace.t ->
   Config.t ->

@@ -291,7 +291,7 @@ let default_config = config ()
    (the caller runs the analytic model — the profiler lives above this
    layer). An under-provisioned client is admitted at the predicted
    size instead of its configured one; the summary reports both. *)
-let create ?cost ?(config = default_config) ?sizing ~net mk_cfg images =
+let create ?(config = default_config) ?sizing ~net mk_cfg images =
   if Array.length images = 0 then invalid_arg "Fleet.create: no images";
   let t =
     {
@@ -333,7 +333,7 @@ let create ?cost ?(config = default_config) ?sizing ~net mk_cfg images =
           | Some _ | None -> cfg
         in
         let image = images.(i mod Array.length images) in
-        let ctrl = Controller.create ?cost cfg image in
+        let ctrl = Controller.create cfg image in
         let shard =
           if cfg.Config.harts > 1 then Some (Shard.attach ctrl) else None
         in

@@ -155,7 +155,6 @@ val stall_samples : session -> float list
 type t
 
 val create :
-  ?cost:Machine.Cost.t ->
   ?config:config ->
   ?sizing:(int -> int option) ->
   net:Netmodel.t ->

@@ -57,9 +57,9 @@ let attach t (cpu : Machine.Cpu.t) =
           f addr;
           record t addr)
 
-let profile ?cost ?fuel img =
+let profile ?fuel img =
   let t = create img in
-  let cpu = Machine.Cpu.of_image ?cost img in
+  let cpu = Machine.Cpu.of_image img in
   attach t cpu;
   (match Machine.Cpu.run ?fuel cpu with
   | Machine.Cpu.Halted | Machine.Cpu.Out_of_fuel -> ());
@@ -179,7 +179,7 @@ let temperature_name = function Hot -> "hot" | Warm -> "warm" | Cold -> "cold"
    Degenerate profiles rank nothing: with zero samples, or when every
    executed word has the same count (a flat profile has no contrast),
    the classifier is constantly [Cold] — the one prior that invents no
-   information, so trrip built on it decides exactly like rrip. *)
+   information, so trrip built on it decides exactly as unprimed. *)
 let temperature_classifier ?(hot = 0.5) ?(warm = 0.9) t =
   if not (0.0 <= hot && hot <= warm && warm <= 1.0) then
     invalid_arg "Profiler.temperature_classifier: want 0 <= hot <= warm <= 1";

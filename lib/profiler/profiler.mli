@@ -22,8 +22,7 @@ val create : Isa.Image.t -> t
 val attach : t -> Machine.Cpu.t -> unit
 (** Install the fetch hook (chains any hook already present). *)
 
-val profile :
-  ?cost:Machine.Cost.t -> ?fuel:int -> Isa.Image.t -> t * Machine.Cpu.t
+val profile : ?fuel:int -> Isa.Image.t -> t * Machine.Cpu.t
 (** Run the image natively to completion with profiling attached. *)
 
 val total_samples : t -> int
@@ -60,7 +59,7 @@ val temperature_classifier :
     run-once code — and [Cold] otherwise (including never-executed
     ranges). Degenerate profiles — zero samples, or every executed word
     equally hot — classify everything [Cold], the prior under which
-    [trrip] decides exactly like [rrip]. Feeds
+    [trrip] decides exactly as it does unprimed (plain RRIP). Feeds
     [Controller.set_temperature_oracle] (convert to
     [Policy.temperature] at the call site).
     @raise Invalid_argument unless [0 <= hot <= warm <= 1]. *)

@@ -88,57 +88,52 @@ let test_audit_counts_events () =
   Alcotest.(check bool) "audits >= translations" true
     (!audits >= ctrl.stats.translations)
 
-let test_install_if_configured () =
-  let off = Softcache.Controller.create (small_cfg ()) (prog_sum 5) in
-  Alcotest.(check bool) "off by default" true
-    (Check.Audit.install_if_configured off = None);
-  let cfg =
-    Softcache.Config.make ~tcache_bytes:1024 ~audit:true
-      ~chunking:Softcache.Config.Basic_block ()
-  in
-  let on = Softcache.Controller.create cfg (prog_sum 5) in
-  Alcotest.(check bool) "on when configured" true
-    (Check.Audit.install_if_configured on <> None)
-
 (* ------------------------------------------------------------------ *)
 (* Mutation test: seed a real bookkeeping bug, the auditor must object *)
 
-let test_audit_catches_dropped_incoming () =
-  (* chaos_drop_incoming silently skips the next incoming-pointer
-     record — exactly the bug class the eviction protocol cannot
-     tolerate. The auditor's completeness scan must flag it at the
-     next consistent point. *)
+(* Run fib under a small cache (translate-time binding records
+   block-to-block incoming pointers), check the state is clean, then
+   forget one of those records: a patched branch the unlinker no
+   longer knows about — exactly the bug class the eviction protocol
+   cannot tolerate. *)
+let ctrl_with_dropped_incoming () =
   let ctrl = Softcache.Controller.create (small_cfg ()) (prog_fib 12) in
-  ignore (Check.Audit.install ctrl);
-  ctrl.chaos_drop_incoming <- 1;
-  match Softcache.Controller.run ctrl with
-  | _ -> Alcotest.fail "auditor missed the dropped incoming record"
-  | exception Check.Audit.Audit_failure vs ->
-    Alcotest.(check bool) "names the incoming invariant" true
-      (List.exists (fun (v : Check.Audit.violation) ->
-           v.invariant = "incoming") vs)
+  ignore (Softcache.Controller.run ctrl);
+  Alcotest.(check int) "clean before the mutation" 0
+    (List.length (Check.Audit.run ctrl));
+  let victim =
+    List.find
+      (fun (b : Softcache.Tcache.block) ->
+        List.exists
+          (fun (i : Softcache.Tcache.incoming) -> i.from_block >= 0)
+          b.incoming)
+      (List.sort
+         (fun (a : Softcache.Tcache.block) b -> compare a.id b.id)
+         (Softcache.Tcache.blocks ctrl.tc))
+  in
+  let rec drop_first = function
+    | (i : Softcache.Tcache.incoming) :: rest when i.from_block >= 0 -> rest
+    | i :: rest -> i :: drop_first rest
+    | [] -> []
+  in
+  victim.incoming <- drop_first victim.incoming;
+  ctrl
+
+let test_audit_catches_dropped_incoming () =
+  (* the completeness scan must flag the unrecorded patched branch *)
+  let vs = Check.Audit.run (ctrl_with_dropped_incoming ()) in
+  Alcotest.(check bool) "names the incoming invariant" true
+    (List.exists
+       (fun (v : Check.Audit.violation) -> v.invariant = "incoming")
+       vs)
 
 let test_audit_run_reports_without_raising () =
-  (* Audit.run returns violations as data; only check_exn throws. Stop
-     at the first violation — running on with a seeded bookkeeping bug
-     would eventually execute through a stale pointer. *)
-  let ctrl = Softcache.Controller.create (small_cfg ()) (prog_fib 12) in
-  ctrl.chaos_drop_incoming <- 1;
-  let saw = ref [] in
-  ctrl.on_event <-
-    Some
-      (fun _ ->
-        match Check.Audit.run ctrl with
-        | [] -> ()
-        | vs ->
-          saw := vs;
-          raise Exit);
-  (match Softcache.Controller.run ctrl with
-  | _ -> ()
-  | exception Exit -> ());
-  match !saw with
-  | _ :: _ -> ()
-  | [] -> Alcotest.fail "expected at least one violation"
+  (* Audit.run returns violations as data; only check_exn throws *)
+  let ctrl = ctrl_with_dropped_incoming () in
+  Alcotest.(check bool) "violations returned" true (Check.Audit.run ctrl <> []);
+  match Check.Audit.check_exn ctrl with
+  | () -> Alcotest.fail "check_exn accepted a broken state"
+  | exception Check.Audit.Audit_failure (_ :: _) -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Lockstep differential runner *)
@@ -319,8 +314,6 @@ let () =
           Alcotest.test_case "clean under thrashing" `Quick
             test_audit_clean_thrashing;
           Alcotest.test_case "fires per event" `Quick test_audit_counts_events;
-          Alcotest.test_case "wired behind Config.audit" `Quick
-            test_install_if_configured;
         ] );
       ( "mutation",
         [

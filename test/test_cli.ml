@@ -151,7 +151,7 @@ let test_eviction_flag_accepted () =
       expect_contains out "policy row" "replacement policy";
       expect_contains out (name ^ " policy name") name;
       expect_contains out "outputs" "outputs match")
-    [ "fifo"; "flush"; "lru"; "rrip" ]
+    [ "fifo"; "flush"; "lru"; "trrip" ]
 
 let test_eviction_flag_rejected () =
   let code, out =
@@ -161,7 +161,10 @@ let test_eviction_flag_rejected () =
   (* cmdliner's enum conv names the offending value and the valid set *)
   expect_contains out "offending value" "clock";
   expect_contains out "valid set mentions fifo" "fifo";
-  expect_contains out "valid set mentions rrip" "rrip"
+  expect_contains out "valid set mentions trrip" "trrip";
+  (* plain rrip is unprimed trrip, not a policy of its own *)
+  let code, _ = run_cli [ "run"; "sensor_modes"; "--eviction"; "rrip" ] in
+  Alcotest.(check bool) "rrip rejected" true (code <> 0)
 
 let test_bad_faults_spec_rejected () =
   let code, _ =

@@ -252,7 +252,7 @@ let test_sim_guaranteed_latency () =
   let cfg = Dcache.Config.make ~dcache_bytes:8192 ~block_bytes:32 () in
   (* 256 blocks -> 8 probes *)
   Alcotest.(check int) "slow-hit bound"
-    (cfg.predicted_hit_cycles + (8 * cfg.search_step_cycles))
+    Dcache.Config.(predicted_hit_cycles + (8 * search_step_cycles))
     (Dcache.Sim.guaranteed_latency_cycles cfg)
 
 let test_sim_tag_checks_avoided () =

@@ -311,10 +311,10 @@ let test_hopeless_link_unavailable () =
     ctrl.stats.net_timeouts;
   let backoff =
     (* sum of retry_backoff_cycles * 2^(n-1) for n = 1..max_retries *)
-    ctrl.cfg.retry_backoff_cycles * ((1 lsl ctrl.cfg.max_retries) - 1)
+    Softcache.Config.retry_backoff_cycles * ((1 lsl ctrl.cfg.max_retries) - 1)
   in
   let floor =
-    backoff + ((ctrl.cfg.max_retries + 1) * ctrl.cfg.timeout_cycles)
+    backoff + ((ctrl.cfg.max_retries + 1) * Softcache.Config.timeout_cycles)
   in
   Alcotest.(check bool)
     (Printf.sprintf "charged at least %d backoff+timeout cycles" floor)

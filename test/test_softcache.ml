@@ -156,21 +156,19 @@ let prog_phases ?(pad = 20) ?(inner = 50) () =
 (* ------------------------------------------------------------------ *)
 (* Equivalence harness *)
 
-let configs ?(audit = false) ~tiny () =
+let configs ~tiny () =
   let open Softcache.Config in
   let base = if tiny then 768 else 48 * 1024 in
   [
-    ( "bb/fifo",
-      make ~tcache_bytes:base ~chunking:Basic_block ~eviction:Fifo ~audit () );
+    ("bb/fifo", make ~tcache_bytes:base ~chunking:Basic_block ~eviction:Fifo ());
     ( "bb/flush",
-      make ~tcache_bytes:base ~chunking:Basic_block ~eviction:Flush_all
-        ~audit () );
+      make ~tcache_bytes:base ~chunking:Basic_block ~eviction:Flush_all () );
     ( "proc/fifo",
-      make ~tcache_bytes:(max base 2048) ~chunking:Procedure ~eviction:Fifo
-        ~audit () );
+      make ~tcache_bytes:(max base 2048) ~chunking:Procedure ~eviction:Fifo ()
+    );
     ( "proc/flush",
       make ~tcache_bytes:(max base 2048) ~chunking:Procedure
-        ~eviction:Flush_all ~audit () );
+        ~eviction:Flush_all () );
   ]
 
 (* The whole matrix runs with the tcache invariant auditor attached:
@@ -184,7 +182,7 @@ let check_equivalence ?(tiny = false) name img =
   List.iter
     (fun (cname, cfg) ->
       let audits = ref None in
-      let prepare ctrl = audits := Check.Audit.install_if_configured ctrl in
+      let prepare ctrl = audits := Some (Check.Audit.install ctrl) in
       let cached, ctrl = Softcache.Runner.cached_robust ~prepare cfg img in
       Alcotest.(check bool)
         (Printf.sprintf "%s/%s halts" name cname)
@@ -205,7 +203,7 @@ let check_equivalence ?(tiny = false) name img =
              (List.map
                 (fun v -> Format.asprintf "%a" Check.Audit.pp_violation v)
                 vs)))
-    (configs ~audit:true ~tiny ())
+    (configs ~tiny ())
 
 let test_equiv_sum () = check_equivalence "sum" (prog_sum 1000)
 let test_equiv_fib () = check_equivalence "fib" (prog_fib 15)
