@@ -3,12 +3,311 @@
      dune exec bench/main.exe              -- run everything
      dune exec bench/main.exe -- fig5 fig7 -- run selected experiments
 
-   Experiments: table1 fig5 fig6 fig7 fig8 fig9 tagoverhead netcost
-   dcache power ablation micro. Absolute numbers come from the
-   simulator's cost model; the claims reproduced are the paper's
-   *shapes* (who wins, where the knees fall, which ratios hold). *)
+   The experiments are listed in [experiments] at the end of the file.
+   Absolute numbers come from the simulator's cost model; the claims
+   reproduced are the paper's *shapes* (who wins, where the knees fall,
+   which ratios hold). *)
 
 let fmt_f = Printf.sprintf "%.3f"
+
+(* ------------------------------------------------------------------ *)
+(* Shared harness plumbing. Every softcache run goes through [cell], and
+   a gated sweep names each cell's fields once, in a row rendered both
+   as a table row and as a BENCH_*.json object. *)
+
+(* Gate failures of the running experiment; the exit status counts
+   every experiment's. *)
+let failures = ref 0
+
+let fail fmt =
+  Printf.ksprintf
+    (fun s ->
+      incr failures;
+      Report.kv "FAIL" s)
+    fmt
+
+(* A workload image and its native reference, run at most once. *)
+type subject = {
+  name : string;
+  img : Isa.Image.t;
+  native : Softcache.Runner.result Lazy.t;
+}
+
+let subject name img =
+  { name; img; native = lazy (Softcache.Runner.native img) }
+
+let compress () = subject Workloads.Compress.name (Workloads.Compress.image ())
+
+let adpcm_encode () =
+  subject Workloads.Adpcm.name_encode (Workloads.Adpcm.encode_image ())
+
+let subjects =
+  List.map (fun (e : Workloads.Registry.entry) -> subject e.name (e.build ()))
+
+let registry () = subjects Workloads.Registry.all
+
+let only names =
+  subjects
+    (List.filter
+       (fun (e : Workloads.Registry.entry) -> List.mem e.name names)
+       Workloads.Registry.all)
+
+(* Report an audit's violations as one gate failure. *)
+let audit_gate label = function
+  | [] -> ()
+  | v :: _ as vs ->
+    fail "%s: %d violations (first: %s)" label (List.length vs)
+      (Format.asprintf "%a" Check.Audit.pp_violation v)
+
+type cell = {
+  run : Softcache.Runner.robust;
+  ctrl : Softcache.Controller.t;
+  ok : bool;  (** halted with the native outputs *)
+}
+
+(* The bench's one softcache run: [cfg] on [w], with [prepare] applied
+   to the fresh controller. A cell that is not [ok] is a gate failure
+   (named [label], by default workload/tcache size) unless
+   [~check:false]: runs cut short by [fuel], runs over a lossy link;
+   [~audit] also gates on Check.Audit.run of the final state. [None]
+   when the tcache cannot place the workload's largest chunk, a gate
+   failure unless [~too_large_ok:true]. *)
+let cell ?fuel ?prepare ?label ?(check = true) ?(audit = false)
+    ?(too_large_ok = false) w (cfg : Softcache.Config.t) =
+  let label =
+    match label with
+    | Some l -> l
+    | None -> Printf.sprintf "%s/%dB" w.name cfg.tcache_bytes
+  in
+  match Softcache.Runner.cached_robust ?fuel ?prepare cfg w.img with
+  | exception Softcache.Controller.Chunk_too_large _ ->
+    if not too_large_ok then fail "%s: chunk too large" label;
+    None
+  | run, ctrl ->
+    let ok =
+      run.status = Softcache.Runner.Finished Machine.Cpu.Halted
+      && run.outputs = (Lazy.force w.native).outputs
+    in
+    if check && not ok then fail "%s: outputs diverge from native" label;
+    if audit then audit_gate (label ^ " audit") (Check.Audit.run ctrl);
+    Some { run; ctrl; ok }
+
+let slowdown w c =
+  float_of_int c.run.cycles /. float_of_int (Lazy.force w.native).cycles
+
+let miss_rate c = Softcache.Stats.miss_rate c.ctrl.stats ~retired:c.run.retired
+
+(* A field's value, typed so that one row renders both as a table row
+   and as a JSON object. *)
+type value =
+  | Int of int
+  | Bytes of int  (** [Report.fmt_bytes] in tables *)
+  | Str of string
+  | Bool of bool
+  | Outputs of bool  (** "ok"/"MISMATCH" in tables *)
+  | Ratio of float  (** %.3f in tables, %.4f in JSON *)
+  | Secs of float  (** milliseconds in tables *)
+  | Opt of value option  (** "-" in tables, null in JSON *)
+  | Names of string list
+  | Text of string  (** tables only *)
+
+type row = (string * value) list
+
+let rec text = function
+  | Int n -> string_of_int n
+  | Bytes n -> Report.fmt_bytes n
+  | Str s | Text s -> s
+  | Bool b -> string_of_bool b
+  | Outputs ok -> if ok then "ok" else "MISMATCH"
+  | Ratio x -> fmt_f x
+  | Secs s -> Printf.sprintf "%.3f" (1e3 *. s)
+  | Opt v -> Option.fold ~none:"-" ~some:text v
+  | Names l -> String.concat ", " l
+
+let rec json = function
+  | Int n | Bytes n -> string_of_int n
+  | Str s | Text s -> Printf.sprintf "%S" s
+  | Bool b | Outputs b -> string_of_bool b
+  | Ratio x -> Printf.sprintf "%.4f" x
+  | Secs s -> Printf.sprintf "%.6f" s
+  | Opt v -> Option.fold ~none:"null" ~some:json v
+  | Names l ->
+    Printf.sprintf "[%s]"
+      (String.concat ", " (List.map (Printf.sprintf "%S") l))
+
+(* A JSON array of one-line objects, table-only fields left out. *)
+let json_rows (rows : row list) =
+  let field = function
+    | _, Text _ -> None
+    | k, v -> Some (Printf.sprintf "%S: %s" k (json v))
+  in
+  let obj r = "    { " ^ String.concat ", " (List.filter_map field r) ^ " }" in
+  Printf.sprintf "[\n%s\n  ]" (String.concat ",\n" (List.map obj rows))
+
+(* A table that keeps its rows for the JSON grid. [columns] pairs each
+   header with the key of the field it shows; a row without that field
+   shows "-". *)
+type sheet = {
+  table : Report.Table.t;
+  keys : string list;
+  mutable kept : row list;  (** newest first *)
+}
+
+let sheet ~title columns =
+  let table = Report.Table.create ~title ~columns:(List.map fst columns) in
+  { table; keys = List.map snd columns; kept = [] }
+
+(* [show] prints a row; [add] also keeps it. *)
+let show s (r : row) =
+  Report.Table.add_row s.table
+    (List.map (fun k -> Option.fold ~none:"-" ~some:text (List.assoc_opt k r))
+       s.keys)
+
+let add s r =
+  show s r;
+  s.kept <- r :: s.kept
+
+let rows s = List.rev s.kept
+
+(* The [key] field of the first row holding every [where] field. *)
+let lookup rows where key =
+  List.find_map
+    (fun r ->
+      if List.for_all (fun f -> List.mem f r) where then List.assoc_opt key r
+      else None)
+    rows
+
+(* Emit a BENCH_*.json artifact: the "benchmark" tag, then [fields] as
+   (key, rendered JSON) pairs. *)
+let emit_json ~file ~benchmark fields =
+  let oc = open_out file in
+  Printf.fprintf oc "{\n  \"benchmark\": %S%s\n}\n" benchmark
+    (String.concat ""
+       (List.map (fun (k, v) -> Printf.sprintf ",\n  %S: %s" k v) fields));
+  close_out oc;
+  Report.kv "written" file
+
+(* The workload x tcache size x variant grid of the policy, chain and
+   granularity sweeps, one cell per point. [variants w] gives each
+   variant's name, config for a tcache size and prepare hook; [fields]
+   reads a finished cell's numbers for the middle [columns]. *)
+let grid_sweep ~title ~axis ?(workloads = registry ()) ~sizes ?audit
+    ?too_large_ok ~variants columns fields =
+  let t =
+    sheet ~title
+      ([ ("app", "name"); ("tcache", "tcache_bytes"); (axis, axis) ]
+      @ columns @ [ ("outputs", "outputs_ok") ])
+  in
+  List.iter
+    (fun w ->
+      let vs = variants w in
+      List.iter
+        (fun bytes ->
+          List.iter
+            (fun (v, cfg, prepare) ->
+              let key =
+                [ ("name", Str w.name); ("tcache_bytes", Bytes bytes);
+                  (axis, Str v) ]
+              in
+              let label = Printf.sprintf "%s/%s/%dB" w.name v bytes in
+              match
+                cell ~label ?audit ?too_large_ok ~prepare w (cfg bytes)
+              with
+              | Some c ->
+                add t (key @ fields c @ [ ("outputs_ok", Outputs c.ok) ])
+              | None -> show t (key @ [ ("cycles", Text "chunk too large") ]))
+            vs)
+        sizes)
+    workloads;
+  Report.Table.print t.table;
+  rows t
+
+(* The [key] number of grid cell ([name], [bytes], [v]). *)
+let at grid ~axis name bytes v key =
+  match
+    lookup grid
+      [ ("name", Str name); ("tcache_bytes", Bytes bytes); (axis, Str v) ]
+      key
+  with
+  | Some (Int n) -> Some n
+  | _ -> None
+
+let each_cell names sizes f = List.iter (fun n -> List.iter (f n) sizes) names
+
+(* Lockstep verdicts as (ok, text). *)
+let engines_verdict = function
+  | Check.Lockstep.Engines_equivalent { steps } ->
+    (true, Printf.sprintf "ok (%d steps)" steps)
+  | Check.Lockstep.Engines_out_of_fuel { steps } ->
+    (true, Printf.sprintf "ok (fuel, %d steps)" steps)
+  | v -> (false, Format.asprintf "%a" Check.Lockstep.pp_engine_verdict v)
+
+let modes_verdict v =
+  ( (match v with Check.Lockstep.Modes_equivalent _ -> true | _ -> false),
+    Format.asprintf "%a" Check.Lockstep.pp_modes_verdict v )
+
+(* A verdict that is not ok is a gate failure. *)
+let gate_verdict name ((ok, text) as v) =
+  if not ok then fail "%s lockstep: %s" name text;
+  v
+
+(* The registry-wide lockstep table, one [verdict] per workload; returns
+   the JSON "lockstep" rows. *)
+let lockstep_table ~title ~what verdict =
+  let t = sheet ~title [ ("app", "name"); ("verdict", "verdict") ] in
+  List.iter
+    (fun w ->
+      let ok, s = gate_verdict (w.name ^ " " ^ what) (verdict w) in
+      add t [ ("name", Str w.name); ("ok", Bool ok); ("verdict", Str s) ])
+    (registry ());
+  Report.Table.print t.table;
+  json_rows (rows t)
+
+(* What one profiling pre-run yields: sample counts per address range
+   (the prefetch ranker, the sizing estimate), the superblock chain
+   oracle, trrip's temperature prior and the dynamic text size the
+   superblock knee guard reads. *)
+type oracles = {
+  samples_in : lo:int -> hi:int -> int;
+  chain : int -> (int * int) option;
+  temperature : lo:int -> hi:int -> Softcache.Policy.temperature;
+  dynamic_text : int;
+}
+
+let profile_oracles ?fuel img =
+  let prof, _ = Profiler.profile ?fuel img in
+  let samples_in ~lo ~hi = Profiler.samples_in prof ~lo ~hi in
+  let classify = Profiler.temperature_classifier prof in
+  {
+    samples_in;
+    chain =
+      Softcache.Cc_chain.oracle_of_profile ~image:img
+        ~chunking:Softcache.Config.Basic_block
+        ~edges_from:(Profiler.edges_from prof)
+        ~samples_at:(fun a -> samples_in ~lo:a ~hi:(a + 4));
+    temperature =
+      (fun ~lo ~hi ->
+        match classify ~lo ~hi with
+        | Profiler.Hot -> Softcache.Policy.Hot
+        | Profiler.Warm -> Softcache.Policy.Warm
+        | Profiler.Cold -> Softcache.Policy.Cold);
+    dynamic_text = Profiler.dynamic_text_bytes prof;
+  }
+
+(* Host wall time of [run (mk ())]: one warmup, then best of [n] —
+   construction stays outside the timed region, and best-of damps
+   scheduler noise on shared CI runners. *)
+let best_of ?(n = 3) mk run =
+  ignore (run (mk ()));
+  let best = ref infinity in
+  for _ = 1 to n do
+    let x = mk () in
+    let t0 = Unix.gettimeofday () in
+    ignore (run x);
+    let dt = Unix.gettimeofday () -. t0 in
+    if dt < !best then best := dt
+  done;
+  !best
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: dynamically- and statically-linked text segment sizes *)
@@ -51,18 +350,18 @@ let fig5 () =
   Report.section
     "Figure 5: relative execution time, 129.compress-like workload (paper: \
      ideal 1.00, 48KB 1.17, 24KB 1.19, 1KB >> 1)";
-  let img = Workloads.Compress.image () in
-  let native = Softcache.Runner.native img in
+  let w = compress () in
   Report.kv "ideal (native)" "1.000";
   List.iter
     (fun (label, bytes) ->
       let cfg = Softcache.Config.sparc_prototype ~tcache_bytes:bytes () in
-      let cached, ctrl = Softcache.Runner.cached cfg img in
-      assert (cached.outputs = native.outputs);
-      Report.kv label
-        (Printf.sprintf "%.3f  (%d translations, %d evicted blocks)"
-           (Softcache.Runner.slowdown ~native ~cached)
-           ctrl.stats.translations ctrl.stats.evicted_blocks))
+      Option.iter
+        (fun c ->
+          Report.kv label
+            (Printf.sprintf "%.3f  (%d translations, %d evicted blocks)"
+               (slowdown w c) c.ctrl.stats.translations
+               c.ctrl.stats.evicted_blocks))
+        (cell w cfg))
     [
       ("48KB tcache (infinite)", 48 * 1024);
       ("24KB tcache", 24 * 1024);
@@ -109,26 +408,24 @@ let fig7 () =
     "Figure 7: software tcache miss rate vs size (miss rate = blocks \
      translated / instructions executed)";
   List.iter
-    (fun (e : Workloads.Registry.entry) ->
-      let img = e.build () in
+    (fun w ->
       let series =
         Report.Series.create
-          ~title:(Printf.sprintf "%s (software)" e.name)
+          ~title:(Printf.sprintf "%s (software)" w.name)
           ~xlabel:"tcache KB" ~ylabel:"miss %"
       in
       List.iter
         (fun bytes ->
           let cfg = Softcache.Config.sparc_prototype ~tcache_bytes:bytes () in
-          match Softcache.Runner.cached cfg img with
-          | cached, ctrl ->
-            Report.Series.add series
-              (float_of_int bytes /. 1024.)
-              (100.
-              *. Softcache.Stats.miss_rate ctrl.stats ~retired:cached.retired)
-          | exception Softcache.Controller.Chunk_too_large _ -> ())
+          Option.iter
+            (fun c ->
+              Report.Series.add series
+                (float_of_int bytes /. 1024.)
+                (100. *. miss_rate c))
+            (cell ~too_large_ok:true w cfg))
         sweep_sizes;
       Report.Series.print series)
-    Workloads.Registry.table1
+    (subjects Workloads.Registry.table1)
 
 (* ------------------------------------------------------------------ *)
 (* Full associativity: the softcache's architectural argument *)
@@ -186,21 +483,18 @@ let associativity () =
         ignore (Hwcache.access dm a);
         ignore (Hwcache.access fa_c a));
   let _ = Machine.Cpu.run cpu in
-  let sw, swslow =
-    let native = Softcache.Runner.native img in
-    let cfg = Softcache.Config.sparc_prototype ~tcache_bytes:cache_size () in
-    let cached, ctrl = Softcache.Runner.cached cfg img in
-    ( Softcache.Stats.miss_rate ctrl.stats ~retired:cached.retired,
-      Softcache.Runner.slowdown ~native ~cached )
-  in
+  let w = subject "alias" img in
   let pct x = Printf.sprintf "%.3f%%" (100. *. x) in
   Report.kv "HW direct-mapped miss rate"
     (pct (Hwcache.miss_rate dm) ^ "  (the two modes evict each other)");
   Report.kv "HW fully associative" (pct (Hwcache.miss_rate fa_c));
-  Report.kv "softcache miss rate"
-    (Printf.sprintf "%s  (slowdown %.3f; both modes coexist regardless of \
-                     their addresses)"
-       (pct sw) swslow)
+  Option.iter
+    (fun c ->
+      Report.kv "softcache miss rate"
+        (Printf.sprintf "%s  (slowdown %.3f; both modes coexist regardless of \
+                         their addresses)"
+           (pct (miss_rate c)) (slowdown w c)))
+    (cell w (Softcache.Config.sparc_prototype ~tcache_bytes:cache_size ()))
 
 (* ------------------------------------------------------------------ *)
 (* Figure 8: paging vs CC memory size over time *)
@@ -210,31 +504,34 @@ let fig8 () =
     "Figure 8: evictions over time vs CC memory (adpcm encode, procedure \
      chunks; paper: 800B pages in steady state, 900B only at start + end \
      blip, 1KB less still)";
-  let img = Workloads.Adpcm.encode_image () in
+  let w = adpcm_encode () in
   List.iter
     (fun bytes ->
       let cfg =
         Softcache.Config.make ~tcache_bytes:bytes
           ~chunking:Softcache.Config.Procedure ()
       in
-      let cached, ctrl = Softcache.Runner.cached cfg img in
-      let total_cycles = max 1 cached.cycles in
-      let buckets = 10 in
-      let counts = Array.make buckets 0 in
-      List.iter
-        (fun (cycle, n) ->
-          let i = min (buckets - 1) (cycle * buckets / total_cycles) in
-          counts.(i) <- counts.(i) + n)
-        (Softcache.Stats.eviction_series ctrl.stats);
-      let series =
-        Report.Series.create
-          ~title:(Printf.sprintf "CC memory = %d B" bytes)
-          ~xlabel:"run decile" ~ylabel:"evictions"
-      in
-      Array.iteri
-        (fun i n -> Report.Series.add series (float_of_int (i + 1)) (float_of_int n))
-        counts;
-      Report.Series.print series)
+      Option.iter
+        (fun c ->
+          let total_cycles = max 1 c.run.cycles in
+          let buckets = 10 in
+          let counts = Array.make buckets 0 in
+          List.iter
+            (fun (cycle, n) ->
+              let i = min (buckets - 1) (cycle * buckets / total_cycles) in
+              counts.(i) <- counts.(i) + n)
+            (Softcache.Stats.eviction_series c.ctrl.stats);
+          let series =
+            Report.Series.create
+              ~title:(Printf.sprintf "CC memory = %d B" bytes)
+              ~xlabel:"run decile" ~ylabel:"evictions"
+          in
+          Array.iteri
+            (fun i n ->
+              Report.Series.add series (float_of_int (i + 1)) (float_of_int n))
+            counts;
+          Report.Series.print series)
+        (cell w cfg))
     [ 800; 900; 1024 ]
 
 (* ------------------------------------------------------------------ *)
@@ -310,7 +607,7 @@ let tagoverhead () =
 let spaceoverhead () =
   Report.section
     "Space overhead (abstract: \"a comparable hardware cache would have      space overhead of 12-18% for its tag array\"; the softcache's      overheads are \"an adjustable tradeoff\")";
-  let img = Workloads.Compress.image () in
+  let w = compress () in
   let t =
     Report.Table.create ~title:"softcache space overheads (compress95)"
       ~columns:
@@ -320,25 +617,27 @@ let spaceoverhead () =
   List.iter
     (fun size ->
       let cfg = Softcache.Config.sparc_prototype ~tcache_bytes:size () in
-      let _, ctrl = Softcache.Runner.cached cfg img in
-      let s = ctrl.stats in
-      let expansion =
-        float_of_int s.overhead_words /. float_of_int s.translated_words
-      in
-      let metadata =
-        float_of_int (Softcache.Controller.metadata_bytes ctrl)
-        /. float_of_int size
-      in
-      let hw = Hwcache.tag_overhead (Hwcache.create ~size_bytes:size ()) in
-      let pct x = Printf.sprintf "%.1f%%" (100. *. x) in
-      Report.Table.add_row t
-        [
-          Report.fmt_bytes size;
-          pct expansion;
-          pct metadata;
-          pct (expansion +. metadata);
-          pct hw;
-        ])
+      Option.iter
+        (fun c ->
+          let s = c.ctrl.stats in
+          let expansion =
+            float_of_int s.overhead_words /. float_of_int s.translated_words
+          in
+          let metadata =
+            float_of_int (Softcache.Controller.metadata_bytes c.ctrl)
+            /. float_of_int size
+          in
+          let hw = Hwcache.tag_overhead (Hwcache.create ~size_bytes:size ()) in
+          let pct x = Printf.sprintf "%.1f%%" (100. *. x) in
+          Report.Table.add_row t
+            [
+              Report.fmt_bytes size;
+              pct expansion;
+              pct metadata;
+              pct (expansion +. metadata);
+              pct hw;
+            ])
+        (cell w cfg))
     [ 4096; 8192; 16384; 32768 ];
   Report.Table.print t;
   Report.kv "note"
@@ -351,13 +650,13 @@ let netcost () =
   Report.section
     "Network overhead per chunk (paper: \"60 application bytes ... exchanged \
      between CC and MC\" per downloaded chunk)";
-  let img = Workloads.Adpcm.encode_image () in
+  let w = adpcm_encode () in
   let net = Netmodel.ethernet_10mbps () in
   let cfg =
     Softcache.Config.make ~tcache_bytes:4096
       ~chunking:Softcache.Config.Procedure ~net ()
   in
-  let _, ctrl = Softcache.Runner.cached cfg img in
+  let (_ : cell option) = cell w cfg in
   let msgs = Netmodel.messages net in
   Report.kv "chunks downloaded" (string_of_int msgs);
   Report.kv "application payload" (Report.fmt_bytes (Netmodel.payload_bytes net));
@@ -365,8 +664,7 @@ let netcost () =
     (Printf.sprintf "%d B (= %d B/chunk)"
        (msgs * Netmodel.overhead_bytes_per_message net)
        (Netmodel.overhead_bytes_per_message net));
-  Report.kv "total on the wire" (Report.fmt_bytes (Netmodel.total_bytes net));
-  ignore ctrl
+  Report.kv "total on the wire" (Report.fmt_bytes (Netmodel.total_bytes net))
 
 (* ------------------------------------------------------------------ *)
 (* Section 3 / Figure 10: the software data cache *)
@@ -392,28 +690,23 @@ let dcache () =
           "tag checks avoided"; "overhead"; "hw D$ miss" ]
   in
   List.iter
-    (fun (e : Workloads.Registry.entry) ->
-      let img = e.build () in
+    (fun w ->
       (* hardware data-cache baseline on the same access stream *)
       let hw = Hwcache.create ~assoc:2 ~block_bytes:32 ~size_bytes:8192 () in
-      let native =
-        let cpu = Machine.Cpu.of_image img in
+      let native_cycles =
+        let cpu = Machine.Cpu.of_image w.img in
         let feed a = ignore (Hwcache.access hw a) in
         cpu.on_load <- Some feed;
         cpu.on_store <- Some feed;
-        let outcome = Machine.Cpu.run cpu in
-        {
-          Softcache.Runner.outcome;
-          outputs = Machine.Cpu.outputs cpu;
-          cycles = cpu.cycles;
-          retired = cpu.retired;
-        }
+        ignore (Machine.Cpu.run cpu);
+        cpu.cycles
       in
       List.iter
         (fun (pname, pred) ->
           let cfg = Dcache.Config.make ~prediction:pred () in
-          let outcome, cpu, st = Dcache.Sim.run cfg img in
-          assert (outcome = Machine.Cpu.Halted);
+          let outcome, cpu, st = Dcache.Sim.run cfg w.img in
+          if outcome <> Machine.Cpu.Halted then
+            fail "%s/%s: dcache run did not halt" w.name pname;
           let pct n =
             if st.data_accesses = 0 then "-"
             else
@@ -422,7 +715,7 @@ let dcache () =
           in
           Report.Table.add_row t
             [
-              e.name;
+              w.name;
               pname;
               pct st.const_hits;
               pct (st.fast_hits + st.second_chance_hits);
@@ -431,15 +724,13 @@ let dcache () =
               Printf.sprintf "%.1f%%" (100. *. Dcache.Sim.tag_checks_avoided st);
               Printf.sprintf "+%.1f%%"
                 (100.
-                *. float_of_int (cpu.cycles - native.cycles)
-                /. float_of_int native.cycles);
+                *. float_of_int (cpu.cycles - native_cycles)
+                /. float_of_int native_cycles);
               Printf.sprintf "%.2f%%" (100. *. Hwcache.miss_rate hw);
             ])
         [ ("same-idx", Dcache.Config.Same_index);
           ("2nd-chance", Dcache.Config.Second_chance) ])
-    [ List.nth Workloads.Registry.all 0 (* compress *);
-      List.nth Workloads.Registry.all 3 (* hextobdd *);
-      List.nth Workloads.Registry.all 5 (* gzip *) ];
+    (only [ "compress95"; "hextobdd"; "gzip" ]);
   Report.Table.print t
 
 (* ------------------------------------------------------------------ *)
@@ -470,25 +761,26 @@ let power () =
     Workloads.Registry.all;
   Report.Table.print t;
   (* net memory-energy effect of dropping the tag array *)
-  let img = Workloads.Compress.image () in
-  let native = Softcache.Runner.native img in
-  let cached, _ =
-    Softcache.Runner.cached (Softcache.Config.sparc_prototype ()) img
-  in
-  let overhead = cached.retired - native.retired in
-  List.iter
-    (fun size ->
-      let te =
-        Powermodel.Tag_energy.of_cache ~size_bytes:size ~block_bytes:16
-          ~assoc:1
-      in
-      Report.kv
-        (Printf.sprintf "tag energy saved (%s I-cache)" (Report.fmt_bytes size))
-        (Printf.sprintf "%.1f%%"
-           (100.
-           *. Powermodel.Tag_energy.sw_saving te ~accesses:native.retired
-                ~overhead_instrs:overhead)))
-    [ 8192; 32768 ]
+  let w = compress () in
+  Option.iter
+    (fun c ->
+      let native = Lazy.force w.native in
+      let overhead = c.run.retired - native.retired in
+      List.iter
+        (fun size ->
+          let te =
+            Powermodel.Tag_energy.of_cache ~size_bytes:size ~block_bytes:16
+              ~assoc:1
+          in
+          Report.kv
+            (Printf.sprintf "tag energy saved (%s I-cache)"
+               (Report.fmt_bytes size))
+            (Printf.sprintf "%.1f%%"
+               (100.
+               *. Powermodel.Tag_energy.sw_saving te ~accesses:native.retired
+                    ~overhead_instrs:overhead)))
+        [ 8192; 32768 ])
+    (cell w (Softcache.Config.sparc_prototype ()))
 
 (* ------------------------------------------------------------------ *)
 (* Ablations: the design choices the two prototypes differ on *)
@@ -504,9 +796,7 @@ let ablation () =
           "net bytes" ]
   in
   List.iter
-    (fun (e : Workloads.Registry.entry) ->
-      let img = e.build () in
-      let native = Softcache.Runner.native img in
+    (fun w ->
       List.iter
         (fun (cname, chunking, eviction) ->
           let net = Netmodel.create ~overhead_bytes:60 () in
@@ -514,29 +804,28 @@ let ablation () =
             Softcache.Config.make ~tcache_bytes:4096 ~chunking ~eviction ~net
               ()
           in
-          match Softcache.Runner.cached cfg img with
-          | cached, ctrl ->
-            assert (cached.outputs = native.outputs);
-            Report.Table.add_row t
+          Report.Table.add_row t
+            (match
+               cell ~label:(w.name ^ "/" ^ cname) ~too_large_ok:true w cfg
+             with
+            | Some c ->
               [
-                e.name;
+                w.name;
                 cname;
-                fmt_f (Softcache.Runner.slowdown ~native ~cached);
-                string_of_int ctrl.stats.translations;
-                string_of_int ctrl.stats.evicted_blocks;
-                string_of_int ctrl.stats.flushes;
+                fmt_f (slowdown w c);
+                string_of_int c.ctrl.stats.translations;
+                string_of_int c.ctrl.stats.evicted_blocks;
+                string_of_int c.ctrl.stats.flushes;
                 Report.fmt_bytes (Netmodel.total_bytes net);
               ]
-          | exception Softcache.Controller.Chunk_too_large _ ->
-            Report.Table.add_row t
-              [ e.name; cname; "chunk too large"; "-"; "-"; "-"; "-" ])
+            | None -> [ w.name; cname; "chunk too large"; "-"; "-"; "-"; "-" ]))
         [
           ("bb/fifo", Softcache.Config.Basic_block, Softcache.Config.Fifo);
           ("bb/flush", Softcache.Config.Basic_block, Softcache.Config.Flush_all);
           ("proc/fifo", Softcache.Config.Procedure, Softcache.Config.Fifo);
           ("proc/flush", Softcache.Config.Procedure, Softcache.Config.Flush_all);
         ])
-    [ List.hd Workloads.Registry.all; List.nth Workloads.Registry.all 3 ];
+    (only [ "compress95"; "hextobdd" ]);
   Report.Table.print t
 
 (* ------------------------------------------------------------------ *)
@@ -552,26 +841,26 @@ let fullsystem () =
           "D tag checks avoided" ]
   in
   List.iter
-    (fun (e : Workloads.Registry.entry) ->
-      let img = e.build () in
-      let native = Softcache.Runner.native img in
+    (fun w ->
       let icfg = Softcache.Config.make ~tcache_bytes:(16 * 1024) () in
       let dcfg = Dcache.Config.make () in
-      let icached, _ = Softcache.Runner.cached icfg img in
-      let full, _ = Dcache.Fullsystem.run icfg dcfg img in
-      assert (full.outputs = native.outputs);
-      Report.Table.add_row t
-        [
-          e.name;
-          Report.fmt_bytes (Dcache.Fullsystem.local_memory_bytes icfg dcfg);
-          fmt_f (Softcache.Runner.slowdown ~native ~cached:icached);
-          fmt_f (float_of_int full.cycles /. float_of_int native.cycles);
-          Printf.sprintf "%.1f%%"
-            (100. *. Dcache.Sim.tag_checks_avoided full.dcache_stats);
-        ])
-    [ List.hd Workloads.Registry.all (* compress *);
-      List.nth Workloads.Registry.all 1 (* adpcm enc *);
-      List.nth Workloads.Registry.all 7 (* sensor *) ];
+      Option.iter
+        (fun c ->
+          let native = Lazy.force w.native in
+          let full, _ = Dcache.Fullsystem.run icfg dcfg w.img in
+          if full.outputs <> native.outputs then
+            fail "%s: full-system outputs diverge from native" w.name;
+          Report.Table.add_row t
+            [
+              w.name;
+              Report.fmt_bytes (Dcache.Fullsystem.local_memory_bytes icfg dcfg);
+              fmt_f (slowdown w c);
+              fmt_f (float_of_int full.cycles /. float_of_int native.cycles);
+              Printf.sprintf "%.1f%%"
+                (100. *. Dcache.Sim.tag_checks_avoided full.dcache_stats);
+            ])
+        (cell w icfg))
+    (only [ "compress95"; "adpcm_encode"; "sensor_modes" ]);
   Report.Table.print t
 
 (* ------------------------------------------------------------------ *)
@@ -585,27 +874,26 @@ let bindablation () =
       ~columns:[ "app"; "binding"; "slowdown"; "patches"; "cycles" ]
   in
   List.iter
-    (fun (e : Workloads.Registry.entry) ->
-      let img = e.build () in
-      let native = Softcache.Runner.native img in
+    (fun w ->
       List.iter
         (fun (label, bind) ->
           let cfg =
             Softcache.Config.make ~tcache_bytes:(16 * 1024)
               ~bind_at_translate:bind ()
           in
-          let cached, ctrl = Softcache.Runner.cached cfg img in
-          assert (cached.outputs = native.outputs);
-          Report.Table.add_row t
-            [
-              e.name;
-              label;
-              fmt_f (Softcache.Runner.slowdown ~native ~cached);
-              string_of_int ctrl.stats.patches;
-              string_of_int cached.cycles;
-            ])
+          Option.iter
+            (fun c ->
+              Report.Table.add_row t
+                [
+                  w.name;
+                  label;
+                  fmt_f (slowdown w c);
+                  string_of_int c.ctrl.stats.patches;
+                  string_of_int c.run.cycles;
+                ])
+            (cell ~label:(w.name ^ "/" ^ label) w cfg))
         [ ("at translate", true); ("trap first", false) ])
-    [ List.hd Workloads.Registry.all; List.nth Workloads.Registry.all 1 ];
+    (only [ "compress95"; "adpcm_encode" ]);
   Report.Table.print t
 
 (* ------------------------------------------------------------------ *)
@@ -614,8 +902,7 @@ let bindablation () =
 let netsweep () =
   Report.section
     "Network latency sweep (adpcm encode, procedure chunks): remote paging      is viable when the working set fits; thrashing multiplies every RTT";
-  let img = Workloads.Adpcm.encode_image () in
-  let native = Softcache.Runner.native img in
+  let w = adpcm_encode () in
   let t =
     Report.Table.create ~title:"slowdown vs round-trip latency"
       ~columns:[ "RTT (cycles)"; "1KB CC (fits)"; "800B CC (pages)" ]
@@ -631,14 +918,12 @@ let netsweep () =
           Softcache.Config.make ~tcache_bytes:bytes
             ~chunking:Softcache.Config.Procedure ~net ()
         in
-        let cached, _ = Softcache.Runner.cached cfg img in
-        assert (cached.outputs = native.outputs);
-        Softcache.Runner.slowdown ~native ~cached
+        let label = Printf.sprintf "%s/%dB/rtt %d" w.name bytes rtt in
+        match cell ~label w cfg with
+        | Some c -> fmt_f (slowdown w c)
+        | None -> "-"
       in
-      Report.Table.add_row t
-        [
-          string_of_int rtt; fmt_f (run 1024); fmt_f (run 800);
-        ])
+      Report.Table.add_row t [ string_of_int rtt; run 1024; run 800 ])
     [ 0; 1_000; 10_000; 100_000; 1_000_000 ];
   Report.Table.print t
 
@@ -646,8 +931,7 @@ let faultsweep () =
   Report.section
     "Fault sweep (adpcm encode, procedure chunks, 10 Mbps ethernet): how \
      much does a lossy interconnect cost, and when does paging collapse";
-  let img = Workloads.Adpcm.encode_image () in
-  let native = Softcache.Runner.native img in
+  let w = adpcm_encode () in
   let t =
     Report.Table.create
       ~title:"recovery under injected faults (seed 42, CRC32 + retry/backoff)"
@@ -663,25 +947,27 @@ let faultsweep () =
         Softcache.Config.make ~tcache_bytes:1024
           ~chunking:Softcache.Config.Procedure ~net ()
       in
-      let cached, ctrl = Softcache.Runner.cached_robust cfg img in
-      let status =
-        match cached.Softcache.Runner.status with
-        | Softcache.Runner.Finished Machine.Cpu.Halted ->
-          if cached.outputs = native.outputs then "ok" else "MISMATCH"
-        | Softcache.Runner.Finished Machine.Cpu.Out_of_fuel -> "fuel"
-        | Softcache.Runner.Unavailable _ -> "unavailable"
-      in
-      Report.Table.add_row t
-        [
-          Printf.sprintf "%.2f" drop;
-          Printf.sprintf "%.2f" corrupt;
-          status;
-          fmt_f (float_of_int cached.cycles /. float_of_int native.cycles);
-          string_of_int ctrl.stats.net_retries;
-          string_of_int ctrl.stats.net_timeouts;
-          string_of_int ctrl.stats.crc_failures;
-          string_of_int ctrl.stats.recoveries;
-        ])
+      Option.iter
+        (fun c ->
+          let status =
+            match c.run.status with
+            | Softcache.Runner.Finished Machine.Cpu.Halted ->
+              if c.ok then "ok" else "MISMATCH"
+            | Softcache.Runner.Finished Machine.Cpu.Out_of_fuel -> "fuel"
+            | Softcache.Runner.Unavailable _ -> "unavailable"
+          in
+          Report.Table.add_row t
+            [
+              Printf.sprintf "%.2f" drop;
+              Printf.sprintf "%.2f" corrupt;
+              status;
+              fmt_f (slowdown w c);
+              string_of_int c.ctrl.stats.net_retries;
+              string_of_int c.ctrl.stats.net_timeouts;
+              string_of_int c.ctrl.stats.crc_failures;
+              string_of_int c.ctrl.stats.recoveries;
+            ])
+        (cell ~check:false w cfg))
     [
       (0.0, 0.0); (0.01, 0.0); (0.05, 0.0); (0.2, 0.0); (0.0, 0.01);
       (0.0, 0.05); (0.0, 0.2); (0.1, 0.1); (0.3, 0.3); (0.6, 0.6);
@@ -691,76 +977,11 @@ let faultsweep () =
     "every surviving run is output-equivalent to native; 'unavailable' \
      means the retry budget was exhausted and the run stopped cleanly"
 
-let failures = ref 0
-
 (* ------------------------------------------------------------------ *)
-(* Shared harness plumbing. Every sweep used to hand-roll these three
-   things — registry iteration, best-of-N wall timing, and the
-   BENCH_*.json emitter — and each new sweep copied the previous one's
-   version. One copy each, used by prefetchsweep, micro_engines,
-   tracesmoke and policysweep. *)
-
-let fail fmt =
-  Printf.ksprintf
-    (fun s ->
-      incr failures;
-      Report.kv "FAIL" s)
-    fmt
-
-(* Map over the workload registry, building each image once. *)
-let over_registry f =
-  List.map
-    (fun (e : Workloads.Registry.entry) -> f e (e.build ()))
-    Workloads.Registry.all
-
-(* Host wall time of [run (mk ())]: one warmup, then best of [n] —
-   construction stays outside the timed region, and best-of damps
-   scheduler noise on shared CI runners. *)
-let best_of ?(n = 3) mk run =
-  ignore (run (mk ()));
-  let best = ref infinity in
-  for _ = 1 to n do
-    let x = mk () in
-    let t0 = Unix.gettimeofday () in
-    ignore (run x);
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt
-  done;
-  !best
-
-(* Render an engine-lockstep verdict as a gate cell, counting a
-   failure for anything that is not clean or out-of-fuel-while-equal. *)
-let lockstep_cell ~name verdict =
-  match verdict with
-  | Check.Lockstep.Engines_equivalent { steps } ->
-    Printf.sprintf "ok (%d steps)" steps
-  | Check.Lockstep.Engines_out_of_fuel { steps } ->
-    Printf.sprintf "ok (fuel, %d steps)" steps
-  | v ->
-    let s = Format.asprintf "%a" Check.Lockstep.pp_engine_verdict v in
-    fail "%s lockstep: %s" name s;
-    s
-
-(* Emit a BENCH_*.json artifact. [fields] are (key, preformatted JSON
-   value) pairs appended after the "benchmark" tag. *)
-let emit_json ~file ~benchmark fields =
-  let oc = open_out file in
-  Printf.fprintf oc "{\n  \"benchmark\": %S%s\n}\n" benchmark
-    (String.concat ""
-       (List.map (fun (k, v) -> Printf.sprintf ",\n  %S: %s" k v) fields));
-  close_out oc;
-  Report.kv "written" file
-
-let json_array rows =
-  Printf.sprintf "[\n%s\n  ]" (String.concat ",\n" rows)
-
-(* ------------------------------------------------------------------ *)
-(* Prefetch/batching sweep: link bandwidth x prefetch degree
-   sensitivity, plus the CI gate — on 10 Mbps ethernet, degree-2
-   profile-guided prefetch must beat prefetch-off on both message count
-   and total cycles for every registry workload, with the on/off
-   lockstep confirming prefetching is architecturally invisible.
-   Emits BENCH_prefetch.json. *)
+(* Prefetch/batching sweep: link bandwidth x prefetch degree, and the
+   gate that degree-2 profile-guided prefetch beats prefetch-off on
+   ethernet for every workload while staying architecturally invisible
+   (Check.Lockstep.prefetch). Emits BENCH_prefetch.json. *)
 
 let prefetchsweep () =
   Report.section
@@ -768,11 +989,7 @@ let prefetchsweep () =
      link (bandwidth x degree sensitivity; gate: on 10 Mbps ethernet \
      degree 2 must beat degree 0 for every workload)";
   let tcache = 48 * 1024 in
-  let ranker_of img =
-    let prof, _ = Profiler.profile img in
-    Some (fun ~lo ~hi -> Profiler.samples_in prof ~lo ~hi)
-  in
-  let run ~ranker ~cycles_per_byte ~degree img =
+  let run w ~ranker ~cycles_per_byte ~degree =
     let net =
       Netmodel.create ~latency_cycles:100_000 ~cycles_per_byte
         ~overhead_bytes:60 ()
@@ -782,122 +999,87 @@ let prefetchsweep () =
         ()
     in
     let prepare (ctrl : Softcache.Controller.t) =
-      ctrl.prefetch_ranker <- ranker
+      ctrl.prefetch_ranker <- Some ranker
     in
-    let cached, ctrl = Softcache.Runner.cached_robust ~prepare cfg img in
-    (cached, ctrl, net)
+    let label =
+      Printf.sprintf "%s/%d cpb/degree %d" w.name cycles_per_byte degree
+    in
+    (cell ~label ~prepare w cfg, net)
   in
   (* bandwidth x degree sensitivity on one paging-heavy workload *)
-  let degrees = [ 0; 1; 2; 4; 8 ] in
-  let links = [ ("1 Mbps", 1600); ("10 Mbps", 160); ("100 Mbps", 16) ] in
-  let sweep_img = Workloads.Adpcm.encode_image () in
-  let sweep_ranker = ranker_of sweep_img in
+  let sw = adpcm_encode () in
+  let ranker = (profile_oracles sw.img).samples_in in
   let st =
-    Report.Table.create ~title:"adpcm encode: cycles/messages per link x degree"
-      ~columns:
-        [ "link"; "degree"; "cycles"; "messages"; "wire bytes"; "prefetch" ]
+    sheet ~title:"adpcm encode: cycles/messages per link x degree"
+      [ ("link", "link"); ("degree", "degree"); ("cycles", "cycles");
+        ("messages", "messages"); ("wire bytes", "wire_bytes");
+        ("prefetch", "prefetch") ]
   in
-  let sweep_rows =
-    List.concat_map
-      (fun (lname, cpb) ->
-        List.map
-          (fun d ->
-            let cached, ctrl, net =
-              run ~ranker:sweep_ranker ~cycles_per_byte:cpb ~degree:d
-                sweep_img
-            in
-            let s = ctrl.Softcache.Controller.stats in
-            Report.Table.add_row st
-              [
-                lname;
-                string_of_int d;
-                string_of_int cached.Softcache.Runner.cycles;
-                string_of_int (Netmodel.messages net);
-                string_of_int (Netmodel.total_bytes net);
-                Printf.sprintf "%d issued / %d installed / %d wasted"
-                  s.prefetch_issued s.prefetch_installs s.prefetch_wasted;
-              ];
-            (lname, cpb, d, cached.Softcache.Runner.cycles,
-             Netmodel.messages net))
-          degrees)
-      links
-  in
-  Report.Table.print st;
-  (* the gate: every registry workload, ethernet, degree 2 vs 0 *)
+  List.iter
+    (fun (link, cpb) ->
+      List.iter
+        (fun d ->
+          match run sw ~ranker ~cycles_per_byte:cpb ~degree:d with
+          | None, _ -> ()
+          | Some c, net ->
+            let s = c.ctrl.stats in
+            add st
+              [ ("link", Str link); ("cycles_per_byte", Int cpb);
+                ("degree", Int d); ("cycles", Int c.run.cycles);
+                ("messages", Int (Netmodel.messages net));
+                ("wire_bytes", Text (string_of_int (Netmodel.total_bytes net)));
+                ( "prefetch",
+                  Text
+                    (Printf.sprintf "%d issued / %d installed / %d wasted"
+                       s.prefetch_issued s.prefetch_installs s.prefetch_wasted)
+                ) ])
+        [ 0; 1; 2; 4; 8 ])
+    [ ("1 Mbps", 1600); ("10 Mbps", 160); ("100 Mbps", 16) ];
+  Report.Table.print st.table;
   let gt =
-    Report.Table.create
-      ~title:"gate: 10 Mbps ethernet, degree 2 vs prefetch off"
-      ~columns:
-        [ "app"; "cycles off"; "cycles on"; "ratio"; "msgs off"; "msgs on";
-          "lockstep" ]
+    sheet ~title:"gate: 10 Mbps ethernet, degree 2 vs prefetch off"
+      [ ("app", "name"); ("cycles off", "cycles_off");
+        ("cycles on", "cycles_on"); ("ratio", "cycle_ratio");
+        ("msgs off", "messages_off"); ("msgs on", "messages_on");
+        ("lockstep", "lockstep") ]
   in
-  let gate_rows =
-    over_registry (fun e img ->
-        let native = Softcache.Runner.native img in
-        let ranker = ranker_of img in
-        let off, _, net_off = run ~ranker ~cycles_per_byte:160 ~degree:0 img in
-        let on, _, net_on = run ~ranker ~cycles_per_byte:160 ~degree:2 img in
-        let ok_outputs =
-          off.Softcache.Runner.outputs = native.outputs
-          && on.Softcache.Runner.outputs = native.outputs
-        in
-        if not ok_outputs then fail "%s: outputs diverge from native" e.name;
+  List.iter
+    (fun w ->
+      let ranker = (profile_oracles w.img).samples_in in
+      let off, net_off = run w ~ranker ~cycles_per_byte:160 ~degree:0 in
+      let on, net_on = run w ~ranker ~cycles_per_byte:160 ~degree:2 in
+      match (off, on) with
+      | Some off, Some on ->
         let m_off = Netmodel.messages net_off in
         let m_on = Netmodel.messages net_on in
         if m_on >= m_off then
-          fail "%s: prefetch does not reduce messages (%d -> %d)" e.name
+          fail "%s: prefetch does not reduce messages (%d -> %d)" w.name
             m_off m_on;
-        if on.cycles >= off.cycles then
-          fail "%s: prefetch regresses cycles (%d -> %d)" e.name off.cycles
-            on.cycles;
+        if on.run.cycles >= off.run.cycles then
+          fail "%s: prefetch regresses cycles (%d -> %d)" w.name
+            off.run.cycles on.run.cycles;
         let mk_cfg () =
           Softcache.Config.make ~tcache_bytes:tcache
             ~net:(Netmodel.ethernet_10mbps ()) ~prefetch_degree:2 ()
         in
-        let before = !failures in
-        let lockstep_str =
-          lockstep_cell ~name:e.name
-            (Check.Lockstep.prefetch ~fuel:150_000 ~audit:true mk_cfg img)
+        let ok, verdict =
+          gate_verdict w.name
+            (engines_verdict
+               (Check.Lockstep.prefetch ~fuel:150_000 ~audit:true mk_cfg
+                  w.img))
         in
-        Report.Table.add_row gt
-          [
-            e.name;
-            string_of_int off.cycles;
-            string_of_int on.cycles;
-            fmt_f (float_of_int on.cycles /. float_of_int off.cycles);
-            string_of_int m_off;
-            string_of_int m_on;
-            lockstep_str;
-          ];
-        (e.name, off.cycles, on.cycles, m_off, m_on, !failures = before))
-  in
-  Report.Table.print gt;
+        let ratio = float_of_int on.run.cycles /. float_of_int off.run.cycles in
+        add gt
+          [ ("name", Str w.name); ("cycles_off", Int off.run.cycles);
+            ("cycles_on", Int on.run.cycles); ("messages_off", Int m_off);
+            ("messages_on", Int m_on); ("cycle_ratio", Ratio ratio);
+            ("lockstep", Text verdict); ("lockstep_ok", Bool ok) ]
+      | _ -> ())
+    (registry ());
+  Report.Table.print gt.table;
   emit_json ~file:"BENCH_prefetch.json" ~benchmark:"prefetchsweep"
-    [
-      ("tcache_bytes", string_of_int tcache);
-      ( "workloads",
-        json_array
-          (List.map
-             (fun (n, c0, c2, m0, m2, ls) ->
-               Printf.sprintf
-                 "    { \"name\": %S, \"cycles_off\": %d, \"cycles_on\": %d, \
-                  \"messages_off\": %d, \"messages_on\": %d, \
-                  \"cycle_ratio\": %.4f, \"lockstep_ok\": %b }"
-                 n c0 c2 m0 m2
-                 (float_of_int c2 /. float_of_int c0)
-                 ls)
-             gate_rows) );
-      ( "sweep",
-        json_array
-          (List.map
-             (fun (l, cpb, d, cyc, msgs) ->
-               Printf.sprintf
-                 "    { \"link\": %S, \"cycles_per_byte\": %d, \"degree\": \
-                  %d, \"cycles\": %d, \"messages\": %d }"
-                 l cpb d cyc msgs)
-             sweep_rows) );
-      ("gate_failures", string_of_int !failures);
-    ]
+    [ ("tcache_bytes", json (Int tcache)); ("workloads", json_rows (rows gt));
+      ("sweep", json_rows (rows st)); ("gate_failures", json (Int !failures)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Decoded vs interpretive dispatch: host wall time of the two CPU
@@ -909,42 +1091,29 @@ let micro_engines () =
     "Dispatch engines (host wall time): predecoded fetch vs per-fetch \
      interpretive decode";
   let t =
-    Report.Table.create ~title:"native run, per engine"
-      ~columns:[ "app"; "interpretive (ms)"; "decoded (ms)"; "speedup" ]
+    sheet ~title:"native run, per engine"
+      [ ("app", "name"); ("interpretive (ms)", "interpretive_s");
+        ("decoded (ms)", "decoded_s"); ("speedup", "speedup") ]
   in
-  let rows =
-    over_registry (fun e img ->
+  let speedups =
+    List.map
+      (fun w ->
         let mk engine () =
-          Machine.Cpu.of_image ~engine ~mem_bytes:(2 * 1024 * 1024) img
+          Machine.Cpu.of_image ~engine ~mem_bytes:(2 * 1024 * 1024) w.img
         in
         let ti = best_of (mk Machine.Cpu.Interpretive) Machine.Cpu.run in
         let td = best_of (mk Machine.Cpu.Decoded) Machine.Cpu.run in
-        let sp = ti /. td in
-        Report.Table.add_row t
-          [
-            e.name;
-            Printf.sprintf "%.3f" (1e3 *. ti);
-            Printf.sprintf "%.3f" (1e3 *. td);
-            fmt_f sp;
-          ];
-        (e.name, ti, td, sp))
+        add t
+          [ ("name", Str w.name); ("interpretive_s", Secs ti);
+            ("decoded_s", Secs td); ("speedup", Ratio (ti /. td)) ];
+        ti /. td)
+      (registry ())
   in
-  Report.Table.print t;
-  let gm = Report.geomean (List.map (fun (_, _, _, s) -> s) rows) in
+  Report.Table.print t.table;
+  let gm = Report.geomean speedups in
   Report.kv "geomean speedup" (fmt_f gm);
   emit_json ~file:"BENCH_micro.json" ~benchmark:"micro_engines"
-    [
-      ( "workloads",
-        json_array
-          (List.map
-             (fun (n, ti, td, s) ->
-               Printf.sprintf
-                 "    { \"name\": %S, \"interpretive_s\": %.6f, \
-                  \"decoded_s\": %.6f, \"speedup\": %.4f }"
-                 n ti td s)
-             rows) );
-      ("geomean_speedup", Printf.sprintf "%.4f" gm);
-    ];
+    [ ("workloads", json_rows (rows t)); ("geomean_speedup", json (Ratio gm)) ];
   if gm <= 1.0 then fail "decoded dispatch is not faster than interpretive"
 
 (* ------------------------------------------------------------------ *)
@@ -1041,47 +1210,42 @@ let tracesmoke () =
       ~columns:
         [ "app"; "cycles"; "events"; "dropped"; "jsonl"; "chrome"; "lockstep" ]
   in
-  let artifact = ref None in
-  let (_ : unit list) =
-    over_registry (fun e img ->
-        let ctrl = Softcache.Controller.create (mk_cfg ()) img in
-        let tr = Trace.create () in
-        Softcache.Controller.attach_tracer ctrl tr;
-        let outcome = Softcache.Controller.run ctrl in
-        if outcome <> Machine.Cpu.Halted then fail "%s: did not halt" e.name;
-        if !artifact = None then artifact := Some tr;
-        if not (Trace.conserved tr ~total:ctrl.cpu.cycles) then
-          fail "%s: attribution does not conserve (sum %d vs %d)" e.name
-            (Trace.summary tr).Trace.s_total ctrl.cpu.cycles;
-        let jsonl_str =
-          match Trace.Schema.validate_jsonl (Trace.to_jsonl tr) with
-          | Ok n -> Printf.sprintf "ok (%d lines)" n
-          | Error err ->
-            fail "%s jsonl: %s" e.name err;
-            "FAIL"
-        in
-        let chrome_str =
-          match Trace.Schema.validate_chrome (Trace.to_chrome tr) with
-          | Ok n -> Printf.sprintf "ok (%d events)" n
-          | Error err ->
-            fail "%s chrome: %s" e.name err;
-            "FAIL"
-        in
-        let lockstep_str =
-          lockstep_cell ~name:e.name
-            (Check.Lockstep.trace ~fuel:150_000 (fun () -> mk_cfg ()) img)
-        in
-        Report.Table.add_row t
-          [
-            e.name;
-            string_of_int ctrl.cpu.cycles;
-            string_of_int (Trace.emitted tr);
-            string_of_int (Trace.dropped tr);
-            jsonl_str;
-            chrome_str;
-            lockstep_str;
-          ])
+  let validated name what = function
+    | Ok n -> Printf.sprintf "ok (%d %s)" n what
+    | Error err ->
+      fail "%s: %s" name err;
+      "FAIL"
   in
+  let artifact = ref None in
+  List.iter
+    (fun w ->
+      let tr = Trace.create () in
+      let prepare ctrl = Softcache.Controller.attach_tracer ctrl tr in
+      Option.iter
+        (fun c ->
+          if !artifact = None then artifact := Some tr;
+          if not (Trace.conserved tr ~total:c.run.cycles) then
+            fail "%s: attribution does not conserve (sum %d vs %d)" w.name
+              (Trace.summary tr).Trace.s_total c.run.cycles;
+          let jsonl =
+            validated (w.name ^ " jsonl") "lines"
+              (Trace.Schema.validate_jsonl (Trace.to_jsonl tr))
+          in
+          let chrome =
+            validated (w.name ^ " chrome") "events"
+              (Trace.Schema.validate_chrome (Trace.to_chrome tr))
+          in
+          let _, lockstep =
+            gate_verdict w.name
+              (engines_verdict
+                 (Check.Lockstep.trace ~fuel:150_000 mk_cfg w.img))
+          in
+          Report.Table.add_row t
+            [ w.name; string_of_int c.run.cycles;
+              string_of_int (Trace.emitted tr);
+              string_of_int (Trace.dropped tr); jsonl; chrome; lockstep ])
+        (cell ~prepare w (mk_cfg ())))
+    (registry ());
   Report.Table.print t;
   (* artifacts: export the first workload's trace in both formats and
      validate what actually landed on disk *)
@@ -1091,20 +1255,17 @@ let tracesmoke () =
     let slurp f = In_channel.with_open_text f In_channel.input_all in
     Trace.export tr ~format:`Jsonl "BENCH_trace.jsonl";
     Trace.export tr ~format:`Chrome "BENCH_trace_chrome.json";
-    (match Trace.Schema.validate_jsonl (slurp "BENCH_trace.jsonl") with
-    | Ok _ -> ()
-    | Error err -> fail "BENCH_trace.jsonl: %s" err);
-    (match Trace.Schema.validate_chrome (slurp "BENCH_trace_chrome.json") with
-    | Ok _ -> ()
-    | Error err -> fail "BENCH_trace_chrome.json: %s" err);
+    ignore
+      (validated "BENCH_trace.jsonl" "lines"
+         (Trace.Schema.validate_jsonl (slurp "BENCH_trace.jsonl")));
+    ignore
+      (validated "BENCH_trace_chrome.json" "events"
+         (Trace.Schema.validate_chrome (slurp "BENCH_trace_chrome.json")));
     Report.kv "written" "BENCH_trace.jsonl, BENCH_trace_chrome.json"
 
 (* ------------------------------------------------------------------ *)
 (* Replacement-policy sweep: policy x tcache size over the paging
-   workloads, plus the CI gate — at sub-working-set sizes a recency
-   policy must never translate more than the FIFO sweep it defers to,
-   and the whole policy registry must be architecturally equivalent
-   (Check.Lockstep.policies). Emits BENCH_policy.json.
+   workloads, with its gates. Emits BENCH_policy.json.
 
    The numbers to expect are modest by design: block entries are only
    observable at trap granularity (patched direct branches bypass the
@@ -1124,137 +1285,74 @@ let policysweep () =
      full-registry lockstep equivalence)";
   let sizes = [ 2048; 4096; 8192 ] in
   let gate_workloads = [ "compress95"; "mpeg2enc" ] in
-  let t =
-    Report.Table.create ~title:"policy x tcache size"
-      ~columns:
-        [ "app"; "tcache"; "policy"; "cycles"; "translations"; "evicted";
-          "outputs" ]
+  let variants w =
+    (* one profiling pre-run per workload; the sizing estimate decides
+       where the temperature prior pays: primed only in deep thrash *)
+    let o = profile_oracles w.img in
+    let est =
+      Softcache.Sizing.estimate ~image:w.img
+        ~chunking:Softcache.Config.Basic_block ~samples_in:o.samples_in ~sizes
+        ()
+    in
+    let prime (c : Softcache.Controller.t) =
+      if Softcache.Sizing.deep_thrash est ~tcache_bytes:c.cfg.tcache_bytes then
+        Softcache.Controller.set_temperature_oracle c (Some o.temperature)
+    in
+    List.concat_map
+      (fun (pname, ev) ->
+        let cfg bytes =
+          Softcache.Config.make ~tcache_bytes:bytes ~eviction:ev ()
+        in
+        if ev = Softcache.Config.Trrip then
+          [ ("trrip-unprimed", cfg, ignore); (pname, cfg, prime) ]
+        else [ (pname, cfg, ignore) ])
+      Softcache.Config.eviction_table
   in
-  let grid = ref [] in
-  let (_ : unit list) =
-    over_registry (fun e img ->
-        if not (List.mem e.name gate_workloads) then ()
-        else begin
-          let native = Softcache.Runner.native img in
-          (* one profiling pre-run per workload: the trrip rows attach
-             its temperature classifier, every other policy ignores it *)
-          let prof, _ = Profiler.profile img in
-          let classify = Profiler.temperature_classifier prof in
-          let oracle ~lo ~hi =
-            match classify ~lo ~hi with
-            | Profiler.Hot -> Softcache.Policy.Hot
-            | Profiler.Warm -> Softcache.Policy.Warm
-            | Profiler.Cold -> Softcache.Policy.Cold
-          in
-          (* the sizing estimate decides where the prior pays: primed
-             only in deep thrash, unprimed around and above the knee *)
-          let est =
-            Softcache.Sizing.estimate ~image:img
-              ~chunking:Softcache.Config.Basic_block
-              ~samples_in:(fun ~lo ~hi -> Profiler.samples_in prof ~lo ~hi)
-              ~sizes ()
-          in
-          List.iter
-            (fun bytes ->
-              List.iter
-                (fun (pname, ev, primable) ->
-                  let cfg =
-                    Softcache.Config.make ~tcache_bytes:bytes ~eviction:ev ()
-                  in
-                  let prepare c =
-                    if
-                      primable
-                      && Softcache.Sizing.deep_thrash est ~tcache_bytes:bytes
-                    then
-                      Softcache.Controller.set_temperature_oracle c
-                        (Some oracle)
-                  in
-                  match Softcache.Runner.cached_robust ~prepare cfg img with
-                  | r, ctrl ->
-                    let ok =
-                      r.status = Softcache.Runner.Finished Machine.Cpu.Halted
-                      && r.outputs = native.outputs
-                    in
-                    if not ok then
-                      fail "%s/%s/%dB: outputs diverge from native" e.name
-                        pname bytes;
-                    Report.Table.add_row t
-                      [
-                        e.name;
-                        Report.fmt_bytes bytes;
-                        pname;
-                        string_of_int r.cycles;
-                        string_of_int ctrl.stats.translations;
-                        string_of_int ctrl.stats.evicted_blocks;
-                        (if ok then "ok" else "MISMATCH");
-                      ];
-                    grid :=
-                      (e.name, bytes, pname, r.cycles,
-                       ctrl.stats.translations, ctrl.stats.evicted_blocks, ok)
-                      :: !grid
-                  | exception Softcache.Controller.Chunk_too_large _ ->
-                    (* flush-all cannot place this workload's largest
-                       chunk at this size; that is a configuration
-                       limit, not a gate failure *)
-                    Report.Table.add_row t
-                      [ e.name; Report.fmt_bytes bytes; pname;
-                        "chunk too large"; "-"; "-"; "-" ])
-                (List.concat_map
-                   (fun (pname, ev) ->
-                     if ev = Softcache.Config.Trrip then
-                       [ ("trrip-unprimed", ev, false); (pname, ev, true) ]
-                     else [ (pname, ev, false) ])
-                   Softcache.Config.eviction_table))
-            sizes
-        end)
+  (* flush-all cannot place every workload's largest chunk at every
+     size; that is a configuration limit, not a gate failure *)
+  let grid =
+    grid_sweep ~title:"policy x tcache size" ~axis:"policy"
+      ~workloads:(only gate_workloads) ~sizes ~too_large_ok:true ~variants
+      [ ("cycles", "cycles"); ("translations", "translations");
+        ("evicted", "evicted") ]
+      (fun c ->
+        [ ("cycles", Int c.run.cycles);
+          ("translations", Int c.ctrl.stats.translations);
+          ("evicted", Int c.ctrl.stats.evicted_blocks) ])
   in
-  Report.Table.print t;
-  (* the gate: at every size where both completed, a recency policy
-     must not translate more than fifo *)
-  let translations name bytes pname =
-    List.find_map
-      (fun (n, b, p, _, tr, _, _) ->
-        if n = name && b = bytes && p = pname then Some tr else None)
-      !grid
+  let translations name bytes p =
+    at grid ~axis:"policy" name bytes p "translations"
   in
-  List.iter
-    (fun name ->
-      List.iter
-        (fun bytes ->
-          match translations name bytes "fifo" with
-          | None -> ()
-          | Some fifo_tr ->
-            List.iter
-              (fun pname ->
-                match translations name bytes pname with
-                | Some tr when tr > fifo_tr ->
-                  fail "%s/%dB: %s translates more than fifo (%d > %d)" name
-                    bytes pname tr fifo_tr
-                | Some _ | None -> ())
-              [ "lru"; "trrip-unprimed"; "trrip" ])
-        sizes)
-    gate_workloads;
-  (* trrip rides a real profile on every gate cell, so the temperature
-     prior must pay for itself: never more translations than unprimed
-     trrip anywhere, strictly fewer on at least three cells *)
+  (* at every size where both completed, a recency policy must not
+     translate more than fifo *)
+  each_cell gate_workloads sizes (fun name bytes ->
+      match translations name bytes "fifo" with
+      | None -> ()
+      | Some fifo_tr ->
+        List.iter
+          (fun pname ->
+            match translations name bytes pname with
+            | Some tr when tr > fifo_tr ->
+              fail "%s/%dB: %s translates more than fifo (%d > %d)" name bytes
+                pname tr fifo_tr
+            | Some _ | None -> ())
+          [ "lru"; "trrip-unprimed"; "trrip" ]);
+  (* the temperature prior must pay for itself: never more translations
+     than unprimed trrip anywhere, strictly fewer on at least three
+     cells *)
   let trrip_wins = ref 0 and trrip_cells = ref 0 in
-  List.iter
-    (fun name ->
-      List.iter
-        (fun bytes ->
-          match
-            ( translations name bytes "trrip-unprimed",
-              translations name bytes "trrip" )
-          with
-          | Some unprimed_tr, Some trrip_tr ->
-            incr trrip_cells;
-            if trrip_tr > unprimed_tr then
-              fail "%s/%dB: trrip translates more than unprimed (%d > %d)"
-                name bytes trrip_tr unprimed_tr
-            else if trrip_tr < unprimed_tr then incr trrip_wins
-          | _ -> ())
-        sizes)
-    gate_workloads;
+  each_cell gate_workloads sizes (fun name bytes ->
+      match
+        ( translations name bytes "trrip-unprimed",
+          translations name bytes "trrip" )
+      with
+      | Some unprimed_tr, Some trrip_tr ->
+        incr trrip_cells;
+        if trrip_tr > unprimed_tr then
+          fail "%s/%dB: trrip translates more than unprimed (%d > %d)" name
+            bytes trrip_tr unprimed_tr
+        else if trrip_tr < unprimed_tr then incr trrip_wins
+      | _ -> ());
   Report.kv "trrip vs unprimed"
     (Printf.sprintf "strictly fewer translations on %d of %d profiled cells"
        !trrip_wins !trrip_cells);
@@ -1265,55 +1363,24 @@ let policysweep () =
       !trrip_wins !trrip_cells;
   (* full-registry architectural equivalence, every policy vs native
      and vs each other, with the invariant auditor attached *)
-  let lt =
-    Report.Table.create ~title:"lockstep: all policies vs native"
-      ~columns:[ "app"; "verdict" ]
+  let lockstep =
+    lockstep_table ~title:"lockstep: all policies vs native" ~what:"policies"
+      (fun w ->
+        modes_verdict
+          (Check.Lockstep.policies ~fuel:8_000_000
+             ~audit:(w.name = "sensor_modes")
+             (fun () -> Softcache.Config.make ~tcache_bytes:8192 ())
+             w.img))
   in
-  let lockstep_rows =
-    over_registry (fun e img ->
-        let mk_cfg () = Softcache.Config.make ~tcache_bytes:8192 () in
-        let v =
-          Check.Lockstep.policies ~fuel:8_000_000 ~audit:(e.name = "sensor_modes")
-            mk_cfg img
-        in
-        let ok =
-          match v with Check.Lockstep.Policies_equivalent _ -> true | _ -> false
-        in
-        let s = Format.asprintf "%a" Check.Lockstep.pp_policies_verdict v in
-        if not ok then fail "%s policies lockstep: %s" e.name s;
-        Report.Table.add_row lt [ e.name; s ];
-        (e.name, ok, s))
-  in
-  Report.Table.print lt;
   emit_json ~file:"BENCH_policy.json" ~benchmark:"policysweep"
-    [
-      ( "grid",
-        json_array
-          (List.rev_map
-             (fun (n, b, p, cyc, tr, ev, ok) ->
-               Printf.sprintf
-                 "    { \"name\": %S, \"tcache_bytes\": %d, \"policy\": %S, \
-                  \"cycles\": %d, \"translations\": %d, \"evicted\": %d, \
-                  \"outputs_ok\": %b }"
-                 n b p cyc tr ev ok)
-             !grid) );
-      ( "lockstep",
-        json_array
-          (List.map
-             (fun (n, ok, s) ->
-               Printf.sprintf "    { \"name\": %S, \"ok\": %b, \"verdict\": %S }"
-                 n ok s)
-             lockstep_rows) );
-      ("trrip_cells", string_of_int !trrip_cells);
-      ("trrip_wins", string_of_int !trrip_wins);
-      ("gate_failures", string_of_int !failures);
-    ]
+    [ ("grid", json_rows grid); ("lockstep", lockstep);
+      ("trrip_cells", json (Int !trrip_cells));
+      ("trrip_wins", json (Int !trrip_wins));
+      ("gate_failures", json (Int !failures)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Analytic sizing: the dominant-block estimator against the measured
-   Fig. 7 knee, plus the CI gate — the predicted knee must land within
-   one ladder step of the measured knee on at least 6 of the 8 registry
-   workloads. Emits BENCH_sizing.json.
+   Fig. 7 knee. Emits BENCH_sizing.json.
 
    The measured knee is read off the fifo translation curve: the
    smallest tcache size whose translation count sits within 2x of the
@@ -1325,118 +1392,81 @@ let sizing () =
   Report.section
     "Sizing: dominant-block analytic knee vs measured Fig. 7 knee (gate: \
      within one ladder step on >= 6 of 8 registry workloads)";
-  let ladder = Array.of_list sweep_sizes in
   let step_of bytes =
-    let rec go i =
-      if i >= Array.length ladder then -1
-      else if ladder.(i) = bytes then i
-      else go (i + 1)
+    let rec go i = function
+      | [] -> -1
+      | b :: rest -> if b = bytes then i else go (i + 1) rest
     in
-    go 0
+    go 0 sweep_sizes
   in
   let t =
-    Report.Table.create ~title:"predicted vs measured tcache knee"
-      ~columns:
-        [ "app"; "chunks"; "dominant"; "dom tcache"; "predicted"; "knee";
-          "measured"; "steps off"; "verdict" ]
+    sheet ~title:"predicted vs measured tcache knee"
+      [ ("app", "name"); ("chunks", "chunks_walked");
+        ("dominant", "dominant_chunks");
+        ("dom tcache", "dominant_tcache_bytes");
+        ("predicted", "predicted_bytes"); ("knee", "predicted_knee");
+        ("measured", "measured_knee"); ("steps off", "step_delta");
+        ("verdict", "verdict") ]
   in
   let hits = ref 0 in
-  let rows =
-    over_registry (fun e img ->
-        let prof, _ = Profiler.profile img in
-        let est =
-          Softcache.Sizing.estimate ~image:img
-            ~chunking:Softcache.Config.Basic_block
-            ~samples_in:(fun ~lo ~hi -> Profiler.samples_in prof ~lo ~hi)
-            ~sizes:sweep_sizes ()
-        in
-        let curve =
-          List.filter_map
-            (fun bytes ->
-              let cfg =
-                Softcache.Config.sparc_prototype ~tcache_bytes:bytes ()
-              in
-              match Softcache.Runner.cached cfg img with
-              | cached, ctrl ->
-                if cached.outputs <> (Softcache.Runner.native img).outputs
-                then fail "%s/%dB: outputs diverge from native" e.name bytes;
-                Some (bytes, ctrl.stats.translations)
-              | exception Softcache.Controller.Chunk_too_large _ -> None)
-            sweep_sizes
-        in
-        let measured =
-          match List.rev curve with
-          | [] -> None
-          | (_, tail_tr) :: _ ->
-            List.find_map
-              (fun (bytes, tr) ->
-                if tr <= 2 * tail_tr then Some bytes else None)
-              curve
-        in
-        let delta =
-          match (est.predicted_knee, measured) with
-          | Some p, Some m -> Some (abs (step_of p - step_of m))
-          | _ -> None
-        in
-        let ok = match delta with Some d -> d <= 1 | None -> false in
-        if ok then incr hits;
-        let fmt_opt = function Some b -> Report.fmt_bytes b | None -> "-" in
-        Report.Table.add_row t
-          [
-            e.name;
-            string_of_int est.chunks_walked;
-            string_of_int est.dominant_chunks;
-            Report.fmt_bytes est.dominant_tcache_bytes;
-            Report.fmt_bytes est.predicted_bytes;
-            fmt_opt est.predicted_knee;
-            fmt_opt measured;
-            (match delta with Some d -> string_of_int d | None -> "-");
-            (if ok then "ok" else "OFF");
-          ];
-        (e.name, est, measured, delta, ok))
-  in
-  Report.Table.print t;
+  List.iter
+    (fun w ->
+      let est =
+        Softcache.Sizing.estimate ~image:w.img
+          ~chunking:Softcache.Config.Basic_block
+          ~samples_in:(profile_oracles w.img).samples_in ~sizes:sweep_sizes
+          ()
+      in
+      let curve =
+        List.filter_map
+          (fun bytes ->
+            let cfg = Softcache.Config.sparc_prototype ~tcache_bytes:bytes () in
+            Option.map
+              (fun c -> (bytes, c.ctrl.stats.translations))
+              (cell ~too_large_ok:true w cfg))
+          sweep_sizes
+      in
+      let measured =
+        match List.rev curve with
+        | [] -> None
+        | (_, tail_tr) :: _ ->
+          List.find_map
+            (fun (bytes, tr) -> if tr <= 2 * tail_tr then Some bytes else None)
+            curve
+      in
+      let delta =
+        match (est.predicted_knee, measured) with
+        | Some p, Some m -> Some (abs (step_of p - step_of m))
+        | _ -> None
+      in
+      let ok = match delta with Some d -> d <= 1 | None -> false in
+      if ok then incr hits;
+      let bytes_opt b = Opt (Option.map (fun b -> Bytes b) b) in
+      add t
+        [ ("name", Str w.name); ("chunks_walked", Int est.chunks_walked);
+          ("dominant_chunks", Int est.dominant_chunks);
+          ("dominant_tcache_bytes", Bytes est.dominant_tcache_bytes);
+          ("predicted_bytes", Bytes est.predicted_bytes);
+          ("predicted_knee", bytes_opt est.predicted_knee);
+          ("measured_knee", bytes_opt measured);
+          ("step_delta", Opt (Option.map (fun d -> Int d) delta));
+          ("verdict", Text (if ok then "ok" else "OFF")); ("ok", Bool ok) ])
+    (registry ());
+  Report.Table.print t.table;
+  let n = List.length t.kept in
   Report.kv "knee accuracy"
-    (Printf.sprintf "within one ladder step on %d of %d workloads" !hits
-       (List.length rows));
+    (Printf.sprintf "within one ladder step on %d of %d workloads" !hits n);
   if !hits < 6 then
     fail "sizing knee within one step on only %d of %d workloads (need >= 6)"
-      !hits (List.length rows);
+      !hits n;
   emit_json ~file:"BENCH_sizing.json" ~benchmark:"sizing"
-    [
-      ( "workloads",
-        json_array
-          (List.map
-             (fun (n, (est : Softcache.Sizing.estimate), measured, delta, ok) ->
-               Printf.sprintf
-                 "    { \"name\": %S, \"chunks_walked\": %d, \
-                  \"dominant_chunks\": %d, \"dominant_tcache_bytes\": %d, \
-                  \"predicted_bytes\": %d, \"predicted_knee\": %s, \
-                  \"measured_knee\": %s, \"step_delta\": %s, \"ok\": %b }"
-                 n est.chunks_walked est.dominant_chunks
-                 est.dominant_tcache_bytes est.predicted_bytes
-                 (match est.predicted_knee with
-                 | Some b -> string_of_int b
-                 | None -> "null")
-                 (match measured with
-                 | Some b -> string_of_int b
-                 | None -> "null")
-                 (match delta with
-                 | Some d -> string_of_int d
-                 | None -> "null")
-                 ok)
-             rows) );
-      ("knee_hits", string_of_int !hits);
-      ("gate_failures", string_of_int !failures);
-    ]
+    [ ("workloads", json_rows (rows t)); ("knee_hits", json (Int !hits));
+      ("gate_failures", json (Int !failures)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Chaining sweep: trap elimination from eager branch chaining and
-   profile-guided superblock formation, plus the CI gates — chaining
-   must never increase the trap count on any grid cell, must cut it by
-   at least 20% on at least one gate workload, and all three modes
-   must stay observably equivalent (Check.Lockstep.chain_modes) across
-   the whole registry. Emits BENCH_chain.json.
+   profile-guided superblock formation, with its gates. Emits
+   BENCH_chain.json.
 
    The paper's pitch is that a patched branch costs nothing while a
    trap costs a controller round-trip; what chaining adds on top of
@@ -1452,128 +1482,65 @@ let chainsweep () =
   let sizes = [ 2048; 4096; 16384 ] in
   let threshold = 32 in
   let gate_workloads = [ "compress95"; "mpeg2enc" ] in
-  let modes = [ ("off", false, 0); ("chain", true, 0);
-                ("chain+superblock", true, threshold) ] in
-  let t =
-    Report.Table.create ~title:"chaining x tcache size"
-      ~columns:
-        [ "app"; "tcache"; "mode"; "cycles"; "traps"; "patches"; "chained";
-          "reverts"; "superblocks"; "guarded"; "outputs" ]
+  let variants w =
+    let o = profile_oracles w.img in
+    let prepare (c : Softcache.Controller.t) =
+      c.chain_oracle <- Some o.chain;
+      c.dynamic_text_hint <- Some o.dynamic_text
+    in
+    List.map
+      (fun (mode, chain, superblock_threshold) ->
+        ( mode,
+          (fun bytes ->
+            Softcache.Config.make ~tcache_bytes:bytes
+              ~chunking:Softcache.Config.Basic_block ~chain
+              ~superblock_threshold ()),
+          prepare ))
+      [ ("off", false, 0); ("chain", true, 0);
+        ("chain+superblock", true, threshold) ]
   in
-  let grid = ref [] in
-  let (_ : unit list) =
-    over_registry (fun e img ->
-        if not (List.mem e.name gate_workloads) then ()
-        else begin
-          let native = Softcache.Runner.native img in
-          let prof, _ = Profiler.profile img in
-          let oracle =
-            Softcache.Cc_chain.oracle_of_profile ~image:img
-              ~chunking:Softcache.Config.Basic_block
-              ~edges_from:(Profiler.edges_from prof)
-              ~samples_at:(fun a -> Profiler.samples_in prof ~lo:a ~hi:(a + 4))
-          in
-          List.iter
-            (fun bytes ->
-              List.iter
-                (fun (mname, chain, sb_threshold) ->
-                  let cfg =
-                    Softcache.Config.make ~tcache_bytes:bytes
-                      ~chunking:Softcache.Config.Basic_block ~chain
-                      ~superblock_threshold:sb_threshold ()
-                  in
-                  let r, ctrl =
-                    Softcache.Runner.cached_robust
-                      ~prepare:(fun c ->
-                        c.Softcache.Controller.chain_oracle <- Some oracle;
-                        c.Softcache.Controller.dynamic_text_hint <-
-                          Some (Profiler.dynamic_text_bytes prof))
-                      cfg img
-                  in
-                  let ok =
-                    r.status = Softcache.Runner.Finished Machine.Cpu.Halted
-                    && r.outputs = native.outputs
-                  in
-                  if not ok then
-                    fail "%s/%s/%dB: outputs diverge from native" e.name mname
-                      bytes;
-                  Report.Table.add_row t
-                    [
-                      e.name;
-                      Report.fmt_bytes bytes;
-                      mname;
-                      string_of_int r.cycles;
-                      string_of_int ctrl.stats.traps;
-                      string_of_int ctrl.stats.patches;
-                      string_of_int ctrl.stats.chained;
-                      string_of_int ctrl.stats.reverts;
-                      string_of_int ctrl.stats.superblocks;
-                      string_of_int ctrl.stats.superblock_guard_skips;
-                      (if ok then "ok" else "MISMATCH");
-                    ];
-                  grid :=
-                    (e.name, bytes, mname, r.cycles, ctrl.stats.traps,
-                     ctrl.stats.patches, ctrl.stats.chained,
-                     ctrl.stats.reverts, ctrl.stats.superblocks,
-                     ctrl.stats.superblock_guard_skips, ok)
-                    :: !grid)
-                modes)
-            sizes
-        end)
+  let grid =
+    grid_sweep ~title:"chaining x tcache size" ~axis:"mode"
+      ~workloads:(only gate_workloads) ~sizes ~variants
+      [ ("cycles", "cycles"); ("traps", "traps"); ("patches", "patches");
+        ("chained", "chained"); ("reverts", "reverts");
+        ("superblocks", "superblocks"); ("guarded", "guarded") ]
+      (fun c ->
+        let s = c.ctrl.stats in
+        [ ("cycles", Int c.run.cycles); ("traps", Int s.traps);
+          ("patches", Int s.patches); ("chained", Int s.chained);
+          ("reverts", Int s.reverts); ("superblocks", Int s.superblocks);
+          ("guarded", Int s.superblock_guard_skips) ])
   in
-  Report.Table.print t;
+  let traps name bytes mode = at grid ~axis:"mode" name bytes mode "traps" in
   (* gate 1: plain chaining may never trap more than off on any cell,
-     and — now that promotion is knee-guarded — superblock formation
-     may never trap more than plain chaining either. Group
-     reservations used to churn live blocks at near-working-set sizes
-     (mpeg2enc at 16 KB trapped 66% over plain chain), which this grid
-     merely reported; the profile-driven guard declines promotions
-     when the rewritten working set marginally exceeds the tcache, so
-     the knee is gated now. *)
-  let traps name bytes mname =
-    List.find_map
-      (fun (n, b, m, _, tr, _, _, _, _, _, _) ->
-        if n = name && b = bytes && m = mname then Some tr else None)
-      !grid
-  in
-  List.iter
-    (fun name ->
-      List.iter
-        (fun bytes ->
-          (match (traps name bytes "off", traps name bytes "chain") with
-          | Some off_tr, Some ch_tr when ch_tr > off_tr ->
-            fail "%s/%dB: chain traps more than off (%d > %d)" name bytes
-              ch_tr off_tr
-          | _ -> ());
-          match
-            (traps name bytes "chain", traps name bytes "chain+superblock")
-          with
-          | Some ch_tr, Some sb_tr when sb_tr > ch_tr ->
-            fail "%s/%dB: chain+superblock traps more than chain (%d > %d)"
-              name bytes sb_tr ch_tr
-          | _ -> ())
-        sizes)
-    gate_workloads;
+     and superblock formation — knee-guarded, so it declines promotions
+     when the rewritten working set marginally exceeds the tcache —
+     may never trap more than plain chaining *)
+  each_cell gate_workloads sizes (fun name bytes ->
+      (match (traps name bytes "off", traps name bytes "chain") with
+      | Some off_tr, Some ch_tr when ch_tr > off_tr ->
+        fail "%s/%dB: chain traps more than off (%d > %d)" name bytes ch_tr
+          off_tr
+      | _ -> ());
+      match (traps name bytes "chain", traps name bytes "chain+superblock") with
+      | Some ch_tr, Some sb_tr when sb_tr > ch_tr ->
+        fail "%s/%dB: chain+superblock traps more than chain (%d > %d)" name
+          bytes sb_tr ch_tr
+      | _ -> ());
   (* gate 2: some chaining mode must cut traps by >= 20% on some gate
      cell (superblocks deliver this: the contiguous layout keeps whole
      hot chains trap-free) *)
   let best_reduction = ref 0.0 in
-  List.iter
-    (fun name ->
+  each_cell gate_workloads sizes (fun name bytes ->
       List.iter
-        (fun bytes ->
-          List.iter
-            (fun mname ->
-              match (traps name bytes "off", traps name bytes mname) with
-              | Some off_tr, Some ch_tr when off_tr > 0 ->
-                let red =
-                  float_of_int (off_tr - ch_tr) /. float_of_int off_tr
-                in
-                if red > !best_reduction then best_reduction := red
-              | _ -> ())
-            [ "chain"; "chain+superblock" ])
-        sizes)
-    gate_workloads;
+        (fun mode ->
+          match (traps name bytes "off", traps name bytes mode) with
+          | Some off_tr, Some ch_tr when off_tr > 0 ->
+            let red = float_of_int (off_tr - ch_tr) /. float_of_int off_tr in
+            if red > !best_reduction then best_reduction := red
+          | _ -> ())
+        [ "chain"; "chain+superblock" ]);
   Report.kv "best trap reduction"
     (Printf.sprintf "%.1f%%" (100.0 *. !best_reduction));
   if !best_reduction < 0.20 then
@@ -1581,228 +1548,118 @@ let chainsweep () =
       (100.0 *. !best_reduction);
   (* gate 3: registry-wide observational equivalence of all three
      modes, each in data-access lockstep with native execution *)
-  let lt =
-    Report.Table.create ~title:"lockstep: chain modes vs native"
-      ~columns:[ "app"; "verdict" ]
-  in
-  let lockstep_rows =
-    over_registry (fun e img ->
-        let prof, _ = Profiler.profile ~fuel:12_000_000 img in
-        let oracle =
-          Softcache.Cc_chain.oracle_of_profile ~image:img
-            ~chunking:Softcache.Config.Basic_block
-            ~edges_from:(Profiler.edges_from prof)
-            ~samples_at:(fun a -> Profiler.samples_in prof ~lo:a ~hi:(a + 4))
-        in
+  let lockstep =
+    lockstep_table ~title:"lockstep: chain modes vs native" ~what:"chain modes"
+      (fun w ->
         let mk_cfg () =
           Softcache.Config.make ~tcache_bytes:4096
             ~chunking:Softcache.Config.Basic_block ()
         in
-        let v =
-          Check.Lockstep.chain_modes ~fuel:12_000_000 ~oracle
-            ~superblock_threshold:16
-            ~audit:(e.name = "sensor_modes")
-            mk_cfg img
-        in
-        let ok =
-          match v with Check.Lockstep.Modes_equivalent _ -> true | _ -> false
-        in
-        let s = Format.asprintf "%a" Check.Lockstep.pp_modes_verdict v in
-        if not ok then fail "%s chain modes lockstep: %s" e.name s;
-        Report.Table.add_row lt [ e.name; s ];
-        (e.name, ok, s))
+        modes_verdict
+          (Check.Lockstep.chain_modes ~fuel:12_000_000
+             ~oracle:(profile_oracles ~fuel:12_000_000 w.img).chain
+             ~superblock_threshold:16 ~audit:(w.name = "sensor_modes") mk_cfg
+             w.img))
   in
-  Report.Table.print lt;
   emit_json ~file:"BENCH_chain.json" ~benchmark:"chainsweep"
-    [
-      ( "grid",
-        json_array
-          (List.rev_map
-             (fun (n, b, m, cyc, tr, pa, ch, rv, sb, gd, ok) ->
-               Printf.sprintf
-                 "    { \"name\": %S, \"tcache_bytes\": %d, \"mode\": %S, \
-                  \"cycles\": %d, \"traps\": %d, \"patches\": %d, \
-                  \"chained\": %d, \"reverts\": %d, \"superblocks\": %d, \
-                  \"guarded\": %d, \"outputs_ok\": %b }"
-                 n b m cyc tr pa ch rv sb gd ok)
-             !grid) );
-      ( "lockstep",
-        json_array
-          (List.map
-             (fun (n, ok, s) ->
-               Printf.sprintf "    { \"name\": %S, \"ok\": %b, \"verdict\": %S }"
-                 n ok s)
-             lockstep_rows) );
-      ( "best_trap_reduction",
-        Printf.sprintf "%.4f" !best_reduction );
-      ("superblock_threshold", string_of_int threshold);
-      ("gate_failures", string_of_int !failures);
-    ]
+    [ ("grid", json_rows grid); ("lockstep", lockstep);
+      ("best_trap_reduction", json (Ratio !best_reduction));
+      ("superblock_threshold", json (Int threshold));
+      ("gate_failures", json (Int !failures)) ]
 
 (* ------------------------------------------------------------------ *)
-(* Fleet sweep: one MC serving N CC clients over a shared link —
-   clients x link bandwidth grid with a dedup-off twin per cell, plus
-   the CI gates: shared-chunk dedup must cut aggregate wire bytes by
-   at least 30% on the 4-client identical-workload fleet, every cell
-   must pass Check.Audit.fleet, and a 1-client fleet must be
-   cycle-identical to the plain single-client path for every registry
-   workload (Check.Lockstep.fleet). Emits BENCH_fleet.json. *)
+(* Fleet sweep: one MC serving N identical CC clients over a shared
+   link, each grid cell with a dedup-off twin. Emits BENCH_fleet.json. *)
 
 let fleetsweep () =
   Report.section
     "Fleet sweep: N clients x link bandwidth on one shared MC link (gate: \
      dedup cuts aggregate wire bytes >= 30% at 4 clients; fleet audits \
      clean; 1-client fleet cycle-identical registry-wide)";
-  let app = "compress95" in
-  let img =
-    match Workloads.Registry.find app with
-    | Some e -> e.build ()
-    | None -> assert false
-  in
+  let app = Workloads.Compress.name and img = Workloads.Compress.image () in
   (* cycles/byte at 200 MHz: the ARM prototype's 10 Mbps link and a
      4x-slower variant where queueing and coalescing matter more *)
   let links = [ ("10mbps", 160); ("2.5mbps", 640) ] in
-  let clients_axis = [ 1; 2; 4; 8 ] in
-  let fuel = 2_000_000 in
-  let cell ~clients ~cpb ~dedup =
-    let net =
-      Netmodel.create ~latency_cycles:100_000 ~cycles_per_byte:cpb
-        ~overhead_bytes:60 ()
-    in
-    let mk_cfg _ =
-      Softcache.Config.make ~tcache_bytes:4096
-        ~chunking:Softcache.Config.Basic_block ~net ()
-    in
-    let fl =
-      Fleet.create
-        ~config:(Fleet.config ~clients ~dedup ())
-        ~net mk_cfg [| img |]
-    in
-    Fleet.run ~fuel fl;
-    (match Check.Audit.fleet fl with
-    | [] -> ()
-    | v :: _ as vs ->
-      fail "fleet audit %s/%d clients/dedup=%b: %d violations (first: %s)"
-        app clients dedup (List.length vs)
-        (Format.asprintf "%a" Check.Audit.pp_violation v));
-    fl
+  let grid =
+    sheet ~title:"fleet: clients x link (identical workloads)"
+      [ ("app", "name"); ("link", "link"); ("clients", "clients");
+        ("dedup", "dedup"); ("wire bytes", "wire_bytes"); ("frames", "frames");
+        ("coalesced", "coalesced"); ("piggyback", "piggybacked");
+        ("cache hits", "cache_hits"); ("stall p99", "stall_p99") ]
   in
-  let t =
-    Report.Table.create ~title:"fleet: clients x link (identical workloads)"
-      ~columns:
-        [ "app"; "link"; "clients"; "dedup"; "wire bytes"; "frames";
-          "coalesced"; "piggyback"; "cache hits"; "stall p99" ]
-  in
-  let rows = ref [] in
-  let field fl k = List.assoc k (Fleet.summary_fields fl) in
-  List.iter
-    (fun (lname, cpb) ->
+  each_cell links [ 1; 2; 4; 8 ] (fun (link, cycles_per_byte) clients ->
       List.iter
-        (fun clients ->
-          List.iter
-            (fun dedup ->
-              let fl = cell ~clients ~cpb ~dedup in
-              Report.Table.add_row t
-                [
-                  app; lname; string_of_int clients; string_of_bool dedup;
-                  field fl "wire_bytes"; field fl "frames";
-                  field fl "coalesced"; field fl "piggybacked";
-                  field fl "cache_hits"; field fl "stall_p99";
-                ];
-              rows := (lname, clients, dedup, fl) :: !rows)
-            [ true; false ])
-        clients_axis)
-    links;
-  Report.Table.print t;
-  (* gate: dedup must cut aggregate wire bytes >= 30% at 4 clients on
-     every link — N identical clients share almost every chunk, so
-     coalesced joins should eliminate most redundant frames *)
-  let wire fl = int_of_string (field fl "wire_bytes") in
+        (fun dedup ->
+          let net =
+            Netmodel.create ~latency_cycles:100_000 ~cycles_per_byte
+              ~overhead_bytes:60 ()
+          in
+          let mk_cfg _ = Softcache.Config.make ~tcache_bytes:4096 ~net () in
+          let fl =
+            Fleet.create ~config:(Fleet.config ~clients ~dedup ()) ~net mk_cfg
+              [| img |]
+          in
+          Fleet.run ~fuel:2_000_000 fl;
+          audit_gate
+            (Printf.sprintf "fleet audit %s/%d clients/dedup=%b" app clients
+               dedup)
+            (Check.Audit.fleet fl);
+          add grid
+            (("name", Str app) :: ("link", Str link)
+            :: List.map (fun (k, v) -> (k, Str v)) (Fleet.summary_fields fl)))
+        [ true; false ]);
+  Report.Table.print grid.table;
+  (* gate: N identical clients share almost every chunk, so coalesced
+     joins should eliminate most redundant frames *)
+  let wire link dedup =
+    match
+      lookup (rows grid)
+        [ ("link", Str link); ("clients", Str "4");
+          ("dedup", Str (string_of_bool dedup)) ]
+        "wire_bytes"
+    with
+    | Some (Str s) -> int_of_string_opt s
+    | _ -> None
+  in
   List.iter
-    (fun (lname, _) ->
-      let find dedup =
-        List.find_map
-          (fun (l, c, d, fl) ->
-            if l = lname && c = 4 && d = dedup then Some fl else None)
-          !rows
-      in
-      match (find true, find false) with
-      | Some don, Some doff ->
-        let won = wire don and woff = wire doff in
+    (fun (link, _) ->
+      match (wire link true, wire link false) with
+      | Some won, Some woff ->
         let cut =
           if woff = 0 then 0.0
           else float_of_int (woff - won) /. float_of_int woff
         in
         Report.kv
-          (Printf.sprintf "dedup wire cut (%s, 4 clients)" lname)
+          (Printf.sprintf "dedup wire cut (%s, 4 clients)" link)
           (Printf.sprintf "%.1f%% (%d -> %d bytes)" (100.0 *. cut) woff won);
         if cut < 0.30 then
-          fail "%s/4 clients: dedup cut aggregate wire bytes only %.1f%%"
-            lname (100.0 *. cut)
-      | _ -> fail "%s: missing 4-client dedup twin" lname)
+          fail "%s/4 clients: dedup cut aggregate wire bytes only %.1f%%" link
+            (100.0 *. cut)
+      | _ -> fail "%s: missing 4-client dedup twin" link)
     links;
-  (* gate: 1-client fleet is cycle-identical to the plain path, for
-     every registry workload, over a faulty ethernet link (drops and
-     corruption exercise the retry machinery on both sides) *)
-  let lt =
-    Report.Table.create ~title:"lockstep: 1-client fleet vs solo"
-      ~columns:[ "app"; "verdict" ]
-  in
-  let lockstep_rows =
-    over_registry (fun e img ->
+  (* gate: over a faulty ethernet link, so drops and corruption exercise
+     the retry machinery on both sides *)
+  let lockstep =
+    lockstep_table ~title:"lockstep: 1-client fleet vs solo" ~what:"fleet"
+      (fun w ->
         let mk_cfg () =
           let faults =
             Netmodel.Faults.make ~seed:11 ~drop:0.02 ~corrupt:0.01 ()
           in
           Softcache.Config.make ~tcache_bytes:4096
-            ~chunking:Softcache.Config.Basic_block
             ~net:(Netmodel.ethernet_10mbps ~faults ()) ()
         in
-        let v = Check.Lockstep.fleet ~fuel:2_000_000 mk_cfg img in
-        let s = lockstep_cell ~name:(e.name ^ " fleet") v in
-        Report.Table.add_row lt [ e.name; s ];
-        let ok =
-          match v with
-          | Check.Lockstep.Engines_equivalent _
-          | Check.Lockstep.Engines_out_of_fuel _ -> true
-          | _ -> false
-        in
-        (e.name, ok, s))
+        engines_verdict (Check.Lockstep.fleet ~fuel:2_000_000 mk_cfg w.img))
   in
-  Report.Table.print lt;
   emit_json ~file:"BENCH_fleet.json" ~benchmark:"fleetsweep"
-    [
-      ( "grid",
-        json_array
-          (List.rev_map
-             (fun (lname, _, _, fl) ->
-               Printf.sprintf "    { \"name\": %S, \"link\": %S, %s }" app
-                 lname
-                 (String.concat ", "
-                    (List.map
-                       (fun (k, v) -> Printf.sprintf "%S: %S" k v)
-                       (Fleet.summary_fields fl))))
-             !rows) );
-      ( "lockstep",
-        json_array
-          (List.map
-             (fun (n, ok, s) ->
-               Printf.sprintf
-                 "    { \"name\": %S, \"ok\": %b, \"verdict\": %S }" n ok s)
-             lockstep_rows) );
-      ("gate_failures", string_of_int !failures);
-    ]
+    [ ("grid", json_rows (rows grid)); ("lockstep", lockstep);
+      ("gate_failures", json (Int !failures)) ]
 
 (* ------------------------------------------------------------------ *)
-(* Shard sweep: harts x tcache size on one shared tcache. N hart
-   contexts replay the workload under the seeded interleaving
-   scheduler; concurrent misses for the same chunk coalesce onto the
-   in-flight fill, so the shared tcache should need far fewer wire
-   messages than N independent solo caches. Gates: the 1-hart sharded
-   run is cycle-identical to the solo controller on every registry
-   workload (Check.Lockstep.shards); every grid cell passes the full
-   shard audit (Check.Audit.shards); and 4-hart coalescing cuts wire
-   messages vs 4 independent solo runs on >= half the registry.
+(* Shard sweep: N hart contexts replay the workload on one shared
+   tcache under the seeded interleaving scheduler; concurrent misses for
+   the same chunk coalesce onto the in-flight fill, so the shared tcache
+   should need far fewer wire messages than N independent solo caches.
    Emits BENCH_shard.json. *)
 
 let shardsweep () =
@@ -1811,187 +1668,104 @@ let shardsweep () =
      sharded run cycle-identical to solo registry-wide; every cell audits \
      clean; 4-hart coalescing cuts wire messages vs 4 solo runs on >= \
      half the registry)";
-  let app = "compress95" in
-  let img =
-    match Workloads.Registry.find app with
-    | Some e -> e.build ()
-    | None -> assert false
-  in
-  let harts_axis = [ 1; 2; 4; 8 ] in
-  let sizes = [ 4096; 16384 ] in
-  let fuel = 800_000 in
-  let cell ~harts ~tcache =
-    let net = Netmodel.ethernet_10mbps () in
-    let cfg =
-      Softcache.Config.make ~tcache_bytes:tcache
-        ~chunking:Softcache.Config.Basic_block ~net ~harts
-        ~shards:(if harts >= 4 then 2 else 1) ~sched_seed:7 ()
-    in
+  (* a sharded session run for [fuel], audited where it stopped *)
+  let shard_run ~fuel label cfg img =
     let ctrl = Softcache.Controller.create cfg img in
     let sh = Softcache.Shard.attach ctrl in
     ignore (Softcache.Shard.run ~fuel sh);
-    (match Check.Audit.shards sh with
-    | [] -> ()
-    | v :: _ as vs ->
-      fail "shard audit %s/%d harts/%d B: %d violations (first: %s)" app
-        harts tcache (List.length vs)
-        (Format.asprintf "%a" Check.Audit.pp_violation v));
-    (sh, ctrl, Netmodel.messages net)
+    audit_gate label (Check.Audit.shards sh);
+    (sh, ctrl.stats)
   in
-  let t =
-    Report.Table.create ~title:"shard: harts x tcache size"
-      ~columns:
-        [ "app"; "harts"; "tcache"; "makespan"; "total cycles"; "fills";
-          "coalesced"; "fill-wait"; "mc-wait"; "wire msgs" ]
+  let app = Workloads.Compress.name and img = Workloads.Compress.image () in
+  let grid =
+    sheet ~title:"shard: harts x tcache size"
+      [ ("app", "name"); ("harts", "harts"); ("tcache", "tcache");
+        ("makespan", "makespan"); ("total cycles", "total_cycles");
+        ("fills", "fills"); ("coalesced", "coalesced");
+        ("fill-wait", "fill_wait"); ("mc-wait", "mc_wait");
+        ("wire msgs", "wire_messages") ]
   in
-  let rows = ref [] in
-  List.iter
-    (fun tcache ->
-      List.iter
-        (fun harts ->
-          let sh, ctrl, msgs = cell ~harts ~tcache in
-          let stats = ctrl.Softcache.Controller.stats in
-          Report.Table.add_row t
-            [
-              app; string_of_int harts; string_of_int tcache;
-              string_of_int (Softcache.Shard.makespan sh);
-              string_of_int (Softcache.Shard.total_cycles sh);
-              string_of_int stats.Softcache.Stats.fills;
-              string_of_int stats.Softcache.Stats.fills_coalesced;
-              string_of_int stats.Softcache.Stats.fill_wait_cycles;
-              string_of_int stats.Softcache.Stats.mc_wait_cycles;
-              string_of_int msgs;
-            ];
-          rows :=
-            (harts, tcache, Softcache.Shard.makespan sh,
-             Softcache.Shard.total_cycles sh, stats.Softcache.Stats.fills,
-             stats.Softcache.Stats.fills_coalesced, msgs)
-            :: !rows)
-        harts_axis)
-    sizes;
-  Report.Table.print t;
+  each_cell [ 4096; 16384 ] [ 1; 2; 4; 8 ] (fun tcache harts ->
+      let net = Netmodel.ethernet_10mbps () in
+      let cfg =
+        Softcache.Config.make ~tcache_bytes:tcache ~net ~harts
+          ~shards:(if harts >= 4 then 2 else 1) ~sched_seed:7 ()
+      in
+      let sh, s =
+        shard_run ~fuel:800_000
+          (Printf.sprintf "shard audit %s/%d harts/%d B" app harts tcache)
+          cfg img
+      in
+      add grid
+        [ ("name", Str app); ("harts", Int harts); ("tcache", Int tcache);
+          ("makespan", Int (Softcache.Shard.makespan sh));
+          ("total_cycles", Int (Softcache.Shard.total_cycles sh));
+          ("fills", Int s.fills); ("coalesced", Int s.fills_coalesced);
+          ("fill_wait", Text (string_of_int s.fill_wait_cycles));
+          ("mc_wait", Text (string_of_int s.mc_wait_cycles));
+          ("wire_messages", Int (Netmodel.messages net)) ]);
+  Report.Table.print grid.table;
   (* gate: a 4-hart shared tcache puts fewer messages on the wire than
-     4 independent solo caches would, on >= half the registry — the
-     whole point of fill coalescing over shared code *)
-  let n = 4 in
-  let coalesce_fuel = 600_000 in
+     4 independent solo caches would, on >= half the registry *)
+  let n = 4 and fuel = 600_000 in
   let ct =
-    Report.Table.create ~title:"coalescing: 4-hart shared vs 4x solo"
-      ~columns:[ "app"; "shared msgs"; "4x solo msgs"; "cut" ]
+    sheet ~title:"coalescing: 4-hart shared vs 4x solo"
+      [ ("app", "name"); ("shared msgs", "shared_messages");
+        ("4x solo msgs", "solo_messages"); ("cut", "cut") ]
   in
-  let coalesce_rows =
-    over_registry (fun e img ->
-        let shard_net = Netmodel.ethernet_10mbps () in
-        let cfg =
-          Softcache.Config.make ~tcache_bytes:8192
-            ~chunking:Softcache.Config.Basic_block ~net:shard_net ~harts:n
-            ~sched_seed:5 ()
-        in
-        let ctrl = Softcache.Controller.create cfg img in
-        let sh = Softcache.Shard.attach ctrl in
-        ignore (Softcache.Shard.run ~fuel:coalesce_fuel sh);
-        (match Check.Audit.shards sh with
-        | [] -> ()
-        | v :: _ as vs ->
-          fail "shard audit %s/coalescing: %d violations (first: %s)" e.name
-            (List.length vs)
-            (Format.asprintf "%a" Check.Audit.pp_violation v));
-        let shared = Netmodel.messages shard_net in
-        (* the N solo runs are identical, so run one and scale *)
-        let solo_net = Netmodel.ethernet_10mbps () in
-        let solo_cfg =
-          Softcache.Config.make ~tcache_bytes:8192
-            ~chunking:Softcache.Config.Basic_block ~net:solo_net ()
-        in
-        let solo_ctrl = Softcache.Controller.create solo_cfg img in
-        ignore (Softcache.Controller.run ~fuel:coalesce_fuel solo_ctrl);
-        let solo = n * Netmodel.messages solo_net in
-        let win = shared < solo in
-        Report.Table.add_row ct
-          [
-            e.name; string_of_int shared; string_of_int solo;
-            (if solo = 0 then "n/a"
-             else
-               Printf.sprintf "%.1f%%"
-                 (100.0 *. float_of_int (solo - shared) /. float_of_int solo));
-          ];
-        (e.name, shared, solo, win))
-  in
-  Report.Table.print ct;
-  let wins = List.length (List.filter (fun (_, _, _, w) -> w) coalesce_rows) in
-  let total = List.length coalesce_rows in
-  Report.kv "coalescing wins"
-    (Printf.sprintf "%d of %d workloads" wins total);
+  List.iter
+    (fun w ->
+      let net = Netmodel.ethernet_10mbps () in
+      let cfg =
+        Softcache.Config.make ~tcache_bytes:8192 ~net ~harts:n ~sched_seed:5
+          ()
+      in
+      let label = Printf.sprintf "shard audit %s/coalescing" w.name in
+      ignore (shard_run ~fuel label cfg w.img);
+      let shared = Netmodel.messages net in
+      (* the N solo runs are identical, so run one and scale *)
+      let solo_net = Netmodel.ethernet_10mbps () in
+      let (_ : cell option) =
+        cell ~fuel ~check:false w
+          (Softcache.Config.make ~tcache_bytes:8192 ~net:solo_net ())
+      in
+      let solo = n * Netmodel.messages solo_net in
+      let cut =
+        if solo = 0 then "n/a"
+        else
+          Printf.sprintf "%.1f%%"
+            (100.0 *. float_of_int (solo - shared) /. float_of_int solo)
+      in
+      add ct
+        [ ("name", Str w.name); ("shared_messages", Int shared);
+          ("solo_messages", Int solo); ("cut", Text cut);
+          ("win", Bool (shared < solo)) ])
+    (registry ());
+  Report.Table.print ct.table;
+  let wins = List.length (List.filter (List.mem ("win", Bool true)) ct.kept) in
+  let total = List.length ct.kept in
+  Report.kv "coalescing wins" (Printf.sprintf "%d of %d workloads" wins total);
   if 2 * wins < total then
     fail "4-hart coalescing beat 4x solo on only %d of %d workloads" wins
       total;
-  (* gate: the sharded engine with one hart is the solo controller,
-     cycle for cycle, on every registry workload *)
-  let lt =
-    Report.Table.create ~title:"lockstep: 1-hart sharded vs solo"
-      ~columns:[ "app"; "verdict" ]
+  let lockstep =
+    lockstep_table ~title:"lockstep: 1-hart sharded vs solo" ~what:"shard"
+      (fun w ->
+        engines_verdict
+          (Check.Lockstep.shards ~fuel:2_000_000
+             (fun () -> Softcache.Config.make ~tcache_bytes:4096 ())
+             w.img))
   in
-  let lockstep_rows =
-    over_registry (fun e img ->
-        let mk_cfg () =
-          Softcache.Config.make ~tcache_bytes:4096
-            ~chunking:Softcache.Config.Basic_block ()
-        in
-        let v = Check.Lockstep.shards ~fuel:2_000_000 mk_cfg img in
-        let s = lockstep_cell ~name:(e.name ^ " shard") v in
-        Report.Table.add_row lt [ e.name; s ];
-        let ok =
-          match v with
-          | Check.Lockstep.Engines_equivalent _
-          | Check.Lockstep.Engines_out_of_fuel _ -> true
-          | _ -> false
-        in
-        (e.name, ok, s))
-  in
-  Report.Table.print lt;
   emit_json ~file:"BENCH_shard.json" ~benchmark:"shardsweep"
-    [
-      ( "grid",
-        json_array
-          (List.rev_map
-             (fun (harts, tcache, makespan, total_cycles, fills, coalesced,
-                   msgs) ->
-               Printf.sprintf
-                 "    { \"name\": %S, \"harts\": %d, \"tcache\": %d, \
-                  \"makespan\": %d, \"total_cycles\": %d, \"fills\": %d, \
-                  \"coalesced\": %d, \"wire_messages\": %d }"
-                 app harts tcache makespan total_cycles fills coalesced msgs)
-             !rows) );
-      ( "coalescing",
-        json_array
-          (List.map
-             (fun (name, shared, solo, win) ->
-               Printf.sprintf
-                 "    { \"name\": %S, \"shared_messages\": %d, \
-                  \"solo_messages\": %d, \"win\": %b }"
-                 name shared solo win)
-             coalesce_rows) );
-      ( "lockstep",
-        json_array
-          (List.map
-             (fun (name, ok, s) ->
-               Printf.sprintf
-                 "    { \"name\": %S, \"ok\": %b, \"verdict\": %S }" name ok
-                 s)
-             lockstep_rows) );
-      ("gate_failures", string_of_int !failures);
-    ]
+    [ ("grid", json_rows (rows grid)); ("coalescing", json_rows (rows ct));
+      ("lockstep", lockstep); ("gate_failures", json (Int !failures)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Granularity sweep: block vs whole-function caching units across a
    tcache-size ladder — the function-granularity pitch is fewer, larger
    MC round trips once the tcache can hold whole functions, at the cost
-   of thrashing (and degradation) when it cannot. Gates: every cell is
-   output-equivalent to native and audits clean (PLT section included);
-   at the largest tcache, function mode must send strictly fewer wire
-   messages than block mode on at least half the registry; and
-   Check.Lockstep.granularity proves block/function observational
-   equivalence registry-wide. Emits BENCH_gran.json. *)
+   of thrashing (and degradation) when it cannot. Every cell is audited,
+   PLT section included. Emits BENCH_gran.json. *)
 
 let gransweep () =
   Report.section
@@ -2001,84 +1775,44 @@ let gransweep () =
      outputs; registry-wide block/function lockstep)";
   let sizes = [ 2048; 8192; 65536 ] in
   let large = List.fold_left max 0 sizes in
-  let t =
-    Report.Table.create ~title:"granularity x tcache size"
-      ~columns:
-        [ "app"; "tcache"; "granularity"; "cycles"; "translations"; "traps";
-          "messages"; "plt slots"; "degraded"; "outputs" ]
-  in
-  let grid = ref [] in
-  let (_ : unit list) =
-    over_registry (fun e img ->
-        let native = Softcache.Runner.native img in
-        List.iter
+  let variants _ =
+    List.map
+      (fun (gname, granularity) ->
+        ( gname,
           (fun bytes ->
-            List.iter
-              (fun (gname, g) ->
-                let net = Netmodel.ethernet_10mbps () in
-                let cfg =
-                  Softcache.Config.make ~tcache_bytes:bytes ~net
-                    ~chunking:Softcache.Config.Basic_block ~granularity:g ()
-                in
-                let r, ctrl = Softcache.Runner.cached_robust cfg img in
-                let ok =
-                  r.status = Softcache.Runner.Finished Machine.Cpu.Halted
-                  && r.outputs = native.outputs
-                in
-                if not ok then
-                  fail "%s/%s/%dB: outputs diverge from native" e.name gname
-                    bytes;
-                (match Check.Audit.run ctrl with
-                | [] -> ()
-                | v :: _ as vs ->
-                  fail "%s/%s/%dB audit: %d violations (first: %s)" e.name
-                    gname bytes (List.length vs)
-                    (Format.asprintf "%a" Check.Audit.pp_violation v));
-                let msgs = Netmodel.messages net in
-                Report.Table.add_row t
-                  [
-                    e.name;
-                    Report.fmt_bytes bytes;
-                    gname;
-                    string_of_int r.cycles;
-                    string_of_int ctrl.stats.translations;
-                    string_of_int ctrl.stats.traps;
-                    string_of_int msgs;
-                    string_of_int ctrl.stats.plt_slots;
-                    string_of_int ctrl.stats.gran_degraded;
-                    (if ok then "ok" else "MISMATCH");
-                  ];
-                grid :=
-                  (e.name, bytes, gname, r.cycles, ctrl.stats.translations,
-                   ctrl.stats.traps, msgs, ctrl.stats.plt_slots,
-                   ctrl.stats.gran_degraded, ok)
-                  :: !grid)
-              Softcache.Config.granularity_table)
-          sizes)
+            Softcache.Config.make ~tcache_bytes:bytes
+              ~net:(Netmodel.ethernet_10mbps ()) ~granularity ()),
+          ignore ))
+      Softcache.Config.granularity_table
   in
-  Report.Table.print t;
+  let grid =
+    grid_sweep ~title:"granularity x tcache size" ~axis:"granularity" ~sizes
+      ~audit:true ~variants
+      [ ("cycles", "cycles"); ("translations", "translations");
+        ("traps", "traps"); ("messages", "messages");
+        ("plt slots", "plt_slots"); ("degraded", "degraded") ]
+      (fun c ->
+        let s = c.ctrl.stats in
+        [ ("cycles", Int c.run.cycles); ("translations", Int s.translations);
+          ("traps", Int s.traps);
+          ("messages", Int (Netmodel.messages c.ctrl.cfg.net));
+          ("plt_slots", Int s.plt_slots); ("degraded", Int s.gran_degraded) ])
+  in
   (* wire gate: whole-function units amortize the per-message overhead
      (frame header + latency) over more payload, so once the tcache
      stops thrashing, function mode should need fewer MC round trips
      for most workloads *)
-  let msgs_of name gname =
-    List.find_map
-      (fun (n, b, m, _, _, _, ms, _, _, _) ->
-        if n = name && b = large && m = gname then Some ms else None)
-      !grid
-  in
-  let names =
-    List.map
-      (fun (e : Workloads.Registry.entry) -> e.name)
-      Workloads.Registry.all
+  let names = Workloads.Registry.names () in
+  let msgs name g =
+    at grid ~axis:"granularity" name large
+      (Softcache.Config.granularity_name g)
+      "messages"
   in
   let wins =
     List.filter
       (fun n ->
         match
-          ( msgs_of n (Softcache.Config.granularity_name Softcache.Config.Block),
-            msgs_of n
-              (Softcache.Config.granularity_name Softcache.Config.Function) )
+          (msgs n Softcache.Config.Block, msgs n Softcache.Config.Function)
         with
         | Some bm, Some fm -> fm < bm
         | _ -> false)
@@ -2087,98 +1821,44 @@ let gransweep () =
   Report.kv
     (Printf.sprintf "wire-message wins at %s" (Report.fmt_bytes large))
     (Printf.sprintf "%d/%d workloads (%s)" (List.length wins)
-       (List.length names)
-       (String.concat ", " wins));
+       (List.length names) (text (Names wins)));
   if 2 * List.length wins < List.length names then
     fail
       "function granularity cut wire messages on only %d/%d workloads at \
        %d B"
       (List.length wins) (List.length names) large;
-  (* equivalence gate: block and function granularity, each in
-     data-access lockstep with native, then cross-compared — over the
-     whole registry, at a mid-ladder size where function mode both
+  (* equivalence gate at a mid-ladder size where function mode both
      fits whole functions and occasionally degrades *)
-  let lt =
-    Report.Table.create ~title:"lockstep: granularities vs native"
-      ~columns:[ "app"; "verdict" ]
+  let lockstep =
+    lockstep_table ~title:"lockstep: granularities vs native"
+      ~what:"granularity" (fun w ->
+        modes_verdict
+          (Check.Lockstep.granularity ~fuel:12_000_000
+             ~audit:(w.name = "sensor_modes")
+             (fun () -> Softcache.Config.make ~tcache_bytes:8192 ())
+             w.img))
   in
-  let lockstep_rows =
-    over_registry (fun e img ->
-        let mk_cfg () =
-          Softcache.Config.make ~tcache_bytes:8192
-            ~chunking:Softcache.Config.Basic_block ()
-        in
-        let v =
-          Check.Lockstep.granularity ~fuel:12_000_000
-            ~audit:(e.name = "sensor_modes")
-            mk_cfg img
-        in
-        let ok =
-          match v with Check.Lockstep.Modes_equivalent _ -> true | _ -> false
-        in
-        let s = Format.asprintf "%a" Check.Lockstep.pp_modes_verdict v in
-        if not ok then fail "%s granularity lockstep: %s" e.name s;
-        Report.Table.add_row lt [ e.name; s ];
-        (e.name, ok, s))
-  in
-  Report.Table.print lt;
   emit_json ~file:"BENCH_gran.json" ~benchmark:"gransweep"
-    [
-      ( "grid",
-        json_array
-          (List.rev_map
-             (fun (n, b, m, cyc, tr, tp, ms, pl, dg, ok) ->
-               Printf.sprintf
-                 "    { \"name\": %S, \"tcache_bytes\": %d, \
-                  \"granularity\": %S, \"cycles\": %d, \"translations\": %d, \
-                  \"traps\": %d, \"messages\": %d, \"plt_slots\": %d, \
-                  \"degraded\": %d, \"outputs_ok\": %b }"
-                 n b m cyc tr tp ms pl dg ok)
-             !grid) );
-      ( "lockstep",
-        json_array
-          (List.map
-             (fun (n, ok, s) ->
-               Printf.sprintf
-                 "    { \"name\": %S, \"ok\": %b, \"verdict\": %S }" n ok s)
-             lockstep_rows) );
-      ( "wire_message_wins",
-        Printf.sprintf "[%s]"
-          (String.concat ", " (List.map (Printf.sprintf "%S") wins)) );
-      ("gate_tcache_bytes", string_of_int large);
-      ("gate_failures", string_of_int !failures);
-    ]
+    [ ("grid", json_rows grid); ("lockstep", lockstep);
+      ("wire_message_wins", json (Names wins));
+      ("gate_tcache_bytes", json (Int large));
+      ("gate_failures", json (Int !failures)) ]
 
 (* ------------------------------------------------------------------ *)
 
 let experiments =
   [
-    ("table1", table1);
-    ("fig5", fig5);
-    ("fig6", fig6);
-    ("fig7", fig7);
-    ("associativity", associativity);
-    ("fig8", fig8);
-    ("fig9", fig9);
-    ("tagoverhead", tagoverhead);
-    ("spaceoverhead", spaceoverhead);
-    ("netcost", netcost);
-    ("dcache", dcache);
-    ("power", power);
-    ("ablation", ablation);
-    ("fullsystem", fullsystem);
-    ("bindablation", bindablation);
-    ("netsweep", netsweep);
-    ("faultsweep", faultsweep);
-    ("prefetchsweep", prefetchsweep);
-    ("policysweep", policysweep);
-    ("sizing", sizing);
-    ("chainsweep", chainsweep);
-    ("fleetsweep", fleetsweep);
-    ("shardsweep", shardsweep);
-    ("gransweep", gransweep);
-    ("tracesmoke", tracesmoke);
-    ("micro", micro);
+    ("table1", table1); ("fig5", fig5); ("fig6", fig6); ("fig7", fig7);
+    ("associativity", associativity); ("fig8", fig8); ("fig9", fig9);
+    ("tagoverhead", tagoverhead); ("spaceoverhead", spaceoverhead);
+    ("netcost", netcost); ("dcache", dcache); ("power", power);
+    ("ablation", ablation); ("fullsystem", fullsystem);
+    ("bindablation", bindablation); ("netsweep", netsweep);
+    ("faultsweep", faultsweep); ("prefetchsweep", prefetchsweep);
+    ("policysweep", policysweep); ("sizing", sizing);
+    ("chainsweep", chainsweep); ("fleetsweep", fleetsweep);
+    ("shardsweep", shardsweep); ("gransweep", gransweep);
+    ("tracesmoke", tracesmoke); ("micro", micro);
   ]
 
 let () =
@@ -2187,14 +1867,19 @@ let () =
     | _ :: (_ :: _ as names) -> names
     | _ -> List.map fst experiments
   in
-  List.iter
-    (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f -> f ()
-      | None ->
-        Printf.eprintf "unknown experiment %S; available: %s\n" name
-          (String.concat " " (List.map fst experiments));
-        exit 1)
-    requested;
+  let total =
+    List.fold_left
+      (fun total name ->
+        match List.assoc_opt name experiments with
+        | Some f ->
+          failures := 0;
+          f ();
+          total + !failures
+        | None ->
+          Printf.eprintf "unknown experiment %S; available: %s\n" name
+            (String.concat " " (List.map fst experiments));
+          exit 1)
+      0 requested
+  in
   print_newline ();
-  if !failures > 0 then exit 1
+  if total > 0 then exit 1

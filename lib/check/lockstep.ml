@@ -70,73 +70,62 @@ end
 
 let untag x = if x land 1 = 0 then Load (x lsr 1) else Store (x lsr 1)
 
-exception Stop
+(* The native reference: its data-access stream and its outputs. *)
+type reference = { trace : Vec.t; outputs : int list }
 
-let run ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) ?on_controller
-    (cfg : Config.t) img : verdict =
-  (* native reference run, trace collected *)
+let record ~fuel img =
   let ncpu = Machine.Cpu.of_image img in
   let trace = Vec.create () in
   ncpu.on_load <- Some (fun a -> Vec.push trace (a lsl 1));
   ncpu.on_store <- Some (fun a -> Vec.push trace ((a lsl 1) lor 1));
   match Machine.Cpu.run ~fuel ncpu with
-  | Machine.Cpu.Out_of_fuel -> Native_out_of_fuel
-  | Machine.Cpu.Halted -> (
-    let native_outs = Machine.Cpu.outputs ncpu in
-    (* cached run, compared in-hook *)
-    let ctrl = Controller.create cfg img in
-    if audit then ignore (Audit.install ctrl);
-    (match on_controller with Some f -> f ctrl | None -> ());
-    let idx = ref 0 in
-    let div = ref None in
-    let check tag ev =
-      if !idx >= trace.Vec.n then begin
-        div := Some { index = !idx; native = None; cached = Some ev };
-        raise Stop
-      end
-      else if trace.Vec.a.(!idx) <> tag then begin
-        div :=
-          Some
-            {
-              index = !idx;
-              native = Some (untag trace.Vec.a.(!idx));
-              cached = Some ev;
-            };
-        raise Stop
-      end
-      else incr idx
-    in
-    ctrl.cpu.on_load <- Some (fun a -> check (a lsl 1) (Load a));
-    ctrl.cpu.on_store <- Some (fun a -> check ((a lsl 1) lor 1) (Store a));
-    (* drive in slices, applying one mid-run op at each boundary *)
-    let nslices = List.length ops + 1 in
-    let slice = max 1 (fuel / nslices) in
-    let outcome =
-      try
-        let rec go left = function
-          | op :: rest -> (
-            match Controller.run ~fuel:slice ctrl with
-            | Machine.Cpu.Halted -> Ok Machine.Cpu.Halted
-            | Machine.Cpu.Out_of_fuel ->
-              op ctrl;
-              go (left - slice) rest)
-          | [] -> Ok (Controller.run ~fuel:(max slice left) ctrl)
-        in
-        go fuel ops
-      with
-      | Stop -> Error `Stopped
-      | Controller.Chunk_unavailable { vaddr; attempts } ->
-        Error (`Unavailable (vaddr, attempts))
-    in
-    match outcome with
-    | Error `Stopped -> (
-      match !div with
-      | Some d -> Diverged d
-      | None -> assert false)
-    | Error (`Unavailable (vaddr, attempts)) ->
+  | Machine.Cpu.Out_of_fuel -> None
+  | Machine.Cpu.Halted -> Some { trace; outputs = Machine.Cpu.outputs ncpu }
+
+exception Stop of divergence
+
+(* One cached run of [cfg] against [reference], compared in-hook; the
+   controller is returned for end-of-run inspection. *)
+let replay ~fuel ~ops ~audit ?on_controller { trace; outputs = native_outs }
+    (cfg : Config.t) img =
+  let ctrl = Controller.create cfg img in
+  if audit then ignore (Audit.install ctrl);
+  (match on_controller with Some f -> f ctrl | None -> ());
+  let idx = ref 0 in
+  let check tag ev =
+    if !idx >= trace.Vec.n then
+      raise (Stop { index = !idx; native = None; cached = Some ev })
+    else if trace.Vec.a.(!idx) <> tag then
+      raise
+        (Stop
+           {
+             index = !idx;
+             native = Some (untag trace.Vec.a.(!idx));
+             cached = Some ev;
+           })
+    else incr idx
+  in
+  ctrl.cpu.on_load <- Some (fun a -> check (a lsl 1) (Load a));
+  ctrl.cpu.on_store <- Some (fun a -> check ((a lsl 1) lor 1) (Store a));
+  (* drive in slices, applying one mid-run op at each boundary *)
+  let nslices = List.length ops + 1 in
+  let slice = max 1 (fuel / nslices) in
+  let rec go left = function
+    | op :: rest -> (
+      match Controller.run ~fuel:slice ctrl with
+      | Machine.Cpu.Halted -> Machine.Cpu.Halted
+      | Machine.Cpu.Out_of_fuel ->
+        op ctrl;
+        go (left - slice) rest)
+    | [] -> Controller.run ~fuel:(max slice left) ctrl
+  in
+  let verdict =
+    match go fuel ops with
+    | exception Stop d -> Diverged d
+    | exception Controller.Chunk_unavailable { vaddr; attempts } ->
       Unavailable { vaddr; attempts; events = !idx }
-    | Ok Machine.Cpu.Out_of_fuel -> Cached_out_of_fuel { events = !idx }
-    | Ok Machine.Cpu.Halted ->
+    | Machine.Cpu.Out_of_fuel -> Cached_out_of_fuel { events = !idx }
+    | Machine.Cpu.Halted ->
       if !idx < trace.Vec.n then
         Diverged
           {
@@ -167,7 +156,16 @@ let run ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) ?on_controller
               { index = !idx + i; native = None; cached = Some (Output c) }
         in
         cmp 0 native_outs cached_outs
-      end)
+      end
+  in
+  (verdict, ctrl)
+
+let run ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) ?on_controller
+    (cfg : Config.t) img : verdict =
+  match record ~fuel img with
+  | None -> Native_out_of_fuel
+  | Some reference ->
+    fst (replay ~fuel ~ops ~audit ?on_controller reference cfg img)
 
 (* ------------------------------------------------------------------ *)
 (* Decoded vs interpretive dispatch, in true instruction lockstep.
@@ -344,6 +342,40 @@ let prefetch ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg
   drive_pair ~fuel ~ops ~labels:("prefetch", "baseline")
     ~compare_cycles:false con coff
 
+(* End-of-run epilogue of the cycle-identical runners ([trace],
+   [fleet], [shards]): a clean drive still fails on the first end-of-run
+   check that reports a mismatch. *)
+let epilogue verdict checks =
+  match verdict with
+  | Engines_diverged _ | Engines_unavailable _ -> verdict
+  | Engines_equivalent { steps } | Engines_out_of_fuel { steps } -> (
+    match List.find_map (fun check -> check ()) checks with
+    | Some detail -> Engines_diverged { step = steps; detail }
+    | None -> verdict)
+
+(* Statistics (seen through [view]) and every interconnect counter must
+   match between the two sides. *)
+let same_counters ?(view = Fun.id) ~labels:(la, lb) (a : Controller.t)
+    (b : Controller.t) () =
+  let net (c : Controller.t) =
+    let n = c.cfg.Config.net in
+    [
+      Netmodel.messages n;
+      Netmodel.payload_bytes n;
+      Netmodel.total_bytes n;
+      Netmodel.drops n;
+      Netmodel.corruptions n;
+      Netmodel.duplicates n;
+      Netmodel.delay_spikes n;
+    ]
+  in
+  if view a.stats <> view b.stats then
+    Some
+      (Format.asprintf "stats differ: %a (%s) vs %a (%s)" Stats.pp a.stats la
+         Stats.pp b.stats lb)
+  else if net a <> net b then Some "interconnect counters differ"
+  else None
+
 (* Trace-on vs trace-off, in instruction lockstep.
 
    Observability must never perturb the experiment it observes: a run
@@ -365,37 +397,20 @@ let trace ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg img
   let tr = Trace.create ~limit:traced.cfg.Config.trace_limit () in
   Controller.attach_tracer traced tr;
   if audit then ignore (Audit.install traced);
-  let verdict =
-    drive_pair ~fuel ~ops ~labels:("traced", "untraced")
-      ~compare_cycles:true traced plain
-  in
-  match verdict with
-  | Engines_diverged _ | Engines_unavailable _ -> verdict
-  | Engines_equivalent { steps } | Engines_out_of_fuel { steps } ->
-    let diverged detail = Engines_diverged { step = steps; detail } in
-    let net_counters (c : Controller.t) =
-      let n = c.cfg.Config.net in
-      ( Netmodel.messages n,
-        Netmodel.payload_bytes n,
-        Netmodel.total_bytes n,
-        Netmodel.drops n,
-        Netmodel.corruptions n,
-        Netmodel.duplicates n,
-        Netmodel.delay_spikes n )
-    in
-    if traced.stats <> plain.stats then
-      diverged
-        (Format.asprintf "stats differ: %a (traced) vs %a (untraced)"
-           Stats.pp traced.stats Stats.pp plain.stats)
-    else if net_counters traced <> net_counters plain then
-      diverged "interconnect counters differ"
-    else if not (Trace.conserved tr ~total:traced.cpu.cycles) then
-      diverged
-        (Printf.sprintf
-           "attribution does not conserve: categories sum to %d, cpu.cycles \
-            = %d"
-           (Trace.summary tr).Trace.s_total traced.cpu.cycles)
-    else verdict
+  let labels = ("traced", "untraced") in
+  epilogue
+    (drive_pair ~fuel ~ops ~labels ~compare_cycles:true traced plain)
+    [
+      same_counters ~labels traced plain;
+      (fun () ->
+        if Trace.conserved tr ~total:traced.cpu.cycles then None
+        else
+          Some
+            (Printf.sprintf
+               "attribution does not conserve: categories sum to %d, \
+                cpu.cycles = %d"
+               (Trace.summary tr).Trace.s_total traced.cpu.cycles));
+    ]
 
 (* 1-client fleet vs the plain single-controller path.
 
@@ -419,31 +434,10 @@ let fleet ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg img
   in
   let hosted = Fleet.controller (Fleet.sessions fl).(0) in
   if audit then ignore (Audit.install hosted);
-  let verdict =
-    drive_pair ~fuel ~ops ~labels:("fleet", "solo") ~compare_cycles:true
-      hosted solo
-  in
-  match verdict with
-  | Engines_diverged _ | Engines_unavailable _ -> verdict
-  | Engines_equivalent { steps } | Engines_out_of_fuel { steps } ->
-    let diverged detail = Engines_diverged { step = steps; detail } in
-    let net_counters (c : Controller.t) =
-      let n = c.cfg.Config.net in
-      ( Netmodel.messages n,
-        Netmodel.payload_bytes n,
-        Netmodel.total_bytes n,
-        Netmodel.drops n,
-        Netmodel.corruptions n,
-        Netmodel.duplicates n,
-        Netmodel.delay_spikes n )
-    in
-    if hosted.stats <> solo.stats then
-      diverged
-        (Format.asprintf "stats differ: %a (fleet) vs %a (solo)" Stats.pp
-           hosted.stats Stats.pp solo.stats)
-    else if net_counters hosted <> net_counters solo then
-      diverged "interconnect counters differ"
-    else verdict
+  let labels = ("fleet", "solo") in
+  epilogue
+    (drive_pair ~fuel ~ops ~labels ~compare_cycles:true hosted solo)
+    [ same_counters ~labels hosted solo ]
 
 (* 1-hart sharded CC vs the plain solo controller.
 
@@ -465,68 +459,52 @@ let shards ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg img
   let hosted = Controller.create hcfg img in
   let sh = Shard.attach hosted in
   if audit then ignore (Audit.install hosted);
-  let verdict =
-    drive_pair
-      ~step_a:(fun () -> Shard.run ~fuel:1 sh)
-      ~fuel ~ops ~labels:("sharded", "solo") ~compare_cycles:true hosted solo
+  let labels = ("sharded", "solo") in
+  let neutral (s : Stats.t) =
+    {
+      s with
+      Stats.fills = 0;
+      fills_coalesced = 0;
+      fill_wait_cycles = 0;
+      mc_wait_cycles = 0;
+    }
   in
-  match verdict with
-  | Engines_diverged _ | Engines_unavailable _ -> verdict
-  | Engines_equivalent { steps } | Engines_out_of_fuel { steps } ->
-    let diverged detail = Engines_diverged { step = steps; detail } in
-    let net_counters (c : Controller.t) =
-      let n = c.cfg.Config.net in
-      ( Netmodel.messages n,
-        Netmodel.payload_bytes n,
-        Netmodel.total_bytes n,
-        Netmodel.drops n,
-        Netmodel.corruptions n,
-        Netmodel.duplicates n,
-        Netmodel.delay_spikes n )
-    in
-    let neutral (s : Stats.t) =
-      {
-        s with
-        Stats.fills = 0;
-        fills_coalesced = 0;
-        fill_wait_cycles = 0;
-        mc_wait_cycles = 0;
-      }
-    in
-    let h = Shard.hart sh 0 in
-    if h.Shard.h_wait_fill <> 0 || h.Shard.h_wait_mc <> 0 || h.Shard.h_joins <> 0
-    then
-      diverged
-        (Printf.sprintf
-           "lone hart was charged waits: fill=%d mc=%d joins=%d"
-           h.Shard.h_wait_fill h.Shard.h_wait_mc h.Shard.h_joins)
-    else if neutral hosted.stats <> neutral solo.stats then
-      diverged
-        (Format.asprintf "stats differ: %a (sharded) vs %a (solo)" Stats.pp
-           hosted.stats Stats.pp solo.stats)
-    else if net_counters hosted <> net_counters solo then
-      diverged "interconnect counters differ"
-    else (
-      match Audit.shards sh with
-      | [] -> verdict
-      | v :: _ ->
-        diverged (Format.asprintf "shard audit: %a" Audit.pp_violation v))
+  let h = Shard.hart sh 0 in
+  epilogue
+    (drive_pair
+       ~step_a:(fun () -> Shard.run ~fuel:1 sh)
+       ~fuel ~ops ~labels ~compare_cycles:true hosted solo)
+    [
+      (fun () ->
+        if h.Shard.h_wait_fill = 0 && h.Shard.h_wait_mc = 0
+           && h.Shard.h_joins = 0
+        then None
+        else
+          Some
+            (Printf.sprintf
+               "lone hart was charged waits: fill=%d mc=%d joins=%d"
+               h.Shard.h_wait_fill h.Shard.h_wait_mc h.Shard.h_joins));
+      same_counters ~view:neutral ~labels hosted solo;
+      (fun () ->
+        match Audit.shards sh with
+        | [] -> None
+        | v :: _ ->
+          Some (Format.asprintf "shard audit: %a" Audit.pp_violation v));
+    ]
 
-(* Chaining modes against the native reference.
+(* Observational equivalence of configuration variants.
 
-   Chaining equivalence is *observational*, not step-wise: an
-   unresolved Br/Jal exit hops through its in-block trap island (two
-   retired instructions) where the patched site branches direct (one),
-   so pc and retire streams legitimately differ on every first
-   traversal — and superblock formation relocates whole chains. What
-   must never change is what the program computes. So, in the style of
-   [policies]: each mode — no chaining, eager chaining, chaining +
-   superblock formation — is run in data-access lockstep against the
-   native execution, then the modes are cross-compared on the
-   observables that survive placement and trap-count differences: the
-   output stream and the final data segment. Valid under *any*
-   replacement policy, including the recency policies whose entry
-   streams chaining legitimately thins. *)
+   Some variants legitimately change pc and retire streams, cycle counts
+   and code placement: an unresolved Br/Jal exit hops through its
+   in-block trap island (two retired instructions) where a chained site
+   branches direct (one), superblocks relocate whole chains, different
+   eviction victims mean different stub and trap sequences, and
+   function granularity changes the unit shape and call linkage
+   wholesale. What must never change is what the program computes. So
+   each variant runs in data-access lockstep against one recorded native
+   execution, then the variants are cross-compared on the observables
+   that survive those differences: the output stream and the final data
+   segment. *)
 
 type modes_verdict =
   | Modes_equivalent of { modes : string list; events : int }
@@ -546,223 +524,84 @@ let pp_modes_verdict ppf = function
     Format.fprintf ppf "mode '%s' disagrees with '%s': %s" mode baseline
       detail
 
-let chain_modes ?(fuel = 2_000_000) ?(ops = []) ?(audit = false)
-    ?oracle ?(superblock_threshold = 1) mk_cfg img : modes_verdict =
+(* Each variant is a name and an override applied to a fresh
+   [mk_cfg ()]: own Netmodel state, own tcache. The native reference is
+   recorded once and every variant is replayed against it; the first
+   variant is the baseline the others are cross-compared with. *)
+let modes ~fuel ~ops ~audit ?on_controller mk_cfg img variants =
   let data_lo = img.Isa.Image.data_base in
   let data_hi = data_lo + Bytes.length img.Isa.Image.data in
-  let observe (name, chain, threshold) =
-    (* fresh Config per mode: own Netmodel state, own tcache *)
-    let cfg =
-      { (mk_cfg ()) with Config.chain; superblock_threshold = threshold }
-    in
-    let ctrl = ref None in
-    let v =
-      run ~fuel ~ops ~audit
-        ~on_controller:(fun c ->
-          c.Controller.chain_oracle <- (if threshold > 0 then oracle else None);
-          ctrl := Some c)
-        cfg img
-    in
-    (name, v, !ctrl)
+  let reference = record ~fuel img in
+  let rec go baseline = function
+    | [] ->
+      let events = Option.fold ~none:0 ~some:(fun (_, _, e) -> e) baseline in
+      Modes_equivalent { modes = List.map fst variants; events }
+    | (mode, override) :: rest -> (
+      match reference with
+      | None -> Mode_diverged { mode; verdict = Native_out_of_fuel }
+      | Some r -> (
+        match
+          replay ~fuel ~ops ~audit ?on_controller r (override (mk_cfg ())) img
+        with
+        | Equivalent { events }, c -> (
+          let seen =
+            ( Machine.Cpu.outputs c.cpu,
+              Machine.Memory.hash c.cpu.mem ~lo:data_lo ~hi:data_hi )
+          in
+          match baseline with
+          | None -> go (Some (mode, seen, events)) rest
+          | Some (base, (bouts, bhash), _) ->
+            let mismatch detail =
+              Modes_mismatch { mode; baseline = base; detail }
+            in
+            if fst seen <> bouts then mismatch "output streams differ"
+            else if snd seen <> bhash then
+              mismatch "final data segment differs"
+            else go baseline rest)
+        | verdict, _ -> Mode_diverged { mode; verdict }))
   in
-  let results =
-    List.map observe
-      [
-        ("off", false, 0);
-        ("chain", true, 0);
-        ("chain+superblock", true, superblock_threshold);
-      ]
+  go None variants
+
+(* Chaining modes: no chaining, eager chaining, chaining + superblock
+   formation. Valid under any replacement policy, including the
+   recency policies whose entry streams chaining legitimately thins. *)
+let chain_modes ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) ?oracle
+    ?(superblock_threshold = 1) mk_cfg img : modes_verdict =
+  let mode chain threshold cfg =
+    { cfg with Config.chain; superblock_threshold = threshold }
   in
-  match
-    List.find_opt
-      (fun (_, v, _) -> match v with Equivalent _ -> false | _ -> true)
-      results
-  with
-  | Some (name, v, _) -> Mode_diverged { mode = name; verdict = v }
-  | None -> (
-    let observables (c : Controller.t) =
-      ( Machine.Cpu.outputs c.cpu,
-        Machine.Memory.hash c.cpu.mem ~lo:data_lo ~hi:data_hi )
-    in
-    match results with
-    | (bname, Equivalent { events }, Some bc) :: rest ->
-      let bouts, bhash = observables bc in
-      let rec cmp = function
-        | [] ->
-          Modes_equivalent
-            { modes = List.map (fun (n, _, _) -> n) results; events }
-        | (name, _, Some c) :: rest ->
-          let outs, hash = observables c in
-          if outs <> bouts then
-            Modes_mismatch
-              { mode = name; baseline = bname; detail = "output streams differ" }
-          else if hash <> bhash then
-            Modes_mismatch
-              {
-                mode = name;
-                baseline = bname;
-                detail = "final data segment differs";
-              }
-          else cmp rest
-        | (_, _, None) :: _ ->
-          (* on_controller fires before the cached drive begins *)
-          assert false
-      in
-      cmp rest
-    | _ -> assert false)
+  modes ~fuel ~ops ~audit
+    ~on_controller:(fun c ->
+      if c.Controller.cfg.Config.superblock_threshold > 0 then
+        c.chain_oracle <- oracle)
+    mk_cfg img
+    [
+      ("off", mode false 0);
+      ("chain", mode true 0);
+      ("chain+superblock", mode true superblock_threshold);
+    ]
 
-(* Every replacement policy, against the same reference.
+(* Every replacement policy in [Config.eviction_table]: the policy only
+   decides *which* block dies. *)
+let policies ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg img
+    : modes_verdict =
+  modes ~fuel ~ops ~audit mk_cfg img
+    (List.map
+       (fun (name, ev) -> (name, fun cfg -> { cfg with Config.eviction = ev }))
+       Config.eviction_table)
 
-   The policy only decides *which* block dies; it must never change
-   what the program computes. So each policy in the registry
-   ([Config.eviction_table]) is run in data-access lockstep against
-   the native execution ([run]), and then the policies are compared
-   against each other on the observables that are comparable across
-   policies: the output stream and the final data segment. Cycle
-   counts, retired instructions and code placement legitimately differ
-   — different victims mean different stub and trap sequences — so
-   none of those participate. *)
-
-type policies_verdict =
-  | Policies_equivalent of { policies : string list; events : int }
-      (** per-policy events counts are equal by construction: every
-          policy matched the same native access stream *)
-  | Policy_diverged of { policy : string; verdict : verdict }
-  | Policies_mismatch of { policy : string; baseline : string; detail : string }
-
-let pp_policies_verdict ppf = function
-  | Policies_equivalent { policies; events } ->
-    Format.fprintf ppf "%d policies equivalent (%s; %d events)"
-      (List.length policies)
-      (String.concat ", " policies)
-      events
-  | Policy_diverged { policy; verdict } ->
-    Format.fprintf ppf "policy '%s' diverged from native: %a" policy
-      pp_verdict verdict
-  | Policies_mismatch { policy; baseline; detail } ->
-    Format.fprintf ppf "policy '%s' disagrees with '%s': %s" policy baseline
-      detail
-
-let policies ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg
-    img : policies_verdict =
-  let data_lo = img.Isa.Image.data_base in
-  let data_hi = data_lo + Bytes.length img.Isa.Image.data in
-  let observe (name, ev) =
-    (* fresh Config per policy: own Netmodel state, own tcache *)
-    let cfg = { (mk_cfg ()) with Config.eviction = ev } in
-    let ctrl = ref None in
-    let v =
-      run ~fuel ~ops ~audit
-        ~on_controller:(fun c -> ctrl := Some c)
-        cfg img
-    in
-    (name, v, !ctrl)
-  in
-  let results = List.map observe Config.eviction_table in
-  match
-    List.find_opt
-      (fun (_, v, _) -> match v with Equivalent _ -> false | _ -> true)
-      results
-  with
-  | Some (name, v, _) -> Policy_diverged { policy = name; verdict = v }
-  | None -> (
-    let observables (c : Controller.t) =
-      ( Machine.Cpu.outputs c.cpu,
-        Machine.Memory.hash c.cpu.mem ~lo:data_lo ~hi:data_hi )
-    in
-    match results with
-    | (bname, Equivalent { events }, Some bc) :: rest ->
-      let bouts, bhash = observables bc in
-      let rec cmp = function
-        | [] ->
-          Policies_equivalent
-            { policies = List.map (fun (n, _, _) -> n) results; events }
-        | (name, _, Some c) :: rest ->
-          let outs, hash = observables c in
-          if outs <> bouts then
-            Policies_mismatch
-              { policy = name; baseline = bname; detail = "output streams differ" }
-          else if hash <> bhash then
-            Policies_mismatch
-              {
-                policy = name;
-                baseline = bname;
-                detail = "final data segment differs";
-              }
-          else cmp rest
-        | (_, _, None) :: _ ->
-          (* on_controller fires before the cached drive begins *)
-          assert false
-      in
-      cmp rest
-    | _ -> assert false)
-
-(* Block vs whole-function granularity, against the same reference.
-
-   Function granularity changes the unit shape, the call linkage (PLT
-   slots instead of per-site call patching) and tcache placement
-   wholesale, so — exactly as for chaining modes — equivalence is
-   observational: each granularity in [Config.granularity_table] runs
-   in data-access lockstep against the native execution, then the
-   granularities are cross-compared on the output stream and the final
-   data segment. [eviction] pins the replacement policy so callers can
-   sweep the whole policy × granularity grid. *)
-
-let granularity ?(fuel = 2_000_000) ?(ops = []) ?(audit = false)
-    ?eviction mk_cfg img : modes_verdict =
-  let data_lo = img.Isa.Image.data_base in
-  let data_hi = data_lo + Bytes.length img.Isa.Image.data in
-  let observe (name, g) =
-    (* fresh Config per granularity: own Netmodel state, own tcache *)
-    let cfg = { (mk_cfg ()) with Config.granularity = g } in
-    let cfg =
-      match eviction with
-      | Some ev -> { cfg with Config.eviction = ev }
-      | None -> cfg
-    in
-    let ctrl = ref None in
-    let v =
-      run ~fuel ~ops ~audit
-        ~on_controller:(fun c -> ctrl := Some c)
-        cfg img
-    in
-    (name, v, !ctrl)
-  in
-  let results = List.map observe Config.granularity_table in
-  match
-    List.find_opt
-      (fun (_, v, _) -> match v with Equivalent _ -> false | _ -> true)
-      results
-  with
-  | Some (name, v, _) -> Mode_diverged { mode = name; verdict = v }
-  | None -> (
-    let observables (c : Controller.t) =
-      ( Machine.Cpu.outputs c.cpu,
-        Machine.Memory.hash c.cpu.mem ~lo:data_lo ~hi:data_hi )
-    in
-    match results with
-    | (bname, Equivalent { events }, Some bc) :: rest ->
-      let bouts, bhash = observables bc in
-      let rec cmp = function
-        | [] ->
-          Modes_equivalent
-            { modes = List.map (fun (n, _, _) -> n) results; events }
-        | (name, _, Some c) :: rest ->
-          let outs, hash = observables c in
-          if outs <> bouts then
-            Modes_mismatch
-              { mode = name; baseline = bname; detail = "output streams differ" }
-          else if hash <> bhash then
-            Modes_mismatch
-              {
-                mode = name;
-                baseline = bname;
-                detail = "final data segment differs";
-              }
-          else cmp rest
-        | (_, _, None) :: _ ->
-          (* on_controller fires before the cached drive begins *)
-          assert false
-      in
-      cmp rest
-    | _ -> assert false)
+(* Block vs whole-function granularity ([Config.granularity_table]).
+   [eviction] pins the replacement policy so callers can sweep the whole
+   policy × granularity grid. *)
+let granularity ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) ?eviction
+    mk_cfg img : modes_verdict =
+  modes ~fuel ~ops ~audit mk_cfg img
+    (List.map
+       (fun (name, g) ->
+         ( name,
+           fun cfg ->
+             let cfg = { cfg with Config.granularity = g } in
+             match eviction with
+             | Some ev -> { cfg with Config.eviction = ev }
+             | None -> cfg ))
+       Config.granularity_table)

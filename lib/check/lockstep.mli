@@ -39,9 +39,9 @@ val run :
     invalidate or flush mid-run and check that execution still tracks
     the native stream. [audit] additionally installs {!Audit.install}
     on the cached controller. [on_controller] receives the cached
-    controller right after construction (so callers can inspect its
-    final state once [run] returns — {!policies} reads the data
-    segment this way). Default [fuel] is 2M instructions per side. *)
+    controller right after construction (so callers can install
+    oracles or inspect its final state once [run] returns). Default
+    [fuel] is 2M instructions per side. *)
 
 val pp_event : Format.formatter -> event -> unit
 val pp_verdict : Format.formatter -> verdict -> unit
@@ -167,32 +167,36 @@ val shards :
     fuel slices; [audit] installs {!Audit.install} on the
     shard-hosted side. *)
 
-(** {2 Chaining-mode equivalence}
+(** {2 Observational equivalence}
 
-    Chaining equivalence is observational, not step-wise: an unresolved
-    Br/Jal exit hops through its in-block trap island (two retired
-    instructions) where the patched site branches direct (one), so pc
-    and retire streams legitimately differ on first traversals — and
-    superblock formation relocates whole chains. What must never change
-    is what the program computes. So, in the style of {!policies}: each
-    chaining mode — off, eager chaining, chaining + profile-guided
-    superblock formation — is run in data-access lockstep against the
-    native execution, then the modes are compared on the observables
-    that survive placement and trap-count differences: the output
-    stream and the final data segment. Valid under any replacement
-    policy. *)
+    Chaining modes, replacement policies and caching granularities
+    legitimately change pc and retire streams, cycle counts and tcache
+    placement: an unresolved Br/Jal exit hops through its in-block trap
+    island where a chained site branches direct, superblocks relocate
+    whole chains, different victims produce different stub and trap
+    sequences, and whole-function units change the call linkage
+    (persistent PLT slots instead of per-site call patching). What must
+    never change is what the program computes. So each runner below
+    records the native execution once, replays every variant against it
+    in data-access lockstep ({!run}), and then cross-compares the
+    variants on the observables that survive those differences: the
+    output stream and the final data segment. Each variant overrides
+    its fields on a fresh [mk_cfg ()] (own transport state, own
+    tcache); [ops] and [audit] pass through to every replay. *)
 
 type modes_verdict =
   | Modes_equivalent of { modes : string list; events : int }
-      (** every mode matched the native access stream and all agree on
-          outputs and final data; [events] is the length of the
+      (** every variant matched the native access stream and all agree
+          on outputs and final data; [events] is the length of the
           (shared) native access stream *)
   | Mode_diverged of { mode : string; verdict : verdict }
-      (** this mode's cached run diverged from native *)
+      (** this variant's cached run diverged from native *)
   | Modes_mismatch of { mode : string; baseline : string; detail : string }
-      (** every mode matched native, yet two disagree on a terminal
+      (** every variant matched native, yet two disagree on a terminal
           observable — should be impossible; kept as a separate arm so
           a bug here is named, not lumped into divergence *)
+
+val pp_modes_verdict : Format.formatter -> modes_verdict -> unit
 
 val chain_modes :
   ?fuel:int ->
@@ -203,43 +207,17 @@ val chain_modes :
   (unit -> Softcache.Config.t) ->
   Isa.Image.t ->
   modes_verdict
-(** [chain_modes mk_cfg img] runs one native-vs-cached {!run} per
-    chaining mode, overriding only [Config.chain] and
-    [Config.superblock_threshold] on a fresh [mk_cfg ()] each time.
+(** [chain_modes mk_cfg img] compares the chaining modes off, eager
+    chaining and chaining + profile-guided superblock formation,
+    overriding only [Config.chain] and [Config.superblock_threshold].
     [oracle] (typically built by [Softcache.Cc_chain.oracle_of_profile]
     from a profiling pre-run) is installed as the superblock mode's
     [chain_oracle]; without it the superblock mode degenerates to plain
     chaining, which still checks but proves less.
     [superblock_threshold] is the edge temperature the superblock mode
     uses (default 1: fuse any observed edge — the most aggressive, and
-    therefore most falsifying, setting). [ops] and [audit] pass through
-    to each {!run}. *)
-
-val pp_modes_verdict : Format.formatter -> modes_verdict -> unit
-
-(** {2 Replacement-policy equivalence}
-
-    The replacement policy decides {e which} block dies on a miss; it
-    must never change what the program computes. {!policies} runs the
-    entire policy registry ({!Softcache.Config.eviction_table}) —
-    each policy in data-access lockstep against the native execution,
-    then all policies against each other on the cross-policy-comparable
-    observables: the output stream and the final data segment. Cycle
-    counts, retired-instruction counts and tcache placement are
-    excluded by design — different victims produce different stub and
-    trap sequences, so those numbers legitimately differ. *)
-
-type policies_verdict =
-  | Policies_equivalent of { policies : string list; events : int }
-      (** every registered policy matched the native access stream and
-          all agree on outputs and final data; [events] is the length
-          of the (shared) native access stream *)
-  | Policy_diverged of { policy : string; verdict : verdict }
-      (** this policy's cached run diverged from native *)
-  | Policies_mismatch of { policy : string; baseline : string; detail : string }
-      (** every policy matched native, yet two disagree on a terminal
-          observable — should be impossible; kept as a separate arm so
-          a bug here is named, not lumped into divergence *)
+    therefore most falsifying, setting). Valid under any replacement
+    policy. *)
 
 val policies :
   ?fuel:int ->
@@ -247,29 +225,12 @@ val policies :
   ?audit:bool ->
   (unit -> Softcache.Config.t) ->
   Isa.Image.t ->
-  policies_verdict
-(** [policies mk_cfg img] runs one native-vs-cached {!run} per policy
-    in {!Softcache.Config.eviction_table}, overriding only
-    [Config.eviction] on a fresh [mk_cfg ()] each time (own transport
-    state per run). [ops] and [audit] are passed through to each
-    {!run}. Pick a configuration every policy can execute — e.g. a
-    tcache large enough that [Flush_all] does not hit
+  modes_verdict
+(** [policies mk_cfg img] compares every policy in
+    {!Softcache.Config.eviction_table}, overriding only
+    [Config.eviction]. Pick a configuration every policy can execute —
+    e.g. a tcache large enough that [Flush_all] does not hit
     [Chunk_too_large]. *)
-
-val pp_policies_verdict : Format.formatter -> policies_verdict -> unit
-
-(** {2 Granularity equivalence}
-
-    Block vs whole-function caching units. Function granularity changes
-    the unit shape, the call linkage (persistent PLT slots instead of
-    per-site call patching) and tcache placement wholesale, so — as for
-    {!chain_modes} — equivalence is observational: each granularity in
-    {!Softcache.Config.granularity_table} runs in data-access lockstep
-    against the native execution, then the granularities are compared
-    on the output stream and the final data segment. Cycle counts,
-    retire counts and placement legitimately differ (one large unit
-    versus many small blocks produces entirely different trap and stub
-    sequences). *)
 
 val granularity :
   ?fuel:int ->
@@ -279,12 +240,11 @@ val granularity :
   (unit -> Softcache.Config.t) ->
   Isa.Image.t ->
   modes_verdict
-(** [granularity mk_cfg img] runs one native-vs-cached {!run} per
-    granularity, overriding only [Config.granularity] (and, when
-    [eviction] is given, [Config.eviction] — so callers can sweep the
-    full policy × granularity grid) on a fresh [mk_cfg ()] each time.
-    [ops] and [audit] pass through to each {!run}; the audit includes
-    the PLT-slot section, so a function-mode run is also checked for
-    slot-table/residency agreement at every controller event. Pick a
-    tcache large enough that the workload's functions fit or degrade
-    cleanly. *)
+(** [granularity mk_cfg img] compares block and whole-function caching
+    units ({!Softcache.Config.granularity_table}), overriding only
+    [Config.granularity] (and, when [eviction] is given,
+    [Config.eviction] — so callers can sweep the full policy ×
+    granularity grid). The audit includes the PLT-slot section, so a
+    function-mode run is also checked for slot-table/residency agreement
+    at every controller event. Pick a tcache large enough that the
+    workload's functions fit or degrade cleanly. *)

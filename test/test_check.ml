@@ -198,7 +198,7 @@ let test_lockstep_policies () =
   match
     Check.Lockstep.policies ~audit:true (fun () -> small_cfg ()) (prog_fib 12)
   with
-  | Check.Lockstep.Policies_equivalent { policies; events } ->
+  | Check.Lockstep.Modes_equivalent { modes = policies; events } ->
     Alcotest.(check (list string))
       "covers the registry"
       (List.map fst Softcache.Config.eviction_table)
@@ -206,7 +206,7 @@ let test_lockstep_policies () =
     Alcotest.(check bool) "compared something" true (events > 0)
   | v ->
     Alcotest.failf "expected policy equivalence, got %a"
-      Check.Lockstep.pp_policies_verdict v
+      Check.Lockstep.pp_modes_verdict v
 
 (* ------------------------------------------------------------------ *)
 (* Decoded vs interpretive dispatch in lockstep *)
