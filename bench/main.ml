@@ -511,6 +511,19 @@ let fig8 () =
         Softcache.Config.make ~tcache_bytes:bytes
           ~chunking:Softcache.Config.Procedure ()
       in
+      (* every eviction, stamped with the cycle it happened at *)
+      let evictions = ref [] in
+      let prepare (ctrl : Softcache.Controller.t) =
+        let prev = ctrl.on_event in
+        ctrl.on_event <-
+          Some
+            (fun ev ->
+              (match ev with
+              | Softcache.Controller.Evicted n ->
+                evictions := (ctrl.cpu.cycles, n) :: !evictions
+              | _ -> ());
+              Option.iter (fun f -> f ev) prev)
+      in
       Option.iter
         (fun c ->
           let total_cycles = max 1 c.run.cycles in
@@ -520,7 +533,11 @@ let fig8 () =
             (fun (cycle, n) ->
               let i = min (buckets - 1) (cycle * buckets / total_cycles) in
               counts.(i) <- counts.(i) + n)
-            (Softcache.Stats.eviction_series c.ctrl.stats);
+            !evictions;
+          let total = Array.fold_left ( + ) 0 counts in
+          if total <> c.ctrl.stats.evicted_blocks then
+            fail "%d B: bars sum to %d evictions, stats count %d" bytes total
+              c.ctrl.stats.evicted_blocks;
           let series =
             Report.Series.create
               ~title:(Printf.sprintf "CC memory = %d B" bytes)
@@ -531,7 +548,7 @@ let fig8 () =
               Report.Series.add series (float_of_int (i + 1)) (float_of_int n))
             counts;
           Report.Series.print series)
-        (cell w cfg))
+        (cell ~prepare w cfg))
     [ 800; 900; 1024 ]
 
 (* ------------------------------------------------------------------ *)
@@ -1595,10 +1612,7 @@ let fleetsweep () =
               ~overhead_bytes:60 ()
           in
           let mk_cfg _ = Softcache.Config.make ~tcache_bytes:4096 ~net () in
-          let fl =
-            Fleet.create ~config:(Fleet.config ~clients ~dedup ()) ~net mk_cfg
-              [| img |]
-          in
+          let fl = Fleet.create ~clients ~dedup ~net mk_cfg [| img |] in
           Fleet.run ~fuel:2_000_000 fl;
           audit_gate
             (Printf.sprintf "fleet audit %s/%d clients/dedup=%b" app clients

@@ -710,38 +710,12 @@ let fleet_cmd =
     let doc = "Number of CC clients sharing the one MC uplink." in
     Arg.(value & opt int 4 & info [ "clients" ] ~docv:"N" ~doc)
   in
-  let fairness_arg =
-    let doc =
-      Printf.sprintf "Link scheduling across clients: %s."
-        (String.concat " or "
-           (List.map
-              (fun (n, _) -> Printf.sprintf "$(b,%s)" n)
-              Fleet.fairness_table))
-    in
-    Arg.(value & opt (enum Fleet.fairness_table) Fleet.Fifo
-         & info [ "fairness" ] ~docv:"POLICY" ~doc)
-  in
   let no_dedup_arg =
     let doc =
       "Disable the MC's shared content-addressed chunk cache (each client's \
        requests are chunked, CRC-stamped and coalesced independently)."
     in
     Arg.(value & flag & info [ "no-dedup" ] ~doc)
-  in
-  let no_batching_arg =
-    let doc =
-      "Disable frame batching: concurrent requests never piggyback on an \
-       open frame."
-    in
-    Arg.(value & flag & info [ "no-batching" ] ~doc)
-  in
-  let cache_arg =
-    let doc = "Bound on the MC shared chunk cache, in chunks." in
-    Arg.(value & opt int 256 & info [ "cache-chunks" ] ~docv:"N" ~doc)
-  in
-  let quantum_arg =
-    let doc = "Scheduler quantum: instructions a session runs per turn." in
-    Arg.(value & opt int 256 & info [ "quantum" ] ~docv:"N" ~doc)
   in
   let fuel_arg =
     let doc = "Instruction budget per client." in
@@ -765,9 +739,9 @@ let fleet_cmd =
     in
     Arg.(value & flag & info [ "auto-size" ] ~doc)
   in
-  let run name clients fairness no_dedup no_batching cache_chunks quantum
-      fuel tcache chunking eviction granularity harts shards sched_seed
-      workloads auto_size network faults audit verbose =
+  let run name clients no_dedup fuel tcache chunking eviction granularity
+      harts shards sched_seed workloads auto_size network faults audit verbose
+      =
     setup_logs verbose;
     let named =
       match workloads with
@@ -823,12 +797,10 @@ let fleet_cmd =
         end
       in
       match
-        Fleet.config ~clients ~fairness ~dedup:(not no_dedup)
-          ~batching:(not no_batching) ~cache_chunks ~quantum ()
+        Fleet.create ~clients ~dedup:(not no_dedup) ?sizing ~net mk_cfg images
       with
       | exception Invalid_argument m -> prerr_endline m; 1
-      | config ->
-        let fl = Fleet.create ~config ?sizing ~net mk_cfg images in
+      | fl ->
         Fleet.run ~fuel fl;
         Fleet.print_summary fl;
         if audit then begin
@@ -848,11 +820,10 @@ let fleet_cmd =
   Cmd.v
     (Cmd.info "fleet"
        ~doc:"Simulate one MC serving N clients over a shared link")
-    Term.(const run $ workload_arg $ clients_arg $ fairness_arg $ no_dedup_arg
-          $ no_batching_arg $ cache_arg $ quantum_arg $ fuel_arg $ tcache_arg
-          $ chunking_arg $ eviction_arg $ granularity_arg $ harts_arg
-          $ shards_arg $ sched_seed_arg $ workloads_arg $ auto_size_arg
-          $ network_arg $ faults_arg $ audit_arg $ verbose_arg)
+    Term.(const run $ workload_arg $ clients_arg $ no_dedup_arg $ fuel_arg
+          $ tcache_arg $ chunking_arg $ eviction_arg $ granularity_arg
+          $ harts_arg $ shards_arg $ sched_seed_arg $ workloads_arg
+          $ auto_size_arg $ network_arg $ faults_arg $ audit_arg $ verbose_arg)
 
 let trace_cmd =
   let out_arg =

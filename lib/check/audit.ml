@@ -848,29 +848,8 @@ let shards (s : Shard.t) : violation list =
     add "shard-ledger" "mc busy until %d, past every hart clock (max %d)"
       (Shard.mc_free_at s) makespan;
 
-  (* -- per-hart policy attribution ------------------------------------ *)
-  (let module P = (val c.policy : Softcache.Policy.S) in
-   let touches = P.hart_touches () in
-   List.iter
-     (fun (hart, cnt) ->
-       if hart < 0 || hart >= n then
-         add "shard-policy" "policy '%s' recorded touches for bad hart %d"
-           P.name hart;
-       if cnt <= 0 then
-         add "shard-policy" "policy '%s' records %d touches for hart %d"
-           P.name cnt hart)
-     touches;
-   let total = List.fold_left (fun a (_, k) -> a + k) 0 touches in
-   if total > c.stats.traps then
-     add "shard-policy"
-       "policy '%s' hart touches sum to %d, more than %d traps dispatched"
-       P.name total c.stats.traps);
-
   (* plus the full per-controller audit of the shared cache *)
   List.rev !viols @ run c
-
-let shards_exn s =
-  match shards s with [] -> () | vs -> raise (Audit_failure vs)
 
 (* ---- fleet-level invariants ---------------------------------------
 
@@ -895,12 +874,11 @@ let fleet (f : Fleet.t) : violation list =
       (fun detail -> viols := { invariant; detail } :: !viols)
       fmt
   in
-  let cfg = Fleet.config_of f in
   let entries = Fleet.cache_entries f in
-  if cfg.Fleet.dedup && cfg.Fleet.cache_chunks > 0 then begin
-    if entries > cfg.Fleet.cache_chunks then
+  if Fleet.dedup f then begin
+    if entries > Fleet.cache_chunks then
       add "fleet-cache" "shared cache holds %d entries, bound %d" entries
-        cfg.Fleet.cache_chunks
+        Fleet.cache_chunks
   end
   else if entries > 0 then
     add "fleet-cache" "dedup disabled yet shared cache holds %d entries"

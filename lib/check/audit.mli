@@ -76,9 +76,5 @@ val shards : Softcache.Shard.t -> violation list
     equal the per-hart leases block by block); every hart's cycle
     ledger conserves ([h_run + h_wait_fill + h_wait_mc = cycles]) and
     the aggregate fill statistics are the exact sums of the hart
-    ledgers; the policy's per-hart touch attribution names only real
-    harts. Includes the full per-controller audit ({!run}) of the
+    ledgers. Includes the full per-controller audit ({!run}) of the
     shared cache. *)
-
-val shards_exn : Softcache.Shard.t -> unit
-(** @raise Audit_failure if {!shards} reports anything. *)

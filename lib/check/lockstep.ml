@@ -426,11 +426,7 @@ let fleet ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg img
   let solo = Controller.create (mk_cfg ()) img in
   let fcfg = mk_cfg () in
   let fl =
-    Fleet.create
-      ~config:(Fleet.config ~clients:1 ())
-      ~net:fcfg.Config.net
-      (fun _ -> fcfg)
-      [| img |]
+    Fleet.create ~clients:1 ~net:fcfg.Config.net (fun _ -> fcfg) [| img |]
   in
   let hosted = Fleet.controller (Fleet.sessions fl).(0) in
   if audit then ignore (Audit.install hosted);

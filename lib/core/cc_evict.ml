@@ -155,7 +155,6 @@ and process_evicted t ~reason_of victims =
                 (fun (b : Tcache.block) -> Printf.sprintf "v=0x%x" b.vaddr)
                 victims)));
     t.stats.evicted_blocks <- t.stats.evicted_blocks + n;
-    Stats.record_eviction t.stats ~cycle:t.cpu.cycles ~blocks:n;
     List.iter (fun b -> note_evicted t ~reason:(reason_of b) b) victims;
     revert_incoming t victims;
     Cc_chain.unlink_sources t victims;
@@ -283,9 +282,6 @@ let do_flush t =
   Cc_chain.unlink_sources t former;
   free_block_stubs t former;
   t.stats.evicted_blocks <- t.stats.evicted_blocks + List.length former;
-  if former <> [] then
-    Stats.record_eviction t.stats ~cycle:t.cpu.cycles
-      ~blocks:(List.length former);
   t.stats.flushes <- t.stats.flushes + 1;
   trace t (Trace.Cc_flush { chunks = List.length former });
   (* persistent return stubs survive the flush, but any that had been

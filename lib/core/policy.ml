@@ -24,11 +24,9 @@ module type S = sig
   val set_temperature_oracle : (lo:int -> hi:int -> temperature) option -> unit
   val on_install : Tcache.block -> unit
   val on_entry : Tcache.block -> unit
-  val on_hart_entry : hart:int -> Tcache.block -> unit
   val on_evict : reason -> Tcache.block -> unit
   val victim : ?shard:int -> Tcache.t -> Tcache.block option
   val resident_ids : unit -> int list
-  val hart_touches : unit -> (int * int) list
   val debug_state : unit -> string
 end
 
@@ -39,22 +37,6 @@ type t = (module S)
    [victim] orders it. *)
 
 let ids_of tbl = Hashtbl.fold (fun id _ acc -> id :: acc) tbl []
-
-(* Per-hart touch bookkeeping, shared by every policy: the multi-hart
-   controller announces which hart produced each observable entry, and
-   the policy keeps a per-hart counter the shard audit (and
-   debug_state) can read back. Purely observational — no eviction
-   decision consults it, so solo decision streams are untouched. *)
-let hart_counter () =
-  let tbl : (int, int) Hashtbl.t = Hashtbl.create 4 in
-  let touch ~hart (_ : Tcache.block) =
-    Hashtbl.replace tbl hart
-      (1 + Option.value ~default:0 (Hashtbl.find_opt tbl hart))
-  in
-  let dump () =
-    List.sort compare (Hashtbl.fold (fun h n acc -> (h, n) :: acc) tbl [])
-  in
-  (touch, dump)
 
 (* A block is a legal victim only if nothing makes it immovable (pins
    and read leases both do) and, under a sharded tcache, it lives in
@@ -132,7 +114,6 @@ let fifo_like name kind : t =
     let tbl : (int, Tcache.block * unit) Hashtbl.t = Hashtbl.create 64
     let on_install (b : Tcache.block) = Hashtbl.replace tbl b.id (b, ())
     let on_entry _ = ()
-    let on_hart_entry, hart_touches = hart_counter ()
     let on_evict _ (b : Tcache.block) = Hashtbl.remove tbl b.id
     let victim ?shard:_ _ = None
     let resident_ids () = ids_of tbl
@@ -175,7 +156,6 @@ let lru () : t =
         m.entered <- Some m.stamp
       | None -> ()
 
-    let on_hart_entry, hart_touches = hart_counter ()
     let on_evict _ (b : Tcache.block) = Hashtbl.remove tbl b.id
 
     (* The clock ticks once per install or entry, so [2 * residents]
@@ -276,7 +256,6 @@ let trrip () : t =
         m.t_last_entry <- Some (tick ())
       | None -> ()
 
-    let on_hart_entry, hart_touches = hart_counter ()
     let on_evict _ (b : Tcache.block) = Hashtbl.remove tbl b.id
     let window () = 2 * (Hashtbl.length tbl + 2)
 

@@ -79,13 +79,6 @@ module type S = sig
   val on_entry : Tcache.block -> unit
   (** Control observably entered a resident block (hit). *)
 
-  val on_hart_entry : hart:int -> Tcache.block -> unit
-  (** Multi-hart attribution of an observable entry: hart [hart]
-      entered the block. Fired by the shard layer alongside the
-      controller's own [on_entry]; purely observational — no eviction
-      decision may consult it (solo and 1-hart decision streams must
-      stay identical). *)
-
   val on_evict : reason -> Tcache.block -> unit
   (** The block left the tcache. Fired on every removal path,
       including flushes (once per unpinned former resident). *)
@@ -100,10 +93,6 @@ module type S = sig
   val resident_ids : unit -> int list
   (** The policy's view of residency, unordered — audited against the
       tcache's own block set. *)
-
-  val hart_touches : unit -> (int * int) list
-  (** Per-hart observable-entry counts [(hart, touches)], ascending by
-      hart — the read-back of {!on_hart_entry}. Empty in solo runs. *)
 
   val debug_state : unit -> string
   (** One-line dump of the policy's internal state (stamps, RRPVs) for

@@ -173,14 +173,7 @@ let on_trap t (h : hart) k =
   let v = stub_target t h k in
   let fill = acquire t h v in
   Cc_trap.handle_trap t.ctrl k;
-  finish_fill t h fill;
-  (* per-hart policy attribution of the entry (purely observational —
-     solo and 1-hart decision streams must stay identical) *)
-  match Tcache.lookup t.ctrl.tc v with
-  | Some b ->
-    let module P = (val t.ctrl.policy : Policy.S) in
-    P.on_hart_entry ~hart:h.h_id b
-  | None -> ()
+  finish_fill t h fill
 
 let attach (ctrl : Cc_state.t) =
   if ctrl.started then
@@ -379,9 +372,3 @@ let pp_hart ppf (h : hart) =
     h.h_id h.h_cpu.cycles h.h_cpu.retired h.h_run h.h_wait_fill h.h_wait_mc
     h.h_fills h.h_joins
     (if h.h_cpu.halted then " halted" else "")
-
-let pp ppf t =
-  Format.fprintf ppf "%d harts, %d fills (%d coalesced), mc-free-at=%d"
-    (Array.length t.harts) t.ctrl.stats.fills t.ctrl.stats.fills_coalesced
-    t.mc_free_at;
-  Array.iter (fun h -> Format.fprintf ppf "@.%a" pp_hart h) t.harts

@@ -107,4 +107,3 @@ val makespan : t -> int
     grids). *)
 
 val pp_hart : Format.formatter -> hart -> unit
-val pp : Format.formatter -> t -> unit

@@ -1,4 +1,3 @@
-let eviction_capacity = 4096
 let age_buckets = 32
 
 type t = {
@@ -16,8 +15,6 @@ type t = {
   mutable superblock_guard_skips : int;
   mutable superblock_collateral_reverts : int;
   mutable evicted_blocks : int;
-  eviction_ring : (int * int) array;
-  mutable eviction_count : int;
   mutable flushes : int;
   mutable scrubbed_words : int;
   mutable ret_stubs : int;
@@ -68,8 +65,6 @@ let create () =
     superblock_guard_skips = 0;
     superblock_collateral_reverts = 0;
     evicted_blocks = 0;
-    eviction_ring = Array.make eviction_capacity (0, 0);
-    eviction_count = 0;
     flushes = 0;
     scrubbed_words = 0;
     ret_stubs = 0;
@@ -104,56 +99,6 @@ let create () =
     victim_age_hist = Array.make age_buckets 0;
   }
 
-let reset t =
-  t.translations <- 0;
-  t.translated_words <- 0;
-  t.overhead_words <- 0;
-  t.lookups <- 0;
-  t.traps <- 0;
-  t.patches <- 0;
-  t.chained <- 0;
-  t.reverts <- 0;
-  t.superblocks <- 0;
-  t.superblock_blocks <- 0;
-  t.depromotions <- 0;
-  t.superblock_guard_skips <- 0;
-  t.superblock_collateral_reverts <- 0;
-  t.evicted_blocks <- 0;
-  Array.fill t.eviction_ring 0 eviction_capacity (0, 0);
-  t.eviction_count <- 0;
-  t.flushes <- 0;
-  t.scrubbed_words <- 0;
-  t.ret_stubs <- 0;
-  t.plt_slots <- 0;
-  t.plt_patches <- 0;
-  t.gran_degraded <- 0;
-  t.max_resident_blocks <- 0;
-  t.max_occupied_bytes <- 0;
-  t.net_retries <- 0;
-  t.net_timeouts <- 0;
-  t.crc_failures <- 0;
-  t.recoveries <- 0;
-  t.chunk_failures <- 0;
-  t.max_chunk_retries <- 0;
-  t.prefetch_issued <- 0;
-  t.prefetch_installs <- 0;
-  t.prefetch_wasted <- 0;
-  t.prefetch_crc_failures <- 0;
-  t.batches <- 0;
-  t.batch_chunks <- 0;
-  t.max_batch_chunks <- 0;
-  t.policy_entries <- 0;
-  t.evicted_victim <- 0;
-  t.evicted_collateral <- 0;
-  t.evicted_stub_growth <- 0;
-  t.evicted_invalidated <- 0;
-  t.evicted_flushed <- 0;
-  t.fills <- 0;
-  t.fills_coalesced <- 0;
-  t.fill_wait_cycles <- 0;
-  t.mc_wait_cycles <- 0;
-  Array.fill t.victim_age_hist 0 age_buckets 0
-
 let miss_rate t ~retired =
   if retired = 0 then 0.0
   else float_of_int t.translations /. float_of_int retired
@@ -177,26 +122,6 @@ let victim_ages t =
   in
   go (age_buckets - 1) []
 
-let record_eviction t ~cycle ~blocks =
-  t.eviction_ring.(t.eviction_count mod eviction_capacity) <- (cycle, blocks);
-  t.eviction_count <- t.eviction_count + 1
-
-let eviction_recorded t = min t.eviction_count eviction_capacity
-
-let eviction_dropped t =
-  if t.eviction_count > eviction_capacity then
-    t.eviction_count - eviction_capacity
-  else 0
-
-let eviction_series t =
-  let len = eviction_recorded t in
-  let first =
-    if t.eviction_count > eviction_capacity then
-      t.eviction_count mod eviction_capacity
-    else 0
-  in
-  List.init len (fun i -> t.eviction_ring.((first + i) mod eviction_capacity))
-
 let pp ppf t =
   Format.fprintf ppf
     "translations=%d words=%d (overhead %d), lookups=%d, patches=%d, \
@@ -205,9 +130,6 @@ let pp ppf t =
     t.translations t.translated_words t.overhead_words t.lookups t.patches
     t.reverts t.evicted_blocks t.flushes t.scrubbed_words t.ret_stubs
     t.max_resident_blocks t.max_occupied_bytes;
-  if eviction_dropped t > 0 then
-    Format.fprintf ppf "@.eviction series: kept %d of %d events (%d dropped)"
-      (eviction_recorded t) t.eviction_count (eviction_dropped t);
   if
     t.net_retries > 0 || t.net_timeouts > 0 || t.crc_failures > 0
     || t.chunk_failures > 0

@@ -2,15 +2,9 @@
 
     [translations] is the paper's miss count: "the software miss rate is
     the number of basic blocks translated divided by the number of
-    instructions executed" (Fig. 7). The eviction ring carries the
-    cycle-stamped paging activity behind Fig. 8, bounded so CC-side
-    metadata cannot grow with run length (the same bounded-by-residency
-    discipline the tcache stub recycling follows): the most recent
-    [eviction_capacity] events are retained and [eviction_dropped]
-    counts the overwritten tail. *)
-
-val eviction_capacity : int
-(** Fixed bound on retained eviction events (4096). *)
+    instructions executed" (Fig. 7). The cycle-stamped paging activity
+    behind Fig. 8 is not kept here: observe it through
+    [Controller.on_event] ([Evicted n]). *)
 
 val age_buckets : int
 (** Number of log2 buckets in the victim-age histogram (32). *)
@@ -46,11 +40,6 @@ type t = {
           reservations (subset of [reverts]); diagnostic for how much
           live chain linkage group reservations tear down *)
   mutable evicted_blocks : int;
-  eviction_ring : (int * int) array;
-      (** bounded ring of (cycle stamp, blocks evicted); use
-          [record_eviction] / [eviction_series], not the raw array *)
-  mutable eviction_count : int;
-      (** total eviction events recorded, including overwritten ones *)
   mutable flushes : int;  (** whole-tcache invalidations *)
   mutable scrubbed_words : int;  (** stack words scanned for live pads *)
   mutable ret_stubs : int;  (** persistent return stubs created *)
@@ -115,7 +104,6 @@ type t = {
 }
 
 val create : unit -> t
-val reset : t -> unit
 
 val miss_rate : t -> retired:int -> float
 (** Translations per retired instruction — the Fig. 7 metric. *)
@@ -127,19 +115,5 @@ val record_victim_age : t -> age:int -> unit
 
 val victim_ages : t -> (int * int) list
 (** Non-empty histogram buckets as [(2^k, count)] pairs, ascending. *)
-
-val record_eviction : t -> cycle:int -> blocks:int -> unit
-(** Record one eviction event; overwrites the oldest retained event
-    once [eviction_capacity] have been recorded. *)
-
-val eviction_series : t -> (int * int) list
-(** Retained eviction events in chronological order (at most
-    [eviction_capacity]; the oldest are dropped first). *)
-
-val eviction_recorded : t -> int
-(** Events currently retained in the ring. *)
-
-val eviction_dropped : t -> int
-(** Eviction events lost to the bound — explicit, never silent. *)
 
 val pp : Format.formatter -> t -> unit

@@ -99,7 +99,6 @@ let pin t (b : block) =
 
 let unpin t (b : block) = Hashtbl.remove t.pinned b.id
 let is_pinned t id = Hashtbl.mem t.pinned id
-let pinned_blocks t = Hashtbl.length t.pinned
 let pinned_ids t = Hashtbl.fold (fun id () acc -> id :: acc) t.pinned []
 
 let lease t (b : block) =
@@ -117,7 +116,6 @@ let lease_count t id =
   Option.value ~default:0 (Hashtbl.find_opt t.leased id)
 
 let is_leased t id = Hashtbl.mem t.leased id
-let leased_blocks t = Hashtbl.length t.leased
 
 let leased_ids t =
   Hashtbl.fold (fun id _ acc -> id :: acc) t.leased []
@@ -289,6 +287,6 @@ let pp ppf t =
     Format.fprintf ppf "tcache [0x%x,0x%x): %d blocks, %d shards%s" t.base
       t.top (resident_blocks t)
       (Array.length t.regions)
-      (if leased_blocks t > 0 then
-         Printf.sprintf ", %d leased" (leased_blocks t)
-       else "")
+      (match Hashtbl.length t.leased with
+      | 0 -> ""
+      | n -> Printf.sprintf ", %d leased" n)

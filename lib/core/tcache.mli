@@ -144,7 +144,6 @@ val pin : t -> block -> unit
 
 val unpin : t -> block -> unit
 val is_pinned : t -> int -> bool
-val pinned_blocks : t -> int
 
 val pinned_ids : t -> int list
 (** The raw pin set, for invariant auditing (every pinned id must name
@@ -163,8 +162,6 @@ val lease_count : t -> int -> int
 (** Outstanding read leases on a block id (0 when none). *)
 
 val is_leased : t -> int -> bool
-val leased_blocks : t -> int
-(** Distinct block ids currently holding at least one lease. *)
 
 val leased_ids : t -> int list
 (** The raw lease set, for invariant auditing. *)

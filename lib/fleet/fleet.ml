@@ -14,34 +14,8 @@
 
 open Softcache
 
-type fairness = Fifo | Round_robin
-
-let fairness_table = [ ("fifo", Fifo); ("rr", Round_robin) ]
-
-let fairness_name f =
-  match List.find_opt (fun (_, v) -> v = f) fairness_table with
-  | Some (n, _) -> n
-  | None -> assert false
-
-let fairness_of_name n =
-  List.assoc_opt (String.lowercase_ascii n) fairness_table
-
-type config = {
-  clients : int;
-  fairness : fairness;
-  dedup : bool;
-  batching : bool;
-  cache_chunks : int;
-  quantum : int;
-}
-
-let config ?(clients = 4) ?(fairness = Fifo) ?(dedup = true)
-    ?(batching = true) ?(cache_chunks = 256) ?(quantum = 256) () =
-  if clients < 1 then invalid_arg "Fleet.config: clients must be >= 1";
-  if quantum < 1 then invalid_arg "Fleet.config: quantum must be >= 1";
-  if cache_chunks < 0 then
-    invalid_arg "Fleet.config: cache_chunks must be >= 0";
-  { clients; fairness; dedup; batching; cache_chunks; quantum }
+let cache_chunks = 256
+let quantum = 256
 
 type outcome =
   | Running
@@ -85,7 +59,7 @@ type session = {
 type window = { w_completes : int; w_content : Bytes.t }
 
 type t = {
-  fc : config;
+  dedup : bool;
   fnet : Netmodel.t;
   mutable sessions : session array;
   (* shared-link serialization, virtual cycles *)
@@ -100,7 +74,6 @@ type t = {
   cache_order : string Queue.t;
   mutable f_cache_hits : int;
   mutable f_cache_misses : int;
-  mutable f_cache_evictions : int;
   (* coalescing windows *)
   windows : (string, window) Hashtbl.t;
   window_order : (string * int) Queue.t;
@@ -116,7 +89,6 @@ type t = {
   base_payload : int;
   base_total : int;
   base_duplicates : int;
-  mutable rr_cursor : int;
   mutable tracer : Trace.t option;
 }
 
@@ -127,14 +99,11 @@ let trace t ev =
 
 let cache_evict_to_bound t =
   let rec drop () =
-    if Hashtbl.length t.cache >= t.fc.cache_chunks then
+    if Hashtbl.length t.cache >= cache_chunks then
       match Queue.take_opt t.cache_order with
       | None -> ()
       | Some old ->
-          if Hashtbl.mem t.cache old then begin
-            Hashtbl.remove t.cache old;
-            t.f_cache_evictions <- t.f_cache_evictions + 1
-          end;
+          Hashtbl.remove t.cache old;
           drop ()
   in
   drop ()
@@ -145,7 +114,7 @@ let cache_evict_to_bound t =
    memoized value is what Crc32 would return, so installing the hook
    never changes what any client observes — only the MC's books. *)
 let crc_stamp t payload =
-  if (not t.fc.dedup) || t.fc.cache_chunks <= 0 then Crc32.bytes payload
+  if not t.dedup then Crc32.bytes payload
   else
     let key = Bytes.to_string payload in
     match Hashtbl.find_opt t.cache key with
@@ -162,6 +131,18 @@ let crc_stamp t payload =
 
 (* --- coalescing windows ------------------------------------------- *)
 
+(* The earliest clock at which a session can still send a request: a
+   multi-hart session's controller cpu is only the hart that ran last,
+   so a lagging hart that has not halted bounds it instead. *)
+let session_clock s =
+  match s.s_shard with
+  | None -> s.s_ctrl.cpu.cycles
+  | Some sh ->
+      List.fold_left
+        (fun acc (h : Shard.hart) ->
+          if h.h_cpu.halted then acc else min acc h.h_cpu.cycles)
+        max_int (Shard.harts sh)
+
 (* Windows may only be reclaimed once no session can still join them.
    Session clocks are not monotone across transport calls (a lagging
    client's [now] is legitimately earlier than a window another client
@@ -171,7 +152,7 @@ let crc_stamp t payload =
 let horizon t =
   Array.fold_left
     (fun acc s ->
-      if s.s_outcome = Running then min acc s.s_ctrl.cpu.cycles else acc)
+      if s.s_outcome = Running then min acc (session_clock s) else acc)
     max_int t.sessions
 
 let prune_windows t =
@@ -189,7 +170,7 @@ let prune_windows t =
   go ()
 
 let open_window t key ~completes ~content =
-  if t.fc.dedup then begin
+  if t.dedup then begin
     Hashtbl.replace t.windows key { w_completes = completes; w_content = content };
     Queue.add (key, completes) t.window_order
   end
@@ -219,7 +200,7 @@ let transport t s ~vaddr ~prefetch_vaddrs ~payloads =
   let key = Bytes.to_string demand in
   prune_windows t;
   let joinable =
-    if t.fc.dedup then
+    if t.dedup then
       match Hashtbl.find_opt t.windows key with
       | Some w when now < w.w_completes -> Some w
       | _ -> None
@@ -239,8 +220,7 @@ let transport t s ~vaddr ~prefetch_vaddrs ~payloads =
   | None ->
       let dispatch_at = max now t.link_free_at in
       let queued = dispatch_at - now in
-      if t.fc.batching && now < t.link_free_at && now <= t.frame_open_until
-      then begin
+      if now < t.link_free_at && now <= t.frame_open_until then begin
         (* The frame occupying the link had not yet departed when this
            request arrived (in virtual time): append the segments to it
            at marginal per-byte cost — no second latency or header. *)
@@ -284,18 +264,17 @@ let transport t s ~vaddr ~prefetch_vaddrs ~payloads =
 
 (* --- construction -------------------------------------------------- *)
 
-let default_config = config ()
-
 (* [sizing] is the auto-size admission hook: for client [i] it returns
    the [Sizing.estimate]-predicted smallest acceptable tcache in bytes
    (the caller runs the analytic model — the profiler lives above this
    layer). An under-provisioned client is admitted at the predicted
    size instead of its configured one; the summary reports both. *)
-let create ?(config = default_config) ?sizing ~net mk_cfg images =
+let create ?(clients = 4) ?(dedup = true) ?sizing ~net mk_cfg images =
+  if clients < 1 then invalid_arg "Fleet.create: clients must be >= 1";
   if Array.length images = 0 then invalid_arg "Fleet.create: no images";
   let t =
     {
-      fc = config;
+      dedup;
       fnet = net;
       sessions = [||];
       now = 0;
@@ -305,7 +284,6 @@ let create ?(config = default_config) ?sizing ~net mk_cfg images =
       cache_order = Queue.create ();
       f_cache_hits = 0;
       f_cache_misses = 0;
-      f_cache_evictions = 0;
       windows = Hashtbl.create 32;
       window_order = Queue.create ();
       f_attempts = 0;
@@ -316,14 +294,13 @@ let create ?(config = default_config) ?sizing ~net mk_cfg images =
       base_payload = Netmodel.payload_bytes net;
       base_total = Netmodel.total_bytes net;
       base_duplicates = Netmodel.duplicates net;
-      rr_cursor = 0;
       tracer = None;
     }
   in
   (* the transport hooks close over [t], so the sessions are stitched in
      after the record exists *)
   t.sessions <-
-    Array.init config.clients (fun i ->
+    Array.init clients (fun i ->
         let cfg = { (mk_cfg i) with Config.net } in
         let predicted = match sizing with Some f -> f i | None -> None in
         let cfg =
@@ -366,67 +343,6 @@ let attach_tracer t tr =
 
 (* --- scheduling ----------------------------------------------------- *)
 
-(* Binary min-heap of (virtual clock, session id) keys, compared
-   lexicographically — the Fifo scheduler's pick structure. The old
-   linear scan rescanned every session per quantum pick, O(N) each; the
-   heap makes a pick O(log N). The lexicographic order is exactly the
-   scan's fold (strict [<] on clocks, first-visited — i.e. lowest id —
-   wins ties), so the two are pick-identical; the qcheck equivalence
-   property in test_fleet drives both against random schedules. *)
-module Clockheap = struct
-  type t = { mutable keys : (int * int) array; mutable len : int }
-
-  let create ?(capacity = 16) () =
-    { keys = Array.make (max 1 capacity) (0, 0); len = 0 }
-
-  let length h = h.len
-  let is_empty h = h.len = 0
-  let lt (c1, i1) (c2, i2) = c1 < c2 || (c1 = c2 && i1 < i2)
-
-  let swap h i j =
-    let tmp = h.keys.(i) in
-    h.keys.(i) <- h.keys.(j);
-    h.keys.(j) <- tmp
-
-  let rec sift_up h i =
-    if i > 0 then begin
-      let p = (i - 1) / 2 in
-      if lt h.keys.(i) h.keys.(p) then begin
-        swap h i p;
-        sift_up h p
-      end
-    end
-
-  let rec sift_down h i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let m = if l < h.len && lt h.keys.(l) h.keys.(i) then l else i in
-    let m = if r < h.len && lt h.keys.(r) h.keys.(m) then r else m in
-    if m <> i then begin
-      swap h i m;
-      sift_down h m
-    end
-
-  let push h ~clock ~id =
-    if h.len = Array.length h.keys then begin
-      let bigger = Array.make (2 * h.len) (0, 0) in
-      Array.blit h.keys 0 bigger 0 h.len;
-      h.keys <- bigger
-    end;
-    h.keys.(h.len) <- (clock, id);
-    h.len <- h.len + 1;
-    sift_up h (h.len - 1)
-
-  let pop h =
-    if h.len = 0 then None
-    else begin
-      let top = h.keys.(0) in
-      h.len <- h.len - 1;
-      h.keys.(0) <- h.keys.(h.len);
-      if h.len > 0 then sift_down h 0;
-      Some top
-    end
-end
-
 let runnable s = s.s_outcome = Running
 
 (* Multi-hart sessions retire instructions on several cpus; fuel
@@ -445,90 +361,44 @@ let session_run ~fuel s =
   | None -> Controller.run ~fuel s.s_ctrl
   | Some sh -> Shard.run ~fuel sh
 
-let pick_rr t =
-  let n = Array.length t.sessions in
-  let rec scan k =
-    if k >= n then None
-    else
-      let s = t.sessions.((t.rr_cursor + k) mod n) in
-      if runnable s then begin
-        t.rr_cursor <- (t.rr_cursor + k + 1) mod n;
-        Some s
-      end
-      else scan (k + 1)
-  in
-  scan 0
+(* Serve the least-advanced virtual clock first (the shared-link
+   arrival order a real MC would observe); ties break to the lowest
+   session id so the schedule is total and deterministic. One scan per
+   quantum: fleets are a handful of clients. *)
+let pick t =
+  Array.fold_left
+    (fun best s ->
+      if not (runnable s) then best
+      else
+        match best with
+        | Some b when b.s_ctrl.cpu.cycles <= s.s_ctrl.cpu.cycles -> best
+        | _ -> Some s)
+    None t.sessions
 
-(* One quantum for session [s]. Returns true while the session should
-   stay in the schedule. *)
+(* One quantum for session [s]; a session leaving [Running] drops out
+   of the schedule. *)
 let step ~fuel t s =
   let left = fuel - session_retired s in
-  if left <= 0 then begin
-    s.s_outcome <- Out_of_fuel;
-    false
-  end
+  if left <= 0 then s.s_outcome <- Out_of_fuel
   else begin
-    let slice = min t.fc.quantum left in
     t.now <- s.s_ctrl.cpu.cycles;
-    match session_run ~fuel:slice s with
-    | Machine.Cpu.Halted ->
-        s.s_outcome <- Halted;
-        false
+    match session_run ~fuel:(min quantum left) s with
+    | Machine.Cpu.Halted -> s.s_outcome <- Halted
     | Machine.Cpu.Out_of_fuel ->
-        if fuel - session_retired s <= 0 then begin
-          s.s_outcome <- Out_of_fuel;
-          false
-        end
-        else true
+        if fuel - session_retired s <= 0 then s.s_outcome <- Out_of_fuel
     | exception Controller.Chunk_unavailable { vaddr; attempts } ->
-        s.s_outcome <- Unavailable { vaddr; attempts };
-        false
+        s.s_outcome <- Unavailable { vaddr; attempts }
   end
-
-(* Fifo = serve the least-advanced virtual clock first (the shared-link
-   arrival order a real MC would observe); ties break to the lowest
-   session id so the schedule is total and deterministic. Heap keys
-   cannot go stale while queued — a session's clock only advances when
-   it is picked and run, and it is re-pushed with the fresh clock — but
-   resumed [run] calls rebuild the heap, and the staleness check keeps
-   the pick honest should a future hook ever move a waiting clock. *)
-let run_fifo ~fuel t =
-  let heap = Clockheap.create ~capacity:(Array.length t.sessions) () in
-  Array.iter
-    (fun s ->
-      if runnable s then
-        Clockheap.push heap ~clock:s.s_ctrl.cpu.cycles ~id:s.s_id)
-    t.sessions;
-  let rec loop () =
-    match Clockheap.pop heap with
-    | None -> ()
-    | Some (clock, id) ->
-        let s = t.sessions.(id) in
-        if not (runnable s) then loop ()
-        else if s.s_ctrl.cpu.cycles <> clock then begin
-          Clockheap.push heap ~clock:s.s_ctrl.cpu.cycles ~id;
-          loop ()
-        end
-        else begin
-          if step ~fuel t s then
-            Clockheap.push heap ~clock:s.s_ctrl.cpu.cycles ~id;
-          loop ()
-        end
-  in
-  loop ()
 
 let run ?(fuel = 2_000_000) t =
-  match t.fc.fairness with
-  | Fifo -> run_fifo ~fuel t
-  | Round_robin ->
-      let rec loop () =
-        match pick_rr t with
-        | None -> ()
-        | Some s ->
-            let (_ : bool) = step ~fuel t s in
-            loop ()
-      in
-      loop ()
+  let rec loop () =
+    match pick t with
+    | None -> ()
+    | Some s ->
+        step ~fuel t s;
+        loop ()
+  in
+  loop ()
 
 (* --- introspection -------------------------------------------------- *)
 
@@ -536,23 +406,17 @@ let session_id s = s.s_id
 let controller s = s.s_ctrl
 let image s = s.s_image
 let shard s = s.s_shard
-let predicted_tcache s = s.s_predicted
-let outcome s = s.s_outcome
 let requested s v = Hashtbl.mem s.s_requested v
 let fetches s = s.s_fetches
 let session_coalesced s = s.s_coalesced
 let stall_samples s = List.rev_map float_of_int s.s_stalls
-let config_of t = t.fc
-let net t = t.fnet
+let dedup t = t.dedup
 let sessions t = t.sessions
 let attempts t = t.f_attempts
 let frames t = t.f_frames
 let coalesced t = t.f_coalesced
 let piggybacked t = t.f_piggybacked
-let cache_hits t = t.f_cache_hits
-let cache_misses t = t.f_cache_misses
 let cache_entries t = Hashtbl.length t.cache
-let cache_evictions t = t.f_cache_evictions
 let messages_delta t = Netmodel.messages t.fnet - t.base_messages
 let duplicates_delta t = Netmodel.duplicates t.fnet - t.base_duplicates
 
@@ -571,33 +435,13 @@ type client_stats = {
   c_harts : int;
   c_tcache_bytes : int;  (* the size the client was admitted at *)
   c_predicted_bytes : int option;
-      (** [Sizing]-predicted smallest acceptable tcache under
-          [create ?sizing]; [None] when auto-sizing was off *)
   c_stall_p50 : float option;
-      (** [None] when the client recorded no stall samples — e.g. every
-          chunk arrived via another client's dedup window before this
-          one ever touched the wire. Masking the empty case as 0.0
-          would be indistinguishable from a genuinely stall-free
-          population; [Report.percentile] itself stays strict. *)
+      (* [None] when the client recorded no stall samples — e.g. every
+         chunk arrived via another client's dedup window before this
+         one ever touched the wire. Masking the empty case as 0.0
+         would be indistinguishable from a genuinely stall-free
+         population; [Report.percentile] itself stays strict. *)
   c_stall_p99 : float option;
-}
-
-type summary = {
-  f_clients : int;
-  f_fairness : fairness;
-  f_dedup : bool;
-  f_batching : bool;
-  f_attempts : int;
-  f_frames : int;
-  f_coalesced : int;
-  f_piggybacked : int;
-  f_cache_hits : int;
-  f_cache_misses : int;
-  f_cache_entries : int;
-  f_messages : int;
-  f_payload_bytes : int;
-  f_wire_bytes : int;
-  f_per_client : client_stats list;
 }
 
 let client_stats s =
@@ -632,65 +476,36 @@ let client_stats s =
     c_stall_p99 = pct 99.0;
   }
 
-let summary t =
-  {
-    f_clients = t.fc.clients;
-    f_fairness = t.fc.fairness;
-    f_dedup = t.fc.dedup;
-    f_batching = t.fc.batching;
-    f_attempts = t.f_attempts;
-    f_frames = t.f_frames;
-    f_coalesced = t.f_coalesced;
-    f_piggybacked = t.f_piggybacked;
-    f_cache_hits = t.f_cache_hits;
-    f_cache_misses = t.f_cache_misses;
-    f_cache_entries = Hashtbl.length t.cache;
-    f_messages = messages_delta t;
-    f_payload_bytes = Netmodel.payload_bytes t.fnet - t.base_payload;
-    f_wire_bytes = Netmodel.total_bytes t.fnet - t.base_total;
-    f_per_client = Array.to_list (Array.map client_stats t.sessions);
-  }
-
-let stall_str = function
-  | Some v -> Printf.sprintf "%.0f" v
-  | None -> "n/a"
-
 let summary_fields t =
-  let s = summary t in
-  let joined f =
-    String.concat ";" (List.map f s.f_per_client)
-  in
-  let outcome_str c = Format.asprintf "%a" pp_outcome c.c_outcome in
+  let clients = Array.to_list (Array.map client_stats t.sessions) in
+  let joined f = String.concat ";" (List.map f clients) in
+  let int = string_of_int in
+  let opt f = function Some v -> f v | None -> "n/a" in
+  let stall = opt (Printf.sprintf "%.0f") in
   [
-    ("clients", string_of_int s.f_clients);
-    ("fairness", fairness_name s.f_fairness);
-    ("dedup", string_of_bool s.f_dedup);
-    ("batching", string_of_bool s.f_batching);
-    ("attempts", string_of_int s.f_attempts);
-    ("frames", string_of_int s.f_frames);
-    ("coalesced", string_of_int s.f_coalesced);
-    ("piggybacked", string_of_int s.f_piggybacked);
-    ("cache_hits", string_of_int s.f_cache_hits);
-    ("cache_misses", string_of_int s.f_cache_misses);
-    ("cache_entries", string_of_int s.f_cache_entries);
-    ("messages", string_of_int s.f_messages);
-    ("payload_bytes", string_of_int s.f_payload_bytes);
-    ("wire_bytes", string_of_int s.f_wire_bytes);
-    ("outcomes", joined outcome_str);
-    ("cycles", joined (fun c -> string_of_int c.c_cycles));
-    ("retired", joined (fun c -> string_of_int c.c_retired));
-    ("translations", joined (fun c -> string_of_int c.c_translations));
-    ("traps", joined (fun c -> string_of_int c.c_traps));
+    ("clients", int (Array.length t.sessions));
+    ("dedup", string_of_bool t.dedup);
+    ("attempts", int t.f_attempts);
+    ("frames", int t.f_frames);
+    ("coalesced", int t.f_coalesced);
+    ("piggybacked", int t.f_piggybacked);
+    ("cache_hits", int t.f_cache_hits);
+    ("cache_misses", int t.f_cache_misses);
+    ("cache_entries", int (cache_entries t));
+    ("messages", int (messages_delta t));
+    ("payload_bytes", int (Netmodel.payload_bytes t.fnet - t.base_payload));
+    ("wire_bytes", int (Netmodel.total_bytes t.fnet - t.base_total));
+    ("outcomes", joined (fun c -> Format.asprintf "%a" pp_outcome c.c_outcome));
+    ("cycles", joined (fun c -> int c.c_cycles));
+    ("retired", joined (fun c -> int c.c_retired));
+    ("translations", joined (fun c -> int c.c_translations));
+    ("traps", joined (fun c -> int c.c_traps));
     ("workloads", joined (fun c -> c.c_workload));
-    ("harts", joined (fun c -> string_of_int c.c_harts));
-    ("tcache_bytes", joined (fun c -> string_of_int c.c_tcache_bytes));
-    ( "predicted_bytes",
-      joined (fun c ->
-          match c.c_predicted_bytes with
-          | Some p -> string_of_int p
-          | None -> "n/a") );
-    ("stall_p50", joined (fun c -> stall_str c.c_stall_p50));
-    ("stall_p99", joined (fun c -> stall_str c.c_stall_p99));
+    ("harts", joined (fun c -> int c.c_harts));
+    ("tcache_bytes", joined (fun c -> int c.c_tcache_bytes));
+    ("predicted_bytes", joined (fun c -> opt int c.c_predicted_bytes));
+    ("stall_p50", joined (fun c -> stall c.c_stall_p50));
+    ("stall_p99", joined (fun c -> stall c.c_stall_p99));
   ]
 
 let print_summary t =

@@ -8,7 +8,7 @@
 
     - {b per-client sessions}: each client keeps its own tcache,
       statistics and virtual clock ([cpu.cycles]); the fleet advances
-      them in bounded slices under a pluggable fairness policy;
+      them in 256-instruction slices, least-advanced clock first;
     - {b a shared server-side chunk cache with content dedup}: CRC
       stamps are memoized by exact payload content, so identical chunks
       requested by many clients are chunked and CRC-computed once
@@ -25,78 +25,16 @@
       time; a request finding the link busy queues until it frees, and
       the queueing wait is charged to the requesting client's clock.
 
-    Everything is deterministic: same seed, same config, same workloads
-    — same byte-for-byte summary. A 1-client fleet is {e cycle-identical}
-    to the plain single-controller path ([Check.Lockstep.fleet] proves
-    it): queueing wait is provably zero, coalescing and batching cannot
-    trigger, and the dedup cache memoizes values it would have computed
-    anyway. *)
+    Everything is deterministic: same seed, same settings, same
+    workloads — same byte-for-byte summary. A 1-client fleet is
+    {e cycle-identical} to the plain single-controller path
+    ([Check.Lockstep.fleet] proves it): queueing wait is provably zero,
+    coalescing and batching cannot trigger, and the dedup cache
+    memoizes values it would have computed anyway. *)
 
-(** {1 Scheduler pick structure} *)
-
-(** Binary min-heap of [(virtual clock, session id)] keys in
-    lexicographic order — the Fifo scheduler's O(log N) replacement for
-    the old O(N) rescan-everything pick. Exposed so the qcheck
-    equivalence property can drive it against the linear-scan reference
-    over random schedules. *)
-module Clockheap : sig
-  type t
-
-  val create : ?capacity:int -> unit -> t
-  (** Empty heap; [capacity] (default 16) is a hint, the array grows. *)
-
-  val length : t -> int
-  val is_empty : t -> bool
-
-  val push : t -> clock:int -> id:int -> unit
-
-  val pop : t -> (int * int) option
-  (** Remove and return the minimal [(clock, id)] key: lowest clock,
-      ties to the lowest id — exactly the fold order of a linear scan
-      keeping the strictly-smaller clock with first-visited wins. *)
-end
-
-(** {1 Fairness policies} *)
-
-type fairness =
-  | Fifo  (** least-advanced virtual clock runs next (ties: lowest id) *)
-  | Round_robin  (** strict cyclic order over runnable sessions *)
-
-val fairness_table : (string * fairness) list
-(** The one place CLI flags, printers and sweeps draw the valid set
-    from — the [Config.eviction_table] idiom. *)
-
-val fairness_name : fairness -> string
-val fairness_of_name : string -> fairness option
-
-(** {1 Configuration} *)
-
-type config = private {
-  clients : int;  (** number of CC sessions (>= 1) *)
-  fairness : fairness;
-  dedup : bool;
-      (** shared chunk cache + request coalescing; off = the baseline
-          every dedup gate compares against *)
-  batching : bool;  (** cross-client frame piggybacking *)
-  cache_chunks : int;
-      (** bound on shared chunk-cache entries (content-addressed,
-          FIFO-evicted); 0 disables the cache even with [dedup] *)
-  quantum : int;  (** instructions per scheduling slice *)
-}
-
-val config :
-  ?clients:int ->
-  ?fairness:fairness ->
-  ?dedup:bool ->
-  ?batching:bool ->
-  ?cache_chunks:int ->
-  ?quantum:int ->
-  unit ->
-  config
-(** Defaults: 4 clients, [Fifo], dedup and batching on, 256 cache
-    entries, 256-instruction quantum.
-    @raise Invalid_argument on [clients < 1], [quantum < 1] or
-    [cache_chunks < 0]. *)
+val cache_chunks : int
+(** Bound on shared chunk-cache entries (256; content-addressed,
+    FIFO-evicted). *)
 
 (** {1 Sessions} *)
 
@@ -107,8 +45,6 @@ type outcome =
   | Unavailable of { vaddr : int; attempts : int }
       (** the shared link gave up on a chunk for this client; the other
           sessions keep running *)
-
-val pp_outcome : Format.formatter -> outcome -> unit
 
 type session
 
@@ -124,13 +60,6 @@ val shard : session -> Softcache.Shard.t option
 (** The multi-hart wrapper, when the session's [Config.harts > 1]; such
     sessions advance through [Shard.run] (their controller's cpu is only
     one hart among several). [None] for single-hart clients. *)
-
-val predicted_tcache : session -> int option
-(** The [Sizing]-predicted smallest acceptable tcache in bytes that the
-    [?sizing] admission hook returned for this client; [None] when
-    auto-sizing was off. *)
-
-val outcome : session -> outcome
 
 val requested : session -> int -> bool
 (** Has this session ever requested the chunk at this vaddr (as a
@@ -155,18 +84,22 @@ val stall_samples : session -> float list
 type t
 
 val create :
-  ?config:config ->
+  ?clients:int ->
+  ?dedup:bool ->
   ?sizing:(int -> int option) ->
   net:Netmodel.t ->
   (int -> Softcache.Config.t) ->
   Isa.Image.t array ->
   t
-(** [create ~net mk_cfg images] builds [config.clients] sessions;
+(** [create ~net mk_cfg images] builds [clients] sessions (default 4);
     session [i] runs [images.(i mod length)] under [mk_cfg i] with its
     [Config.net] replaced by the shared link [net] (pass the net from
     one of the configs to share its fault schedule). The sessions'
     [mc_transport] and [mc_crc] hooks are pointed at the fleet MC; no
     session starts executing until {!run}.
+
+    [dedup] (default on) enables the shared chunk cache and request
+    coalescing; off is the baseline every dedup gate compares against.
 
     [sizing] is the auto-size admission hook: for client [i] it returns
     the [Sizing.estimate]-predicted smallest acceptable tcache in bytes
@@ -179,14 +112,14 @@ val create :
     A client whose config asks for [harts > 1] is wrapped in a
     {!Softcache.Shard} and advanced through the shard scheduler; its
     fuel is measured on the furthest hart.
-    @raise Invalid_argument if [images] is empty. *)
+    @raise Invalid_argument if [clients < 1] or [images] is empty. *)
 
 val run : ?fuel:int -> t -> unit
 (** Drive every session to halt (or [fuel] retired instructions per
-    client, default 2M; or chunk unavailability) in
-    [config.quantum]-instruction slices ordered by the fairness
-    policy. Deterministic; idempotent once every session has left
-    [Running]. *)
+    client, default 2M; or chunk unavailability) in 256-instruction
+    slices, always serving the running session with the lowest
+    virtual clock (ties: lowest id). Deterministic; idempotent
+    once every session has left [Running]. *)
 
 val attach_tracer : t -> Trace.t -> unit
 (** Attach a structured-event observer: fleet events (requests,
@@ -196,8 +129,7 @@ val attach_tracer : t -> Trace.t -> unit
 
 (** {1 Introspection (audit surface)} *)
 
-val config_of : t -> config
-val net : t -> Netmodel.t
+val dedup : t -> bool
 val sessions : t -> session array
 
 val attempts : t -> int
@@ -213,10 +145,7 @@ val coalesced : t -> int
 val piggybacked : t -> int
 (** Attempts that rode a frame still occupying the link. *)
 
-val cache_hits : t -> int
-val cache_misses : t -> int
 val cache_entries : t -> int
-val cache_evictions : t -> int
 
 val messages_delta : t -> int
 (** Shared-link messages accounted since {!create} — with the fleet as
@@ -252,35 +181,14 @@ type client_stats = {
   c_stall_p99 : float option;
 }
 
-type summary = {
-  f_clients : int;
-  f_fairness : fairness;
-  f_dedup : bool;
-  f_batching : bool;
-  f_attempts : int;
-  f_frames : int;
-  f_coalesced : int;
-  f_piggybacked : int;
-  f_cache_hits : int;
-  f_cache_misses : int;
-  f_cache_entries : int;
-  f_messages : int;  (** shared-link messages since [create] *)
-  f_payload_bytes : int;  (** shared-link payload bytes since [create] *)
-  f_wire_bytes : int;
-      (** payload + per-message protocol overhead since [create] — the
-          aggregate-wire-bytes fleet metric *)
-  f_per_client : client_stats list;  (** ascending by [c_id] *)
-}
-
 val client_stats : session -> client_stats
 
-val summary : t -> summary
-
 val summary_fields : t -> (string * string) list
-(** The summary as a stable, ordered key/value row — exactly what the
-    fleetsweep bench writes to BENCH_fleet.json, and what the
-    determinism test compares byte-for-byte across two runs.
-    Per-client values are ";"-joined in session order. *)
+(** The fleet's MC counters, shared-link deltas and per-client stats as
+    a stable, ordered key/value row — exactly what the fleetsweep bench
+    writes to BENCH_fleet.json, and what the determinism test compares
+    byte-for-byte across two runs. Per-client values are ";"-joined in
+    session order. *)
 
 val print_summary : t -> unit
-(** Render {!summary} as [Report.kv] lines. *)
+(** Render {!summary_fields} as [Report.kv] lines. *)

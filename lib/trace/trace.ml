@@ -84,8 +84,11 @@ let event_type = function
   | Dc_refill _ -> "dc_refill"
 
 (* The JSONL schema: every event is its type tag plus these integer
-   fields (faults carry a string). Exporters and the validator are both
-   derived from this single description so they cannot drift. *)
+   fields (faults and eviction reasons carry a string). The exporters
+   write [fields]; the validator checks against [schema_fields] below,
+   a second table keyed by type tag. test_trace's "every event kind
+   passes the schema" case emits every constructor and validates both
+   exports, which is what keeps the two tables in step. *)
 let fields = function
   | Cc_miss { pc } -> [ ("pc", pc) ]
   | Cc_translated { chunk; base; words } ->

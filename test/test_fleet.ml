@@ -136,95 +136,6 @@ let test_piggyback_deterministic () =
     (Netmodel.corruptions n2)
 
 (* ------------------------------------------------------------------ *)
-(* Clockheap: the Fifo scheduler's O(log N) pick structure. The pick
-   must be indistinguishable from the old linear rescan — strictly
-   smaller clock wins, ties to the first-visited (lowest) id — so the
-   fleet's deterministic bench rows cannot move. *)
-
-let test_clockheap_order () =
-  let h = Fleet.Clockheap.create ~capacity:2 () in
-  Alcotest.(check bool) "fresh heap empty" true (Fleet.Clockheap.is_empty h);
-  Alcotest.(check (option (pair int int))) "pop on empty" None
-    (Fleet.Clockheap.pop h);
-  List.iter
-    (fun (c, i) -> Fleet.Clockheap.push h ~clock:c ~id:i)
-    [ (5, 2); (3, 7); (5, 1); (3, 4); (9, 0); (3, 9) ];
-  Alcotest.(check int) "length counts pushes" 6 (Fleet.Clockheap.length h);
-  let rec drain acc =
-    match Fleet.Clockheap.pop h with
-    | Some k -> drain (k :: acc)
-    | None -> List.rev acc
-  in
-  Alcotest.(check (list (pair int int)))
-    "lexicographic (clock, id) order"
-    [ (3, 4); (3, 7); (3, 9); (5, 1); (5, 2); (9, 0) ]
-    (drain []);
-  Alcotest.(check bool) "drained" true (Fleet.Clockheap.is_empty h)
-
-let test_clockheap_grows () =
-  (* past the initial capacity hint the array doubles transparently *)
-  let h = Fleet.Clockheap.create ~capacity:2 () in
-  for i = 99 downto 0 do
-    Fleet.Clockheap.push h ~clock:(i * 7 mod 13) ~id:i
-  done;
-  Alcotest.(check int) "all pushed" 100 (Fleet.Clockheap.length h);
-  let rec drain prev n =
-    match Fleet.Clockheap.pop h with
-    | None -> n
-    | Some k ->
-      Alcotest.(check bool) "non-decreasing keys" true (prev <= k);
-      drain k (n + 1)
-  in
-  Alcotest.(check int) "all popped" 100 (drain (min_int, min_int) 0)
-
-(* the old pick: one linear scan over the session array in id order,
-   keeping the strictly smaller clock (first visited wins ties) *)
-let linear_scan_pick clocks active =
-  let best = ref None in
-  Array.iteri
-    (fun id c ->
-      if active.(id) then
-        match !best with
-        | Some (bc, _) when bc <= c -> ()
-        | _ -> best := Some (c, id))
-    clocks;
-  !best
-
-let prop_clockheap_pick_identity =
-  QCheck.Test.make ~count:400
-    ~name:"Clockheap pick = linear-scan pick over random schedules"
-    QCheck.(
-      pair
-        (list_of_size (Gen.int_range 1 12) (int_bound 1_000))
-        (small_list (pair (int_bound 500) bool)))
-    (fun (init, ops) ->
-      (* the run_fifo shape: pop the minimal session, advance its clock
-         by a quantum's worth of cycles, re-push unless it left the
-         schedule — checking every pick against the linear scan *)
-      let clocks = Array.of_list init in
-      let active = Array.make (Array.length clocks) true in
-      let h = Fleet.Clockheap.create () in
-      Array.iteri (fun id c -> Fleet.Clockheap.push h ~clock:c ~id) clocks;
-      let ok = ref true in
-      let rec drive ops =
-        match Fleet.Clockheap.pop h with
-        | None -> if linear_scan_pick clocks active <> None then ok := false
-        | Some (clock, id) -> (
-          (match linear_scan_pick clocks active with
-          | Some (rc, rid) when rc = clock && rid = id -> ()
-          | _ -> ok := false);
-          match ops with
-          | [] -> ()
-          | (quantum_cycles, stays) :: rest ->
-            clocks.(id) <- clocks.(id) + quantum_cycles;
-            if stays then Fleet.Clockheap.push h ~clock:clocks.(id) ~id
-            else active.(id) <- false;
-            drive rest)
-      in
-      drive ops;
-      !ok)
-
-(* ------------------------------------------------------------------ *)
 (* fleet behaviour *)
 
 let compress_img =
@@ -246,10 +157,7 @@ let mk_fleet ?(clients = 4) ?(dedup = true) ?faults () =
     Softcache.Config.make ~tcache_bytes:4096
       ~chunking:Softcache.Config.Basic_block ~net ()
   in
-  Fleet.create
-    ~config:(Fleet.config ~clients ~dedup ())
-    ~net mk_cfg
-    [| Lazy.force compress_img |]
+  Fleet.create ~clients ~dedup ~net mk_cfg [| Lazy.force compress_img |]
 
 let test_fleet_deterministic () =
   (* same seed, same config: byte-identical summary rows — the
@@ -293,7 +201,7 @@ let test_fleet_dedup_cuts_wire () =
   let wire dedup =
     let fl = mk_fleet ~dedup () in
     Fleet.run ~fuel:400_000 fl;
-    (Fleet.summary fl).Fleet.f_wire_bytes
+    int_of_string (List.assoc "wire_bytes" (Fleet.summary_fields fl))
   in
   let on = wire true and off = wire false in
   Alcotest.(check bool)
@@ -329,10 +237,7 @@ let test_fleet_autosize_admission () =
     | _ -> None
   in
   let fl =
-    Fleet.create
-      ~config:(Fleet.config ~clients:3 ())
-      ~sizing ~net mk_cfg
-      [| Lazy.force compress_img |]
+    Fleet.create ~clients:3 ~sizing ~net mk_cfg [| Lazy.force compress_img |]
   in
   let stats =
     List.map Fleet.client_stats (Array.to_list (Fleet.sessions fl))
@@ -362,9 +267,7 @@ let test_fleet_heterogeneous_workloads () =
       ~chunking:Softcache.Config.Basic_block ~net ()
   in
   let images = [| Lazy.force compress_img; Lazy.force adpcm_img |] in
-  let fl =
-    Fleet.create ~config:(Fleet.config ~clients:4 ()) ~net mk_cfg images
-  in
+  let fl = Fleet.create ~clients:4 ~net mk_cfg images in
   Fleet.run ~fuel:200_000 fl;
   Array.iteri
     (fun i s ->
@@ -388,10 +291,7 @@ let test_fleet_multihart_sessions () =
       ~chunking:Softcache.Config.Basic_block ~harts:2 ~sched_seed:5 ~net ()
   in
   let fl =
-    Fleet.create
-      ~config:(Fleet.config ~clients:2 ())
-      ~net mk_cfg
-      [| Lazy.force compress_img |]
+    Fleet.create ~clients:2 ~net mk_cfg [| Lazy.force compress_img |]
   in
   Fleet.run ~fuel:150_000 fl;
   Array.iter
@@ -410,6 +310,26 @@ let test_fleet_multihart_sessions () =
   | [] -> ()
   | v :: _ ->
     Alcotest.failf "multi-hart fleet audit: %a" Check.Audit.pp_violation v
+
+let test_fleet_multihart_horizon () =
+  (* windows are pruned below the slowest running hart of a multi-hart
+     session, not below whichever hart ran last: a lagging hart joins
+     the frame it can still reach instead of sending its own. Reading
+     the last-run hart gave 9194 joins and 21130 frames here. *)
+  let net = shared_link () in
+  let mk_cfg _ =
+    Softcache.Config.make ~tcache_bytes:4096
+      ~chunking:Softcache.Config.Basic_block ~harts:2 ~sched_seed:5 ~net ()
+  in
+  let fl = Fleet.create ~clients:2 ~net mk_cfg [| Lazy.force compress_img |] in
+  Fleet.run ~fuel:400_000 fl;
+  let field k = List.assoc k (Fleet.summary_fields fl) in
+  Alcotest.(check string) "coalesced joins" "9209" (field "coalesced");
+  Alcotest.(check string) "frames" "21117" (field "frames");
+  match Check.Audit.fleet fl with
+  | [] -> ()
+  | v :: _ ->
+    Alcotest.failf "multi-hart horizon audit: %a" Check.Audit.pp_violation v
 
 (* ------------------------------------------------------------------ *)
 (* superblock working-set-knee regression: at 16 KB mpeg2enc sits at
@@ -473,13 +393,6 @@ let () =
           Alcotest.test_case "piggyback deterministic" `Quick
             test_piggyback_deterministic;
         ] );
-      ( "clockheap",
-        [
-          Alcotest.test_case "lexicographic pop order" `Quick
-            test_clockheap_order;
-          Alcotest.test_case "capacity growth" `Quick test_clockheap_grows;
-          QCheck_alcotest.to_alcotest prop_clockheap_pick_identity;
-        ] );
       ( "fleet",
         [
           Alcotest.test_case "deterministic summary" `Quick
@@ -495,6 +408,8 @@ let () =
             test_fleet_heterogeneous_workloads;
           Alcotest.test_case "multi-hart sessions" `Quick
             test_fleet_multihart_sessions;
+          Alcotest.test_case "multi-hart coalescing horizon" `Quick
+            test_fleet_multihart_horizon;
         ] );
       ( "superblock-knee",
         [

@@ -204,16 +204,14 @@ let test_fleet_empty_stalls_render_na () =
   let img = prog_sum 10 in
   let net = Netmodel.local () in
   let mk_cfg _ = Softcache.Config.make ~tcache_bytes:4096 ~net () in
-  let fl =
-    Fleet.create ~config:(Fleet.config ~clients:2 ()) ~net mk_cfg [| img |]
-  in
+  let fl = Fleet.create ~clients:2 ~net mk_cfg [| img |] in
   (* before any instruction runs, no session has a stall sample — the
      summary must say so rather than fabricate a 0-cycle percentile *)
-  List.iter
+  Array.iter
     (fun (c : Fleet.client_stats) ->
       Alcotest.(check bool) "p50 is None" true (c.c_stall_p50 = None);
       Alcotest.(check bool) "p99 is None" true (c.c_stall_p99 = None))
-    (Fleet.summary fl).f_per_client;
+    (Array.map Fleet.client_stats (Fleet.sessions fl));
   let fields = Fleet.summary_fields fl in
   Alcotest.(check string) "p50 rendered" "n/a;n/a"
     (List.assoc "stall_p50" fields);
@@ -222,11 +220,11 @@ let test_fleet_empty_stalls_render_na () =
   (* after a run every session fetched at least its entry chunk, so the
      percentiles come back as numbers *)
   Fleet.run ~fuel:200_000 fl;
-  List.iter
+  Array.iter
     (fun (c : Fleet.client_stats) ->
       Alcotest.(check bool) "p50 present after run" true
         (c.c_stall_p50 <> None))
-    (Fleet.summary fl).f_per_client
+    (Array.map Fleet.client_stats (Fleet.sessions fl))
 
 (* ------------------------------------------------------------------ *)
 (* Satellite: fleet stall samples reach the trace, and both exporters
@@ -236,9 +234,7 @@ let test_fl_stall_traced () =
   let img = prog_sum 200 in
   let net = Netmodel.ethernet_10mbps () in
   let mk_cfg _ = Softcache.Config.make ~tcache_bytes:4096 ~net () in
-  let fl =
-    Fleet.create ~config:(Fleet.config ~clients:2 ()) ~net mk_cfg [| img |]
-  in
+  let fl = Fleet.create ~clients:2 ~net mk_cfg [| img |] in
   let tr = Trace.create () in
   Fleet.attach_tracer fl tr;
   Fleet.run ~fuel:500_000 fl;

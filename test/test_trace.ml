@@ -7,9 +7,9 @@
    [Check.Lockstep.trace] differential runner across the whole workload
    registry, plus a mutation test proving the runner is not vacuous.
 
-   Satellites: the ring bound on [Stats] eviction events, the shared
-   [Bitmath] helpers, [Report.Series] negative-bar and CSV-escaping
-   regressions, and schema validation of both exporters' real output. *)
+   Satellites: the shared [Bitmath] helpers, [Report.Series]
+   negative-bar and CSV-escaping regressions, and schema validation of
+   both exporters' real output and of every event constructor. *)
 
 let reg = Isa.Reg.r
 
@@ -321,6 +321,99 @@ let test_chrome_export_validates () =
   | Ok n -> Alcotest.(check bool) "non-trivial" true (n > 0)
   | Error e -> Alcotest.failf "chrome export fails validation: %s" e
 
+(* [Trace.fields] (what the exporters write) and [schema_fields] (what
+   the validator requires) are two hand-kept tables; emitting one event
+   of every kind and validating both exports is what keeps them in
+   step. The match is exhaustive on purpose: a new constructor does not
+   build until it has an exemplar here. *)
+let constructor_index : Trace.event -> int = function
+  | Cc_miss _ -> 0
+  | Cc_translated _ -> 1
+  | Cc_backpatch _ -> 2
+  | Cc_unpatch _ -> 3
+  | Cc_promote _ -> 4
+  | Cc_depromote _ -> 5
+  | Cc_evict _ -> 6
+  | Cc_flush _ -> 7
+  | Cc_invalidate _ -> 8
+  | Cc_staged_install _ -> 9
+  | Cc_retry _ -> 10
+  | Cc_degrade _ -> 11
+  | Tc_alloc _ -> 12
+  | Net_send _ -> 13
+  | Net_recv _ -> 14
+  | Net_fault _ -> 15
+  | Fl_request _ -> 16
+  | Fl_coalesce _ -> 17
+  | Fl_frame _ -> 18
+  | Fl_piggyback _ -> 19
+  | Fl_stall _ -> 20
+  | Sh_fill _ -> 21
+  | Sh_coalesce _ -> 22
+  | Dc_specialise _ -> 23
+  | Dc_deopt _ -> 24
+  | Dc_miss _ -> 25
+  | Dc_spill _ -> 26
+  | Dc_refill _ -> 27
+
+let exemplars =
+  Trace.
+    [
+      Cc_miss { pc = 0x100 };
+      Cc_translated { chunk = 0x100; base = 0x10000; words = 8 };
+      Cc_backpatch { site = 0x10010; target = 0x10020 };
+      Cc_unpatch { site = 0x10010; target = 0x10020 };
+      Cc_promote { head = 0x100; members = 3; bytes = 96 };
+      Cc_depromote { head = 0x100; members = 3 };
+      Cc_flush { chunks = 4 };
+      Cc_invalidate { chunks = 2 };
+      Cc_staged_install { chunk = 0x140 };
+      Cc_retry { chunk = 0x140; attempt = 1 };
+      Cc_degrade { chunk = 0x200; bytes = 512 };
+      Tc_alloc { chunk = 0x100; base = 0x10000; bytes = 32 };
+      Net_send { bytes = 64; segments = 2 };
+      Net_recv { bytes = 64; cycles = 1200 };
+      Fl_request { client = 1; chunk = 0x100 };
+      Fl_coalesce { client = 1; chunk = 0x100; wait = 50 };
+      Fl_frame { client = 0; segments = 1; queued = 10 };
+      Fl_piggyback { client = 2; bytes = 24 };
+      Fl_stall { client = 1; cycles = 300 };
+      Sh_fill { hart = 0; chunk = 0x100; wait = 20 };
+      Sh_coalesce { hart = 1; chunk = 0x100; wait = 40 };
+      Dc_specialise { site = 0x300 };
+      Dc_deopt { site = 0x300 };
+      Dc_miss { addr = 0x8000 };
+      Dc_spill { words = 16 };
+      Dc_refill { words = 16 };
+    ]
+  @ List.map
+      (fun fault -> Trace.Net_fault { fault })
+      [ Trace.Drop; Trace.Corrupt; Trace.Duplicate; Trace.Delay_spike ]
+  @ List.map
+      (fun reason ->
+        Trace.Cc_evict
+          { chunk = 0x100; base = 0x10000; bytes = 32; incoming = 1; reason })
+      Trace.evict_reasons
+
+let test_every_event_validates () =
+  Alcotest.(check (list int))
+    "an exemplar of every constructor" (List.init 28 Fun.id)
+    (List.sort_uniq compare (List.map constructor_index exemplars));
+  let tr = Trace.create () in
+  let clock = ref 0 in
+  Trace.set_clock tr (fun () -> !clock);
+  List.iter
+    (fun ev ->
+      incr clock;
+      Trace.emit tr ev)
+    exemplars;
+  (match Trace.Schema.validate_jsonl (Trace.to_jsonl tr) with
+  | Ok n -> Alcotest.(check int) "every event validates" (List.length exemplars) n
+  | Error e -> Alcotest.failf "jsonl export fails the schema: %s" e);
+  match Trace.Schema.validate_chrome (Trace.to_chrome tr) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "chrome export fails validation: %s" e
+
 let test_schema_rejects_malformed () =
   let bad =
     [
@@ -394,51 +487,6 @@ let test_json_parser_basics () =
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "parsed %S" s)
     [ "{"; "[1,]"; "{\"k\":}"; "1 2"; "\"unterminated" ]
-
-(* ------------------------------------------------------------------ *)
-(* Satellite: Stats eviction ring *)
-
-let test_eviction_ring_bound () =
-  let s = Softcache.Stats.create () in
-  let cap = Softcache.Stats.eviction_capacity in
-  for i = 1 to cap + 904 do
-    Softcache.Stats.record_eviction s ~cycle:i ~blocks:1
-  done;
-  Alcotest.(check int) "retained" cap (Softcache.Stats.eviction_recorded s);
-  Alcotest.(check int) "dropped, explicitly" 904
-    (Softcache.Stats.eviction_dropped s);
-  let series = Softcache.Stats.eviction_series s in
-  Alcotest.(check int) "series bounded" cap (List.length series);
-  Alcotest.(check int) "oldest retained is the 905th" 905
-    (fst (List.hd series));
-  Alcotest.(check int) "newest last" (cap + 904)
-    (fst (List.nth series (cap - 1)))
-
-let test_eviction_series_flush_heavy () =
-  (* a small flush-everything cache on a real workload: every flush now
-     lands in the series, and the retained series stays consistent with
-     the block counter *)
-  let img = (Option.get (Workloads.Registry.find "cjpeg")).build () in
-  let ctrl =
-    Softcache.Controller.create
-      (small_cfg ~tcache_bytes:2048 ~eviction:Softcache.Config.Flush_all ())
-      img
-  in
-  let outcome = Softcache.Controller.run ~fuel:3_000_000 ctrl in
-  Alcotest.(check bool) "halts" true (outcome = Machine.Cpu.Halted);
-  Alcotest.(check bool) "flushed repeatedly" true (ctrl.stats.flushes > 1);
-  let series = Softcache.Stats.eviction_series ctrl.stats in
-  Alcotest.(check bool) "bounded" true
-    (List.length series <= Softcache.Stats.eviction_capacity);
-  let rec monotone = function
-    | (a, _) :: ((b, _) :: _ as rest) -> a <= b && monotone rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "chronological" true (monotone series);
-  if Softcache.Stats.eviction_dropped ctrl.stats = 0 then
-    Alcotest.(check int) "series accounts for every evicted block"
-      ctrl.stats.evicted_blocks
-      (List.fold_left (fun a (_, n) -> a + n) 0 series)
 
 (* ------------------------------------------------------------------ *)
 (* Satellite: shared Bitmath helpers *)
@@ -631,6 +679,8 @@ let () =
             test_jsonl_export_validates;
           Alcotest.test_case "chrome passes validation" `Quick
             test_chrome_export_validates;
+          Alcotest.test_case "every event kind passes the schema" `Quick
+            test_every_event_validates;
           Alcotest.test_case "schema rejects malformed lines" `Quick
             test_schema_rejects_malformed;
           Alcotest.test_case "chrome validator rejects backwards ts" `Quick
@@ -639,13 +689,6 @@ let () =
             test_export_writes_files;
           Alcotest.test_case "json parser basics" `Quick
             test_json_parser_basics;
-        ] );
-      ( "stats-ring",
-        [
-          Alcotest.test_case "bounded with explicit overflow" `Quick
-            test_eviction_ring_bound;
-          Alcotest.test_case "flush-heavy run stays bounded" `Quick
-            test_eviction_series_flush_heavy;
         ] );
       ( "bitmath",
         [
