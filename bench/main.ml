@@ -1210,17 +1210,21 @@ let micro () =
    Chrome rendering as well-formed JSON with nondecreasing timestamps
    and matched async residency spans, the attribution ledger must
    conserve exactly against the cycle counter, and the trace-on/off
-   lockstep confirms tracing is architecturally invisible. Exports
-   BENCH_trace.jsonl and BENCH_trace_chrome.json and re-validates them
-   from disk. *)
+   lockstep confirms tracing is architecturally invisible. One more row
+   traces compress95 on four harts, which share the ring and stamp it
+   from their own clocks: both exports must validate, the Chrome one
+   only because it is rendered in stamp order. That row has no
+   conservation check (the ledger follows one cycle counter) and no
+   lockstep. Exports BENCH_trace.jsonl and BENCH_trace_chrome.json (the
+   first single-hart workload's) and re-validates them from disk. *)
 
 let tracesmoke () =
   Report.section
     "Trace smoke: traced runs validated per exporter (gate: schema-valid \
      exports, exact cycle attribution, zero perturbation)";
-  let mk_cfg () =
+  let mk_cfg ?harts () =
     Softcache.Config.make ~tcache_bytes:(2 * 1024)
-      ~net:(Netmodel.ethernet_10mbps ()) ()
+      ~net:(Netmodel.ethernet_10mbps ()) ?harts ()
   in
   let t =
     Report.Table.create ~title:"traced runs (2 KB tcache, 10 Mbps ethernet)"
@@ -1233,6 +1237,12 @@ let tracesmoke () =
       fail "%s: %s" name err;
       "FAIL"
   in
+  let validate_both name tr =
+    ( validated (name ^ " jsonl") "lines"
+        (Trace.Schema.validate_jsonl (Trace.to_jsonl tr)),
+      validated (name ^ " chrome") "events"
+        (Trace.Schema.validate_chrome (Trace.to_chrome tr)) )
+  in
   let artifact = ref None in
   List.iter
     (fun w ->
@@ -1244,14 +1254,7 @@ let tracesmoke () =
           if not (Trace.conserved tr ~total:c.run.cycles) then
             fail "%s: attribution does not conserve (sum %d vs %d)" w.name
               (Trace.summary tr).Trace.s_total c.run.cycles;
-          let jsonl =
-            validated (w.name ^ " jsonl") "lines"
-              (Trace.Schema.validate_jsonl (Trace.to_jsonl tr))
-          in
-          let chrome =
-            validated (w.name ^ " chrome") "events"
-              (Trace.Schema.validate_chrome (Trace.to_chrome tr))
-          in
+          let jsonl, chrome = validate_both w.name tr in
           let _, lockstep =
             gate_verdict w.name
               (engines_verdict
@@ -1263,6 +1266,25 @@ let tracesmoke () =
               string_of_int (Trace.dropped tr); jsonl; chrome; lockstep ])
         (cell ~prepare w (mk_cfg ())))
     (registry ());
+  (let w = compress () and tr = Trace.create () in
+   let name = w.name ^ " (4 harts)" in
+   let ctrl = Softcache.Controller.create (mk_cfg ~harts:4 ()) w.img in
+   Softcache.Controller.attach_tracer ctrl tr;
+   let sh = Softcache.Shard.attach ctrl in
+   ignore (Softcache.Shard.run sh);
+   if
+     not
+       (List.for_all
+          (fun (h : Softcache.Shard.hart) ->
+            h.h_cpu.halted
+            && Machine.Cpu.outputs h.h_cpu = (Lazy.force w.native).outputs)
+          (Softcache.Shard.harts sh))
+   then fail "%s: outputs diverge from native" name;
+   let jsonl, chrome = validate_both name tr in
+   Report.Table.add_row t
+     [ name; string_of_int (Softcache.Shard.makespan sh);
+       string_of_int (Trace.emitted tr); string_of_int (Trace.dropped tr);
+       jsonl; chrome; "-" ]);
   Report.Table.print t;
   (* artifacts: export the first workload's trace in both formats and
      validate what actually landed on disk *)

@@ -252,6 +252,12 @@ let print_trace_summary ~total tr =
     ~lookup:s.Trace.s_lookup ~events:s.Trace.s_emitted
     ~dropped:s.Trace.s_dropped ~capacity:s.Trace.s_capacity
 
+let export_trace ~format path tr =
+  Trace.export tr ~format path;
+  Report.kv "trace"
+    (Printf.sprintf "%d events -> %s (%s)" (Trace.emitted tr) path
+       (match format with `Jsonl -> "jsonl" | `Chrome -> "chrome"))
+
 let make_config ?faults ?(engine = Machine.Cpu.Decoded) ?(prefetch = 0)
     ?(staging = 8) ?(trace_limit = 65_536) ?(chain = false)
     ?(superblock_threshold = 0) ?(granularity = Softcache.Config.Block)
@@ -413,6 +419,11 @@ let run_cmd =
             Format.printf "  audit violation: %a@." Check.Audit.pp_violation
               v)
           shard_viols;
+        (* no attribution summary: its ledger conserves against one
+           cycle counter, and the ring's clock hops between harts *)
+        (match (trace_out, !tracer) with
+        | Some path, Some tr -> export_trace ~format:trace_format path tr
+        | _ -> ());
         Format.printf "  stats: %a@." Softcache.Stats.pp ctrl.stats;
         if ok && shard_viols = [] then 0 else 2
       end
@@ -472,10 +483,7 @@ let run_cmd =
       | None -> ());
       (match (trace_out, !tracer) with
       | Some path, Some tr ->
-        Trace.export tr ~format:trace_format path;
-        Report.kv "trace"
-          (Printf.sprintf "%d events -> %s (%s)" (Trace.emitted tr) path
-             (match trace_format with `Jsonl -> "jsonl" | `Chrome -> "chrome"));
+        export_trace ~format:trace_format path tr;
         print_trace_summary ~total:ctrl.cpu.cycles tr
       | _ -> ());
       Format.printf "  stats: %a@." Softcache.Stats.pp ctrl.stats;
@@ -668,10 +676,7 @@ let dcache_cmd =
            (Dcache.Sim.guaranteed_latency_cycles cfg));
       (match (trace_out, tracer) with
       | Some path, Some tr ->
-        Trace.export tr ~format:trace_format path;
-        Report.kv "trace"
-          (Printf.sprintf "%d events -> %s (%s)" (Trace.emitted tr) path
-             (match trace_format with `Jsonl -> "jsonl" | `Chrome -> "chrome"));
+        export_trace ~format:trace_format path tr;
         print_trace_summary ~total:cpu.cycles tr
       | _ -> ());
       0

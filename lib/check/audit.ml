@@ -425,12 +425,11 @@ let run (t : Controller.t) : violation list =
         add "staging" "staged chunk v=0x%x aliases a resident block" v)
     t.staging;
 
-  (* -- chaining link map ---------------------------------------------- *)
-  (* The reverse link map must mirror the bytes exactly: its entries
-     are precisely the patched direct-exit sites (that is what lets
-     eviction of *either* endpoint find and revert every patch), every
-     link aims at a live resident target that also records the site as
-     incoming, and a site with no link holds its pristine revert bytes.
+  (* -- chaining: incoming records and the pending index ---------------- *)
+  (* A patched edge is recorded once, on its target. A block-to-block
+     record must name a live source and one of that source's exit
+     stubs aimed at this block: the stub the target's eviction re-arms,
+     and the one the source's own eviction walks to find the record.
      The pending index is the complement: exactly the still-trapping
      exit stubs, keyed by the target they are waiting for. *)
   let patched_site = function
@@ -452,71 +451,6 @@ let run (t : Controller.t) : violation list =
           | _ -> None))
     | _ -> None
   in
-  let links_of id =
-    match Hashtbl.find_opt t.links id with Some ls -> ls | None -> []
-  in
-  Hashtbl.iter
-    (fun id ls ->
-      if not (Tcache.is_alive tc id) then
-        add "links" "%d link(s) recorded for dead source block id=%d"
-          (List.length ls) id)
-    t.links;
-  List.iter
-    (fun (b : Tcache.block) ->
-      let patched =
-        List.filter_map
-          (fun k ->
-            if k < 0 || k >= t.nstubs then None
-            else
-              match patched_site t.stubs.(k) with
-              | Some site -> Some (site, k)
-              | None -> None)
-          b.stubs
-      in
-      let lks = links_of b.id in
-      (* bytes -> links: every patched site has exactly one link *)
-      List.iter
-        (fun (site, k) ->
-          match
-            List.filter (fun (l : Controller.link) -> l.l_site = site) lks
-          with
-          | [ l ] ->
-            if l.l_stub <> k then
-              add "links" "link at site 0x%x names stub %d, bytes say %d"
-                site l.l_stub k
-          | [] ->
-            add "links"
-              "patched exit site 0x%x (block id=%d) has no reverse link"
-              site b.id
-          | _ :: _ :: _ ->
-            add "links" "site 0x%x has duplicate reverse links" site)
-        patched;
-      (* links -> bytes: every link is a real patch at a live target *)
-      List.iter
-        (fun (l : Controller.link) ->
-          if not (List.exists (fun (s, _) -> s = l.l_site) patched) then
-            add "links"
-              "link site 0x%x (block id=%d) holds its revert bytes — stale \
-               link left behind by an unpatch"
-              l.l_site b.id;
-          match Tcache.find_by_id tc l.l_target with
-          | None ->
-            add "links" "link site 0x%x targets dead block id=%d" l.l_site
-              l.l_target
-          | Some tb ->
-            if not (aims_at ~site:l.l_site ~b:tb (word t l.l_site)) then
-              add "links"
-                "link site 0x%x does not branch to its target id=%d@0x%x"
-                l.l_site l.l_target tb.paddr
-            else if not (has_incoming tb ~site_paddr:l.l_site) then
-              add "links"
-                "link site 0x%x missing from target id=%d incoming records"
-                l.l_site l.l_target)
-        lks)
-    blocks;
-  (* incoming -> links: the map is the exact mirror of the targets'
-     block-to-block incoming records (persistent-stub specialisations,
-     from_block = -1, have no source block and no link) *)
   List.iter
     (fun (tb : Tcache.block) ->
       List.iter
@@ -526,16 +460,20 @@ let run (t : Controller.t) : violation list =
               add "links"
                 "incoming record at 0x%x on v=0x%x names dead source id=%d"
                 inc.site_paddr tb.vaddr inc.from_block
-            else if
-              not
-                (List.exists
-                   (fun (l : Controller.link) -> l.l_site = inc.site_paddr)
-                   (links_of inc.from_block))
-            then
-              add "links"
-                "incoming record at 0x%x on v=0x%x has no reverse link on \
-                 source id=%d"
-                inc.site_paddr tb.vaddr inc.from_block)
+            else
+              let aimed_exit =
+                inc.stub >= 0 && inc.stub < t.nstubs
+                &&
+                match t.stubs.(inc.stub) with
+                | Stub.Exit { block; target; _ } ->
+                  block = inc.from_block && target = tb.vaddr
+                | _ -> false
+              in
+              if not aimed_exit then
+                add "links"
+                  "incoming record at 0x%x on v=0x%x names stub %d, not an \
+                   exit of source id=%d aimed at it"
+                  inc.site_paddr tb.vaddr inc.stub inc.from_block)
         tb.incoming)
     blocks;
   (* the pending index is exactly the still-trapping live exit stubs *)
@@ -667,7 +605,8 @@ let run (t : Controller.t) : violation list =
   | Some tr ->
     (* with harts attached the tracer's clock hops between per-hart
        cycle counters, so the single-counter conservation law does not
-       apply — the per-hart ledger in [shards] replaces it *)
+       apply — [shards] checks each hart's waits against its clock
+       instead *)
     if
       Array.length t.harts = 0
       && not (Trace.conserved tr ~total:t.cpu.cycles)
@@ -702,13 +641,12 @@ let install (t : Controller.t) =
 (* ---- multi-hart (sharded CC) invariants ---------------------------
 
    On top of the full per-controller audit, the shard layer's own
-   books: the fill state machine (single-owner fills, nothing in
-   flight at a quiescent point), the suspension-lease discipline
-   (every parked hart's lease covers the block its pc sits in, and the
-   tcache's lease counts are exactly the sum of hart leases), and the
-   per-hart cycle ledger (run + fill-wait + mc-wait = the hart's cycle
-   counter — the multi-hart replacement for the solo trace
-   conservation law). *)
+   books: the fills (single owners, nothing in flight at a quiescent
+   point), the suspension-lease discipline (every parked hart's lease
+   covers the block its pc sits in, and the tcache's lease counts are
+   exactly the sum of hart leases), and the per-hart waits
+   (non-negative, within the hart's clock, summing to the stats). A
+   resident chunk mapped twice is already a "map" violation of [run]. *)
 
 let shards (s : Shard.t) : violation list =
   let viols = ref [] in
@@ -723,41 +661,16 @@ let shards (s : Shard.t) : violation list =
   let harts = Shard.harts s in
   let n = List.length harts in
 
-  (* -- no two resident blocks map the same backing chunk ------------ *)
-  let seen_v = Hashtbl.create 64 in
-  List.iter
-    (fun (b : Tcache.block) ->
-      (match Hashtbl.find_opt seen_v b.vaddr with
-      | Some id ->
-        add "shard-unique"
-          "chunk v=0x%x resident twice (block ids %d and %d)" b.vaddr id
-          b.id
-      | None -> ());
-      Hashtbl.replace seen_v b.vaddr b.id)
-    blocks;
-
-  (* -- fill state machine: single owners, quiescent in-flight set --- *)
+  (* -- fills: single owners, none in flight at a quiescent point ---- *)
   List.iter
     (fun (f : Shard.fill) ->
       if f.f_owner < 0 || f.f_owner >= n then
         add "shard-fill" "fill for v=0x%x owned by out-of-range hart %d"
           f.f_vaddr f.f_owner;
-      match f.f_state with
-      | Shard.Resident ->
-        if f.f_done = max_int then
-          add "shard-fill" "resident fill for v=0x%x has no completion stamp"
-            f.f_vaddr
-      | Shard.Requested | Shard.Filling ->
-        if f.f_done <> max_int then
-          add "shard-fill" "in-flight fill for v=0x%x carries stamp %d"
-            f.f_vaddr f.f_done)
+      if f.f_done = max_int then
+        add "shard-fill" "fill for v=0x%x still in flight at a quiescent point"
+          f.f_vaddr)
     (Shard.fills s);
-  List.iter
-    (fun (f : Shard.fill) ->
-      add "shard-fill" "fill for v=0x%x still %s at a quiescent point"
-        f.f_vaddr
-        (Shard.state_name f.f_state))
-    (Shard.in_flight s);
 
   (* -- lease discipline --------------------------------------------- *)
   let block_of pc =
@@ -818,24 +731,20 @@ let shards (s : Shard.t) : violation list =
         add "shard-lease" "leased id=%d is not held by any hart" id)
     (Tcache.leased_ids tc);
 
-  (* -- per-hart cycle ledger ----------------------------------------- *)
+  (* -- per-hart waits ------------------------------------------------ *)
   List.iter
     (fun (h : Shard.hart) ->
-      if h.h_run < 0 || h.h_wait_fill < 0 || h.h_wait_mc < 0 then
-        add "shard-ledger" "hart %d has a negative ledger entry (%d/%d/%d)"
-          h.h_id h.h_run h.h_wait_fill h.h_wait_mc;
-      let sum = h.h_run + h.h_wait_fill + h.h_wait_mc in
-      if sum <> h.h_cpu.cycles then
+      if h.h_wait_fill < 0 || h.h_wait_mc < 0 || Shard.run_cycles h < 0 then
         add "shard-ledger"
-          "hart %d ledger run=%d + fill-wait=%d + mc-wait=%d = %d <> cycles=%d"
-          h.h_id h.h_run h.h_wait_fill h.h_wait_mc sum h.h_cpu.cycles)
+          "hart %d waits fill=%d + mc=%d are negative or exceed its clock %d"
+          h.h_id h.h_wait_fill h.h_wait_mc h.h_cpu.cycles)
     harts;
-  (* the aggregate statistics are the exact sums of the hart ledgers *)
+  (* the aggregate statistics are the exact sums of the hart counters *)
   let sum get = List.fold_left (fun a h -> a + get h) 0 harts in
   let check_sum name stat get =
     let s = sum get in
     if stat <> s then
-      add "shard-ledger" "stats.%s=%d but hart ledgers sum to %d" name stat s
+      add "shard-ledger" "stats.%s=%d but hart counters sum to %d" name stat s
   in
   check_sum "fills" c.stats.fills (fun (h : Shard.hart) -> h.h_fills);
   check_sum "fills_coalesced" c.stats.fills_coalesced (fun h -> h.h_joins);

@@ -23,13 +23,10 @@
     - stub-table accounting balances: live + free = allocated, no stub
       is both live and free, and [Controller.metadata_bytes] matches a
       recomputation;
-    - the chaining link map is the exact mirror of the bytes: every
-      patched direct-exit site has exactly one reverse link (and vice
-      versa — a site with no link holds its pristine revert bytes),
-      every link aims at a live resident target that records the site
-      as incoming, every block-to-block incoming record has a matching
-      link on a live source, and the pending-exit index lists exactly
-      the still-trapping live exit stubs;
+    - every block-to-block incoming record names a live source block
+      and an exit stub of that source aimed at the record's block (the
+      stub an unpatch re-arms), and the pending-exit index lists
+      exactly the still-trapping live exit stubs;
     - superblock groups are consistent: every member of a live group is
       resident and [sb_of_block] inverts the group table exactly. *)
 
@@ -67,14 +64,13 @@ val fleet : Fleet.t -> violation list
 
 val shards : Softcache.Shard.t -> violation list
 (** Audit a multi-hart (sharded) session at a quiescent point (between
-    {!Softcache.Shard.run} calls): no two resident blocks map the same
-    backing chunk; every fill has a single in-range owner, in-flight
-    fills carry no completion stamp and none remain in flight; the
+    {!Softcache.Shard.run} calls): every fill has a single in-range
+    owner and none is still in flight ([f_done = max_int]); the
     suspension-lease discipline holds (every non-halted hart parked
     inside a resident block holds exactly one lease on that block,
     halted harts hold none, and the tcache's per-block lease counts
-    equal the per-hart leases block by block); every hart's cycle
-    ledger conserves ([h_run + h_wait_fill + h_wait_mc = cycles]) and
-    the aggregate fill statistics are the exact sums of the hart
-    ledgers. Includes the full per-controller audit ({!run}) of the
-    shared cache. *)
+    equal the per-hart leases block by block); every hart's waits are
+    non-negative and within its clock, and the aggregate fill
+    statistics are the exact sums of the hart counters. Includes the
+    full per-controller audit ({!run}) of the shared cache, whose map
+    section already rejects a chunk resident twice. *)

@@ -443,8 +443,8 @@ let fleet ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg img
    across suspensions, and nothing else runs during one), and its own
    fills always complete before its next miss — so the shard-hosted
    run must be *cycle*-identical to a plain [Controller] over the
-   same config, step for step. The fill state machine's own
-   bookkeeping ([Stats.fills] and friends) is the one legitimate
+   same config, step for step. The fill bookkeeping ([Stats.fills]
+   and friends) is the one legitimate
    difference: the solo path bypasses it entirely. On top of the
    drive, the lone hart must have been charged zero wait cycles, and
    the final state must pass the full [Audit.shards] suite. *)

@@ -5,9 +5,10 @@
    already-resident block that targets it is patched to jump
    tcache-direct, instead of waiting for each branch to trap once. The
    [pending_exits] index (target vaddr -> waiting exit stubs) makes the
-   install-time sweep O(predecessors); the reverse [links] map makes
-   source-side unlinking O(outgoing patches). Both live in [Cc_state];
-   this module owns the transitions.
+   install-time sweep O(predecessors). A patched edge is recorded once,
+   on its target; source-side unlinking walks the dead block's own
+   exit stubs, which name every edge it can have patched. The index
+   lives in [Cc_state]; this module owns the transitions.
 
    Superblocks lay a profile-hot chain of chunks out contiguously
    (Dynamo-style trace formation): one group reservation, members
@@ -36,12 +37,12 @@ let patch_exit t k ~eager ~block ~site_paddr ~kind ~target ~revert_word
       match kind with
       | Stub.Patch_jmp ->
         write_word t site_paddr (enc (Isa.Instr.Jmp target_block.paddr));
-        record_incoming t target_block ~from_block:block ~site_paddr
+        record_incoming target_block ~from_block:block ~site_paddr
           ~revert_word ~stub:k;
         true
       | Stub.Patch_jal ->
         write_word t site_paddr (enc (Isa.Instr.Jal target_block.paddr));
-        record_incoming t target_block ~from_block:block ~site_paddr
+        record_incoming target_block ~from_block:block ~site_paddr
           ~revert_word ~stub:k;
         true
       | Stub.Patch_br -> (
@@ -52,7 +53,7 @@ let patch_exit t k ~eager ~block ~site_paddr ~kind ~target ~revert_word
           let d = (target_block.paddr - site_paddr) asr 2 in
           if Isa.Encode.branch_offset_fits d then begin
             write_word t site_paddr (enc (Isa.Instr.Br (c, r1, r2, d)));
-            record_incoming t target_block ~from_block:block ~site_paddr
+            record_incoming target_block ~from_block:block ~site_paddr
               ~revert_word ~stub:k;
             true
           end
@@ -65,7 +66,7 @@ let patch_exit t k ~eager ~block ~site_paddr ~kind ~target ~revert_word
             | Some (Isa.Instr.Br (_, _, _, di)) ->
               let island = site_paddr + (4 * di) in
               write_word t island (enc (Isa.Instr.Jmp target_block.paddr));
-              record_incoming t target_block ~from_block:block
+              record_incoming target_block ~from_block:block
                 ~site_paddr:island
                 ~revert_word:(enc (Isa.Instr.Trap k))
                 ~stub:k;
@@ -115,27 +116,25 @@ let chain_install t (b : Tcache.block) =
 
 (* Source-side unlinking: when a block dies, its own outgoing patches
    die with its memory, so the matching incoming records on still-live
-   targets are stale — prune them, and drop the link entries. Without
-   this, incoming lists accumulate records from dead sources for the
-   life of the target. *)
+   targets are stale — prune them. The dead block's [Exit] stubs name
+   every target it can have patched (its stubs are recycled only after
+   this runs). Without this, incoming lists accumulate records from
+   dead sources for the life of the target. *)
 let unlink_sources t victims =
   List.iter
     (fun (b : Tcache.block) ->
-      match Hashtbl.find_opt t.links b.id with
-      | None -> ()
-      | Some ls ->
-        Hashtbl.remove t.links b.id;
-        List.iter
-          (fun l ->
-            match Tcache.find_by_id t.tc l.l_target with
-            | Some tb ->
+      let names_b (i : Tcache.incoming) = i.from_block = b.id in
+      List.iter
+        (fun k ->
+          match t.stubs.(k) with
+          | Stub.Exit { target; _ } -> (
+            match Tcache.lookup t.tc target with
+            | Some tb when List.exists names_b tb.incoming ->
               tb.incoming <-
-                List.filter
-                  (fun (i : Tcache.incoming) ->
-                    not (i.from_block = b.id && i.site_paddr = l.l_site))
-                  tb.incoming
-            | None -> ())
-          ls)
+                List.filter (fun i -> not (names_b i)) tb.incoming
+            | Some _ | None -> ())
+          | _ -> ())
+        b.stubs)
     victims
 
 (* ---- superblock bookkeeping ---- *)

@@ -125,18 +125,12 @@ and revert_incoming t victims =
             charge t Trace.Patch Config.patch_cycles;
             trace t
               (Trace.Cc_unpatch { site = inc.site_paddr; target = b.paddr });
+            (* re-index the source's exit stub as pending, so a future
+               install can re-chain it *)
             if inc.from_block >= 0 then
-              (* drop the source's link and re-index its exit stub as
-                 pending, so a future install can re-chain it *)
-              match
-                take_link t ~from_block:inc.from_block
-                  ~site_paddr:inc.site_paddr
-              with
-              | Some l -> (
-                match t.stubs.(l.l_stub) with
-                | Stub.Exit { target; _ } -> pending_add t ~target l.l_stub
-                | _ -> ())
-              | None -> ()
+              match t.stubs.(inc.stub) with
+              | Stub.Exit { target; _ } -> pending_add t ~target inc.stub
+              | _ -> ()
           end)
         b.incoming)
     victims

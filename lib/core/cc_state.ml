@@ -15,12 +15,6 @@ type event =
 
 type staged = { st_bytes : Bytes.t; st_crc : int }
 
-type link = {
-  l_site : int;  (* patched code word (exit site or island) *)
-  l_target : int;  (* block id the patch jumps into *)
-  l_stub : int;  (* the exit stub the site reverts to *)
-}
-
 type superblock = { sb_head : int; sb_members : int list }
 
 type t = {
@@ -56,10 +50,6 @@ type t = {
          ([Profiler.dynamic_text_bytes]), set alongside [chain_oracle];
          the promotion guard's working-set estimate — see
          [Cc_translate.promotion_guarded] *)
-  links : (int, link list) Hashtbl.t;
-      (* reverse link map: source block id -> every site of that block
-         currently patched tcache-direct; the mirror of the per-target
-         [incoming] records, so eviction of either endpoint can unlink *)
   pending_exits : (int, (int, unit) Hashtbl.t) Hashtbl.t;
       (* target vaddr -> exit stubs still in trap state aiming there;
          consulted on install for eager chaining ([cfg.chain]) *)
@@ -223,30 +213,6 @@ let pending_at t target =
   | None -> []
   | Some ks -> List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) ks [])
 
-(* ---- reverse link map ----
-   [links] mirrors the per-target [incoming] records from the source
-   side: source block id -> the sites of that block patched to jump
-   tcache-direct. Kept exactly in sync with [record_incoming], consumed
-   when either endpoint dies. *)
-
-let add_link t ~from_block ~site_paddr ~target_id ~stub =
-  let l = { l_site = site_paddr; l_target = target_id; l_stub = stub } in
-  let rest = Option.value ~default:[] (Hashtbl.find_opt t.links from_block) in
-  Hashtbl.replace t.links from_block (l :: rest)
-
-let take_link t ~from_block ~site_paddr =
-  match Hashtbl.find_opt t.links from_block with
-  | None -> None
-  | Some ls ->
-    let taken, rest = List.partition (fun l -> l.l_site = site_paddr) ls in
-    (match rest with
-    | [] -> Hashtbl.remove t.links from_block
-    | _ -> Hashtbl.replace t.links from_block rest);
-    (match taken with l :: _ -> Some l | [] -> None)
-
-let links_of t from_block =
-  Option.value ~default:[] (Hashtbl.find_opt t.links from_block)
-
 let free_stub_list t ks =
   List.iter
     (fun k ->
@@ -263,15 +229,13 @@ let free_stub_list t ks =
 let free_block_stubs t victims =
   List.iter (fun (b : Tcache.block) -> free_stub_list t b.stubs) victims
 
-let record_incoming ?stub t (b : Tcache.block) ~from_block ~site_paddr
-    ~revert_word =
-  b.incoming <- { Tcache.from_block; site_paddr; revert_word } :: b.incoming;
-  (* the reverse view, for source-side unlinking and the auditor;
-     persistent-stub patches (from_block = -1) have no source block *)
-  match stub with
-  | Some k when from_block >= 0 ->
-    add_link t ~from_block ~site_paddr ~target_id:b.id ~stub:k
-  | Some _ | None -> ()
+(* The one record of a patched edge, kept on its target. The source
+   side needs no copy: a block's own [Exit] stubs name every edge it
+   can have patched, and [stub] says which one to re-arm on unpatch. *)
+let record_incoming (b : Tcache.block) ~from_block ~site_paddr ~revert_word
+    ~stub =
+  b.incoming <-
+    { Tcache.from_block; site_paddr; revert_word; stub } :: b.incoming
 
 (* ---- granularity ----
    The single effective-granularity chunk acquisition point. Block mode

@@ -207,7 +207,7 @@ let translate_unit ?placed t v =
     (fun (tb, site_paddr, revert_word, stub) ->
       match Tcache.find_by_id t.tc tb with
       | Some target_block ->
-        record_incoming t target_block ~from_block:id ~site_paddr
+        record_incoming target_block ~from_block:id ~site_paddr
           ~revert_word ~stub
       | None ->
         (* the rewriter bound this exit against a block the resident
@@ -245,8 +245,8 @@ let translate_unit ?placed t v =
   (match Hashtbl.find_opt t.plt v with
   | Some (slot_paddr, k) ->
     write_word t slot_paddr (enc (Isa.Instr.Jmp base));
-    record_incoming t block ~from_block:(-1) ~site_paddr:slot_paddr
-      ~revert_word:(enc (Isa.Instr.Trap k));
+    record_incoming block ~from_block:(-1) ~site_paddr:slot_paddr
+      ~revert_word:(enc (Isa.Instr.Trap k)) ~stub:k;
     t.stats.patches <- t.stats.patches + 1;
     t.stats.plt_patches <- t.stats.plt_patches + 1;
     charge t Trace.Patch Config.patch_cycles;

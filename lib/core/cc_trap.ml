@@ -43,8 +43,8 @@ let handle_trap t k =
       write_word t site_paddr (enc (Isa.Instr.Jmp b.paddr));
       (match Tcache.find_by_id t.tc b.id with
       | Some tb ->
-        record_incoming t tb ~from_block:(-1) ~site_paddr
-          ~revert_word:(enc (Isa.Instr.Trap k));
+        record_incoming tb ~from_block:(-1) ~site_paddr
+          ~revert_word:(enc (Isa.Instr.Trap k)) ~stub:k;
         t.stats.patches <- t.stats.patches + 1;
         charge t Trace.Patch Config.patch_cycles;
         trace t (Trace.Cc_backpatch { site = site_paddr; target = b.paddr });
@@ -66,8 +66,8 @@ let handle_trap t k =
        match Tcache.find_by_id t.tc b.id with
        | Some tb ->
          write_word t slot_paddr (enc (Isa.Instr.Jmp tb.paddr));
-         record_incoming t tb ~from_block:(-1) ~site_paddr:slot_paddr
-           ~revert_word:(enc (Isa.Instr.Trap k));
+         record_incoming tb ~from_block:(-1) ~site_paddr:slot_paddr
+           ~revert_word:(enc (Isa.Instr.Trap k)) ~stub:k;
          t.stats.patches <- t.stats.patches + 1;
          t.stats.plt_patches <- t.stats.plt_patches + 1;
          charge t Trace.Patch Config.patch_cycles;

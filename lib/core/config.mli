@@ -121,8 +121,8 @@ type t = {
           1 = the solo single-threaded CC of the paper). With more, the
           run is driven by the shard layer ([Softcache.Shard]): a
           deterministic seeded scheduler interleaves the harts, misses
-          go through the explicit fill state machine, and duplicate
-          misses coalesce onto in-flight fills *)
+          open single-owner fills, and duplicate misses coalesce onto
+          in-flight fills *)
   shards : int;
       (** tcache arenas (default 1 = one shared arena). [K > 1]
           partitions the tcache into K arenas with deterministic

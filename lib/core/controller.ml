@@ -17,8 +17,6 @@ type event = Cc_state.event =
 
 type staged = Cc_state.staged = { st_bytes : Bytes.t; st_crc : int }
 
-type link = Cc_state.link = { l_site : int; l_target : int; l_stub : int }
-
 type superblock = Cc_state.superblock = {
   sb_head : int;
   sb_members : int list;
@@ -38,7 +36,6 @@ type t = Cc_state.t = {
   mutable prefetch_ranker : (lo:int -> hi:int -> int) option;
   mutable chain_oracle : (int -> (int * int) option) option;
   mutable dynamic_text_hint : int option;
-  links : (int, link list) Hashtbl.t;
   pending_exits : (int, (int, unit) Hashtbl.t) Hashtbl.t;
   superblocks : (int, superblock) Hashtbl.t;
   sb_of_block : (int, int) Hashtbl.t;
@@ -106,7 +103,6 @@ let create (cfg : Config.t) image =
       prefetch_ranker = None;
       chain_oracle = None;
       dynamic_text_hint = None;
-      links = Hashtbl.create 64;
       pending_exits = Hashtbl.create 64;
       superblocks = Hashtbl.create 16;
       sb_of_block = Hashtbl.create 16;

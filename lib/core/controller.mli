@@ -15,7 +15,9 @@
     - persistent return stubs re-translate evicted return targets.
 
     Eviction unlinks a block by reverting all recorded incoming
-    pointers to miss stubs and scrubs the stack: live landing-pad
+    pointers to miss stubs (each record names the stub its site
+    re-arms) and drops the records the block's own exit stubs left on
+    surviving targets; it then scrubs the stack: live landing-pad
     addresses in [ra] or stack slots are redirected to persistent
     return stubs ("the runtime system must know the layout of all such
     data"). Flush-all resets the whole tcache, preserving return
@@ -43,16 +45,6 @@ type staged = Cc_state.staged = {
 }
 (** A prefetched chunk body parked in the CC staging buffer, not yet
     rewritten or resident. *)
-
-type link = Cc_state.link = {
-  l_site : int;  (** paddr of the patched branch/jump word *)
-  l_target : int;  (** id of the block the patch jumps into *)
-  l_stub : int;  (** the Exit stub the site reverts to on unpatch *)
-}
-(** One edge of the reverse link map: a patched direct-exit site in the
-    source block, pointing tcache-direct at the target. Keyed by the
-    {e source} block id in [links]; the mirror image of the target's
-    [incoming] records, and audited equal to them. *)
 
 type superblock = Cc_state.superblock = {
   sb_head : int;  (** source vaddr of the head chunk *)
@@ -106,14 +98,11 @@ type t = Cc_state.t = {
           marginally exceed the tcache (the knee), superblock
           reservations are suppressed — [None] (the default) never
           suppresses *)
-  links : (int, link list) Hashtbl.t;
-      (** reverse link map: source block id -> its patched exit sites.
-          Maintained by [record_incoming]/eviction symmetrically with
-          the targets' [incoming] lists, so evicting {e either} endpoint
-          finds and reverts the patch — audited by the [links] section *)
   pending_exits : (int, (int, unit) Hashtbl.t) Hashtbl.t;
       (** target vaddr -> exit-stub indices still trapping for it; the
-          eager-chaining work list consulted when a chunk installs *)
+          eager-chaining work list consulted when a chunk installs.
+          Patched edges have no table of their own: each lives once, as
+          an [incoming] record on its target block *)
   superblocks : (int, superblock) Hashtbl.t;
       (** live superblocks by group id *)
   sb_of_block : (int, int) Hashtbl.t;

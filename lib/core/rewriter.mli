@@ -37,8 +37,9 @@ type emission = {
   bound : (int * int * int * int) list;
       (** (target block id, site paddr, revert word, stub index) for
           every exit bound directly at translation time; the controller
-          records these as incoming pointers on the target blocks and as
-          links in the reverse link map *)
+          records these as incoming pointers on the target blocks. The
+          stub index names the new block's own [Exit] stub, which an
+          unpatch re-arms *)
   pads : (int * int) list;  (** (pad paddr, return vaddr) *)
   resume : int array;
       (** for each emitted word, the source virtual address at which

@@ -21,17 +21,16 @@
    (fill completion, MC busy-until) meaningful as a virtual global
    time.
 
-   Concurrent misses are an explicit state machine per chunk:
-
-     Absent -> Requested(hart) -> Filling -> Resident
-
-   A miss with no in-flight fill takes ownership ([Requested]), waits
-   for the shared MC link if busy ([mc_free_at]), transitions to
-   [Filling] for the wire fetch + translation, and stamps the fill
-   [Resident] with its completion time. A duplicate miss from another
-   hart whose clock is before that completion time *coalesces*: it
-   waits until the fill lands and re-checks residency — no second wire
-   request. Every fill has exactly one owner ([Audit.shards]).
+   Concurrent misses go through one fill record per chunk: its owner
+   and its completion stamp. A miss on an absent chunk opens a fill
+   owned by the missing hart, with the stamp [max_int] (in flight),
+   waits for the shared MC link if busy ([mc_free_at]), fetches and
+   translates, and stamps the fill with its completion time. The
+   in-flight window never outlives one [on_trap] call. A duplicate
+   miss from another hart whose clock is before that completion time
+   *coalesces*: it waits until the fill lands and re-checks residency
+   — no second wire request. Every fill has exactly one owner
+   ([Audit.shards]).
 
    Lease discipline. Only *suspended* harts hold read leases — one per
    hart, on the resident block containing its parked pc — making those
@@ -48,12 +47,9 @@
 
 open Cc_state
 
-type fill_state = Requested | Filling | Resident
-
 type fill = {
   f_vaddr : int;
   f_owner : int;
-  mutable f_state : fill_state;
   mutable f_done : int;
       (* owner-clock completion time; [max_int] while in flight *)
 }
@@ -63,7 +59,6 @@ type hart = {
   h_cpu : Machine.Cpu.t;
   mutable h_lease : Tcache.block option;
       (* the block this hart's read lease is on, while suspended *)
-  mutable h_run : int;  (* cycles spent running (incl. controller work) *)
   mutable h_wait_fill : int;  (* cycles suspended on other harts' fills *)
   mutable h_wait_mc : int;  (* cycles waiting for the MC link to free *)
   mutable h_fills : int;  (* fills this hart owned *)
@@ -77,17 +72,11 @@ type t = {
   fills : (int, fill) Hashtbl.t;  (* chunk vaddr -> latest fill *)
   mutable mc_free_at : int;  (* virtual time the shared MC link frees *)
   mutable started : bool;
-  mutable active : bool;
-      (* a hart is being advanced under [start]/[run]'s own ledger
-         bookkeeping; controller events arriving while this is false
-         come from an external op (flush / invalidate / preload
-         between runs) whose charge the ledger must fold in itself *)
 }
 
-let state_name = function
-  | Requested -> "requested"
-  | Filling -> "filling"
-  | Resident -> "resident"
+(* Cycles spent running, controller work included: everything on the
+   hart's clock that was not a wait. *)
+let run_cycles (h : hart) = h.h_cpu.cycles - h.h_wait_fill - h.h_wait_mc
 
 (* ---- hart construction ----------------------------------------- *)
 
@@ -97,9 +86,9 @@ let block_at (t : t) pc =
     (Tcache.blocks t.ctrl.tc)
 
 (* Charge a wait by advancing the hart's clock to [until]. No trace
-   category — waits are idle time, accounted by the per-hart ledger
-   ([h_run + h_wait_fill + h_wait_mc = cycles]) rather than by the
-   solo trace conservation (which Audit skips in multi-hart runs). *)
+   category — waits are idle time, counted in [h_wait_fill] /
+   [h_wait_mc] rather than by the solo trace conservation (which Audit
+   skips in multi-hart runs). *)
 let wait_until (h : hart) until = h.h_cpu.cycles <- until
 
 (* The miss front end: residency / in-flight-fill resolution for one
@@ -132,9 +121,7 @@ let acquire t (h : hart) v =
   | None ->
     (* genuinely absent (never filled, or evicted since): this hart
        owns a fresh fill *)
-    let f =
-      { f_vaddr = v; f_owner = h.h_id; f_state = Requested; f_done = max_int }
-    in
+    let f = { f_vaddr = v; f_owner = h.h_id; f_done = max_int } in
     Hashtbl.replace t.fills v f;
     (* one MC, one link: a demand fetch serializes behind whatever the
        MC is still serving for another hart *)
@@ -144,7 +131,6 @@ let acquire t (h : hart) v =
       t.ctrl.stats.mc_wait_cycles <- t.ctrl.stats.mc_wait_cycles + mc_wait;
       wait_until h t.mc_free_at
     end;
-    f.f_state <- Filling;
     h.h_fills <- h.h_fills + 1;
     t.ctrl.stats.fills <- t.ctrl.stats.fills + 1;
     trace t.ctrl (Trace.Sh_fill { hart = h.h_id; chunk = v; wait = mc_wait });
@@ -153,7 +139,6 @@ let acquire t (h : hart) v =
 let finish_fill t (h : hart) = function
   | None -> ()
   | Some f ->
-    f.f_state <- Resident;
     f.f_done <- h.h_cpu.cycles;
     t.mc_free_at <- h.h_cpu.cycles
 
@@ -207,7 +192,6 @@ let attach (ctrl : Cc_state.t) =
           h_id = i;
           h_cpu = cpu;
           h_lease = None;
-          h_run = 0;
           h_wait_fill = 0;
           h_wait_mc = 0;
           h_fills = 0;
@@ -224,7 +208,6 @@ let attach (ctrl : Cc_state.t) =
       fills = Hashtbl.create 64;
       mc_free_at = 0;
       started = false;
-      active = false;
     }
   in
   Array.iter
@@ -239,15 +222,6 @@ let attach (ctrl : Cc_state.t) =
     Some
       (fun ev ->
         (match prev with Some f -> f ev | None -> ());
-        (* an external op charged cycles to the last active hart's
-           counter outside any quantum: fold them into its run ledger
-           so [h_run + waits = cycles] keeps conserving *)
-        if not t.active then
-          Array.iter
-            (fun h ->
-              if h.h_cpu == ctrl.cpu then
-                h.h_run <- h.h_cpu.cycles - h.h_wait_fill - h.h_wait_mc)
-            harts;
         match ev with
         | Evicted _ | Flushed | Invalidated ->
           Array.iter
@@ -286,22 +260,14 @@ let resume t (h : hart) =
 let start t =
   if t.started then invalid_arg "Shard.start: already started";
   let entry = t.ctrl.image.Isa.Image.entry in
-  t.active <- true;
   Array.iter
     (fun h ->
       t.ctrl.cpu <- h.h_cpu;
-      let before = h.h_cpu.cycles in
-      let before_wait = h.h_wait_fill + h.h_wait_mc in
       let fill = acquire t h entry in
       let b = Cc_translate.ensure_resident t.ctrl entry in
       finish_fill t h fill;
-      h.h_cpu.pc <- b.Tcache.paddr;
-      h.h_run <-
-        h.h_run
-        + (h.h_cpu.cycles - before)
-        - (h.h_wait_fill + h.h_wait_mc - before_wait))
+      h.h_cpu.pc <- b.Tcache.paddr)
     t.harts;
-  t.active <- false;
   t.ctrl.started <- true;
   t.started <- true;
   (* establish the suspension leases: from here on, outside [run]'s
@@ -324,19 +290,11 @@ let run ?(fuel = max_int) t =
     | rs ->
       let h = t.harts.(Machine.Sched.pick t.sched rs) in
       resume t h;
-      t.active <- true;
       let before_ret = h.h_cpu.retired in
-      let before_cyc = h.h_cpu.cycles in
-      let before_wait = h.h_wait_fill + h.h_wait_mc in
       ignore
         (Machine.Cpu.run ~fuel:(min Config.quantum fuel_left.(h.h_id)) h.h_cpu);
       fuel_left.(h.h_id) <-
         fuel_left.(h.h_id) - (h.h_cpu.retired - before_ret);
-      h.h_run <-
-        h.h_run
-        + (h.h_cpu.cycles - before_cyc)
-        - (h.h_wait_fill + h.h_wait_mc - before_wait);
-      t.active <- false;
       suspend t h;
       loop ()
   in
@@ -356,9 +314,6 @@ let fills t =
     (fun f1 f2 -> compare (f1.f_vaddr, f1.f_done) (f2.f_vaddr, f2.f_done))
     (Hashtbl.fold (fun _ f acc -> f :: acc) t.fills [])
 
-let in_flight t =
-  List.filter (fun f -> f.f_state <> Resident) (fills t)
-
 let total_cycles t =
   Array.fold_left (fun acc h -> acc + h.h_cpu.cycles) 0 t.harts
 
@@ -369,6 +324,7 @@ let pp_hart ppf (h : hart) =
   Format.fprintf ppf
     "hart %d: cycles=%d retired=%d run=%d wait-fill=%d wait-mc=%d fills=%d \
      joins=%d%s"
-    h.h_id h.h_cpu.cycles h.h_cpu.retired h.h_run h.h_wait_fill h.h_wait_mc
+    h.h_id h.h_cpu.cycles h.h_cpu.retired (run_cycles h) h.h_wait_fill
+    h.h_wait_mc
     h.h_fills h.h_joins
     (if h.h_cpu.halted then " halted" else "")

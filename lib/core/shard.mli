@@ -11,9 +11,8 @@
     [run] advances the harts in quantum slices under a deterministic
     seeded interleaving scheduler ([Config.sched_seed] /
     [Config.quantum]); the same seed replays the same interleaving
-    byte-identically. Concurrent misses go through an explicit
-    per-chunk fill state machine ([Absent -> Requested(hart) ->
-    Filling -> Resident]) with single-owner fills, MC-link
+    byte-identically. Concurrent misses go through one fill record per
+    chunk — its single owner and its completion stamp — with MC-link
     serialization, and duplicate misses coalescing onto in-flight
     fills instead of re-requesting over the wire. Suspended harts hold
     read leases on the tcache blocks their pc is parked in, which the
@@ -24,22 +23,16 @@
     the active hart holds no lease while controller code runs, and a
     lone hart's fills always complete before its next miss, so no wait
     is ever charged. [Check.Lockstep.shards] proves this registry-wide;
-    [Check.Audit.shards] checks the fill/lease/ledger invariants. *)
-
-type fill_state =
-  | Requested  (** a hart owns the miss; request not yet on the wire *)
-  | Filling  (** wire fetch + translation in progress *)
-  | Resident  (** fill complete at [f_done] (owner's clock) *)
+    [Check.Audit.shards] checks the fill/lease/wait invariants. *)
 
 type fill = {
   f_vaddr : int;  (** the chunk being filled *)
   f_owner : int;  (** the single hart that owns this fill *)
-  mutable f_state : fill_state;
   mutable f_done : int;
       (** completion stamp in virtual (owner-clock) time; [max_int]
-          while in flight. A hart whose clock is before this stamp
-          when it misses the same chunk coalesces instead of
-          re-requesting *)
+          exactly while the fill is in flight, which never outlives the
+          owner's trap. A hart whose clock is before this stamp when it
+          misses the same chunk coalesces instead of re-requesting *)
 }
 
 type hart = {
@@ -48,10 +41,6 @@ type hart = {
   mutable h_lease : Tcache.block option;
       (** the block this hart's read lease covers while suspended;
           [None] while active, halted, or parked outside the tcache *)
-  mutable h_run : int;
-      (** cycles spent advancing (including controller work charged to
-          this hart) — the ledger: [h_run + h_wait_fill + h_wait_mc =
-          h_cpu.cycles], audited by [Check.Audit.shards] *)
   mutable h_wait_fill : int;
       (** cycles spent suspended on fills owned by other harts *)
   mutable h_wait_mc : int;
@@ -62,8 +51,10 @@ type hart = {
 
 type t
 
-val state_name : fill_state -> string
-(** "requested" / "filling" / "resident". *)
+val run_cycles : hart -> int
+(** Cycles the hart spent advancing, controller work charged to it
+    included: its clock minus its waits
+    ([h_cpu.cycles - h_wait_fill - h_wait_mc]). *)
 
 val attach : Controller.t -> t
 (** Wrap a controller with [cfg.harts] hart contexts and install the
@@ -90,11 +81,7 @@ val harts : t -> hart list
 
 val hart : t -> int -> hart
 val fills : t -> fill list
-(** Every fill the state machine has processed, stably ordered. *)
-
-val in_flight : t -> fill list
-(** Fills not yet [Resident]. Empty whenever no hart is mid-trap —
-    in particular at every audit point. *)
+(** Every fill opened so far (the latest per chunk), stably ordered. *)
 
 val mc_free_at : t -> int
 (** Virtual time the shared MC link is busy until. *)

@@ -87,9 +87,9 @@ type t = {
   mutable evicted_invalidated : int;  (** [Controller.invalidate] range hits *)
   mutable evicted_flushed : int;  (** unpinned residents of a flush *)
   mutable fills : int;
-      (** multi-hart fill-state-machine activations: misses that owned
-          a wire fetch ([Absent -> Requested -> Filling -> Resident]);
-          0 in solo runs, where the fill machinery is bypassed *)
+      (** multi-hart fills: misses on an absent chunk that owned a
+          wire fetch; 0 in solo runs, where the fill machinery is
+          bypassed *)
   mutable fills_coalesced : int;
       (** duplicate misses from other harts that joined an in-flight
           fill instead of re-requesting over the wire *)

@@ -1,4 +1,9 @@
-type incoming = { from_block : int; site_paddr : int; revert_word : int }
+type incoming = {
+  from_block : int;
+  site_paddr : int;
+  revert_word : int;
+  stub : int;
+}
 
 type block = {
   id : int;

@@ -28,6 +28,10 @@ type incoming = {
   from_block : int;  (** block id containing the site; -1 = persistent *)
   site_paddr : int;
   revert_word : int;  (** word restoring the site to its miss stub *)
+  stub : int;
+      (** the stub the site reverts to: an [Exit] stub of [from_block]
+          aimed at this block, or the return stub / PLT slot whose word
+          a persistent patch ([from_block = -1]) specialised *)
 }
 
 type block = {

@@ -36,8 +36,8 @@ type event =
     (* one client-observed transport stall sample, emitted where the
        fleet records it for the stall percentiles *)
   | Sh_fill of { hart : int; chunk : int; wait : int }
-    (* a hart owned a fill: Absent -> Requested -> Filling -> Resident;
-       [wait] is the MC-serialization wait it paid before issuing *)
+    (* a hart missed an absent chunk and owned its fill; [wait] is
+       the MC-serialization wait it paid before issuing *)
   | Sh_coalesce of { hart : int; chunk : int; wait : int }
     (* a duplicate miss joined another hart's in-flight fill instead of
        re-requesting over the wire; [wait] until that fill lands *)
@@ -342,8 +342,10 @@ let to_jsonl t =
 
 (* Chrome trace-event rendering: one process, one thread per layer,
    instant events for every ring entry, and tcache residency as async
-   spans keyed by chunk id. A single chronological pass keeps the
-   timestamps nondecreasing across the whole file. *)
+   spans keyed by chunk id. A single pass in stamp order keeps the
+   timestamps nondecreasing across the whole file. The ring is in
+   stamp order already unless harts share it: each stamps from its own
+   clock. The sort is stable, so a one-clock ring renders unchanged. *)
 
 let tid_of_event ev =
   match ev with
@@ -426,7 +428,7 @@ let to_chrome t =
       | Cc_translated { chunk; _ } -> open_span cycle chunk
       | Cc_evict { chunk; _ } -> close_span cycle chunk
       | _ -> ())
-    (events t);
+    (List.stable_sort (fun (a, _) (b, _) -> compare a b) (events t));
   close_all !last_cycle;
   Buffer.add_string b "\n]}\n";
   Buffer.contents b

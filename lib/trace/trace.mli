@@ -89,9 +89,9 @@ type event =
           emitted exactly where the fleet records it for the per-client
           stall percentiles — the trace view of the summary's p50/p99 *)
   | Sh_fill of { hart : int; chunk : int; wait : int }
-      (** a hart owned a fill through the multi-hart state machine
-          ([Absent -> Requested -> Filling -> Resident]); [wait] is the
-          MC-serialization wait paid before the request was issued *)
+      (** a hart missed an absent chunk and owned its fill; [wait] is
+          the MC-serialization wait paid before the request was
+          issued *)
   | Sh_coalesce of { hart : int; chunk : int; wait : int }
       (** a duplicate miss joined another hart's in-flight fill
           instead of re-requesting over the wire *)
@@ -202,7 +202,9 @@ val to_chrome : t -> string
     one instant event per ring entry on a per-layer thread, plus
     per-chunk tcache-residency intervals as async spans ([ph:"b"/"e"])
     reconstructed from translate / evict / flush events. Timestamps are
-    cycles and are emitted in nondecreasing order. *)
+    cycles, and events are emitted in stamp order (stably, so a ring
+    stamped from one clock keeps its recording order) — a multi-hart
+    ring, stamped from whichever hart is active, renders valid too. *)
 
 val export : t -> format:[ `Jsonl | `Chrome ] -> string -> unit
 (** Write the chosen rendering to a file. *)

@@ -3,7 +3,7 @@
    original stub words, eviction of either endpoint of a chained edge
    unlinks it before the victim is reclaimed, superblock promotion
    honours the temperature threshold exactly, and — the property the
-   whole link-map design hangs on — after every controller event every
+   whole unlinking design hangs on — after every controller event every
    patched branch targets a live resident chunk and every evicted
    chunk has zero inbound patches, under randomised workload ×
    eviction × flush schedules. *)
@@ -64,25 +64,20 @@ let chain_cfg ?(tcache_bytes = 4096) ?(eviction = Softcache.Config.Fifo)
 let read32 (ctrl : Softcache.Controller.t) a =
   Machine.Memory.read32 ctrl.cpu.mem a
 
-(* Every live chained edge, joined across both views: the source's
-   reverse link plus the matching incoming record on the target (which
-   carries the revert word the unpatch must restore). *)
+(* Every live chained edge: a block-to-block incoming record on a
+   resident target (carrying the site, the revert word the unpatch
+   must restore and the exit stub it re-arms), with its source. *)
 let live_links (ctrl : Softcache.Controller.t) =
   List.concat_map
-    (fun (b : Softcache.Tcache.block) ->
+    (fun (tb : Softcache.Tcache.block) ->
       List.filter_map
-        (fun (l : Softcache.Controller.link) ->
-          match Softcache.Tcache.find_by_id ctrl.tc l.l_target with
-          | None -> None
-          | Some tb ->
-            let inc =
-              List.find
-                (fun (i : Softcache.Tcache.incoming) ->
-                  i.from_block = b.id && i.site_paddr = l.l_site)
-                tb.incoming
-            in
-            Some (b, tb, l, inc.revert_word))
-        (Softcache.Cc_state.links_of ctrl b.id))
+        (fun (i : Softcache.Tcache.incoming) ->
+          if i.from_block < 0 then None
+          else
+            Option.map
+              (fun b -> (b, tb, i))
+              (Softcache.Tcache.find_by_id ctrl.tc i.from_block))
+        tb.incoming)
     (Softcache.Tcache.blocks ctrl.tc)
 
 let stub_target (ctrl : Softcache.Controller.t) k =
@@ -131,11 +126,10 @@ let test_evict_target_unpatches_and_rechains () =
   Alcotest.(check bool) "halts" true (outcome = Machine.Cpu.Halted);
   (* pick a chained edge whose source does not overlap the target's
      source range, so invalidating the target leaves the source alive *)
-  let b, tb, l, revert =
+  let b, tb, inc =
     match
       List.find_opt
-        (fun ((b : Softcache.Tcache.block), (tb : Softcache.Tcache.block), _, _)
-           ->
+        (fun ((b : Softcache.Tcache.block), (tb : Softcache.Tcache.block), _) ->
           b.id <> tb.id
           && not
                (tb.vaddr >= b.vaddr && tb.vaddr < b.vaddr + (4 * b.orig_words)))
@@ -144,35 +138,74 @@ let test_evict_target_unpatches_and_rechains () =
     | Some x -> x
     | None -> Alcotest.fail "no chained edge survived to halt"
   in
-  let target = stub_target ctrl l.l_stub in
-  Alcotest.(check bool) "site is patched" true (read32 ctrl l.l_site <> revert);
+  let site = inc.site_paddr and revert = inc.revert_word and k = inc.stub in
+  let target = stub_target ctrl k in
+  (* the edge from [b] at [site] into the block now resident at [v] *)
+  let edge_into v =
+    List.exists
+      (fun ((b' : Softcache.Tcache.block), (tb' : Softcache.Tcache.block),
+            (i : Softcache.Tcache.incoming)) ->
+        b'.id = b.id && tb'.vaddr = v && i.site_paddr = site)
+      (live_links ctrl)
+  in
+  Alcotest.(check bool) "site is patched" true (read32 ctrl site <> revert);
   let reverts0 = ctrl.stats.reverts in
   Softcache.Controller.invalidate ctrl ~lo:tb.vaddr ~hi:(tb.vaddr + 4);
   Alcotest.(check bool) "source survived the invalidate" true
     (Softcache.Tcache.is_alive ctrl.tc b.id);
-  Alcotest.(check int) "stub bytes restored" revert (read32 ctrl l.l_site);
+  Alcotest.(check int) "stub bytes restored" revert (read32 ctrl site);
   Alcotest.(check bool) "revert counted" true (ctrl.stats.reverts > reverts0);
-  Alcotest.(check bool) "link removed" true
-    (not
-       (List.exists
-          (fun (l' : Softcache.Controller.link) -> l'.l_site = l.l_site)
-          (Softcache.Cc_state.links_of ctrl b.id)));
+  Alcotest.(check bool) "edge gone with its target" false (edge_into target);
   Alcotest.(check bool) "pending re-armed" true
-    (Softcache.Cc_state.pending_mem ctrl ~target l.l_stub);
+    (Softcache.Cc_state.pending_mem ctrl ~target k);
   (* round-trip: re-installing the target must eagerly re-chain the
      re-armed stub *)
   let chained0 = ctrl.stats.chained in
-  let tb' = Softcache.Controller.ensure_resident ctrl target in
+  ignore (Softcache.Controller.ensure_resident ctrl target);
   Alcotest.(check bool) "re-chained eagerly" true
     (ctrl.stats.chained > chained0);
-  Alcotest.(check bool) "site re-patched" true (read32 ctrl l.l_site <> revert);
+  Alcotest.(check bool) "site re-patched" true (read32 ctrl site <> revert);
   Alcotest.(check bool) "pending cleared again" true
-    (not (Softcache.Cc_state.pending_mem ctrl ~target l.l_stub));
-  Alcotest.(check bool) "new link present" true
-    (List.exists
-       (fun (l' : Softcache.Controller.link) ->
-         l'.l_site = l.l_site && l'.l_target = tb'.id)
-       (Softcache.Cc_state.links_of ctrl b.id));
+    (not (Softcache.Cc_state.pending_mem ctrl ~target k));
+  Alcotest.(check bool) "new edge recorded" true (edge_into target);
+  Check.Audit.check_exn ctrl
+
+(* ------------------------------------------------------------------ *)
+(* The mirror image: evict the source of a chained edge whose target
+   survives. The target must drop every record naming the dead source,
+   found through the source's own exit stubs. *)
+
+let test_evict_source_drops_its_records () =
+  let img = prog_fib 12 in
+  let ctrl = Softcache.Controller.create (chain_cfg ()) img in
+  let _ = Check.Audit.install ctrl in
+  let outcome = Softcache.Controller.run ctrl in
+  Alcotest.(check bool) "halts" true (outcome = Machine.Cpu.Halted);
+  (* a chained edge whose target does not overlap the source's source
+     range, so invalidating the source leaves the target alive *)
+  let b, tb, _ =
+    match
+      List.find_opt
+        (fun ((b : Softcache.Tcache.block), (tb : Softcache.Tcache.block), _) ->
+          b.id <> tb.id
+          && not
+               (b.vaddr >= tb.vaddr && b.vaddr < tb.vaddr + (4 * tb.orig_words)))
+        (live_links ctrl)
+    with
+    | Some x -> x
+    | None -> Alcotest.fail "no chained edge survived to halt"
+  in
+  let names_b (i : Softcache.Tcache.incoming) = i.from_block = b.id in
+  let others = List.filter (fun i -> not (names_b i)) tb.incoming in
+  Softcache.Controller.invalidate ctrl ~lo:b.vaddr ~hi:(b.vaddr + 4);
+  Alcotest.(check bool) "source evicted" false
+    (Softcache.Tcache.is_alive ctrl.tc b.id);
+  Alcotest.(check bool) "target survived the invalidate" true
+    (Softcache.Tcache.is_alive ctrl.tc tb.id);
+  Alcotest.(check bool) "no record names the dead source" false
+    (List.exists names_b tb.incoming);
+  Alcotest.(check int) "other records kept" (List.length others)
+    (List.length tb.incoming);
   Check.Audit.check_exn ctrl
 
 (* ------------------------------------------------------------------ *)
@@ -190,15 +223,15 @@ let test_flush_unpatches_everything () =
   Alcotest.(check bool) "halts" true (outcome = Machine.Cpu.Halted);
   let pinned =
     List.filter
-      (fun ((b : Softcache.Tcache.block), _, _, _) ->
+      (fun ((b : Softcache.Tcache.block), _, _) ->
         Softcache.Tcache.is_pinned ctrl.tc b.id)
       (live_links ctrl)
   in
   Alcotest.(check bool) "pinned block has chained exits" true (pinned <> []);
   let expect =
     List.map
-      (fun (_, _, (l : Softcache.Controller.link), revert) ->
-        (l.l_site, revert, l.l_stub, stub_target ctrl l.l_stub))
+      (fun (_, _, (i : Softcache.Tcache.incoming)) ->
+        (i.site_paddr, i.revert_word, i.stub, stub_target ctrl i.stub))
       pinned
   in
   Softcache.Controller.flush ctrl;
@@ -212,7 +245,8 @@ let test_flush_unpatches_everything () =
         true
         (Softcache.Cc_state.pending_mem ctrl ~target k))
     expect;
-  Alcotest.(check int) "reverse link map empty" 0 (Hashtbl.length ctrl.links);
+  Alcotest.(check int) "no chained edge survives" 0
+    (List.length (live_links ctrl));
   Check.Audit.check_exn ctrl
 
 (* ------------------------------------------------------------------ *)
@@ -329,7 +363,7 @@ let test_collateral_eviction_unpatches () =
   (* a thrashing chained run. Pre-fix, the implicit FIFO sweep labelled
      every casualty a policy victim, so [evicted_collateral] stayed 0
      under Fifo; post-fix the overlapped blocks are labelled and,
-     because the auditor re-checks the link map after every event,
+     because the auditor re-checks every patched edge after every event,
      every collateral eviction of a chained target is proven to have
      unpatched its predecessors before the event was emitted. *)
   let img = (Option.get (Workloads.Registry.find "cjpeg")).build () in
@@ -363,23 +397,44 @@ let test_collateral_eviction_unpatches () =
    + ctrl.stats.evicted_flushed)
 
 (* ------------------------------------------------------------------ *)
-(* Mutation: a dropped link record must trip the links invariant *)
+(* Mutation: a record naming the wrong stub must trip the links
+   invariant *)
 
 let test_audit_catches_dropped_link () =
-  (* chain a run, check it is clean, then forget one reverse link of
-     the lowest-id source block *)
+  (* chain a run, check it is clean, then point the lowest-id source's
+     first record at a stub that is not one of that source's exits
+     aimed at the record's block: unpatching would re-arm the wrong
+     stub, and the source's stub walk would never find the record *)
   let ctrl = Softcache.Controller.create (chain_cfg ()) (prog_fib 12) in
   ignore (Softcache.Controller.run ctrl);
   Alcotest.(check int) "clean before the mutation" 0
     (List.length (Check.Audit.run ctrl));
-  let source =
-    List.fold_left min max_int
-      (Hashtbl.fold (fun id _ acc -> id :: acc) ctrl.links [])
+  let tb, inc =
+    match
+      List.sort
+        (fun ((a : Softcache.Tcache.block), _, _)
+             ((b : Softcache.Tcache.block), _, _) -> compare a.id b.id)
+        (live_links ctrl)
+    with
+    | (_, tb, inc) :: _ -> (tb, inc)
+    | [] -> Alcotest.fail "no chained edge survived to halt"
   in
-  (match Hashtbl.find ctrl.links source with
-  | [ _ ] -> Hashtbl.remove ctrl.links source
-  | _ :: rest -> Hashtbl.replace ctrl.links source rest
-  | [] -> Alcotest.fail "empty link list");
+  let aimed k =
+    match ctrl.stubs.(k) with
+    | Softcache.Stub.Exit { block; target; _ } ->
+      block = inc.from_block && target = tb.vaddr
+    | _ -> false
+  in
+  let stray =
+    match List.find_opt (fun k -> not (aimed k)) (List.init ctrl.nstubs Fun.id)
+    with
+    | Some k -> k
+    | None -> Alcotest.fail "every stub is an exit of the source"
+  in
+  tb.incoming <-
+    List.map
+      (fun i -> if i == inc then { i with Softcache.Tcache.stub = stray } else i)
+      tb.incoming;
   Alcotest.(check bool) "names the links invariant" true
     (List.exists
        (fun (v : Check.Audit.violation) -> v.invariant = "links")
@@ -388,7 +443,7 @@ let test_audit_catches_dropped_link () =
 (* ------------------------------------------------------------------ *)
 (* The qcheck property: random workload x cache size x eviction policy
    x chaining mode x invalidate/flush schedule. After every controller
-   event the auditor proves the link-map invariants (every patched
+   event the auditor proves the unlinking invariants (every patched
    branch targets a live resident chunk; every evicted chunk has zero
    inbound patches; stub bytes restored on unpatch), and the run must
    stay access-for-access equivalent to native execution. *)
@@ -457,7 +512,7 @@ let schedule_prop ((family, n, tcache_bytes), (ev_i, mode, sched)) =
 
 let test_qcheck_schedules () =
   QCheck.Test.check_exn
-    (QCheck.Test.make ~count:200 ~name:"chain/link-map schedule property"
+    (QCheck.Test.make ~count:200 ~name:"chain/unlinking schedule property"
        (QCheck.make ~print:schedule_print schedule_gen)
        schedule_prop);
   (* the suite must not silently shrink: 200 generated cases, every
@@ -507,6 +562,8 @@ let () =
             test_chain_reduces_traps;
           Alcotest.test_case "evict target: unpatch, re-arm, re-chain" `Quick
             test_evict_target_unpatches_and_rechains;
+          Alcotest.test_case "evict source: target drops its records" `Quick
+            test_evict_source_drops_its_records;
           Alcotest.test_case "flush unpatches everything" `Quick
             test_flush_unpatches_everything;
         ] );

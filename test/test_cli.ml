@@ -232,6 +232,25 @@ let test_run_harts () =
   expect_contains out "shard audit row" "shard audit";
   expect_contains out "shard audit value" "clean"
 
+(* a multi-hart run writes its trace too, and both renderings of the
+   shared ring validate: the Chrome one although the harts' stamps
+   interleave out of order in the ring (compress95 at 2 KB keeps ~90
+   backward stamps in a 65,536-event ring) *)
+let test_run_harts_traced format ext validate () =
+  let out_file = Filename.temp_file "softcache_htrace" ext in
+  let code, out =
+    run_cli
+      [ "run"; "compress95"; "--tcache"; "2048"; "--harts"; "2";
+        "--trace"; out_file; "--trace-format"; format ]
+  in
+  let trace_text = In_channel.with_open_text out_file In_channel.input_all in
+  Sys.remove out_file;
+  Alcotest.(check int) "exit code" 0 code;
+  expect_contains out "trace row" "events -> ";
+  match validate trace_text with
+  | Ok n -> Alcotest.(check bool) "events written" true (n > 0)
+  | Error e -> Alcotest.failf "%s export invalid: %s" format e
+
 let test_fleet_workloads_autosize () =
   let code, out =
     run_cli
@@ -295,6 +314,12 @@ let () =
       ( "shard",
         [
           Alcotest.test_case "--harts multi-hart run" `Quick test_run_harts;
+          Alcotest.test_case "--harts 2 --trace jsonl" `Quick
+            (test_run_harts_traced "jsonl" ".jsonl"
+               Trace.Schema.validate_jsonl);
+          Alcotest.test_case "--harts 2 --trace chrome" `Quick
+            (test_run_harts_traced "chrome" ".json"
+               Trace.Schema.validate_chrome);
           Alcotest.test_case "fleet --workloads --auto-size" `Quick
             test_fleet_workloads_autosize;
           Alcotest.test_case "fleet unknown workload rejected" `Quick

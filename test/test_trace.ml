@@ -452,6 +452,52 @@ let test_chrome_validator_rejects_backwards_ts () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted a time-travelling trace"
 
+(* Harts sharing one ring stamp it from their own clocks, so stamps
+   interleave out of order; the Chrome rendering must still come out in
+   stamp order, with residency spans still paired. *)
+let test_chrome_sorts_interleaved_stamps () =
+  let tr = Trace.create () in
+  let clock = ref 0 in
+  Trace.set_clock tr (fun () -> !clock);
+  let at c ev =
+    clock := c;
+    Trace.emit tr ev
+  in
+  at 10 (Trace.Cc_translated { chunk = 0x100; base = 0x10000; words = 8 });
+  at 4 (Trace.Sh_coalesce { hart = 1; chunk = 0x100; wait = 6 });
+  at 12 (Trace.Cc_translated { chunk = 0x200; base = 0x10020; words = 8 });
+  at 7
+    (Trace.Cc_evict
+       { chunk = 0x200; base = 0x10020; bytes = 32; incoming = 0;
+         reason = "victim" });
+  let chrome = Trace.to_chrome tr in
+  (match Trace.Schema.validate_chrome chrome with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "interleaved chrome export invalid: %s" e);
+  let stamps =
+    match Trace.Json.parse chrome with
+    | Ok doc -> (
+      match Trace.Json.member "traceEvents" doc with
+      | Some (Trace.Json.Arr evs) ->
+        List.filter_map
+          (fun e ->
+            match
+              (Trace.Json.member "ph" e, Trace.Json.member "ts" e)
+            with
+            | Some (Trace.Json.Str "i"), Some (Trace.Json.Num ts) ->
+              Some (int_of_float ts)
+            | _ -> None)
+          evs
+      | _ -> Alcotest.fail "no traceEvents")
+    | Error e -> Alcotest.failf "unparsable: %s" e
+  in
+  Alcotest.(check (list int)) "instants in stamp order" [ 4; 7; 10; 12 ]
+    stamps;
+  (* the ring itself (and so the JSONL rendering) keeps recording
+     order *)
+  Alcotest.(check (list int)) "ring keeps recording order" [ 10; 4; 12; 7 ]
+    (List.map fst (Trace.events tr))
+
 let test_export_writes_files () =
   let _, tr = exported_tracer () in
   let dir = Filename.temp_file "trace" "" in
@@ -685,6 +731,8 @@ let () =
             test_schema_rejects_malformed;
           Alcotest.test_case "chrome validator rejects backwards ts" `Quick
             test_chrome_validator_rejects_backwards_ts;
+          Alcotest.test_case "chrome sorts interleaved hart stamps" `Quick
+            test_chrome_sorts_interleaved_stamps;
           Alcotest.test_case "export writes valid files" `Quick
             test_export_writes_files;
           Alcotest.test_case "json parser basics" `Quick
