@@ -80,7 +80,7 @@ let cell ?fuel ?prepare ?label ?(check = true) ?(audit = false)
     | None -> Printf.sprintf "%s/%dB" w.name cfg.tcache_bytes
   in
   match Softcache.Runner.cached_robust ?fuel ?prepare cfg w.img with
-  | exception Softcache.Controller.Chunk_too_large _ ->
+  | { status = Softcache.Runner.Chunk_too_large _; _ }, _ ->
     if not too_large_ok then fail "%s: chunk too large" label;
     None
   | run, ctrl ->
@@ -972,6 +972,8 @@ let faultsweep () =
               if c.ok then "ok" else "MISMATCH"
             | Softcache.Runner.Finished Machine.Cpu.Out_of_fuel -> "fuel"
             | Softcache.Runner.Unavailable _ -> "unavailable"
+            | Softcache.Runner.Tcache_too_small -> "tcache too small"
+            | Softcache.Runner.Chunk_too_large _ -> "chunk too large"
           in
           Report.Table.add_row t
             [

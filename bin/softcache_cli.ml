@@ -284,6 +284,14 @@ let list_cmd =
   in
   Cmd.v (Cmd.info "list" ~doc:"List the workload suite") Term.(const run $ const ())
 
+(* 0 = halted with the native outputs, 2 = output mismatch, 3 = the
+   run stopped on a typed failure (dead link, tcache too small, chunk
+   too large) *)
+let exit_code (status : Softcache.Runner.status) ~ok =
+  match status with
+  | Finished _ -> if ok then 0 else 2
+  | Unavailable _ | Tcache_too_small | Chunk_too_large _ -> 3
+
 let run_cmd =
   let run name tcache chunking eviction granularity network faults audit
       engine prefetch staging chain superblock_threshold harts shards
@@ -383,8 +391,15 @@ let run_cmd =
         let ctrl = Softcache.Controller.create cfg img in
         prepare ctrl;
         let sh = Softcache.Shard.attach ctrl in
-        ignore (Softcache.Shard.run sh);
+        let status =
+          Softcache.Runner.status_of (fun () -> Softcache.Shard.run sh)
+        in
         Report.kv "native cycles" (string_of_int native.cycles);
+        (match status with
+        | Softcache.Runner.Finished _ -> ()
+        | stopped ->
+          Report.kv "status"
+            (Format.asprintf "%a" Softcache.Runner.pp_status stopped));
         Report.kv "harts"
           (Printf.sprintf "%d over %d tcache shard(s), sched seed %d" harts
              shards sched_seed);
@@ -425,7 +440,7 @@ let run_cmd =
         | Some path, Some tr -> export_trace ~format:trace_format path tr
         | _ -> ());
         Format.printf "  stats: %a@." Softcache.Stats.pp ctrl.stats;
-        if ok && shard_viols = [] then 0 else 2
+        exit_code status ~ok:(ok && shard_viols = [])
       end
       else begin
       let cached, ctrl = Softcache.Runner.cached_robust ~prepare cfg img in
@@ -443,7 +458,9 @@ let run_cmd =
           (Printf.sprintf "%.6f (%d translations / %d instrs)"
              (Softcache.Stats.miss_rate ctrl.stats ~retired:cached.retired)
              ctrl.stats.translations cached.retired)
-      | Softcache.Runner.Unavailable _ -> ());
+      | Softcache.Runner.Unavailable _ | Softcache.Runner.Tcache_too_small
+      | Softcache.Runner.Chunk_too_large _ ->
+        ());
       let ok =
         cached.status = Softcache.Runner.Finished Machine.Cpu.Halted
         && native.outputs = cached.outputs
@@ -488,9 +505,7 @@ let run_cmd =
       | _ -> ());
       Format.printf "  stats: %a@." Softcache.Stats.pp ctrl.stats;
       Format.printf "  %a@." Netmodel.pp cfg.net;
-      (match cached.status with
-      | Softcache.Runner.Unavailable _ -> 3
-      | Softcache.Runner.Finished _ -> if ok then 0 else 2)
+      exit_code cached.status ~ok
       end
   in
   Cmd.v

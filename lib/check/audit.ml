@@ -32,12 +32,12 @@ let aims_at ~site ~(b : Tcache.block) w =
   | Some (Isa.Instr.Br (_, _, _, d)) -> site + (4 * d) = b.paddr
   | Some _ | None -> false
 
-(* The control-flow target of [w] at [site], if it has a static one. *)
-let static_target ~site w =
-  match Isa.Encode.decode w with
-  | Some (Isa.Instr.Jmp p) | Some (Isa.Instr.Jal p) -> Some p
-  | Some (Isa.Instr.Br (_, _, _, d)) -> Some (site + (4 * d))
-  | Some _ | None -> None
+(* The control-flow target of [instr] at [site], if it has a static
+   one. *)
+let static_target ~site = function
+  | Isa.Instr.Jmp p | Isa.Instr.Jal p -> Some p
+  | Isa.Instr.Br (_, _, _, d) -> Some (site + (4 * d))
+  | _ -> None
 
 let has_incoming (b : Tcache.block) ~site_paddr =
   List.exists
@@ -103,6 +103,52 @@ let run (t : Controller.t) : violation list =
     | [ _ ] | [] -> ()
   in
   overlap_chain sorted;
+
+  (* -- placement index: each shard's code area reads back exactly the
+        resident blocks in it, in paddr order, and the running
+        occupancy count equals a fold over blocks and stub areas.  The
+        comparison walks [sorted] without building lists: this section
+        runs after every event of an audited run. ---------------- *)
+  let stub_bytes = ref 0 in
+  for sh = 0 to Tcache.shards tc - 1 do
+    let lo, sh_top = Tcache.shard_bounds tc sh in
+    let pb = Tcache.persist_base ~shard:sh tc in
+    stub_bytes := !stub_bytes + (sh_top - pb);
+    let meets (b : Tcache.block) =
+      b.paddr < pb && b.paddr + (4 * b.words) > lo
+    in
+    let rec agree (indexed : Tcache.block list)
+        (expected : Tcache.block list) =
+      match (indexed, expected) with
+      | [], [] -> true
+      | _, e :: es when not (meets e) -> agree indexed es
+      | i :: is, e :: es -> i.id = e.id && agree is es
+      | _ :: _, [] | [], _ :: _ -> false
+    in
+    match Tcache.overlapping tc lo pb with
+    | exception Not_found ->
+      add "placement"
+        "shard %d code area [0x%x,0x%x): the index names a block that is \
+         not resident"
+        sh lo pb
+    | indexed ->
+      if not (agree indexed sorted) then
+        let pp_ids ppf =
+          List.iter (fun (b : Tcache.block) -> Format.fprintf ppf " %d" b.id)
+        in
+        add "placement"
+          "shard %d code area [0x%x,0x%x): index lists ids [%a ], \
+           residents are [%a ]"
+          sh lo pb pp_ids indexed pp_ids (List.filter meets sorted)
+  done;
+  let folded =
+    List.fold_left
+      (fun acc (b : Tcache.block) -> acc + (4 * b.words))
+      !stub_bytes blocks
+  in
+  if Tcache.occupied_bytes tc <> folded then
+    add "placement" "occupied_bytes %d, but blocks and stub areas sum to %d"
+      (Tcache.occupied_bytes tc) folded;
 
   (* -- tcache map agrees with residency ----------------------------- *)
   if Tcache.map_entries tc <> Tcache.resident_blocks tc then
@@ -260,33 +306,35 @@ let run (t : Controller.t) : violation list =
     (fun (b : Tcache.block) ->
       for i = 0 to b.words - 1 do
         let site = b.paddr + (4 * i) in
-        let w = word t site in
-        (match static_target ~site w with
-        | Some p when not (in_block b p) -> (
-          match Hashtbl.find_opt by_paddr p with
-          | Some tb ->
-            if not (has_incoming tb ~site_paddr:site) then
-              add "incoming"
-                "word at 0x%x (block v=0x%x) branches to v=0x%x@0x%x \
-                 without an incoming record"
-                site b.vaddr tb.vaddr p
-          | None ->
-            if not (Hashtbl.mem plt_slot_paddrs p) then
-              add "wild"
-                "word at 0x%x (block v=0x%x) branches to 0x%x, which is \
-                 neither a block start nor a PLT slot"
-                site b.vaddr p)
-        | Some _ | None -> ());
-        match Isa.Encode.decode w with
-        | Some (Isa.Instr.Trap j) ->
-          if j < 0 || j >= t.nstubs then
-            add "trap" "word at 0x%x traps to out-of-range stub %d" site j
-          else if not (List.mem j b.stubs) then
-            add "trap"
-              "word at 0x%x (block v=0x%x) traps to stub %d, which the \
-               block does not own"
-              site b.vaddr j
-        | _ -> ()
+        match Isa.Encode.decode (word t site) with
+        | None -> ()
+        | Some instr -> (
+          (match static_target ~site instr with
+          | Some p when not (in_block b p) -> (
+            match Hashtbl.find_opt by_paddr p with
+            | Some tb ->
+              if not (has_incoming tb ~site_paddr:site) then
+                add "incoming"
+                  "word at 0x%x (block v=0x%x) branches to v=0x%x@0x%x \
+                   without an incoming record"
+                  site b.vaddr tb.vaddr p
+            | None ->
+              if not (Hashtbl.mem plt_slot_paddrs p) then
+                add "wild"
+                  "word at 0x%x (block v=0x%x) branches to 0x%x, which is \
+                   neither a block start nor a PLT slot"
+                  site b.vaddr p)
+          | Some _ | None -> ());
+          match instr with
+          | Isa.Instr.Trap j ->
+            if j < 0 || j >= t.nstubs then
+              add "trap" "word at 0x%x traps to out-of-range stub %d" site j
+            else if not (List.mem j b.stubs) then
+              add "trap"
+                "word at 0x%x (block v=0x%x) traps to stub %d, which the \
+                 block does not own"
+                site b.vaddr j
+          | _ -> ())
       done)
     blocks;
 

@@ -6,6 +6,9 @@
     memory:
 
     - resident blocks lie inside the code area and never overlap;
+    - the placement index reads back exactly the resident blocks of
+      each shard's code area, in paddr order, and the occupancy count
+      equals a fold over the blocks and the stub areas;
     - the tcache map agrees exactly with the set of resident blocks;
     - every pinned id names a resident block;
     - every recorded incoming pointer either still holds its revert

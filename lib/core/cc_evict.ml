@@ -74,11 +74,12 @@ let rec persistent_ret_stub t ~on_evicted ret_vaddr =
       paddr)
 
 (* Redirect any live landing-pad address held in [ra] or on the stack
-   into a persistent return stub. [padtbl] maps pad paddr -> return
-   vaddr for the pads that just died. *)
-and scrub_stack t ~on_evicted padtbl =
+   into a persistent return stub. [pads] lists (pad paddr, return
+   vaddr) for the pads that just died; pad addresses are unique among
+   live blocks, so the first match is the only one. *)
+and scrub_stack t ~on_evicted pads =
   let fixup v =
-    match Hashtbl.find_opt padtbl v with
+    match List.assoc_opt v pads with
     | Some ret_vaddr -> Some (persistent_ret_stub t ~on_evicted ret_vaddr)
     | None -> None
   in
@@ -159,16 +160,11 @@ and process_evicted t ~reason_of victims =
        a transiently inconsistent stub table to the event hook *)
     free_block_stubs t victims;
     (* landing pads that may be live in return addresses *)
-    let padtbl = Hashtbl.create 16 in
-    List.iter
-      (fun (b : Tcache.block) ->
-        List.iter (fun (p, rv) -> Hashtbl.replace padtbl p rv) b.pads)
-      victims;
+    let pads = List.concat_map (fun (b : Tcache.block) -> b.pads) victims in
     let on_stub_growth =
       process_evicted t ~reason_of:(fun _ -> Policy.Stub_growth)
     in
-    if Hashtbl.length padtbl > 0 then
-      scrub_stack t ~on_evicted:on_stub_growth padtbl;
+    if pads <> [] then scrub_stack t ~on_evicted:on_stub_growth pads;
     (* if a CPU is parked inside a dead block (invalidate between runs,
        or a suspended hart whose lease a flush/invalidate overrode),
        park it on a persistent stub for its resume address *)

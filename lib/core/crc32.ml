@@ -11,15 +11,13 @@ let table =
          done;
          !c))
 
-let update crc b =
-  let t = Lazy.force table in
-  t.((crc lxor b) land 0xFF) lxor (crc lsr 8)
-
 let bytes ?(pos = 0) ?len b =
   let len = match len with Some l -> l | None -> Bytes.length b - pos in
+  let table = Lazy.force table in
   let crc = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
-    crc := update !crc (Char.code (Bytes.unsafe_get b i))
+    let byte = Char.code (Bytes.unsafe_get b i) in
+    crc := table.((!crc lxor byte) land 0xFF) lxor (!crc lsr 8)
   done;
   !crc lxor 0xFFFFFFFF
 

@@ -30,6 +30,16 @@ let slowdown ~(native : result) ~(cached : result) =
 type status =
   | Finished of Machine.Cpu.outcome
   | Unavailable of { vaddr : int; attempts : int }
+  | Tcache_too_small
+  | Chunk_too_large of int
+
+let status_of run =
+  match run () with
+  | outcome -> Finished outcome
+  | exception Controller.Chunk_unavailable { vaddr; attempts } ->
+    Unavailable { vaddr; attempts }
+  | exception Controller.Tcache_too_small -> Tcache_too_small
+  | exception Controller.Chunk_too_large vaddr -> Chunk_too_large vaddr
 
 type robust = {
   status : status;
@@ -41,12 +51,7 @@ type robust = {
 let cached_robust ?fuel ?(prepare = fun (_ : Controller.t) -> ()) cfg img =
   let ctrl = Controller.create cfg img in
   prepare ctrl;
-  let status =
-    match Controller.run ?fuel ctrl with
-    | outcome -> Finished outcome
-    | exception Controller.Chunk_unavailable { vaddr; attempts } ->
-      Unavailable { vaddr; attempts }
-  in
+  let status = status_of (fun () -> Controller.run ?fuel ctrl) in
   ( {
       status;
       outputs = Machine.Cpu.outputs ctrl.cpu;
@@ -62,3 +67,5 @@ let pp_status ppf = function
   | Unavailable { vaddr; attempts } ->
     Format.fprintf ppf "chunk 0x%x unavailable after %d attempts" vaddr
       attempts
+  | Tcache_too_small -> Format.pp_print_string ppf "tcache too small"
+  | Chunk_too_large vaddr -> Format.fprintf ppf "chunk 0x%x too large" vaddr

@@ -24,6 +24,17 @@ type status =
   | Unavailable of { vaddr : int; attempts : int }
       (** the interconnect never delivered this chunk intact within the
           retry budget; execution stopped cleanly *)
+  | Tcache_too_small
+      (** the persistent stub area could not grow, or pinned and leased
+          blocks crowded out a chunk that fits an empty arena *)
+  | Chunk_too_large of int
+      (** the chunk at this vaddr does not fit the tcache at all *)
+
+val status_of : (unit -> Machine.Cpu.outcome) -> status
+(** Run a controller (solo or multi-hart) and map the typed failures
+    [Controller.Chunk_unavailable], [Controller.Tcache_too_small] and
+    [Controller.Chunk_too_large] to their statuses; any other exception
+    propagates. *)
 
 type robust = {
   status : status;
@@ -38,9 +49,10 @@ val cached_robust :
   Config.t ->
   Isa.Image.t ->
   robust * Controller.t
-(** Like [cached], but a [Controller.Chunk_unavailable] raised by a
-    faulty interconnect is surfaced as a clean [Unavailable] status
-    instead of an exception. [prepare] runs on the fresh controller
-    before execution starts (install an auditor, pin chunks, ...). *)
+(** Like [cached], but the typed failures of {!status_of} (a faulty
+    interconnect, a tcache too small for the workload) are surfaced as
+    a status instead of an exception. [prepare] runs on the fresh
+    controller before execution starts (install an auditor, pin
+    chunks, ...). *)
 
 val pp_status : Format.formatter -> status -> unit

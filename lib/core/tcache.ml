@@ -44,6 +44,11 @@ type t = {
          region by force and the parked-pc redirect re-routes the
          reader (the lease is re-established on a live block when the
          hart next suspends). *)
+  owner : int array;
+      (* the placement index: one slot per tcache word, holding the id
+         of the resident block covering it or -1, so placement and
+         eviction touch only the words they overwrite *)
+  mutable code_bytes : int;  (* summed size of the resident blocks *)
 }
 
 let create_sharded ~shards ~base ~bytes =
@@ -70,6 +75,8 @@ let create_sharded ~shards ~base ~bytes =
     by_id = Hashtbl.create 256;
     pinned = Hashtbl.create 8;
     leased = Hashtbl.create 8;
+    owner = Array.make (shards * span / 4) (-1);
+    code_bytes = 0;
   }
 
 let create ~base ~bytes = create_sharded ~shards:1 ~base ~bytes
@@ -95,9 +102,27 @@ let lookup t vaddr = Hashtbl.find_opt t.by_vaddr vaddr
 let find_by_id t id = Hashtbl.find_opt t.by_id id
 let is_alive t id = Hashtbl.mem t.by_id id
 
+(* Index slot of the word holding [a], and one past the slot of the
+   word holding [a - 1]; both clamped to [base, top), because unit
+   tests register blocks at arbitrary addresses. *)
+let slot t a = (min (max a t.base) t.top - t.base) asr 2
+let slot_end t a = (min (max a t.base) t.top - t.base + 3) asr 2
+
+(* Take a block out of the index and the occupancy count, clearing
+   only the words it still owns. *)
+let unindex t b =
+  t.code_bytes <- t.code_bytes - (b.words * 4);
+  for i = slot t b.paddr to slot_end t (b.paddr + (b.words * 4)) - 1 do
+    if t.owner.(i) = b.id then t.owner.(i) <- -1
+  done
+
 let register t b =
   Hashtbl.replace t.by_vaddr b.vaddr b;
-  Hashtbl.replace t.by_id b.id b
+  Hashtbl.replace t.by_id b.id b;
+  t.code_bytes <- t.code_bytes + (b.words * 4);
+  for i = slot t b.paddr to slot_end t (b.paddr + (b.words * 4)) - 1 do
+    t.owner.(i) <- b.id
+  done
 
 let pin t (b : block) =
   if Hashtbl.mem t.by_id b.id then Hashtbl.replace t.pinned b.id ()
@@ -135,26 +160,56 @@ let remove t b =
   (match Hashtbl.find_opt t.by_vaddr b.vaddr with
   | Some b' when b'.id = b.id -> Hashtbl.remove t.by_vaddr b.vaddr
   | Some _ | None -> ());
-  Hashtbl.remove t.by_id b.id
+  if Hashtbl.mem t.by_id b.id then begin
+    unindex t (Hashtbl.find t.by_id b.id);
+    Hashtbl.remove t.by_id b.id
+  end
 
 let blocks t = Hashtbl.fold (fun _ b acc -> b :: acc) t.by_id []
 let resident_blocks t = Hashtbl.length t.by_id
 
 let occupied_bytes t =
-  let code =
-    Hashtbl.fold (fun _ b acc -> acc + (b.words * 4)) t.by_id 0
-  in
-  Array.fold_left (fun acc r -> acc + (r.r_top - r.r_persist_base)) code
-    t.regions
+  Array.fold_left
+    (fun acc r -> acc + (r.r_top - r.r_persist_base))
+    t.code_bytes t.regions
 
 let map_entries t = Hashtbl.length t.by_vaddr
 
+(* Walk the index down from [hi], hopping over each block found to the
+   slot below its start: every block is read once, and consing while
+   descending leaves the list in ascending paddr order. An empty range
+   meets nothing, even inside a word. *)
 let overlapping t lo hi =
-  Hashtbl.fold
-    (fun _ b acc ->
-      let b_lo = b.paddr and b_hi = b.paddr + (b.words * 4) in
-      if b_lo < hi && b_hi > lo then b :: acc else acc)
-    t.by_id []
+  let i0 = slot t lo in
+  let i = ref (if hi <= lo then i0 - 1 else slot_end t hi - 1) in
+  let acc = ref [] in
+  while !i >= i0 do
+    let id = t.owner.(!i) in
+    if id < 0 then decr i
+    else begin
+      let b = Hashtbl.find t.by_id id in
+      acc := b :: !acc;
+      i := min (!i - 1) (slot t b.paddr - 1)
+    end
+  done;
+  !acc
+
+let vacant t lo hi =
+  let i = ref (slot t lo) and i1 = slot_end t hi in
+  while !i < i1 && t.owner.(!i) < 0 do
+    incr i
+  done;
+  !i >= i1
+
+(* [lo] when no pinned or leased block meets [lo, hi); otherwise the
+   furthest end among those that do. *)
+let obstacle_end t lo hi =
+  if obstacles t = 0 then lo
+  else
+    List.fold_left
+      (fun acc b ->
+        if is_obstacle t b.id then max acc (b.paddr + (b.words * 4)) else acc)
+      lo (overlapping t lo hi)
 
 let evict_range t lo hi =
   let victims = overlapping t lo hi in
@@ -177,27 +232,23 @@ let rec place_skipping_pinned t (r : region) ~bytes ~budget ~can_evict =
   else
     let lo = r.r_alloc_ptr in
     let hi = lo + bytes in
-    let overlapping = overlapping t lo hi in
-    let obstacle_overlap =
-      List.filter (fun b -> is_obstacle t b.id) overlapping
-    in
-    match obstacle_overlap with
-    | [] ->
-      if overlapping <> [] && not can_evict then Error `Full
-      else begin
-        List.iter (remove t) overlapping;
-        r.r_alloc_ptr <- hi;
-        Ok (lo, overlapping)
-      end
-    | _ ->
+    let skip_to = obstacle_end t lo hi in
+    if skip_to > lo then begin
       (* hop past the furthest immovable obstacle *)
-      let skip_to =
-        List.fold_left
-          (fun acc b -> max acc (b.paddr + (b.words * 4)))
-          lo obstacle_overlap
-      in
       r.r_alloc_ptr <- skip_to;
       place_skipping_pinned t r ~bytes ~budget:(budget - 1) ~can_evict
+    end
+    else if can_evict then begin
+      let victims = overlapping t lo hi in
+      List.iter (remove t) victims;
+      r.r_alloc_ptr <- hi;
+      Ok (lo, victims)
+    end
+    else if vacant t lo hi then begin
+      r.r_alloc_ptr <- hi;
+      Ok (lo, [])
+    end
+    else Error `Full
 
 let region t shard =
   if shard < 0 || shard >= Array.length t.regions then
@@ -270,15 +321,7 @@ let reset t =
   (* pinned blocks survive the flush; leases do not — the flush writer
      takes every region by force and parked readers are redirected *)
   let former = List.filter (fun b -> not (is_pinned t b.id)) (blocks t) in
-  List.iter
-    (fun b ->
-      Hashtbl.remove t.pinned b.id;
-      Hashtbl.remove t.leased b.id;
-      (match Hashtbl.find_opt t.by_vaddr b.vaddr with
-      | Some b' when b'.id = b.id -> Hashtbl.remove t.by_vaddr b.vaddr
-      | Some _ | None -> ());
-      Hashtbl.remove t.by_id b.id)
-    former;
+  List.iter (remove t) former;
   Array.iter (fun r -> r.r_alloc_ptr <- r.r_lo) t.regions;
   former
 

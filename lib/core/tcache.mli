@@ -17,6 +17,11 @@
     (cross-shard lookup). This module only does bookkeeping; the
     controller performs the actual memory writes.
 
+    A placement index maps every tcache word to the resident block
+    covering it, so allocation and eviction touch only the words they
+    overwrite; no operation on the miss path walks every resident
+    block.
+
     On top of pins, the multi-hart controller takes {e read leases} on
     blocks that suspended harts are executing inside: a leased block is
     an immovable obstacle for the allocation sweep exactly like a
@@ -89,12 +94,24 @@ val lookup : t -> int -> block option
 val find_by_id : t -> int -> block option
 val is_alive : t -> int -> bool
 val register : t -> block -> unit
+(** Make [b] resident: map its vaddr and index its words. Its id must
+    not be resident already. *)
+
 val blocks : t -> block list
-(** All resident blocks, unordered. *)
+(** All resident blocks, in no particular order. A fold over every
+    resident block: for audits, flushes and invalidation, not for the
+    miss path ({!overlapping} gives paddr order over a range). *)
+
+val overlapping : t -> int -> int -> block list
+(** [overlapping t lo hi] — the resident blocks that meet [\[lo, hi)],
+    each once, in ascending paddr. Reads only the index words of
+    [\[lo, hi)] clamped to the tcache. *)
 
 val resident_blocks : t -> int
 val occupied_bytes : t -> int
-(** Blocks plus persistent stubs, summed across shards. *)
+(** Blocks plus persistent stubs, summed across shards. Constant time:
+    the block bytes are a running count kept by {!register},
+    {!remove} and {!reset}. *)
 
 val map_entries : t -> int
 
@@ -105,9 +122,10 @@ val alloc_fifo :
   (int * block list, [ `Full | `Too_large ]) result
 (** Allocate with the circular FIFO sweep of [shard] (default 0).
     Returns the placement and the blocks that had to be evicted
-    (already deregistered). [`Too_large] means the chunk exceeds the
-    arena's capacity outright; [`Full] means it would fit an empty
-    arena but pinned or leased blocks crowd out every placement. *)
+    (already deregistered), in ascending paddr. [`Too_large] means the
+    chunk exceeds the arena's capacity outright; [`Full] means it would
+    fit an empty arena but pinned or leased blocks crowd out every
+    placement. *)
 
 val alloc_seeded :
   ?shard:int ->

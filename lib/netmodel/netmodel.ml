@@ -214,11 +214,21 @@ let transfer_batch t ~payloads =
   (* One frame carries every segment, so a batch pays latency and
      per-message overhead once; a fault hits the whole frame. Slicing
      the received bytes back out keeps the per-segment view while the
-     rng draw stream stays identical to a single [transfer]. *)
-  let frame = Bytes.concat Bytes.empty payloads in
-  match transfer_frame t ~segments:(List.length payloads) ~payload:frame with
-  | Error _ as e -> e
-  | Ok (cost, received) -> Ok (cost, slice_segments received payloads)
+     rng draw stream stays identical to a single [transfer]. A lone
+     segment is its own frame and needs neither the copy nor the
+     slice. *)
+  match payloads with
+  | [ payload ] -> (
+    match transfer_frame t ~segments:1 ~payload with
+    | Error _ as e -> e
+    | Ok (cost, received) -> Ok (cost, [ received ]))
+  | _ -> (
+    let frame = Bytes.concat Bytes.empty payloads in
+    match
+      transfer_frame t ~segments:(List.length payloads) ~payload:frame
+    with
+    | Error _ as e -> e
+    | Ok (cost, received) -> Ok (cost, slice_segments received payloads))
 
 (* Rider segments appended to a frame that is already occupying the
    link (fleet frame batching across clients). The host frame paid the

@@ -64,6 +64,27 @@ let test_run_dead_link_exit_3 () =
   Alcotest.(check int) "exit code" 3 code;
   expect_contains out "status" "unavailable"
 
+(* A tcache the workload cannot fit stops the run with a typed status
+   and exit 3, on the solo and the multi-hart branch alike, never with
+   an uncaught exception. *)
+let test_run_tcache_too_small_exit_3 () =
+  let code, out =
+    run_cli [ "run"; "sensor_modes"; "--tcache"; "1024"; "--harts"; "2" ]
+  in
+  Alcotest.(check int) "exit code" 3 code;
+  expect_contains out "status"
+    "status                       : tcache too small";
+  Alcotest.(check bool) "no uncaught exception" false
+    (contains out "uncaught exception")
+
+let test_run_chunk_too_large_exit_3 () =
+  let code, out = run_cli [ "run"; "sensor_modes"; "--tcache"; "256" ] in
+  Alcotest.(check int) "exit code" 3 code;
+  expect_contains out "status"
+    "status                       : chunk 0x1080 too large";
+  Alcotest.(check bool) "no uncaught exception" false
+    (contains out "uncaught exception")
+
 let test_run_traced () =
   (* --trace writes a schema-shaped JSONL file, prints the attribution
      summary, and the traced run still exits clean *)
@@ -280,6 +301,10 @@ let () =
           Alcotest.test_case "clean run, no fault rows" `Quick test_run_clean;
           Alcotest.test_case "faults + audit rows" `Quick
             test_run_faults_audit;
+          Alcotest.test_case "tcache too small exits 3 (--harts 2)" `Quick
+            test_run_tcache_too_small_exit_3;
+          Alcotest.test_case "chunk too large exits 3" `Quick
+            test_run_chunk_too_large_exit_3;
           Alcotest.test_case "dead link exits 3" `Quick
             test_run_dead_link_exit_3;
           Alcotest.test_case "bad --faults rejected" `Quick

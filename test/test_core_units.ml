@@ -479,6 +479,135 @@ let test_tcache_occupancy () =
     (Softcache.Tcache.occupied_bytes tc);
   Alcotest.(check int) "map entries" 1 (Softcache.Tcache.map_entries tc)
 
+(* The placement index against a brute-force scan: after every step of
+   a random sequence of allocations (each placement registered as a
+   block), pins, leases, removals and flushes, [overlapping] over a
+   random range and over the whole region lists exactly the resident
+   blocks meeting it, in paddr order, and [occupied_bytes] equals a
+   fold over the blocks and the stub areas. *)
+type tc_op =
+  | Fifo of int * int  (* shard, words *)
+  | Seeded of int * int * int  (* shard, victim pick, words *)
+  | Append of int * int
+  | Persistent of int * int
+  | Pin of int  (* pick among the resident blocks *)
+  | Lease of int
+  | Remove of int
+  | Reset
+
+let tc_op_name = function
+  | Fifo (s, w) -> Printf.sprintf "fifo s%d %dw" s w
+  | Seeded (s, k, w) -> Printf.sprintf "seeded s%d #%d %dw" s k w
+  | Append (s, w) -> Printf.sprintf "append s%d %dw" s w
+  | Persistent (s, w) -> Printf.sprintf "persistent s%d %dw" s w
+  | Pin k -> Printf.sprintf "pin #%d" k
+  | Lease k -> Printf.sprintf "lease #%d" k
+  | Remove k -> Printf.sprintf "remove #%d" k
+  | Reset -> "reset"
+
+let gen_tc_step =
+  QCheck.Gen.(
+    let shard = int_bound 1 and words = int_range 1 12 and pick = int_bound 63 in
+    pair
+      (frequency
+         [
+           (4, map2 (fun s w -> Fifo (s, w)) shard words);
+           (2, map3 (fun s k w -> Seeded (s, k, w)) shard pick words);
+           (3, map2 (fun s w -> Append (s, w)) shard words);
+           (1, map2 (fun s w -> Persistent (s, w)) shard (int_range 1 2));
+           (1, map (fun k -> Pin k) pick);
+           (1, map (fun k -> Lease k) pick);
+           (2, map (fun k -> Remove k) pick);
+           (1, return Reset);
+         ])
+      (* probe range: byte offset from the base (straddling both ends of
+         the region) and length *)
+      (pair (int_range (-16) 271) (int_range 0 64)))
+
+let test_placement_index =
+  let module T = Softcache.Tcache in
+  QCheck.Test.make ~count:300 ~name:"placement index = brute-force scan"
+    QCheck.(
+      make
+        ~print:(fun (shards, steps) ->
+          Printf.sprintf "%d shard(s): %s" shards
+            (String.concat "; "
+               (List.map
+                  (fun (op, (lo, len)) ->
+                    Printf.sprintf "%s ?[%d,+%d)" (tc_op_name op) lo len)
+                  steps)))
+        Gen.(pair (int_range 1 2) (list_size (int_range 1 60) gen_tc_step)))
+    (fun (shards, steps) ->
+      let base = 0x20000 in
+      let tc = T.create_sharded ~shards ~base ~bytes:256 in
+      let next_id = ref 0 in
+      let by_id = List.sort (fun (a : T.block) b -> compare a.id b.id) in
+      let by_paddr =
+        List.sort (fun (a : T.block) b -> compare a.paddr b.paddr)
+      in
+      let nth_resident k =
+        match by_id (T.blocks tc) with
+        | [] -> None
+        | bs -> Some (List.nth bs (k mod List.length bs))
+      in
+      let place words = function
+        | Ok p ->
+          let id = !next_id in
+          incr next_id;
+          T.register tc (block ~id ~vaddr:(0x1000 + (4 * id)) ~paddr:p ~words)
+        | Error _ -> ()
+      in
+      let apply = function
+        | Fifo (s, words) ->
+          place words
+            (Result.map fst (T.alloc_fifo ~shard:(s mod shards) tc ~words))
+        | Seeded (s, k, words) ->
+          let seed =
+            match nth_resident k with
+            | Some b -> b.paddr
+            | None -> base + (4 * k)
+          in
+          place words
+            (Result.map fst
+               (T.alloc_seeded ~shard:(s mod shards) tc ~seed ~words))
+        | Append (s, words) ->
+          place words (T.alloc_append ~shard:(s mod shards) tc ~words)
+        | Persistent (s, words) ->
+          ignore (T.alloc_persistent ~shard:(s mod shards) tc ~words)
+        | Pin k -> Option.iter (T.pin tc) (nth_resident k)
+        | Lease k -> Option.iter (T.lease tc) (nth_resident k)
+        | Remove k -> Option.iter (T.remove tc) (nth_resident k)
+        | Reset -> ignore (T.reset tc)
+      in
+      let ids = List.map (fun (b : T.block) -> b.id) in
+      let agrees lo hi =
+        (* an empty range meets no block *)
+        let brute =
+          List.filter
+            (fun (b : T.block) ->
+              lo < hi && b.paddr < hi && b.paddr + (4 * b.words) > lo)
+            (T.blocks tc)
+        in
+        ids (T.overlapping tc lo hi) = ids (by_paddr brute)
+      in
+      let occupancy_folds () =
+        let stubs = ref 0 in
+        for sh = 0 to shards - 1 do
+          stubs := !stubs + (snd (T.shard_bounds tc sh) - T.persist_base ~shard:sh tc)
+        done;
+        T.occupied_bytes tc
+        = List.fold_left
+            (fun acc (b : T.block) -> acc + (4 * b.words))
+            !stubs (T.blocks tc)
+      in
+      List.for_all
+        (fun (op, (lo, len)) ->
+          apply op;
+          agrees (base + lo) (base + lo + len)
+          && agrees base (T.top tc)
+          && occupancy_folds ())
+        steps)
+
 let () =
   Alcotest.run "core-units"
     [
@@ -532,5 +661,6 @@ let () =
             test_tcache_reset_keeps_persistent;
           Alcotest.test_case "occupancy accounting" `Quick
             test_tcache_occupancy;
+          QCheck_alcotest.to_alcotest test_placement_index;
         ] );
     ]

@@ -277,21 +277,20 @@ let test_random_fault_robustness =
       let eviction =
         if ev = 0 then Softcache.Config.Fifo else Softcache.Config.Flush_all
       in
-      match
+      let cached, ctrl =
         run_faulted ~seed ~drop ~corrupt ~duplicate ~delay_spike:0.1
           ~tcache_bytes:size ~chunking ~eviction img
-      with
-      | cached, ctrl -> (
-        if ctrl.stats.max_chunk_retries > ctrl.cfg.max_retries then false
-        else
-          match cached.status with
-          | Softcache.Runner.Finished Machine.Cpu.Halted ->
-            cached.outputs = native.outputs
-          | Softcache.Runner.Finished Machine.Cpu.Out_of_fuel -> false
-          | Softcache.Runner.Unavailable { attempts; _ } ->
-            attempts = ctrl.cfg.max_retries + 1)
-      | exception Softcache.Controller.Chunk_too_large _ ->
-        QCheck.assume_fail ())
+      in
+      match cached.status with
+      | Softcache.Runner.Chunk_too_large _ -> QCheck.assume_fail ()
+      | _ when ctrl.stats.max_chunk_retries > ctrl.cfg.max_retries -> false
+      | Softcache.Runner.Finished Machine.Cpu.Halted ->
+        cached.outputs = native.outputs
+      | Softcache.Runner.Finished Machine.Cpu.Out_of_fuel
+      | Softcache.Runner.Tcache_too_small ->
+        false
+      | Softcache.Runner.Unavailable { attempts; _ } ->
+        attempts = ctrl.cfg.max_retries + 1)
 
 let test_hopeless_link_unavailable () =
   (* a link that drops everything must give up after exactly

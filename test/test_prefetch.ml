@@ -347,7 +347,10 @@ let test_prefetch_fault_robustness =
       | Softcache.Runner.Finished Machine.Cpu.Halted ->
         cached.outputs = native.outputs
       | Softcache.Runner.Finished Machine.Cpu.Out_of_fuel -> false
-      | Softcache.Runner.Unavailable _ -> true)
+      | Softcache.Runner.Unavailable _ -> true
+      | Softcache.Runner.Tcache_too_small | Softcache.Runner.Chunk_too_large _
+        ->
+        false)
 
 let () =
   Alcotest.run "prefetch"

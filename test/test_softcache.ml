@@ -548,6 +548,36 @@ let test_stats_consistency () =
      in
      mono series)
 
+(* Host allocation on the miss path: minor-heap words allocated inside
+   the trap handler, per translation, on a thrashing run (compress95 at
+   4 KB, block/fifo/local). A bound rather than an exact count, because
+   word counts shift with compiler releases. *)
+let test_trap_alloc_per_translation () =
+  let img = (Option.get (Workloads.Registry.find "compress95")).build () in
+  let words = ref 0. in
+  let prepare (ctrl : Softcache.Controller.t) =
+    match ctrl.cpu.trap_handler with
+    | None -> Alcotest.fail "controller installed no trap handler"
+    | Some handle ->
+      ctrl.cpu.trap_handler <-
+        Some
+          (fun cpu k ->
+            let before = Gc.minor_words () in
+            handle cpu k;
+            words := !words +. (Gc.minor_words () -. before))
+  in
+  let run, ctrl =
+    Softcache.Runner.cached_robust ~prepare
+      (Softcache.Config.make ~tcache_bytes:4096 ())
+      img
+  in
+  Alcotest.(check bool) "halts" true
+    (run.status = Softcache.Runner.Finished Machine.Cpu.Halted);
+  let per_miss = !words /. float_of_int ctrl.stats.translations in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per translation <= 640" per_miss)
+    true (per_miss <= 640.)
+
 (* Soak test: interleave execution slices with random controller
    operations. Whatever the schedule of invalidations, flushes, pins
    and preloads, observable behaviour must equal native execution. *)
@@ -782,5 +812,7 @@ let () =
           Alcotest.test_case "metadata" `Quick test_metadata_reported;
           Alcotest.test_case "chunk too large" `Quick test_chunk_too_large;
           Alcotest.test_case "stats consistency" `Quick test_stats_consistency;
+          Alcotest.test_case "trap handler words per translation" `Quick
+            test_trap_alloc_per_translation;
         ] );
     ]
