@@ -299,15 +299,22 @@ let run_cmd =
     setup_logs verbose;
     match find_workload name with
     | Error e -> prerr_endline e; 1
-    | Ok entry ->
+    | Ok entry -> (
       let img = entry.build () in
       Format.printf "%a@." Isa.Image.pp_summary img;
+      (* a rejected setting is the user's error, reported before any
+         simulation runs *)
+      match
+        let cfg =
+          make_config ?faults ~engine ~prefetch ~staging ~trace_limit
+            ~chain ~superblock_threshold ~granularity ~harts ~shards
+            ~sched_seed tcache chunking eviction network
+        in
+        (cfg, Softcache.Controller.create cfg img)
+      with
+      | exception Invalid_argument m -> prerr_endline m; 1
+      | cfg, ctrl ->
       let native = Softcache.Runner.native img in
-      let cfg =
-        make_config ?faults ~engine ~prefetch ~staging ~trace_limit
-          ~chain ~superblock_threshold ~granularity ~harts ~shards
-          ~sched_seed tcache chunking eviction network
-      in
       (* profile-guided oracles: one profiling pre-run supplies the
          prefetch hot-set ranker, the superblock edge temperatures and
          the trrip block-temperature prior *)
@@ -368,28 +375,26 @@ let run_cmd =
                    est.Softcache.Sizing.predicted_bytes tcache) )
         | _ -> (None, None)
       in
-      let audits = ref None in
-      let tracer = ref None in
-      let prepare (ctrl : Softcache.Controller.t) =
-        ctrl.prefetch_ranker <- ranker;
-        ctrl.chain_oracle <- oracle;
-        Softcache.Controller.set_temperature_oracle ctrl temperature;
-        ctrl.dynamic_text_hint <-
-          Option.map (fun p -> Profiler.dynamic_text_bytes p) prof;
-        (match trace_out with
-        | Some _ ->
-          let tr = Trace.create ~limit:cfg.trace_limit () in
-          Softcache.Controller.attach_tracer ctrl tr;
-          tracer := Some tr
-        | None -> ());
-        if audit then audits := Some (Check.Audit.install ctrl)
+      ctrl.prefetch_ranker <- ranker;
+      ctrl.chain_oracle <- oracle;
+      Softcache.Controller.set_temperature_oracle ctrl temperature;
+      ctrl.dynamic_text_hint <-
+        Option.map (fun p -> Profiler.dynamic_text_bytes p) prof;
+      let tracer =
+        Option.map
+          (fun _ ->
+            let tr = Trace.create ~limit:cfg.trace_limit () in
+            Softcache.Controller.attach_tracer ctrl tr;
+            tr)
+          trace_out
+      in
+      let audits =
+        if audit then Some (Check.Audit.install ctrl) else None
       in
       if harts > 1 then begin
         (* sharded multi-hart path: N hart contexts replay the workload
            over one shared tcache under the seeded interleaving
-           scheduler; Runner's solo drive does not apply *)
-        let ctrl = Softcache.Controller.create cfg img in
-        prepare ctrl;
+           scheduler *)
         let sh = Softcache.Shard.attach ctrl in
         let status =
           Softcache.Runner.status_of (fun () -> Softcache.Shard.run sh)
@@ -420,7 +425,7 @@ let run_cmd =
             (Softcache.Shard.harts sh)
         in
         Report.kv "outputs match (all harts)" (string_of_bool ok);
-        (match !audits with
+        (match audits with
         | Some n ->
           Report.kv "audit" (Printf.sprintf "on, %d audits passed" !n)
         | None -> ());
@@ -436,34 +441,37 @@ let run_cmd =
           shard_viols;
         (* no attribution summary: its ledger conserves against one
            cycle counter, and the ring's clock hops between harts *)
-        (match (trace_out, !tracer) with
+        (match (trace_out, tracer) with
         | Some path, Some tr -> export_trace ~format:trace_format path tr
         | _ -> ());
         Format.printf "  stats: %a@." Softcache.Stats.pp ctrl.stats;
         exit_code status ~ok:(ok && shard_viols = [])
       end
       else begin
-      let cached, ctrl = Softcache.Runner.cached_robust ~prepare cfg img in
+      let status =
+        Softcache.Runner.status_of (fun () -> Softcache.Controller.run ctrl)
+      in
+      let cycles = ctrl.cpu.cycles and retired = ctrl.cpu.retired in
       Report.kv "native cycles" (string_of_int native.cycles);
-      Report.kv "softcache cycles" (string_of_int cached.cycles);
+      Report.kv "softcache cycles" (string_of_int cycles);
       Report.kv "status"
-        (Format.asprintf "%a" Softcache.Runner.pp_status cached.status);
-      (match cached.status with
+        (Format.asprintf "%a" Softcache.Runner.pp_status status);
+      (match status with
       | Softcache.Runner.Finished _ ->
         Report.kv "relative execution time"
           (Printf.sprintf "%.3f"
              (if native.cycles = 0 then nan
-              else float_of_int cached.cycles /. float_of_int native.cycles));
+              else float_of_int cycles /. float_of_int native.cycles));
         Report.kv "tcache miss rate"
           (Printf.sprintf "%.6f (%d translations / %d instrs)"
-             (Softcache.Stats.miss_rate ctrl.stats ~retired:cached.retired)
-             ctrl.stats.translations cached.retired)
+             (Softcache.Stats.miss_rate ctrl.stats ~retired)
+             ctrl.stats.translations retired)
       | Softcache.Runner.Unavailable _ | Softcache.Runner.Tcache_too_small
       | Softcache.Runner.Chunk_too_large _ ->
         ());
       let ok =
-        cached.status = Softcache.Runner.Finished Machine.Cpu.Halted
-        && native.outputs = cached.outputs
+        status = Softcache.Runner.Finished Machine.Cpu.Halted
+        && native.outputs = Machine.Cpu.outputs ctrl.cpu
       in
       Report.kv "outputs match" (string_of_bool ok);
       Report.transport
@@ -484,29 +492,30 @@ let run_cmd =
         ~crc_failures:ctrl.stats.prefetch_crc_failures
         ~batches:ctrl.stats.batches ~batch_chunks:ctrl.stats.batch_chunks
         ~max_batch_chunks:ctrl.stats.max_batch_chunks;
-      (let module P = (val ctrl.policy : Softcache.Policy.S) in
-       Report.policy ~name:P.name ~entries:ctrl.stats.policy_entries
-         ~victim:ctrl.stats.evicted_victim
-         ~collateral:ctrl.stats.evicted_collateral
-         ~stub_growth:ctrl.stats.evicted_stub_growth
-         ~invalidated:ctrl.stats.evicted_invalidated
-         ~flushed:ctrl.stats.evicted_flushed
-         ~ages:(Softcache.Stats.victim_ages ctrl.stats));
+      Report.policy
+        ~name:(Softcache.Config.eviction_name eviction)
+        ~entries:ctrl.stats.policy_entries
+        ~victim:ctrl.stats.evicted_victim
+        ~collateral:ctrl.stats.evicted_collateral
+        ~stub_growth:ctrl.stats.evicted_stub_growth
+        ~invalidated:ctrl.stats.evicted_invalidated
+        ~flushed:ctrl.stats.evicted_flushed
+        ~ages:(Softcache.Stats.victim_ages ctrl.stats);
       (match trrip_note with
       | Some s -> Report.kv "trrip prior" s
       | None -> ());
-      (match !audits with
+      (match audits with
       | Some n -> Report.kv "audit" (Printf.sprintf "on, %d audits passed" !n)
       | None -> ());
-      (match (trace_out, !tracer) with
+      (match (trace_out, tracer) with
       | Some path, Some tr ->
         export_trace ~format:trace_format path tr;
         print_trace_summary ~total:ctrl.cpu.cycles tr
       | _ -> ());
       Format.printf "  stats: %a@." Softcache.Stats.pp ctrl.stats;
       Format.printf "  %a@." Netmodel.pp cfg.net;
-      exit_code cached.status ~ok
-      end
+      exit_code status ~ok
+      end)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a workload natively and under the SoftCache")
@@ -704,11 +713,14 @@ let fullsystem_cmd =
   let run name tcache =
     match find_workload name with
     | Error e -> prerr_endline e; 1
-    | Ok entry ->
+    | Ok entry -> (
+      match
+        (Softcache.Config.make ~tcache_bytes:tcache (), Dcache.Config.make ())
+      with
+      | exception Invalid_argument m -> prerr_endline m; 1
+      | icfg, dcfg ->
       let img = entry.build () in
       let native = Softcache.Runner.native img in
-      let icfg = Softcache.Config.make ~tcache_bytes:tcache () in
-      let dcfg = Dcache.Config.make () in
       let full, _ = Dcache.Fullsystem.run icfg dcfg img in
       Report.kv "local memory"
         (Report.fmt_bytes (Dcache.Fullsystem.local_memory_bytes icfg dcfg));
@@ -718,7 +730,7 @@ let fullsystem_cmd =
       Format.printf "  icache: %a@." Softcache.Stats.pp full.icache_stats;
       Format.printf "  dcache: %a@." Dcache.Sim.pp_stats full.dcache_stats;
       Report.kv "outputs match" (string_of_bool (full.outputs = native.outputs));
-      if full.outputs = native.outputs then 0 else 2
+      if full.outputs = native.outputs then 0 else 2)
   in
   Cmd.v
     (Cmd.info "fullsystem"
@@ -931,17 +943,24 @@ let asm_cmd =
     let source = In_channel.with_open_text file In_channel.input_all in
     match Isa.Assembler.assemble ~name:file source with
     | Error e -> Printf.eprintf "%s: %s\n" file e; 1
-    | Ok img ->
+    | Ok img -> (
+      match
+        Softcache.Controller.create
+          (Softcache.Config.make ~tcache_bytes:tcache ())
+          img
+      with
+      | exception Invalid_argument m -> prerr_endline m; 1
+      | ctrl ->
       let native = Softcache.Runner.native img in
-      let cfg = Softcache.Config.make ~tcache_bytes:tcache () in
-      let cached, ctrl = Softcache.Runner.cached cfg img in
+      ignore (Softcache.Controller.run ctrl : Machine.Cpu.outcome);
+      let ok = native.outputs = Machine.Cpu.outputs ctrl.cpu in
       Report.kv "outputs"
         (String.concat ", " (List.map string_of_int native.outputs));
       Report.kv "native cycles" (string_of_int native.cycles);
-      Report.kv "softcache cycles" (string_of_int cached.cycles);
-      Report.kv "outputs match" (string_of_bool (native.outputs = cached.outputs));
+      Report.kv "softcache cycles" (string_of_int ctrl.cpu.cycles);
+      Report.kv "outputs match" (string_of_bool ok);
       Format.printf "  stats: %a@." Softcache.Stats.pp ctrl.stats;
-      if native.outputs = cached.outputs then 0 else 2
+      if ok then 0 else 2)
   in
   Cmd.v (Cmd.info "asm" ~doc:"Assemble and run an ERISC source file")
     Term.(const run $ file_arg $ tcache_arg)

@@ -616,30 +616,19 @@ let run (t : Controller.t) : violation list =
         "decode cache entry at 0x%x disagrees with the word in memory" addr)
     (Machine.Memory.decode_audit t.cpu.mem);
 
-  (* -- replacement policy's resident view ----------------------------- *)
-  (* The policy keeps its own table of residents, fed only by the
-     observe hooks; any drift from the tcache means a hook was skipped
-     (an install the policy never saw, or an eviction path that forgot
-     to notify it) and the policy is now reasoning about ghosts. And
-     [victim] must never name a pinned block: pin means exempt from
-     eviction, full stop — the allocator trusts the policy on this. *)
-  (let module P = (val t.policy : Softcache.Policy.S) in
-   let tc_ids = List.sort compare (List.map (fun (b : Tcache.block) -> b.id) blocks) in
-   let p_ids = List.sort compare (P.resident_ids ()) in
-   if tc_ids <> p_ids then
-     add "policy"
-       "policy '%s' resident view %s disagrees with tcache ids %s (%s)"
-       P.name
-       (String.concat "," (List.map string_of_int p_ids))
-       (String.concat "," (List.map string_of_int tc_ids))
-       (P.debug_state ());
-   match P.victim tc with
+  (* -- replacement policy's victim ------------------------------------ *)
+  (* [victim] must never name a pinned block: pin means exempt from
+     eviction, full stop — the allocator trusts the policy on this. Nor
+     a dead one: the policy reads only the tcache's residents, so a
+     dead victim means that read went wrong. *)
+  (let name = Softcache.Config.eviction_name t.cfg.eviction in
+   match Softcache.Policy.victim t.cfg.eviction tc with
    | Some vb when Tcache.is_pinned tc vb.Tcache.id ->
-     add "policy" "policy '%s' picked pinned block id=%d as victim (%s)"
-       P.name vb.Tcache.id (P.debug_state ())
+     add "policy" "policy '%s' picked pinned block id=%d as victim (clock %d)"
+       name vb.Tcache.id (Tcache.clock tc)
    | Some vb when not (Tcache.is_alive tc vb.Tcache.id) ->
-     add "policy" "policy '%s' picked dead block id=%d as victim (%s)"
-       P.name vb.Tcache.id (P.debug_state ())
+     add "policy" "policy '%s' picked dead block id=%d as victim (clock %d)"
+       name vb.Tcache.id (Tcache.clock tc)
    | Some _ | None -> ());
 
   (* -- trace attribution conserves ------------------------------------ *)

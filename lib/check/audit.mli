@@ -31,7 +31,9 @@
       stub an unpatch re-arms), and the pending-exit index lists
       exactly the still-trapping live exit stubs;
     - superblock groups are consistent: every member of a live group is
-      resident and [sb_of_block] inverts the group table exactly. *)
+      resident and [sb_of_block] inverts the group table exactly;
+    - the replacement policy's victim ([Policy.victim]) is never a
+      pinned or a dead block. *)
 
 type violation = { invariant : string; detail : string }
 

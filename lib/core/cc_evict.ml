@@ -1,23 +1,18 @@
 (* Eviction and flush: unlinking dead blocks (reverting their incoming
-   pointers), scrubbing live landing-pad addresses off the stack into
-   persistent return stubs, and keeping the replacement policy's view
-   of residency exact — every block that leaves the tcache flows
+   pointers) and scrubbing live landing-pad addresses off the stack into
+   persistent return stubs. Every block that leaves the tcache flows
    through [note_evicted] with the reason it died. *)
 
 open Cc_state
 
 (* One bookkeeping stop for every block that leaves the tcache: the
-   policy drops it from its resident view, the per-reason counter and
-   the victim-age histogram advance, and the tracer records why. The
-   tcache itself has already deregistered the block by the time we get
-   here (allocation, invalidation and flush all remove first), so
-   policy view == tcache residency holds again the moment this
-   returns — the equality [Check.Audit] asserts. *)
+   per-reason counter and the victim-age histogram advance, and the
+   tracer records why. The tcache itself has already deregistered the
+   block by the time we get here (allocation, invalidation and flush
+   all remove first), and the policies' facts left with it. *)
 let note_evicted t ~(reason : Policy.reason) (b : Tcache.block) =
   (* a superblock member dying de-promotes the whole group *)
   Cc_chain.dissolve_superblock t b;
-  let module P = (val t.policy : Policy.S) in
-  P.on_evict reason b;
   (match reason with
   | Policy.Victim -> t.stats.evicted_victim <- t.stats.evicted_victim + 1
   | Policy.Collateral ->
@@ -27,11 +22,7 @@ let note_evicted t ~(reason : Policy.reason) (b : Tcache.block) =
   | Policy.Invalidated ->
     t.stats.evicted_invalidated <- t.stats.evicted_invalidated + 1
   | Policy.Flushed -> t.stats.evicted_flushed <- t.stats.evicted_flushed + 1);
-  (match Hashtbl.find_opt t.install_cycle b.id with
-  | Some at ->
-    Hashtbl.remove t.install_cycle b.id;
-    Stats.record_victim_age t.stats ~age:(t.cpu.cycles - at)
-  | None -> ());
+  Stats.record_victim_age t.stats ~age:(t.cpu.cycles - b.installed_at);
   trace t
     (Trace.Cc_evict
        {
@@ -136,8 +127,8 @@ and revert_incoming t victims =
         b.incoming)
     victims
 
-(* [reason_of] labels each victim for the policy, the per-reason stats
-   and the trace; nested evictions caused by the scrub growing the
+(* [reason_of] labels each victim for the per-reason stats and the
+   trace; nested evictions caused by the scrub growing the
    persistent stub area are always [Stub_growth] regardless of what
    started the cascade. *)
 and process_evicted t ~reason_of victims =

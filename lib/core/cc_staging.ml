@@ -69,7 +69,7 @@ let fetch_chunk t ~vaddr ~(words : int array) ~prefetch =
     | Some f -> f ~vaddr ~prefetch_vaddrs ~payloads
   in
   let rec attempt tries =
-    if tries > t.cfg.max_retries then begin
+    if tries > Config.max_retries then begin
       t.stats.chunk_failures <- t.stats.chunk_failures + 1;
       Log.warn (fun m ->
           m "chunk v=0x%x unavailable after %d attempts" vaddr tries);

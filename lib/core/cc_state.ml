@@ -32,15 +32,12 @@ type t = {
          coherent shared code over private data *)
   tc : Tcache.t;
   stats : Stats.t;
-  policy : Policy.t;
-      (* the replacement policy's private bookkeeping; constructed
-         from [cfg.eviction] at [create] and consulted nowhere else *)
-  install_cycle : (int, int) Hashtbl.t;
-      (* block id -> cycle counter at install, for the victim-age
-         histogram; entries die with their block *)
   staging : (int, staged) Hashtbl.t;
   staging_order : int Queue.t;
   mutable prefetch_ranker : (lo:int -> hi:int -> int) option;
+  mutable temperature : (lo:int -> hi:int -> Policy.temperature) option;
+      (* profile temperature oracle over a source range; sampled once
+         per install into the block's [prior], which only trrip reads *)
   mutable chain_oracle : (int -> (int * int) option) option;
       (* chunk vaddr -> hottest observed successor chunk and its edge
          temperature, from an offline profile; consulted on misses when

@@ -1,8 +1,7 @@
 (* The miss path: chunk acquisition (staged prefetch or the wire),
    placement in the tcache under the configured replacement policy,
-   rewriting, and installation. The policy is a parameter here — the
-   only [Config.eviction] dispatch in the whole controller is the
-   [Policy.create] call at construction time. *)
+   rewriting, and installation. [alloc] and [Policy.victim] are the
+   only readers of [Config.eviction] in the whole controller. *)
 
 open Cc_state
 
@@ -21,7 +20,6 @@ open Cc_state
    re-allocate until the placement is clear, bounded by
    [t.alloc_guard] rounds. *)
 let alloc_evicting t ~vaddr ~words_needed =
-  let module P = (val t.policy : Policy.S) in
   let shard = Tcache.home_shard t.tc vaddr in
   let sh_lo, sh_top = Tcache.shard_bounds t.tc shard in
   let rec alloc_loop guard =
@@ -40,7 +38,7 @@ let alloc_evicting t ~vaddr ~words_needed =
         | Ok p -> (p, [], None)
         | Error `Too_large -> raise (Chunk_too_large vaddr)
         | Error `Full -> (
-          let chosen = P.victim ~shard t.tc in
+          let chosen = Policy.victim t.cfg.eviction ~shard t.tc in
           let placed =
             match chosen with
             | None -> Tcache.alloc_fifo ~shard t.tc ~words:words_needed
@@ -98,6 +96,12 @@ let alloc_flushing t ~vaddr ~words_needed =
          that fits the region's capacity is being crowded out *)
       raise Tcache_too_small)
 
+let alloc t ~vaddr ~words_needed =
+  match t.cfg.eviction with
+  | Config.Flush_all -> alloc_flushing t ~vaddr ~words_needed
+  | Config.Fifo | Config.Lru | Config.Trrip ->
+    alloc_evicting t ~vaddr ~words_needed
+
 (* Translate one chunk. [placed] hands in a pre-reserved placement
    (superblock group allocation) instead of allocating here. *)
 let translate_unit ?placed t v =
@@ -132,14 +136,10 @@ let translate_unit ?placed t v =
        (Chunker.call_targets t.image chunk));
   let plt_of tv = Option.map fst (Hashtbl.find_opt t.plt tv) in
   let words_needed = Rewriter.layout_words ~plt_of chunk in
-  let module P = (val t.policy : Policy.S) in
   let base =
     match placed with
     | Some base -> base
-    | None -> (
-      match P.kind with
-      | `Evict -> alloc_evicting t ~vaddr:v ~words_needed
-      | `Flush_all -> alloc_flushing t ~vaddr:v ~words_needed)
+    | None -> alloc t ~vaddr:v ~words_needed
   in
   trace t (Trace.Tc_alloc { chunk = v; base; bytes = 4 * words_needed });
   let id = t.next_block_id in
@@ -177,22 +177,29 @@ let translate_unit ?placed t v =
   in
   Array.iteri (fun i w -> write_word t (base + (4 * i)) w) words;
   let emitted = Array.length emission.words in
+  let orig_words = Array.length chunk.instrs in
   let block =
     {
       Tcache.id;
       vaddr = v;
       paddr = base;
       words = emitted;
-      orig_words = Array.length chunk.instrs;
+      orig_words;
       incoming = [];
       pads = emission.pads;
       resume = emission.resume;
       stubs = !allocated;
+      installed_at = t.cpu.cycles;
+      seq = Tcache.tick t.tc;
+      entered = -1;
+      prior =
+        (match t.temperature with
+        | Some f ->
+          Policy.rrpv_of_temperature (f ~lo:v ~hi:(v + (4 * orig_words)))
+        | None -> 3);
     }
   in
   Tcache.register t.tc block;
-  P.on_install block;
-  Hashtbl.replace t.install_cycle id t.cpu.cycles;
   (* test hook: evict a bound target between translation and the
      incoming-record loop, falsifying the loop's residency invariant *)
   (if t.chaos_evict_bound then
@@ -367,13 +374,8 @@ let translate_superblock t v members =
       None
     end
     else
-    let module P = (val t.policy : Policy.S) in
     let reverts_before = t.stats.reverts in
-    match
-      match P.kind with
-      | `Evict -> alloc_evicting t ~vaddr:v ~words_needed:total
-      | `Flush_all -> alloc_flushing t ~vaddr:v ~words_needed:total
-    with
+    match alloc t ~vaddr:v ~words_needed:total with
     | exception (Chunk_too_large _ | Tcache_too_small) -> None
     | base ->
       t.stats.superblock_collateral_reverts <-
@@ -412,8 +414,7 @@ let translate t v =
 let ensure_resident t v =
   match Tcache.lookup t.tc v with
   | Some b ->
-    let module P = (val t.policy : Policy.S) in
-    P.on_entry b;
+    b.entered <- Tcache.tick t.tc;
     t.stats.policy_entries <- t.stats.policy_entries + 1;
     b
   | None -> translate t v

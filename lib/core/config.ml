@@ -12,9 +12,6 @@ let eviction_name ev =
   | Some (n, _) -> n
   | None -> assert false (* the table is total by construction *)
 
-let eviction_of_name n =
-  List.assoc_opt n eviction_table
-
 type granularity = Block | Function
 
 (* Same single-table discipline as [eviction_table]: the CLI flag, the
@@ -26,15 +23,12 @@ let granularity_name g =
   | Some (n, _) -> n
   | None -> assert false (* the table is total by construction *)
 
-let granularity_of_name n = List.assoc_opt n granularity_table
-
 type t = {
   tcache_bytes : int;
   chunking : chunking;
   eviction : eviction;
   bind_at_translate : bool;
   net : Netmodel.t;
-  max_retries : int;
   engine : Machine.Cpu.engine;
   prefetch_degree : int;
   staging_chunks : int;
@@ -53,19 +47,19 @@ let patch_cycles = 4
 let miss_fixed_cycles = 30
 let translate_cycles_per_word = 2
 let scrub_cycles_per_word = 2
+let max_retries = 8
 let retry_backoff_cycles = 64
 let timeout_cycles = 1000
 let quantum = 64
 
 let make ?(tcache_bytes = 48 * 1024) ?(chunking = Basic_block)
-    ?(eviction = Fifo) ?(bind_at_translate = true) ?net ?(max_retries = 8)
+    ?(eviction = Fifo) ?(bind_at_translate = true) ?net
     ?(engine = Machine.Cpu.Decoded) ?(prefetch_degree = 0)
     ?(staging_chunks = 8) ?(trace_limit = 65536) ?(chain = false)
     ?(superblock_threshold = 0) ?(granularity = Block) ?(harts = 1)
     ?(shards = 1) ?(sched_seed = 1) () =
   let net = match net with Some n -> n | None -> Netmodel.local () in
   if tcache_bytes < 64 then invalid_arg "Config.make: tcache too small";
-  if max_retries < 0 then invalid_arg "Config.make: negative max_retries";
   if prefetch_degree < 0 then
     invalid_arg "Config.make: negative prefetch_degree";
   if staging_chunks < 0 then invalid_arg "Config.make: negative staging_chunks";
@@ -92,7 +86,6 @@ let make ?(tcache_bytes = 48 * 1024) ?(chunking = Basic_block)
     eviction;
     bind_at_translate;
     net;
-    max_retries;
     engine;
     prefetch_degree;
     staging_chunks;
@@ -108,10 +101,6 @@ let make ?(tcache_bytes = 48 * 1024) ?(chunking = Basic_block)
 let sparc_prototype ?tcache_bytes () =
   make ?tcache_bytes ~chunking:Basic_block ~eviction:Fifo
     ~net:(Netmodel.local ()) ()
-
-let arm_prototype ?tcache_bytes () =
-  make ?tcache_bytes ~chunking:Procedure ~eviction:Fifo
-    ~net:(Netmodel.ethernet_10mbps ()) ()
 
 let pp ppf t =
   Format.fprintf ppf "tcache %dB @0x%x, %s chunks, %s eviction%s"

@@ -42,8 +42,6 @@ val eviction_table : (string * eviction) list
 val eviction_name : eviction -> string
 (** Flag-style name of a policy, per [eviction_table]. *)
 
-val eviction_of_name : string -> eviction option
-
 type granularity =
   | Block  (** cache units are chunker output (basic blocks / procedures) *)
   | Function
@@ -61,8 +59,6 @@ val granularity_table : (string * granularity) list
 
 val granularity_name : granularity -> string
 
-val granularity_of_name : string -> granularity option
-
 type t = {
   tcache_bytes : int;  (** CC translation-cache memory, bytes *)
   chunking : chunking;
@@ -73,9 +69,6 @@ type t = {
           makes every exit trap once before being patched — an ablation
           of translate-time specialisation *)
   net : Netmodel.t;
-  max_retries : int;
-      (** how many times the CC re-requests a chunk after a dropped or
-          corrupted frame before declaring it unavailable *)
   engine : Machine.Cpu.engine;
       (** CPU dispatch engine for the cached run: [Decoded] (default)
           fetches through the memory-coherent predecode cache;
@@ -140,7 +133,6 @@ val make :
   ?eviction:eviction ->
   ?bind_at_translate:bool ->
   ?net:Netmodel.t ->
-  ?max_retries:int ->
   ?engine:Machine.Cpu.engine ->
   ?prefetch_degree:int ->
   ?staging_chunks:int ->
@@ -154,7 +146,7 @@ val make :
   unit ->
   t
 (** Defaults: 48 KiB tcache, basic-block chunking, FIFO eviction,
-    local (SPARC-style) interconnect, 8 retries, decoded dispatch,
+    local (SPARC-style) interconnect, decoded dispatch,
     prefetch off with an 8-chunk staging buffer, a 65536-event trace
     ring, chaining/superblocks off, block granularity, one hart, one
     shard, scheduler seed 1.
@@ -166,8 +158,9 @@ val make :
 (** {2 Fixed controller constants}
 
     The client-side cycle prices of the cache-controller operations,
-    the tcache's place in memory, the transport's retry timing and the
-    multi-hart scheduler's quantum. Every run uses these values. *)
+    the tcache's place in memory, the transport's retry budget and
+    timing, and the multi-hart scheduler's quantum. Every run uses
+    these values. *)
 
 val tcache_base : int
 (** Physical base of the tcache region: [0x10000]. *)
@@ -190,6 +183,10 @@ val translate_cycles_per_word : int
 val scrub_cycles_per_word : int
 (** Cost per stack word scanned when evicting live landing pads: 2. *)
 
+val max_retries : int
+(** How many times the CC re-requests a chunk after a dropped or
+    corrupted frame before declaring it unavailable: 8. *)
+
 val retry_backoff_cycles : int
 (** Base of the exponential backoff charged before retry [n]:
     [retry_backoff_cycles * 2^(n-1)] cycles, base 64. *)
@@ -203,9 +200,5 @@ val quantum : int
 
 val sparc_prototype : ?tcache_bytes:int -> unit -> t
 (** Basic-block chunking, local MC (no network), FIFO eviction. *)
-
-val arm_prototype : ?tcache_bytes:int -> unit -> t
-(** Procedure chunking and a 10 Mbps Ethernet MC link, as on the Skiff
-    boards. *)
 
 val pp : Format.formatter -> t -> unit

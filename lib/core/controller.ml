@@ -1,8 +1,8 @@
 (* The controller facade. The implementation lives in cohesive
    submodules — [Cc_state] (shared record + primitives), [Cc_evict]
    (eviction, scrubbing, flush), [Cc_staging] (prefetch staging +
-   transport), [Cc_translate] (the miss path under a pluggable
-   replacement policy) and [Cc_trap] (trap dispatch) — and this module
+   transport), [Cc_translate] (the miss path, asking [Policy.victim]
+   which block dies) and [Cc_trap] (trap dispatch) — and this module
    re-exports the state types and stitches the public API together.
    The record equations ([type t = Cc_state.t = {...}]) keep every
    existing [t.field] access in tests, benches and tools valid. *)
@@ -29,11 +29,10 @@ type t = Cc_state.t = {
   mutable harts : Machine.Cpu.t array;
   tc : Tcache.t;
   stats : Stats.t;
-  policy : Policy.t;
-  install_cycle : (int, int) Hashtbl.t;
   staging : (int, staged) Hashtbl.t;
   staging_order : int Queue.t;
   mutable prefetch_ranker : (lo:int -> hi:int -> int) option;
+  mutable temperature : (lo:int -> hi:int -> Policy.temperature) option;
   mutable chain_oracle : (int -> (int * int) option) option;
   mutable dynamic_text_hint : int option;
   pending_exits : (int, (int, unit) Hashtbl.t) Hashtbl.t;
@@ -96,11 +95,10 @@ let create (cfg : Config.t) image =
         Tcache.create_sharded ~shards:cfg.shards ~base:Config.tcache_base
           ~bytes:cfg.tcache_bytes;
       stats = Stats.create ();
-      policy = Policy.create cfg.eviction;
-      install_cycle = Hashtbl.create 256;
       staging = Hashtbl.create 16;
       staging_order = Queue.create ();
       prefetch_ranker = None;
+      temperature = None;
       chain_oracle = None;
       dynamic_text_hint = None;
       pending_exits = Hashtbl.create 64;
@@ -142,10 +140,9 @@ let attach_tracer t tr =
 
 (* Temperature is profile data threaded in the same post-create way as
    [prefetch_ranker]: the profiler lives above lib/core, so the caller
-   hands us a closure over its classifier. Only trrip listens. *)
-let set_temperature_oracle t f =
-  let module P = (val t.policy : Policy.S) in
-  P.set_temperature_oracle f
+   hands us a closure over its classifier. Only trrip reads the prior
+   it yields. *)
+let set_temperature_oracle t f = t.temperature <- f
 
 let start t =
   let b = ensure_resident t t.image.Isa.Image.entry in

@@ -23,9 +23,12 @@
     data"). Flush-all resets the whole tcache, preserving return
     continuity the same way.
 
-    Which block dies on a miss is decided by the replacement policy
-    ([Policy.create cfg.eviction], held in the [policy] field) — the
-    controller itself never branches on [Config.eviction]. The
+    Which block dies on a miss is decided by [Policy.victim], a pure
+    function over the facts the tcache keeps on each block; the
+    controller records those facts (install tick, last observed entry,
+    temperature prior) as it installs and enters blocks. Besides
+    [Policy.victim], only the miss path's allocator reads
+    [Config.eviction] (flush-all flushes instead of evicting). The
     implementation is decomposed into [Cc_state] (shared record),
     [Cc_evict], [Cc_staging], [Cc_translate] and [Cc_trap]; this module
     re-exports the types and the public API. *)
@@ -68,14 +71,6 @@ type t = Cc_state.t = {
           byte-identically into each hart's private memory *)
   tc : Tcache.t;
   stats : Stats.t;
-  policy : Policy.t;
-      (** the replacement policy's bookkeeping, built from
-          [cfg.eviction] at [create]; observes installs, controller-
-          mediated block entries, evictions and flushes, and picks
-          victims — see {!Policy.S} for the invariants it keeps *)
-  install_cycle : (int, int) Hashtbl.t;
-      (** block id -> cycle counter at install, feeding the victim-age
-          histogram in [Stats]; entries die with their block *)
   staging : (int, staged) Hashtbl.t;
       (** staged prefetched chunks keyed by source vaddr; bounded by
           [Config.staging_chunks], consumed on first touch *)
@@ -85,6 +80,10 @@ type t = Cc_state.t = {
   mutable prefetch_ranker : (lo:int -> hi:int -> int) option;
       (** optional hotness oracle over a source byte range (typically
           [Profiler.samples_in]); ranks prefetch candidates when set *)
+  mutable temperature : (lo:int -> hi:int -> Policy.temperature) option;
+      (** optional profile temperature oracle over a source byte range,
+          set by {!set_temperature_oracle}; sampled once per install
+          into the block's [prior] *)
   mutable chain_oracle : (int -> (int * int) option) option;
       (** optional profile oracle: chunk vaddr -> hottest successor
           chunk and its edge temperature (typically built by
@@ -233,9 +232,10 @@ val attach_tracer : t -> Trace.t -> unit
 
 val set_temperature_oracle :
   t -> (lo:int -> hi:int -> Policy.temperature) option -> unit
-(** Attach a profile-derived temperature oracle to the replacement
-    policy — the [trrip] insertion prior. A no-op on every other
-    policy, so callers may attach unconditionally. Like
+(** Attach a profile-derived temperature oracle: the [trrip] insertion
+    prior, sampled into each block's [prior] as it installs. Only trrip
+    reads the prior, so under every other policy no simulated number
+    changes and callers may attach unconditionally. Like
     [prefetch_ranker], this threads profiling-pre-run data into the
     dependency-inverted core: build the classifier with
     [Profiler.temperature_classifier] and convert its temperature type

@@ -1,9 +1,10 @@
-(** Pluggable tcache replacement policies.
+(** Tcache replacement policies, as victim functions.
 
-    The controller never decides *which* block dies — it asks the
-    policy. A policy is a first-class module holding its own mutable
-    bookkeeping, created per controller from [Config.eviction], and fed
-    the stream of cache events the controller already observes:
+    The controller never decides *which* block dies — it asks
+    {!victim}. A policy keeps no state of its own: it reads the facts
+    the tcache keeps on each resident block ([Tcache.block]'s [seq],
+    [entered] and [prior]) and the tcache's observation clock
+    ([Tcache.clock]), which the controller advances on two events:
 
     - {b install}: a chunk was translated and registered;
     - {b entry}: control entered a resident block through a path the
@@ -11,22 +12,19 @@
       stub, or an exit-stub target lookup. Patched direct branches jump
       straight into the tcache and are invisible; this is the paper's
       "cache state is encoded in the branches" trade-off, and it is what
-      keeps hit tracking free of per-instruction cost;
-    - {b evict}: a block left the cache, with a {!reason} (a flush
-      evicts every unpinned resident with reason [Flushed]).
+      keeps hit tracking free of per-instruction cost.
 
-    In return the policy answers one question on the miss path:
-    {!S.victim} — which resident block should the allocation sweep be
-    seeded at. [None] means "no preference": the controller continues
-    the circular FIFO sweep (this is exactly the pre-refactor FIFO
-    behaviour, so the re-expressed policies are cycle-identical).
+    Residency is stored once, in the tcache; a block's facts die with
+    it. [None] from {!victim} means "no preference": the controller
+    continues the circular FIFO sweep (the pre-policy FIFO behaviour,
+    so fifo and flush are cycle-identical to it).
 
-    {b Invariants} (enforced by the [Check.Audit] policy section):
-    - the policy's resident view ({!S.resident_ids}) equals the set of
-      blocks registered in the tcache, exactly, after every event;
-    - {!S.victim} never returns a pinned block;
-    - {!S.victim} is a pure query: the auditor and the allocation loop
-      may call it any number of times without perturbing policy state. *)
+    {b Invariants} (the [Check.Audit] policy section checks the first
+    two after every event):
+    - {!victim} never returns a pinned block;
+    - {!victim} never returns a block that is not resident;
+    - {!victim} is a pure query: the auditor and the allocation loop
+      may call it any number of times without perturbing any state. *)
 
 type reason =
   | Victim  (** chosen by the policy (or swept by FIFO) to make room *)
@@ -51,82 +49,42 @@ type temperature = Hot | Warm | Cold
     [lib/profiler]; the glue converting one to the other lives with
     whoever attaches the oracle (CLI, bench, tests). *)
 
-val temperature_name : temperature -> string
-(** "hot" / "warm" / "cold". *)
-
 val rrpv_of_temperature : temperature -> int
 (** The TRRIP insertion mapping: hot 0, warm 2, cold 3. *)
 
-module type S = sig
-  val name : string
-  (** The [Config.eviction_name] this instance was created from. *)
+val victim :
+  Config.eviction -> ?shard:int -> Tcache.t -> Tcache.block option
+(** Which resident block should the allocator reclaim first? [None] =
+    no preference, continue the FIFO sweep; fifo and flush always
+    answer [None]. Never names a pinned or leased block. Under a
+    sharded tcache the allocator passes the arena it is placing into
+    and the victim lives there; without [shard] every arena is
+    considered.
 
-  val kind : [ `Evict | `Flush_all ]
-  (** [`Evict]: make room by evicting blocks ([victim] seeds the
-      sweep). [`Flush_all]: never evict incrementally — the controller
-      flushes the whole tcache when allocation fails. *)
-
-  val set_temperature_oracle :
-    (lo:int -> hi:int -> temperature) option -> unit
-  (** Attach (or detach, with [None]) a profile temperature oracle
-      classifying a source address range [\[lo, hi)]. Only [trrip]
-      consults it — a no-op on every other policy. Attach it before
-      execution starts (the prior is sampled at install time). *)
-
-  val on_install : Tcache.block -> unit
-  (** A freshly translated block became resident. *)
-
-  val on_entry : Tcache.block -> unit
-  (** Control observably entered a resident block (hit). *)
-
-  val on_evict : reason -> Tcache.block -> unit
-  (** The block left the tcache. Fired on every removal path,
-      including flushes (once per unpinned former resident). *)
-
-  val victim : ?shard:int -> Tcache.t -> Tcache.block option
-  (** Which resident block should the allocator reclaim first? [None]
-      = no preference, continue the FIFO sweep. Must be pure and must
-      never name a pinned or leased block. Under a sharded tcache the
-      allocator passes the arena it is placing into and the victim
-      must live there; without [shard] every arena is considered. *)
-
-  val resident_ids : unit -> int list
-  (** The policy's view of residency, unordered — audited against the
-      tcache's own block set. *)
-
-  val debug_state : unit -> string
-  (** One-line dump of the policy's internal state (stamps, RRPVs) for
-      audit failure messages. *)
-end
-
-type t = (module S)
-
-val create : Config.eviction -> t
-(** Fresh policy state for one controller. The returned module closes
-    over its own tables; never share an instance between controllers. *)
+    lru and trrip practice {e sweep deference}: they answer only when
+    the sweep's own candidate ({!sweep_candidate}) was entered within
+    the last [2 * (residents + 2)] clock ticks, roughly two sweep
+    laps. lru then offers the least recently installed-or-entered
+    block. trrip reads each block's RRPV as 0 while an entry is that
+    fresh and as its [prior] otherwise, and offers the most distant
+    block (oldest install on ties) only if it reads strictly more
+    distant than the candidate. *)
 
 (** {2 Selection primitives}
 
     Exposed so the tie-break discipline can be unit-tested directly:
-    both must be deterministic in the *contents* of the table, never in
-    [Hashtbl.fold]'s visit order (which depends on insertion history). *)
+    both must be deterministic in the residents' facts, never in the
+    order a fold happens to visit them (which depends on insertion
+    history). *)
 
 val pick_min :
-  ?shard:int ->
-  (int, Tcache.block * 'm) Hashtbl.t ->
-  key:('m -> 'k) ->
-  Tcache.t ->
-  Tcache.block option
+  ?shard:int -> key:(Tcache.block -> 'k) -> Tcache.t -> Tcache.block option
 (** Unpinned, unleased resident with the smallest key ([compare]
     order); exact key ties break on the smaller block id. [None] if
-    every resident is immovable (or the table is empty). [shard]
+    every resident is immovable (or the tcache is empty). [shard]
     restricts candidates to one arena of a sharded tcache. *)
 
-val sweep_candidate :
-  ?shard:int ->
-  (int, Tcache.block * 'm) Hashtbl.t ->
-  Tcache.t ->
-  (Tcache.block * 'm) option
+val sweep_candidate : ?shard:int -> Tcache.t -> Tcache.block option
 (** The block the shard's circular FIFO allocation sweep would reclaim
     next: the lowest-placed unpinned, unleased block whose extent ends
     past the sweep pointer, else (wrapped) the lowest-placed such

@@ -15,6 +15,10 @@ type block = {
   pads : (int * int) list;
   resume : int array;
   stubs : int list; (* stub-table entries owned by this block *)
+  installed_at : int;
+  seq : int;
+  mutable entered : int;
+  prior : int;
 }
 
 (* One allocation arena. The unsharded tcache is a single region
@@ -49,6 +53,9 @@ type t = {
          of the resident block covering it or -1, so placement and
          eviction touch only the words they overwrite *)
   mutable code_bytes : int;  (* summed size of the resident blocks *)
+  mutable clock : int;
+      (* the observation clock the replacement policies read: ticked
+         once per install and once per controller-observed entry *)
 }
 
 let create_sharded ~shards ~base ~bytes =
@@ -77,6 +84,7 @@ let create_sharded ~shards ~base ~bytes =
     leased = Hashtbl.create 8;
     owner = Array.make (shards * span / 4) (-1);
     code_bytes = 0;
+    clock = 0;
   }
 
 let create ~base ~bytes = create_sharded ~shards:1 ~base ~bytes
@@ -165,8 +173,15 @@ let remove t b =
     Hashtbl.remove t.by_id b.id
   end
 
-let blocks t = Hashtbl.fold (fun _ b acc -> b :: acc) t.by_id []
+let fold f t init = Hashtbl.fold (fun _ b acc -> f b acc) t.by_id init
+let blocks t = fold List.cons t []
 let resident_blocks t = Hashtbl.length t.by_id
+
+let tick t =
+  t.clock <- t.clock + 1;
+  t.clock
+
+let clock t = t.clock
 
 let occupied_bytes t =
   Array.fold_left

@@ -54,7 +54,21 @@ type block = {
       (** stub-table indices allocated for this block's sites; recycled
           by the controller when the block is evicted, keeping CC
           metadata bounded by residency rather than by run length *)
+  installed_at : int;
+      (** the CPU cycle counter at install, for the victim-age
+          histogram *)
+  seq : int;  (** the observation {!clock} at install *)
+  mutable entered : int;
+      (** the observation {!clock} of the last controller-observed
+          entry, or -1 if none was observed *)
+  prior : int;
+      (** trrip's insertion RRPV, from the controller's temperature
+          oracle: hot 0, warm 2, cold 3; 3 when no oracle is
+          attached *)
 }
+(** A resident translated block. The last four fields are the facts
+    the replacement policies ([Policy.victim]) decide on; they live on
+    the block, so they die with it and need no table of their own. *)
 
 type t
 
@@ -97,6 +111,10 @@ val register : t -> block -> unit
 (** Make [b] resident: map its vaddr and index its words. Its id must
     not be resident already. *)
 
+val fold : (block -> 'a -> 'a) -> t -> 'a -> 'a
+(** Fold over every resident block, in no particular order, without
+    building a list. *)
+
 val blocks : t -> block list
 (** All resident blocks, in no particular order. A fold over every
     resident block: for audits, flushes and invalidation, not for the
@@ -108,6 +126,16 @@ val overlapping : t -> int -> int -> block list
     [\[lo, hi)] clamped to the tcache. *)
 
 val resident_blocks : t -> int
+
+val tick : t -> int
+(** Advance the observation clock and return its new value. The
+    controller ticks it once per install and once per observed entry
+    into a resident block; a block's [seq] and [entered] are ticks of
+    this clock. *)
+
+val clock : t -> int
+(** The observation clock's current value (0 on a fresh tcache). *)
+
 val occupied_bytes : t -> int
 (** Blocks plus persistent stubs, summed across shards. Constant time:
     the block bytes are a running count kept by {!register},

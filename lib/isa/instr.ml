@@ -64,8 +64,6 @@ let cond_name = function
   | Ltu -> "ltu"
   | Geu -> "geu"
 
-let pp_aluop ppf op = Format.pp_print_string ppf (aluop_name op)
-let pp_cond ppf c = Format.pp_print_string ppf (cond_name c)
 
 let pp ppf = function
   | Alu (op, rd, rs1, rs2) ->

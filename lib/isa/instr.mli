@@ -72,8 +72,6 @@ val is_block_terminator : t -> bool
     they may fall through. *)
 
 val equal : t -> t -> bool
-val pp_aluop : Format.formatter -> aluop -> unit
-val pp_cond : Format.formatter -> cond -> unit
 
 val pp : Format.formatter -> t -> unit
 (** Assembly syntax, e.g. [add r1, r2, r3], [beq r1, zero, +12],

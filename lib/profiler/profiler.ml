@@ -75,11 +75,6 @@ let edges_from t src =
     |> List.sort (fun (a, an) (b, bn) ->
            match compare bn an with 0 -> compare a b | c -> c)
 
-let edge_count t ~src ~dst =
-  match Hashtbl.find_opt t.edges src with
-  | None -> 0
-  | Some targets -> Option.value ~default:0 (Hashtbl.find_opt targets dst)
-
 let samples_in t ~lo ~hi =
   let base = t.image.code_base in
   let i0 = max 0 ((lo - base) asr 2) in

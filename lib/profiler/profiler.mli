@@ -86,8 +86,5 @@ val edges_from : t -> int -> (int * int) list
     taken counts. Feeds the superblock chain oracle
     ([Cc_chain.oracle_of_profile]). *)
 
-val edge_count : t -> src:int -> dst:int -> int
-(** Count for one specific taken edge (0 when never observed). *)
-
 val pp : Format.formatter -> t -> unit
 (** The flat profile, gprof-style. *)

@@ -293,6 +293,16 @@ let test_fleet_unknown_workload_rejected () =
   Alcotest.(check int) "exit code" 1 code;
   expect_contains out "offending name" "bogus"
 
+(* A setting the config or the controller rejects is the user's error:
+   its message on stderr and exit 1, never cmdliner's uncaught-exception
+   exit 125. *)
+let expect_rejected args message () =
+  let code, out = run_cli args in
+  Alcotest.(check int) "exit code" 1 code;
+  expect_contains out "the rejection" message;
+  Alcotest.(check bool) "no uncaught exception" false
+    (contains out "uncaught exception")
+
 let () =
   Alcotest.run "cli"
     [
@@ -313,6 +323,22 @@ let () =
             test_eviction_flag_accepted;
           Alcotest.test_case "--eviction rejects unknown policies" `Quick
             test_eviction_flag_rejected;
+          Alcotest.test_case "--harts 0 exits 1" `Quick
+            (expect_rejected
+               [ "run"; "sensor_modes"; "--harts"; "0" ]
+               "Config.make: harts must be >= 1");
+          Alcotest.test_case "function granularity + proc chunking exits 1"
+            `Quick
+            (expect_rejected
+               [
+                 "run"; "sensor_modes"; "--granularity"; "function";
+                 "--chunking"; "proc";
+               ]
+               "function granularity subsumes procedure chunking");
+          Alcotest.test_case "fullsystem --tcache 32 exits 1" `Quick
+            (expect_rejected
+               [ "fullsystem"; "sensor_modes"; "--tcache"; "32" ]
+               "Config.make: tcache too small");
         ] );
       ( "trace",
         [

@@ -316,6 +316,10 @@ let block ~id ~vaddr ~paddr ~words =
     pads = [];
     resume = Array.make words vaddr;
     stubs = [];
+    installed_at = 0;
+    seq = 0;
+    entered = -1;
+    prior = 3;
   }
 
 let test_tcache_register_lookup () =

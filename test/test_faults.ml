@@ -283,14 +283,15 @@ let test_random_fault_robustness =
       in
       match cached.status with
       | Softcache.Runner.Chunk_too_large _ -> QCheck.assume_fail ()
-      | _ when ctrl.stats.max_chunk_retries > ctrl.cfg.max_retries -> false
+      | _ when ctrl.stats.max_chunk_retries > Softcache.Config.max_retries ->
+        false
       | Softcache.Runner.Finished Machine.Cpu.Halted ->
         cached.outputs = native.outputs
       | Softcache.Runner.Finished Machine.Cpu.Out_of_fuel
       | Softcache.Runner.Tcache_too_small ->
         false
       | Softcache.Runner.Unavailable { attempts; _ } ->
-        attempts = ctrl.cfg.max_retries + 1)
+        attempts = Softcache.Config.max_retries + 1)
 
 let test_hopeless_link_unavailable () =
   (* a link that drops everything must give up after exactly
@@ -304,16 +305,19 @@ let test_hopeless_link_unavailable () =
   in
   (match cached.status with
   | Softcache.Runner.Unavailable { attempts; _ } ->
-    Alcotest.(check int) "attempts" (ctrl.cfg.max_retries + 1) attempts
+    Alcotest.(check int) "attempts" (Softcache.Config.max_retries + 1)
+      attempts
   | _ -> Alcotest.fail "expected Unavailable");
-  Alcotest.(check int) "timeouts counted" (ctrl.cfg.max_retries + 1)
+  Alcotest.(check int) "timeouts counted" (Softcache.Config.max_retries + 1)
     ctrl.stats.net_timeouts;
   let backoff =
     (* sum of retry_backoff_cycles * 2^(n-1) for n = 1..max_retries *)
-    Softcache.Config.retry_backoff_cycles * ((1 lsl ctrl.cfg.max_retries) - 1)
+    Softcache.Config.retry_backoff_cycles
+    * ((1 lsl Softcache.Config.max_retries) - 1)
   in
   let floor =
-    backoff + ((ctrl.cfg.max_retries + 1) * Softcache.Config.timeout_cycles)
+    backoff
+    + ((Softcache.Config.max_retries + 1) * Softcache.Config.timeout_cycles)
   in
   Alcotest.(check bool)
     (Printf.sprintf "charged at least %d backoff+timeout cycles" floor)
@@ -334,7 +338,7 @@ let test_corrupt_link_crc_rejects () =
   | Softcache.Runner.Unavailable _ -> ()
   | _ -> Alcotest.fail "expected Unavailable");
   Alcotest.(check int) "every attempt CRC-rejected"
-    (ctrl.cfg.max_retries + 1) ctrl.stats.crc_failures;
+    (Softcache.Config.max_retries + 1) ctrl.stats.crc_failures;
   Alcotest.(check int) "nothing recovered" 0 ctrl.stats.recoveries;
   Alcotest.(check int) "no translation completed" 0 ctrl.stats.translations
 
@@ -363,29 +367,6 @@ let test_recovery_accounting () =
     (Netmodel.drops ctrl.cfg.net = ctrl.stats.net_timeouts);
   Alcotest.(check int) "nothing permanently lost" 0
     ctrl.stats.chunk_failures
-
-let test_retry_budget_config () =
-  (* a larger retry budget turns an unavailable run into a finished
-     one on a bad-but-not-hopeless link *)
-  let img = prog_fib 8 in
-  let faults = Netmodel.Faults.make ~seed:3 ~drop:0.7 () in
-  let run max_retries =
-    let cfg =
-      Softcache.Config.make ~tcache_bytes:4096 ~max_retries
-        ~net:(Netmodel.local ~faults ()) ()
-    in
-    Softcache.Runner.cached_robust cfg img
-  in
-  let small, _ = run 1 in
-  let big, _ = run 30 in
-  (match small.status with
-  | Softcache.Runner.Unavailable _ -> ()
-  | _ -> Alcotest.fail "expected tiny budget to fail");
-  match big.status with
-  | Softcache.Runner.Finished Machine.Cpu.Halted -> ()
-  | s ->
-    Alcotest.failf "expected big budget to finish, got %a"
-      Softcache.Runner.pp_status s
 
 let () =
   Alcotest.run "faults"
@@ -418,7 +399,5 @@ let () =
             test_corrupt_link_crc_rejects;
           Alcotest.test_case "recovery accounting" `Quick
             test_recovery_accounting;
-          Alcotest.test_case "retry budget is a config knob" `Quick
-            test_retry_budget_config;
         ] );
     ]

@@ -4,19 +4,19 @@
    - the refactor changed nothing: fifo and flush-all reproduce the
      pre-refactor controller cycle-for-cycle on golden workloads (the
      numbers below were captured from the monolithic controller before
-     the policy extraction);
-   - the policy abstraction behaves: victims are deterministic, pinned
-     blocks are never selected, the resident view tracks the tcache,
-     and a tcache full of pinned blocks fails cleanly instead of
-     looping;
+     the policy extraction), and lru and trrip pick the victims their
+     former table-and-clock bookkeeping picked;
+   - the victim functions behave: victims are deterministic, pinned,
+     leased and other-shard blocks are never selected, and a tcache
+     full of pinned blocks fails cleanly instead of looping;
    - the miss path's re-allocation guard surfaces pathological
      persistent-stub growth as a diagnosable exception. *)
 
 let reg = Isa.Reg.r
 
 (* ------------------------------------------------------------------ *)
-(* Golden cycle-identity: fifo and flush-all, re-expressed as policy
-   modules, must be byte-identical to the pre-refactor controller.
+(* Golden cycle-identity: fifo and flush-all, re-expressed as victim
+   functions, must be byte-identical to the pre-refactor controller.
    Cycles and translation counts below were recorded from the seed
    implementation on these exact configurations. *)
 
@@ -51,56 +51,53 @@ let test_golden_cycle_identity () =
     golden
 
 (* ------------------------------------------------------------------ *)
-(* Policy unit behaviour on a synthetic tcache *)
+(* Victim functions on a synthetic tcache. A policy reads only the
+   facts on each block and the tcache's observation clock, so these
+   tests install and enter blocks the way the controller does: [seq]
+   and [entered] are ticks of that clock. *)
 
-let mk_block ~id ~vaddr ~paddr ~words =
-  {
-    Softcache.Tcache.id;
-    vaddr;
-    paddr;
-    words;
-    orig_words = words;
-    incoming = [];
-    pads = [];
-    resume = [||];
-    stubs = [];
-  }
+module Tc = Softcache.Tcache
 
-(* three resident blocks, installed in id order, none entered yet *)
-let synthetic eviction =
-  let tc = Softcache.Tcache.create ~base:0x10000 ~bytes:4096 in
-  let p = Softcache.Policy.create eviction in
-  let module P = (val p : Softcache.Policy.S) in
+(* register a block as the controller installs one: one clock tick *)
+let install ?(prior = 3) tc ~id ~vaddr ~paddr ~words =
+  let b =
+    {
+      Tc.id;
+      vaddr;
+      paddr;
+      words;
+      orig_words = words;
+      incoming = [];
+      pads = [];
+      resume = [||];
+      stubs = [];
+      installed_at = 0;
+      seq = Tc.tick tc;
+      entered = -1;
+      prior;
+    }
+  in
+  Tc.register tc b;
+  b
+
+(* an entry the controller observed: one clock tick *)
+let enter tc (b : Tc.block) = b.entered <- Tc.tick tc
+
+(* three resident blocks, installed in id order, none entered yet;
+   [prior i] is block [i]'s trrip prior *)
+let synthetic ?(prior = fun _ -> 3) () =
+  let tc = Tc.create ~base:0x10000 ~bytes:4096 in
   let blocks =
     List.map
-      (fun i -> mk_block ~id:i ~vaddr:(i * 64) ~paddr:(0x10000 + (i * 64)) ~words:8)
+      (fun i ->
+        install tc ~prior:(prior i) ~id:i ~vaddr:(i * 64)
+          ~paddr:(0x10000 + (i * 64)) ~words:8)
       [ 0; 1; 2 ]
   in
-  List.iter
-    (fun b ->
-      Softcache.Tcache.register tc b;
-      P.on_install b)
-    blocks;
-  (tc, p, blocks)
+  (tc, blocks)
 
-let victim_id p tc =
-  let module P = (val p : Softcache.Policy.S) in
-  Option.map (fun (b : Softcache.Tcache.block) -> b.id) (P.victim tc)
-
-let test_registry_names () =
-  List.iter
-    (fun (name, ev) ->
-      let module P = (val Softcache.Policy.create ev : Softcache.Policy.S) in
-      Alcotest.(check string) "name matches table" name P.name;
-      Alcotest.(check bool) "kind matches constructor" true
-        (match (ev, P.kind) with
-        | Softcache.Config.Flush_all, `Flush_all -> true
-        | (Softcache.Config.Fifo | Lru | Trrip), `Evict -> true
-        | _ -> false);
-      Alcotest.(check (list int)) "empty resident view" [] (P.resident_ids ());
-      Alcotest.(check bool) "debug state prints" true
-        (String.length (P.debug_state ()) > 0))
-    Softcache.Config.eviction_table
+let victim_id ev tc =
+  Option.map (fun (b : Tc.block) -> b.id) (Softcache.Policy.victim ev tc)
 
 let test_reason_names_match_trace () =
   (* the trace validator accepts exactly the reasons the policy layer
@@ -111,76 +108,76 @@ let test_reason_names_match_trace () =
 let test_fifo_never_volunteers () =
   List.iter
     (fun ev ->
-      let tc, p, blocks = synthetic ev in
-      Alcotest.(check (option int)) "no victim opinion" None (victim_id p tc);
-      let module P = (val p : Softcache.Policy.S) in
-      List.iter (fun b -> P.on_entry b) blocks;
+      let tc, blocks = synthetic () in
+      Alcotest.(check (option int)) "no victim opinion" None (victim_id ev tc);
+      List.iter (enter tc) blocks;
       Alcotest.(check (option int)) "still none after entries" None
-        (victim_id p tc))
+        (victim_id ev tc))
     [ Softcache.Config.Fifo; Softcache.Config.Flush_all ]
 
 let test_lru_defers_to_sweep_when_cold () =
   (* no observed entries anywhere: the sweep's candidate is as good as
      any, so the policy must not deviate *)
-  let tc, p, blocks = synthetic Softcache.Config.Lru in
-  Alcotest.(check (option int)) "cold cache: defer" None (victim_id p tc);
+  let tc, blocks = synthetic () in
+  Alcotest.(check (option int)) "cold cache: defer" None
+    (victim_id Softcache.Config.Lru tc);
   (* entry on a non-candidate block changes nothing: the sweep's
      candidate (block 0, lowest placement) is still cold *)
-  let module P = (val p : Softcache.Policy.S) in
-  P.on_entry (List.nth blocks 2);
+  enter tc (List.nth blocks 2);
   Alcotest.(check (option int)) "sweep candidate cold: defer" None
-    (victim_id p tc)
+    (victim_id Softcache.Config.Lru tc)
 
 let test_lru_overrides_sweep_for_fresh_block () =
-  let tc, p, blocks = synthetic Softcache.Config.Lru in
-  let module P = (val p : Softcache.Policy.S) in
+  let tc, blocks = synthetic () in
   (* the sweep would kill block 0, but it was just entered: the policy
      must offer the least-recently-used block instead *)
-  P.on_entry (List.hd blocks);
+  enter tc (List.hd blocks);
   Alcotest.(check (option int)) "protects the entered block" (Some 1)
-    (victim_id p tc);
+    (victim_id Softcache.Config.Lru tc);
   (* pinning the would-be victim redirects to the next-least-recent *)
-  Softcache.Tcache.pin tc (List.nth blocks 1);
+  Tc.pin tc (List.nth blocks 1);
   Alcotest.(check (option int)) "never a pinned block" (Some 2)
-    (victim_id p tc);
+    (victim_id Softcache.Config.Lru tc);
   (* victim is a pure query: asking repeatedly must not change it *)
-  Alcotest.(check (option int)) "pure query" (Some 2) (victim_id p tc)
+  Alcotest.(check (option int)) "pure query" (Some 2)
+    (victim_id Softcache.Config.Lru tc)
 
 let test_rrip_promotes_on_entry () =
-  (* trrip with no temperature oracle attached is plain RRIP *)
-  let tc, p, blocks = synthetic Softcache.Config.Trrip in
-  let module P = (val p : Softcache.Policy.S) in
-  Alcotest.(check (option int)) "cold cache: defer" None (victim_id p tc);
-  P.on_entry (List.hd blocks);
+  (* trrip with every prior distant (no temperature oracle) is plain
+     RRIP *)
+  let tc, blocks = synthetic () in
+  Alcotest.(check (option int)) "cold cache: defer" None
+    (victim_id Softcache.Config.Trrip tc);
+  enter tc (List.hd blocks);
   (* sweep candidate promoted to near-immediate re-reference; the
      victim is the most distant block, oldest insertion on ties *)
   Alcotest.(check (option int)) "evicts most distant, oldest first" (Some 1)
-    (victim_id p tc);
-  Softcache.Tcache.pin tc (List.nth blocks 1);
+    (victim_id Softcache.Config.Trrip tc);
+  Tc.pin tc (List.nth blocks 1);
   Alcotest.(check (option int)) "never a pinned block" (Some 2)
-    (victim_id p tc)
+    (victim_id Softcache.Config.Trrip tc)
 
 (* ------------------------------------------------------------------ *)
 (* Tie-break determinism: equal keys must resolve on the smaller block
-   id — never on Hashtbl.fold visit order, which depends on the table's
+   id — never on the fold's visit order, which depends on the table's
    insertion history. Same residents, both insertion orders, same
    answer. *)
 
 let test_pick_min_tie_breaks_on_id () =
-  let tc = Softcache.Tcache.create ~base:0x10000 ~bytes:4096 in
-  let pick order =
-    let tbl = Hashtbl.create 8 in
+  let pick ?(pinned = []) order =
+    let tc = Tc.create ~base:0x10000 ~bytes:4096 in
     List.iter
       (fun id ->
         let b =
-          mk_block ~id ~vaddr:(id * 64) ~paddr:(0x10000 + (id * 64)) ~words:8
+          install tc ~id ~vaddr:(id * 64) ~paddr:(0x10000 + (id * 64))
+            ~words:8
         in
-        (* every resident carries the same key *)
-        Hashtbl.replace tbl id (b, 42))
+        if List.mem id pinned then Tc.pin tc b)
       order;
+    (* every resident carries the same key *)
     Option.map
-      (fun (b : Softcache.Tcache.block) -> b.id)
-      (Softcache.Policy.pick_min tbl ~key:(fun m -> m) tc)
+      (fun (b : Tc.block) -> b.id)
+      (Softcache.Policy.pick_min ~key:(fun _ -> 42) tc)
   in
   let ids = [ 3; 9; 4; 7; 12; 5 ] in
   Alcotest.(check (option int)) "forward insertion" (Some 3) (pick ids);
@@ -191,102 +188,318 @@ let test_pick_min_tie_breaks_on_id () =
   Alcotest.(check (option int)) "two residents, 5 then 1" (Some 1)
     (pick [ 5; 1 ]);
   (* pinning the tie-break winner promotes the next id *)
-  let b3 = mk_block ~id:3 ~vaddr:192 ~paddr:(0x10000 + 192) ~words:8 in
-  Softcache.Tcache.register tc b3;
-  Softcache.Tcache.pin tc b3;
-  Alcotest.(check (option int)) "pinned winner skipped" (Some 4) (pick ids)
+  Alcotest.(check (option int)) "pinned winner skipped" (Some 4)
+    (pick ~pinned:[ 3 ] ids)
 
 let test_sweep_candidate_tie_breaks_on_id () =
-  let tc = Softcache.Tcache.create ~base:0x10000 ~bytes:4096 in
   let pick order =
-    let tbl = Hashtbl.create 8 in
+    let tc = Tc.create ~base:0x10000 ~bytes:4096 in
     List.iter
       (fun id ->
         (* all at the same placement: live blocks never overlap, but
            the selection must be syntactically deterministic anyway *)
-        let b = mk_block ~id ~vaddr:(id * 64) ~paddr:0x10100 ~words:8 in
-        Hashtbl.replace tbl id (b, ()))
+        ignore (install tc ~id ~vaddr:(id * 64) ~paddr:0x10100 ~words:8))
       order;
     Option.map
-      (fun ((b : Softcache.Tcache.block), ()) -> b.id)
-      (Softcache.Policy.sweep_candidate tbl tc)
+      (fun (b : Tc.block) -> b.id)
+      (Softcache.Policy.sweep_candidate tc)
   in
   Alcotest.(check (option int)) "forward insertion" (Some 2) (pick [ 2; 8; 5 ]);
   Alcotest.(check (option int)) "reverse insertion" (Some 2) (pick [ 5; 8; 2 ])
 
 (* ------------------------------------------------------------------ *)
+(* Equivalence: the victim functions decide exactly as lru and trrip
+   did when each kept its own table of residents and its own clock.
+   [Ref] replays that bookkeeping beside a tcache driven through random
+   installs (placed by the FIFO or the seeded sweep, so the sweep
+   pointer moves), observed entries, removals, pins and leases, over
+   one or two shards. *)
+
+module Ref = struct
+  type meta = {
+    b : Tc.block;
+    seq : int;  (* install tick *)
+    prior : int;
+    mutable stamp : int;  (* last install-or-entry tick *)
+    mutable entry : int option;  (* last entry tick *)
+    mutable rrpv : int;  (* the prior until an entry, then 0 *)
+  }
+
+  type t = { tbl : (int, meta) Hashtbl.t; mutable clock : int }
+
+  let create () = { tbl = Hashtbl.create 64; clock = 0 }
+
+  let tick r =
+    r.clock <- r.clock + 1;
+    r.clock
+
+  let install r (b : Tc.block) ~prior =
+    let s = tick r in
+    Hashtbl.replace r.tbl b.id
+      { b; seq = s; prior; stamp = s; entry = None; rrpv = prior }
+
+  let enter r id =
+    match Hashtbl.find_opt r.tbl id with
+    | Some m ->
+      let s = tick r in
+      m.stamp <- s;
+      m.entry <- Some s;
+      m.rrpv <- 0
+    | None -> ()
+
+  let evict r id = Hashtbl.remove r.tbl id
+  let window r = 2 * (Hashtbl.length r.tbl + 2)
+
+  let eligible ?shard tc m =
+    (not (Tc.is_pinned tc m.b.id))
+    && (not (Tc.is_leased tc m.b.id))
+    &&
+    match shard with
+    | None -> true
+    | Some s -> Tc.shard_of_paddr tc m.b.paddr = s
+
+  let pick_min ?shard r tc ~key =
+    Hashtbl.fold
+      (fun id m best ->
+        if not (eligible ?shard tc m) then best
+        else
+          let k = key m in
+          match best with
+          | Some (kb, bm)
+            when compare kb k < 0 || (compare kb k = 0 && bm.b.id < id) ->
+            best
+          | _ -> Some (k, m))
+      r.tbl None
+    |> Option.map snd
+
+  let sweep_candidate ?shard r tc =
+    let ptr = Tc.alloc_ptr ?shard tc in
+    let better best m =
+      match best with
+      | Some bm
+        when bm.b.paddr < m.b.paddr
+             || (bm.b.paddr = m.b.paddr && bm.b.id < m.b.id) ->
+        best
+      | _ -> Some m
+    in
+    let ahead, wrapped =
+      Hashtbl.fold
+        (fun _ m (ahead, wrapped) ->
+          if not (eligible ?shard tc m) then (ahead, wrapped)
+          else if m.b.paddr + (4 * m.b.words) > ptr then
+            (better ahead m, wrapped)
+          else (ahead, better wrapped m))
+        r.tbl (None, None)
+    in
+    match ahead with Some _ -> ahead | None -> wrapped
+
+  let fresh r m =
+    match m.entry with Some e -> r.clock - e <= window r | None -> false
+
+  let effective r m =
+    match m.entry with
+    | Some e when r.clock - e <= window r -> m.rrpv
+    | Some _ | None -> m.prior
+
+  let lru ?shard r tc =
+    match sweep_candidate ?shard r tc with
+    | Some sm when fresh r sm -> (
+      match pick_min ?shard r tc ~key:(fun m -> m.stamp) with
+      | Some m when m.b.id <> sm.b.id -> Some m.b.id
+      | Some _ | None -> None)
+    | Some _ | None -> None
+
+  let trrip ?shard r tc =
+    match sweep_candidate ?shard r tc with
+    | Some sm when effective r sm < 3 -> (
+      match
+        pick_min ?shard r tc ~key:(fun m -> (-effective r m, m.seq))
+      with
+      | Some m when m.b.id <> sm.b.id && effective r m > effective r sm ->
+        Some m.b.id
+      | Some _ | None -> None)
+    | Some _ | None -> None
+end
+
+(* ops: 0-3 install (3: seeded at a resident's placement), 4-5 observed
+   entry, 6 remove, 7 pin/unpin, 8 lease, 9 release; the two numbers
+   pick the shard, the resident, the size and the trrip prior *)
+let victims_gen =
+  QCheck.Gen.(
+    pair (int_range 1 2)
+      (list_size (int_range 1 150) (triple (int_range 0 9) nat nat)))
+
+let victims_print =
+  QCheck.Print.(pair int (list (triple int int int)))
+
+(* steps at which lru / trrip offered a victim, over the whole run *)
+let lru_offers = ref 0
+let trrip_offers = ref 0
+
+let victims_prop (shards, ops) =
+  let tc = Tc.create_sharded ~shards ~base:0x10000 ~bytes:1024 in
+  let r = Ref.create () in
+  let next_id = ref 0 in
+  let pick x =
+    match List.sort (fun (a : Tc.block) b -> compare a.id b.id) (Tc.blocks tc)
+    with
+    | [] -> None
+    | l -> Some (List.nth l (x mod List.length l))
+  in
+  let step (op, x, y) =
+    match op with
+    | 0 | 1 | 2 | 3 -> (
+      let shard = x mod shards and words = 2 + (y mod 30) in
+      let placed =
+        match if op = 3 then pick y else None with
+        | Some (s : Tc.block) ->
+          Tc.alloc_seeded ~shard tc ~seed:s.paddr ~words
+        | None -> Tc.alloc_fifo ~shard tc ~words
+      in
+      match placed with
+      | Error _ -> ()
+      | Ok (paddr, victims) ->
+        List.iter (fun (v : Tc.block) -> Ref.evict r v.id) victims;
+        let id = !next_id in
+        incr next_id;
+        let prior = List.nth [ 0; 2; 3 ] (x mod 3) in
+        Ref.install r ~prior
+          (install tc ~prior ~id ~vaddr:(id * 4096) ~paddr ~words))
+    | 4 | 5 ->
+      Option.iter
+        (fun (b : Tc.block) ->
+          enter tc b;
+          Ref.enter r b.id)
+        (pick x)
+    | 6 ->
+      Option.iter
+        (fun (b : Tc.block) ->
+          Tc.remove tc b;
+          Ref.evict r b.id)
+        (pick x)
+    | 7 ->
+      Option.iter
+        (fun (b : Tc.block) ->
+          if Tc.is_pinned tc b.id then Tc.unpin tc b else Tc.pin tc b)
+        (pick x)
+    | 8 -> Option.iter (Tc.lease tc) (pick x)
+    | _ -> Option.iter (Tc.release tc) (pick x)
+  in
+  let legal shard = function
+    | None -> true
+    | Some id -> (
+      (not (Tc.is_pinned tc id))
+      && (not (Tc.is_leased tc id))
+      &&
+      match (Tc.find_by_id tc id, shard) with
+      | None, _ -> false
+      | Some _, None -> true
+      | Some (b : Tc.block), Some s -> Tc.shard_of_paddr tc b.paddr = s)
+  in
+  let agrees i shard =
+    let got ev =
+      Option.map
+        (fun (b : Tc.block) -> b.id)
+        (Softcache.Policy.victim ev ?shard tc)
+    in
+    let lru = got Softcache.Config.Lru and trrip = got Softcache.Config.Trrip in
+    if lru <> None then incr lru_offers;
+    if trrip <> None then incr trrip_offers;
+    let want_lru = Ref.lru ?shard r tc and want_trrip = Ref.trrip ?shard r tc in
+    let show = function None -> "none" | Some id -> string_of_int id in
+    if lru <> want_lru || trrip <> want_trrip then
+      QCheck.Test.fail_reportf
+        "step %d, shard %s: lru %s (reference %s), trrip %s (reference %s)" i
+        (show shard) (show lru) (show want_lru) (show trrip) (show want_trrip)
+    else if not (legal shard lru && legal shard trrip) then
+      QCheck.Test.fail_reportf "step %d, shard %s: illegal victim" i
+        (show shard)
+    else true
+  in
+  let shard_args = None :: List.init shards Option.some in
+  let rec run i = function
+    | [] -> true
+    | o :: rest ->
+      step o;
+      Tc.clock tc = r.clock
+      && Tc.resident_blocks tc = Hashtbl.length r.tbl
+      && List.for_all (agrees i) shard_args
+      && run (i + 1) rest
+  in
+  run 0 ops
+
+let test_victims_match_reference () =
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:300 ~name:"victim functions = reference"
+       (QCheck.make ~print:victims_print victims_gen)
+       victims_prop);
+  (* deference is the common answer; the property must also have seen
+     both policies override the sweep *)
+  Alcotest.(check bool)
+    (Printf.sprintf "lru offered %d victims, trrip %d (>= 1000 each)"
+       !lru_offers !trrip_offers)
+    true
+    (!lru_offers >= 1000 && !trrip_offers >= 1000)
+
+(* ------------------------------------------------------------------ *)
 (* trrip: RRIP with a temperature prior *)
 
-let trrip_oracle f p =
-  let module P = (val p : Softcache.Policy.S) in
-  P.set_temperature_oracle f
-
 let test_trrip_hot_prior_protects_unentered () =
-  (* block 0 (vaddr 0) classifies hot; no entries were ever observed.
-     unprimed, trrip is blind here and defers to the sweep, killing the
-     hot block;
-     trrip's prior protects it and offers the oldest cold block. *)
-  let tc = Softcache.Tcache.create ~base:0x10000 ~bytes:4096 in
-  let p = Softcache.Policy.create Softcache.Config.Trrip in
-  let module P = (val p : Softcache.Policy.S) in
-  P.set_temperature_oracle
-    (Some
-       (fun ~lo ~hi:_ ->
-         if lo < 64 then Softcache.Policy.Hot else Softcache.Policy.Cold));
-  let blocks =
-    List.map
-      (fun i ->
-        mk_block ~id:i ~vaddr:(i * 64) ~paddr:(0x10000 + (i * 64)) ~words:8)
-      [ 0; 1; 2 ]
-  in
-  List.iter
-    (fun b ->
-      Softcache.Tcache.register tc b;
-      P.on_install b)
-    blocks;
+  (* block 0 carries a hot prior; no entries were ever observed.
+     Unprimed, trrip is blind here and defers to the sweep, killing the
+     hot block; the prior protects it and offers the oldest cold
+     block. *)
+  let hot = Softcache.Policy.rrpv_of_temperature Softcache.Policy.Hot in
+  let tc, blocks = synthetic ~prior:(fun i -> if i = 0 then hot else 3) () in
   Alcotest.(check (option int)) "protects the hot block before any entry"
-    (Some 1) (victim_id p tc);
-  Softcache.Tcache.pin tc (List.nth blocks 1);
+    (Some 1) (victim_id Softcache.Config.Trrip tc);
+  Tc.pin tc (List.nth blocks 1);
   Alcotest.(check (option int)) "never a pinned block" (Some 2)
-    (victim_id p tc);
-  Alcotest.(check (option int)) "pure query" (Some 2) (victim_id p tc)
+    (victim_id Softcache.Config.Trrip tc);
+  Alcotest.(check (option int)) "pure query" (Some 2)
+    (victim_id Softcache.Config.Trrip tc)
 
 let test_trrip_constant_cold_oracle_is_rrip () =
-  (* the classifier degrades flat profiles to constant Cold; under that
-     oracle trrip must still decide exactly as it does unprimed (see
-     test_rrip_promotes_on_entry) *)
-  let tc, p, blocks = synthetic Softcache.Config.Trrip in
-  let module P = (val p : Softcache.Policy.S) in
-  trrip_oracle (Some (fun ~lo:_ ~hi:_ -> Softcache.Policy.Cold)) p;
-  Alcotest.(check (option int)) "cold cache: defer" None (victim_id p tc);
-  P.on_entry (List.hd blocks);
+  (* the classifier degrades flat profiles to constant Cold; the prior
+     that oracle gives every block must leave trrip deciding exactly as
+     it does unprimed (see test_rrip_promotes_on_entry) *)
+  let cold = Softcache.Policy.rrpv_of_temperature Softcache.Policy.Cold in
+  let tc, blocks = synthetic ~prior:(fun _ -> cold) () in
+  Alcotest.(check (option int)) "cold cache: defer" None
+    (victim_id Softcache.Config.Trrip tc);
+  enter tc (List.hd blocks);
   Alcotest.(check (option int)) "same decision as unprimed" (Some 1)
-    (victim_id p tc)
+    (victim_id Softcache.Config.Trrip tc)
 
 (* End-to-end: without an oracle a full trrip run reproduces, cycle for
    cycle, the figures of the separate 2-bit RRIP policy that was folded
-   into it (pinned below at a 2 KB tcache); with a real profile oracle
-   attached (and the auditor on) it still computes the right outputs. *)
+   into it (pinned below at a 2 KB tcache). The classifier degrades
+   flat profiles to constant Cold, and under that oracle every prior
+   reads distant, so trrip must decide exactly as it does unprimed. *)
 let test_trrip_runner_identity () =
-  List.iter
-    (fun (wname, cycles, translations) ->
-      let img = (Option.get (Workloads.Registry.find wname)).build () in
-      let native = Softcache.Runner.native img in
-      let cfg =
-        Softcache.Config.make ~tcache_bytes:2048
-          ~eviction:Softcache.Config.Trrip ()
-      in
-      let cached, ctrl = Softcache.Runner.cached cfg img in
-      Alcotest.(check int) (wname ^ " cycles") cycles cached.cycles;
-      Alcotest.(check int) (wname ^ " translations") translations
-        ctrl.stats.translations;
-      Alcotest.(check (list int)) (wname ^ " outputs") native.outputs
-        cached.outputs)
+  let run ?prepare (wname, cycles, translations) =
+    let img = (Option.get (Workloads.Registry.find wname)).build () in
+    let native = Softcache.Runner.native img in
+    let cfg =
+      Softcache.Config.make ~tcache_bytes:2048
+        ~eviction:Softcache.Config.Trrip ()
+    in
+    let cached, ctrl = Softcache.Runner.cached_robust ?prepare cfg img in
+    Alcotest.(check int) (wname ^ " cycles") cycles cached.cycles;
+    Alcotest.(check int) (wname ^ " translations") translations
+      ctrl.stats.translations;
+    Alcotest.(check (list int)) (wname ^ " outputs") native.outputs
+      cached.outputs
+  in
+  List.iter run
     [
       ("compress95", 13582003, 170947);
       ("mpeg2enc", 7692069, 78185);
       ("sensor_modes", 2645071, 22);
-    ]
+    ];
+  run ("compress95", 13582003, 170947) ~prepare:(fun ctrl ->
+      Softcache.Controller.set_temperature_oracle ctrl
+        (Some (fun ~lo:_ ~hi:_ -> Softcache.Policy.Cold)))
 
 let policy_temp = function
   | Profiler.Hot -> Softcache.Policy.Hot
@@ -317,24 +530,17 @@ let test_trrip_profiled_audited_run () =
   | Some n -> Alcotest.(check bool) "audits ran" true (!n > 0)
   | None -> Alcotest.fail "auditor was not installed");
   Alcotest.(check bool) "the profile actually evicted something" true
-    (ctrl.stats.evicted_victim + ctrl.stats.evicted_collateral > 0)
-
-let test_policy_view_tracks_evictions () =
+    (ctrl.stats.evicted_victim + ctrl.stats.evicted_collateral > 0);
+  (* each resident carries the prior its source range classifies to *)
   List.iter
-    (fun (pname, ev) ->
-      let tc, p, blocks = synthetic ev in
-      let module P = (val p : Softcache.Policy.S) in
-      Alcotest.(check (list int))
-        (pname ^ " resident after installs")
-        [ 0; 1; 2 ]
-        (List.sort compare (P.resident_ids ()));
-      P.on_evict Softcache.Policy.Victim (List.nth blocks 1);
-      Alcotest.(check (list int))
-        (pname ^ " resident after evict")
-        [ 0; 2 ]
-        (List.sort compare (P.resident_ids ()));
-      ignore tc)
-    Softcache.Config.eviction_table
+    (fun (b : Tc.block) ->
+      Alcotest.(check int)
+        (Printf.sprintf "prior of block %d" b.id)
+        (Softcache.Policy.rrpv_of_temperature
+           (policy_temp
+              (classify ~lo:b.vaddr ~hi:(b.vaddr + (4 * b.orig_words)))))
+        b.prior)
+    (Tc.blocks ctrl.tc)
 
 (* ------------------------------------------------------------------ *)
 (* Pinned-only tcache: when pinned blocks crowd out every placement,
@@ -536,8 +742,6 @@ let () =
         ] );
       ( "units",
         [
-          Alcotest.test_case "registry names and kinds" `Quick
-            test_registry_names;
           Alcotest.test_case "reason names match trace schema" `Quick
             test_reason_names_match_trace;
           Alcotest.test_case "fifo/flush never volunteer a victim" `Quick
@@ -552,8 +756,8 @@ let () =
             test_pick_min_tie_breaks_on_id;
           Alcotest.test_case "sweep candidate ties break on block id" `Quick
             test_sweep_candidate_tie_breaks_on_id;
-          Alcotest.test_case "resident view tracks evictions" `Quick
-            test_policy_view_tracks_evictions;
+          Alcotest.test_case "victims = table-and-clock reference" `Quick
+            test_victims_match_reference;
         ] );
       ( "trrip",
         [
