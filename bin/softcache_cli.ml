@@ -415,9 +415,6 @@ let run_cmd =
           (fun (h : Softcache.Shard.hart) ->
             Format.printf "  %a@." Softcache.Shard.pp_hart h)
           (Softcache.Shard.harts sh);
-        Report.kv "fills"
-          (Printf.sprintf "%d (+%d coalesced joins)" ctrl.stats.fills
-             ctrl.stats.fills_coalesced);
         let ok =
           List.for_all
             (fun (h : Softcache.Shard.hart) ->
@@ -474,33 +471,8 @@ let run_cmd =
         && native.outputs = Machine.Cpu.outputs ctrl.cpu
       in
       Report.kv "outputs match" (string_of_bool ok);
-      Report.transport
-        ~injected:(not (Netmodel.Faults.is_none (Netmodel.faults cfg.net)))
-        ~drops:(Netmodel.drops cfg.net)
-        ~corruptions:(Netmodel.corruptions cfg.net)
-        ~duplicates:(Netmodel.duplicates cfg.net)
-        ~delay_spikes:(Netmodel.delay_spikes cfg.net)
-        ~retries:ctrl.stats.net_retries
-        ~max_chunk_retries:ctrl.stats.max_chunk_retries
-        ~timeouts:ctrl.stats.net_timeouts
-        ~crc_failures:ctrl.stats.crc_failures
-        ~recoveries:ctrl.stats.recoveries
-        ~chunk_failures:ctrl.stats.chunk_failures;
-      Report.prefetch ~issued:ctrl.stats.prefetch_issued
-        ~installs:ctrl.stats.prefetch_installs
-        ~wasted:ctrl.stats.prefetch_wasted
-        ~crc_failures:ctrl.stats.prefetch_crc_failures
-        ~batches:ctrl.stats.batches ~batch_chunks:ctrl.stats.batch_chunks
-        ~max_batch_chunks:ctrl.stats.max_batch_chunks;
-      Report.policy
-        ~name:(Softcache.Config.eviction_name eviction)
-        ~entries:ctrl.stats.policy_entries
-        ~victim:ctrl.stats.evicted_victim
-        ~collateral:ctrl.stats.evicted_collateral
-        ~stub_growth:ctrl.stats.evicted_stub_growth
-        ~invalidated:ctrl.stats.evicted_invalidated
-        ~flushed:ctrl.stats.evicted_flushed
-        ~ages:(Softcache.Stats.victim_ages ctrl.stats);
+      Report.kv "replacement policy"
+        (Softcache.Config.eviction_name eviction);
       (match trrip_note with
       | Some s -> Report.kv "trrip prior" s
       | None -> ());

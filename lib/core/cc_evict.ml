@@ -1,7 +1,8 @@
-(* Eviction and flush: unlinking dead blocks (reverting their incoming
-   pointers) and scrubbing live landing-pad addresses off the stack into
-   persistent return stubs. Every block that leaves the tcache flows
-   through [note_evicted] with the reason it died. *)
+(* Eviction: unlinking dead blocks (reverting their incoming pointers),
+   scrubbing live landing-pad addresses off the stack into persistent
+   return stubs, and redirecting CPUs parked in dead blocks. Every block
+   that leaves the tcache flows through [process_evicted] with the
+   reason it died; a flush is the eviction of every unpinned block. *)
 
 open Cc_state
 
@@ -30,15 +31,33 @@ let note_evicted t ~(reason : Policy.reason) (b : Tcache.block) =
          base = b.paddr;
          bytes = 4 * b.words;
          incoming = List.length b.incoming;
-         reason = Policy.reason_name reason;
+         reason;
        })
 
 (* Every CPU this controller is responsible for: the solo CPU, or all
-   harts of a multi-hart run. Stack scrubs, parked-pc redirects and
-   flush fix-ups must cover each one — every hart's private stack may
-   hold landing-pad addresses into the shared tcache. *)
+   harts of a multi-hart run. Stack scrubs and parked-pc redirects must
+   cover each one — every hart's private stack may hold landing-pad
+   addresses into the shared tcache. *)
 let cpus t =
   if Array.length t.harts = 0 then [ t.cpu ] else Array.to_list t.harts
+
+(* (cpu, resume vaddr) for each CPU parked on a word of a victim, in
+   victim-major order and [cpus] order within a victim, consed onto
+   [acc] in reverse. Allocates nothing when no CPU is parked. *)
+let rec parked_in cpus (b : Tcache.block) acc =
+  match cpus with
+  | [] -> acc
+  | (cpu : Machine.Cpu.t) :: rest ->
+    let pc = cpu.pc in
+    parked_in rest b
+      (if pc >= b.paddr && pc < b.paddr + (4 * b.words) then
+         (cpu, b.resume.((pc - b.paddr) asr 2)) :: acc
+       else acc)
+
+let rec parked cpus victims acc =
+  match victims with
+  | [] -> List.rev acc
+  | b :: rest -> parked cpus rest (parked_in cpus b acc)
 
 (* Allocate (or reuse) the persistent return stub for a return target.
    Routed to the return vaddr's home shard so persistent growth stays
@@ -68,7 +87,7 @@ let rec persistent_ret_stub t ~on_evicted ret_vaddr =
    into a persistent return stub. [pads] lists (pad paddr, return
    vaddr) for the pads that just died; pad addresses are unique among
    live blocks, so the first match is the only one. *)
-and scrub_stack t ~on_evicted pads =
+and scrub_stack t ~on_evicted cpus pads =
   let fixup v =
     match List.assoc_opt v pads with
     | Some ret_vaddr -> Some (persistent_ret_stub t ~on_evicted ret_vaddr)
@@ -98,7 +117,7 @@ and scrub_stack t ~on_evicted pads =
       (* "any non-stack storage (e.g. thread control blocks) must be
          registered with the runtime system" *)
       List.iter (fun (lo, hi) -> scan_range lo hi) t.ra_regions)
-    (cpus t);
+    cpus;
   t.stats.scrubbed_words <- t.stats.scrubbed_words + !scanned;
   charge t Trace.Scrub (Config.scrub_cycles_per_word * !scanned)
 
@@ -133,6 +152,12 @@ and revert_incoming t victims =
    started the cascade. *)
 and process_evicted t ~reason_of victims =
   if victims <> [] then begin
+    (* a CPU parked inside a dead block (invalidate or flush between
+       runs, or a suspended hart whose lease an eviction overrode) is
+       found once, here, before the scrub or a nested stub-growth
+       eviction can move any pc *)
+    let cpus = cpus t in
+    let parked = parked cpus victims [] in
     let n = List.length victims in
     Log.debug (fun m ->
         m "evict %d block(s): %s" n
@@ -152,23 +177,18 @@ and process_evicted t ~reason_of victims =
     free_block_stubs t victims;
     (* landing pads that may be live in return addresses *)
     let pads = List.concat_map (fun (b : Tcache.block) -> b.pads) victims in
-    let on_stub_growth =
-      process_evicted t ~reason_of:(fun _ -> Policy.Stub_growth)
-    in
-    if pads <> [] then scrub_stack t ~on_evicted:on_stub_growth pads;
-    (* if a CPU is parked inside a dead block (invalidate between runs,
-       or a suspended hart whose lease a flush/invalidate overrode),
-       park it on a persistent stub for its resume address *)
-    List.iter
-      (fun (b : Tcache.block) ->
-        List.iter
-          (fun (cpu : Machine.Cpu.t) ->
-            let pc = cpu.pc in
-            if pc >= b.paddr && pc < b.paddr + (4 * b.words) then
-              let rv = b.resume.((pc - b.paddr) asr 2) in
-              cpu.pc <- persistent_ret_stub t ~on_evicted:on_stub_growth rv)
-          (cpus t))
-      victims;
+    if pads <> [] || parked <> [] then begin
+      let on_evicted =
+        process_evicted t ~reason_of:(fun _ -> Policy.Stub_growth)
+      in
+      if pads <> [] then scrub_stack t ~on_evicted cpus pads;
+      (* park each captured CPU on a persistent stub for its resume
+         address *)
+      List.iter
+        (fun ((cpu : Machine.Cpu.t), rv) ->
+          cpu.pc <- persistent_ret_stub t ~on_evicted rv)
+        parked
+    end;
     emit_event t (Evicted n)
   end
 
@@ -199,99 +219,8 @@ let plt_slot t ~on_evicted fn_vaddr =
       paddr)
 
 let do_flush t =
-  (* collect live pad references before tearing everything down;
-     pinned blocks survive, so their pads stay valid *)
-  let padtbl = Hashtbl.create 64 in
-  List.iter
-    (fun (b : Tcache.block) ->
-      if not (Tcache.is_pinned t.tc b.id) then
-        List.iter (fun (p, rv) -> Hashtbl.replace padtbl p rv) b.pads)
-    (Tcache.blocks t.tc);
-  (* per-CPU pre-flush captures: ra reference, parked-pc resume vaddr
-     (a flush overrides any read lease a suspended hart holds — the
-     writer takes every arena exclusively and the parked reader is
-     redirected through its resume address; persistent return stubs
-     survive the flush, so a pc parked on one needs no fixing), and
-     the stack slots holding doomed landing pads *)
-  let scanned = ref 0 in
-  let captures =
-    List.map
-      (fun (cpu : Machine.Cpu.t) ->
-        let ra_ref =
-          Hashtbl.find_opt padtbl (Machine.Cpu.reg cpu Isa.Reg.ra)
-        in
-        let pc_resume =
-          let pc = cpu.pc in
-          let in_block =
-            List.find_opt
-              (fun (b : Tcache.block) ->
-                pc >= b.paddr && pc < b.paddr + (4 * b.words))
-              (Tcache.blocks t.tc)
-          in
-          match in_block with
-          | Some b -> Some b.resume.((pc - b.paddr) asr 2)
-          | None -> None
-        in
-        let stack_refs = ref [] in
-        let sp = max 0 (Machine.Cpu.reg cpu Isa.Reg.sp land lnot 3) in
-        let scan_range lo hi =
-          let addr = ref (lo land lnot 3) in
-          while !addr + 4 <= hi do
-            incr scanned;
-            (match
-               Hashtbl.find_opt padtbl (Machine.Memory.read32 cpu.mem !addr)
-             with
-            | Some rv -> stack_refs := (!addr, rv) :: !stack_refs
-            | None -> ());
-            addr := !addr + 4
-          done
-        in
-        scan_range sp t.stack_top;
-        List.iter (fun (lo, hi) -> scan_range lo hi) t.ra_regions;
-        (cpu, ra_ref, pc_resume, !stack_refs))
-      (cpus t)
-  in
-  t.stats.scrubbed_words <- t.stats.scrubbed_words + !scanned;
-  charge t Trace.Scrub (Config.scrub_cycles_per_word * !scanned);
-  Log.debug (fun m ->
-      m "flush: %d resident blocks, pc=0x%x" (Tcache.resident_blocks t.tc)
-        t.cpu.pc);
   let former = Tcache.reset t.tc in
-  (* pinned survivors may have patched exits into flushed blocks *)
-  List.iter (fun b -> note_evicted t ~reason:Policy.Flushed b) former;
-  revert_incoming t former;
-  Cc_chain.unlink_sources t former;
-  free_block_stubs t former;
-  t.stats.evicted_blocks <- t.stats.evicted_blocks + List.length former;
+  process_evicted t ~reason_of:(fun _ -> Policy.Flushed) former;
   t.stats.flushes <- t.stats.flushes + 1;
   trace t (Trace.Cc_flush { chunks = List.length former });
-  (* persistent return stubs survive the flush, but any that had been
-     specialised into direct jumps must trap again *)
-  Hashtbl.iter
-    (fun _rv (paddr, k) -> write_word t paddr (enc (Isa.Instr.Trap k)))
-    t.ret_stubs;
-  (* PLT slots follow the same discipline: persistent, but any slot
-     specialised to a flushed function must trap again (slots aimed at
-     pinned survivors re-specialise lazily on their next call) *)
-  Hashtbl.iter
-    (fun _fv (paddr, k) -> write_word t paddr (enc (Isa.Instr.Trap k)))
-    t.plt;
-  let no_evictions victims = assert (victims = []) in
-  List.iter
-    (fun ((cpu : Machine.Cpu.t), ra_ref, pc_resume, stack_refs) ->
-      (match ra_ref with
-      | Some rv ->
-        Machine.Cpu.set_reg cpu Isa.Reg.ra
-          (persistent_ret_stub t ~on_evicted:no_evictions rv)
-      | None -> ());
-      List.iter
-        (fun (a, rv) ->
-          Machine.Memory.write32 cpu.mem a
-            (persistent_ret_stub t ~on_evicted:no_evictions rv))
-        stack_refs;
-      match pc_resume with
-      | Some rv ->
-        cpu.pc <- persistent_ret_stub t ~on_evicted:no_evictions rv
-      | None -> ())
-    captures;
   emit_event t Flushed

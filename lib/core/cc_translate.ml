@@ -39,14 +39,11 @@ let alloc_evicting t ~vaddr ~words_needed =
         | Error `Too_large -> raise (Chunk_too_large vaddr)
         | Error `Full -> (
           let chosen = Policy.victim t.cfg.eviction ~shard t.tc in
-          let placed =
-            match chosen with
-            | None -> Tcache.alloc_fifo ~shard t.tc ~words:words_needed
-            | Some vb ->
-              Tcache.alloc_seeded ~shard t.tc ~seed:vb.Tcache.paddr
-                ~words:words_needed
-          in
-          match placed with
+          match
+            Tcache.alloc ~shard
+              ?seed:(Option.map (fun (vb : Tcache.block) -> vb.paddr) chosen)
+              t.tc ~words:words_needed
+          with
           | Error `Too_large -> raise (Chunk_too_large vaddr)
           | Error `Full -> raise Tcache_too_small
           | Ok (p, victims) -> (p, victims, chosen))

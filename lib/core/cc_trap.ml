@@ -36,31 +36,29 @@ let handle_trap t k =
     t.stats.lookups <- t.stats.lookups + 1;
     charge t Trace.Lookup Config.lookup_cycles;
     let b = Cc_translate.ensure_resident t target in
-    (* specialise this stub into a direct jump while the target lives,
-       unless a flush has re-purposed the stub area in the meantime *)
-    (match Hashtbl.find_opt t.ret_stubs target with
-    | Some (p, _) when p = site_paddr ->
-      write_word t site_paddr (enc (Isa.Instr.Jmp b.paddr));
-      (match Tcache.find_by_id t.tc b.id with
-      | Some tb ->
-        record_incoming tb ~from_block:(-1) ~site_paddr
-          ~revert_word:(enc (Isa.Instr.Trap k)) ~stub:k;
-        t.stats.patches <- t.stats.patches + 1;
-        charge t Trace.Patch Config.patch_cycles;
-        trace t (Trace.Cc_backpatch { site = site_paddr; target = b.paddr });
-        emit_event t Patched
-      | None -> ())
-    | Some _ | None -> ());
+    (* specialise this stub into a direct jump while the target lives;
+       the target's incoming record restores the trap word when it
+       dies, whether evicted, invalidated or flushed. A return stub is
+       never freed or moved, so the stub that trapped is the one
+       [ret_stubs] names for [target]. *)
+    write_word t site_paddr (enc (Isa.Instr.Jmp b.paddr));
+    record_incoming b ~from_block:(-1) ~site_paddr
+      ~revert_word:(enc (Isa.Instr.Trap k)) ~stub:k;
+    t.stats.patches <- t.stats.patches + 1;
+    charge t Trace.Patch Config.patch_cycles;
+    trace t (Trace.Cc_backpatch { site = site_paddr; target = b.paddr });
+    emit_event t Patched;
     t.cpu.pc <- b.paddr
   | Stub.Plt { slot_paddr; target } ->
     t.stats.lookups <- t.stats.lookups + 1;
     charge t Trace.Lookup Config.lookup_cycles;
     let b = Cc_translate.ensure_resident t target in
     (* translating a missing callee patches its slot on install, so
-       this trap usually resumes through an already-patched slot; only
-       a call whose target was resident all along (a pinned flush
-       survivor under a re-trapped slot) still finds the trap word in
-       place and specialises it here *)
+       this trap usually resumes through an already-patched slot. A
+       slot is allocated when its caller is translated, though, so its
+       callee can already be resident (a function first reached through
+       a pointer): that slot starts as a trap word and is specialised
+       here *)
     (if Machine.Memory.read32 t.cpu.mem slot_paddr = enc (Isa.Instr.Trap k)
      then
        match Tcache.find_by_id t.tc b.id with

@@ -20,8 +20,8 @@
     surviving targets; it then scrubs the stack: live landing-pad
     addresses in [ra] or stack slots are redirected to persistent
     return stubs ("the runtime system must know the layout of all such
-    data"). Flush-all resets the whole tcache, preserving return
-    continuity the same way.
+    data"). A flush is that same eviction applied to every unpinned
+    block.
 
     Which block dies on a miss is decided by [Policy.victim], a pure
     function over the facts the tcache keeps on each block; the
@@ -257,8 +257,10 @@ val invalidate : t -> lo:int -> hi:int -> unit
     [lo, hi) — the contract self-modifying programs must follow. *)
 
 val flush : t -> unit
-(** Invalidate the entire tcache (keeps return continuity via
-    persistent stubs). *)
+(** Evict every unpinned block as one eviction, keeping return
+    continuity through persistent stubs. Pinned blocks survive, with
+    the CPUs parked in them and the stubs and PLT slots aimed at them.
+    Fires [Evicted n], then [Flushed]. *)
 
 val register_ra_region : t -> lo:int -> hi:int -> unit
 (** Register a data region that may hold return addresses — the

@@ -1,14 +1,9 @@
-type reason = Victim | Collateral | Stub_growth | Invalidated | Flushed
-
-let reason_name = function
-  | Victim -> "victim"
-  | Collateral -> "collateral"
-  | Stub_growth -> "stub_growth"
-  | Invalidated -> "invalidated"
-  | Flushed -> "flushed"
-
-let reason_names =
-  List.map reason_name [ Victim; Collateral; Stub_growth; Invalidated; Flushed ]
+type reason = Trace.evict_reason =
+  | Victim
+  | Collateral
+  | Stub_growth
+  | Invalidated
+  | Flushed
 
 type temperature = Hot | Warm | Cold
 

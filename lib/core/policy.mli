@@ -26,21 +26,14 @@
     - {!victim} is a pure query: the auditor and the allocation loop
       may call it any number of times without perturbing any state. *)
 
-type reason =
-  | Victim  (** chosen by the policy (or swept by FIFO) to make room *)
+type reason = Trace.evict_reason =
+  | Victim
   | Collateral
-      (** overlapped by a placement seeded at another block's address *)
-  | Stub_growth  (** run over by the growing persistent-stub area *)
-  | Invalidated  (** [Controller.invalidate] — self-modifying code *)
-  | Flushed  (** whole-tcache flush *)
-
-val reason_name : reason -> string
-(** Stable lowercase name, used by the [cc_evict] trace event and the
-    per-reason statistics ("victim", "collateral", "stub_growth",
-    "invalidated", "flushed"). *)
-
-val reason_names : string list
-(** All valid {!reason_name} values (for schema validation). *)
+  | Stub_growth
+  | Invalidated
+  | Flushed
+(** Why a block left the tcache; the [cc_evict] trace event carries
+    it ([Trace.evict_reason_name] names it). *)
 
 type temperature = Hot | Warm | Cold
 (** Profile-derived block temperature, the TRRIP classification. The

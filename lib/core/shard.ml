@@ -80,11 +80,6 @@ let run_cycles (h : hart) = h.h_cpu.cycles - h.h_wait_fill - h.h_wait_mc
 
 (* ---- hart construction ----------------------------------------- *)
 
-let block_at (t : t) pc =
-  List.find_opt
-    (fun (b : Tcache.block) -> pc >= b.paddr && pc < b.paddr + (4 * b.words))
-    (Tcache.blocks t.ctrl.tc)
-
 (* Charge a wait by advancing the hart's clock to [until]. No trace
    category — waits are idle time, counted in [h_wait_fill] /
    [h_wait_mc] rather than by the solo trace conservation (which Audit
@@ -238,7 +233,7 @@ let attach (ctrl : Cc_state.t) =
 
 let suspend t (h : hart) =
   if not h.h_cpu.halted then
-    match block_at t h.h_cpu.pc with
+    match Tcache.covering t.ctrl.tc h.h_cpu.pc with
     | Some b ->
       Tcache.lease t.ctrl.tc b;
       h.h_lease <- Some b

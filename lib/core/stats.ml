@@ -154,12 +154,19 @@ let pp ppf t =
     Format.fprintf ppf
       "@.plt: slots=%d, slot patches=%d, degraded functions=%d" t.plt_slots
       t.plt_patches t.gran_degraded;
-  if t.evicted_blocks > 0 || t.policy_entries > 0 then
+  if t.evicted_blocks > 0 || t.policy_entries > 0 then begin
     Format.fprintf ppf
       "@.policy: entries=%d, evicted victim=%d collateral=%d stub-growth=%d \
        invalidated=%d flushed=%d"
       t.policy_entries t.evicted_victim t.evicted_collateral
       t.evicted_stub_growth t.evicted_invalidated t.evicted_flushed;
+    match victim_ages t with
+    | [] -> ()
+    | ages ->
+      Format.fprintf ppf ", victim-age=%s"
+        (String.concat " "
+           (List.map (fun (lo, n) -> Printf.sprintf "%d+:%d" lo n) ages))
+  end;
   if t.fills > 0 then
     Format.fprintf ppf
       "@.harts: fills=%d, coalesced=%d, fill-wait=%d, mc-wait=%d" t.fills

@@ -117,3 +117,6 @@ val victim_ages : t -> (int * int) list
 (** Non-empty histogram buckets as [(2^k, count)] pairs, ascending. *)
 
 val pp : Format.formatter -> t -> unit
+(** One summary line, then one line per active subsystem (transport,
+    prefetch, chaining, plt, policy, harts). The policy line ends with
+    the victim-age histogram as ["lo+:count"] pairs. *)

@@ -209,6 +209,13 @@ let overlapping t lo hi =
   done;
   !acc
 
+let covering t a =
+  if a < t.base || a >= t.top then None
+  else
+    match t.owner.((a - t.base) asr 2) with
+    | -1 -> None
+    | id -> Hashtbl.find_opt t.by_id id
+
 let vacant t lo hi =
   let i = ref (slot t lo) and i1 = slot_end t hi in
   while !i < i1 && t.owner.(!i) < 0 do
@@ -270,31 +277,20 @@ let region t shard =
     invalid_arg "Tcache: shard out of range"
   else t.regions.(shard)
 
-let alloc_fifo ?(shard = 0) t ~words =
-  let r = region t shard in
-  let bytes = words * 4 in
-  if bytes > r.r_persist_base - r.r_lo then Error `Too_large
-  else
-    match
-      place_skipping_pinned t r ~bytes
-        ~budget:(2 * (obstacles t + 2))
-        ~can_evict:true
-    with
-    | Ok _ as ok -> ok
-    | Error `Full -> Error `Full
-
-(* Seeded variant for victim-directed policies: restart the sweep at
-   the policy's chosen block so that block (and only its immediate
-   neighbourhood) is reclaimed. A seed outside the code area — possible
-   when the persistent stub region grew over the victim between the
-   choice and the placement — is ignored and the sweep just continues,
-   which degrades gracefully to FIFO for this one allocation. *)
-let alloc_seeded ?(shard = 0) t ~seed ~words =
+(* A replacement policy seeds the sweep at its chosen block so that
+   block (and only its immediate neighbourhood) is reclaimed. A seed
+   outside the code area — possible when the persistent stub region
+   grew over the victim between the choice and the placement — is
+   ignored and the sweep just continues, which degrades gracefully to
+   FIFO for this one allocation. *)
+let alloc ?(shard = 0) ?seed t ~words =
   let r = region t shard in
   let bytes = words * 4 in
   if bytes > r.r_persist_base - r.r_lo then Error `Too_large
   else begin
-    if seed >= r.r_lo && seed < r.r_persist_base then r.r_alloc_ptr <- seed;
+    (match seed with
+    | Some p when p >= r.r_lo && p < r.r_persist_base -> r.r_alloc_ptr <- p
+    | Some _ | None -> ());
     place_skipping_pinned t r ~bytes
       ~budget:(2 * (obstacles t + 2))
       ~can_evict:true

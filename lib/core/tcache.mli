@@ -117,13 +117,19 @@ val fold : (block -> 'a -> 'a) -> t -> 'a -> 'a
 
 val blocks : t -> block list
 (** All resident blocks, in no particular order. A fold over every
-    resident block: for audits, flushes and invalidation, not for the
-    miss path ({!overlapping} gives paddr order over a range). *)
+    resident block: for audits and invalidation, not for the miss
+    path ({!overlapping} gives paddr order over a range, {!covering}
+    the block holding one address). *)
 
 val overlapping : t -> int -> int -> block list
 (** [overlapping t lo hi] — the resident blocks that meet [\[lo, hi)],
     each once, in ascending paddr. Reads only the index words of
     [\[lo, hi)] clamped to the tcache. *)
+
+val covering : t -> int -> block option
+(** [covering t paddr] — the resident block whose words include
+    [paddr], if any: one read of the placement index. [None] outside
+    [\[base, top)], on a free word and on a persistent stub. *)
 
 val resident_blocks : t -> int
 
@@ -143,8 +149,9 @@ val occupied_bytes : t -> int
 
 val map_entries : t -> int
 
-val alloc_fifo :
+val alloc :
   ?shard:int ->
+  ?seed:int ->
   t ->
   words:int ->
   (int * block list, [ `Full | `Too_large ]) result
@@ -153,19 +160,13 @@ val alloc_fifo :
     (already deregistered), in ascending paddr. [`Too_large] means the
     chunk exceeds the arena's capacity outright; [`Full] means it would
     fit an empty arena but pinned or leased blocks crowd out every
-    placement. *)
+    placement.
 
-val alloc_seeded :
-  ?shard:int ->
-  t ->
-  seed:int ->
-  words:int ->
-  (int * block list, [ `Full | `Too_large ]) result
-(** Like {!alloc_fifo}, but restart the circular sweep at [seed] — the
-    physical address of a victim block chosen by a replacement policy —
-    so the placement reclaims that block first. A [seed] outside the
-    shard's current code area is ignored (the sweep continues where it
-    was), degrading gracefully to FIFO for this allocation. *)
+    [seed] — the physical address of a victim block chosen by a
+    replacement policy — restarts the sweep there, so the placement
+    reclaims that block first. A [seed] outside the shard's current
+    code area is ignored (the sweep continues where it was), degrading
+    gracefully to FIFO for this allocation. *)
 
 val alloc_ptr : ?shard:int -> t -> int
 (** Current position of the shard's circular allocation sweep

@@ -156,7 +156,7 @@ let slice_segments received payloads =
   |> snd |> List.rev
 
 (* [segments] only annotates the trace events; a batched frame is
-   otherwise indistinguishable from a plain transfer. *)
+   otherwise indistinguishable from a one-segment frame. *)
 let transfer_frame t ~segments ~payload =
   let len = Bytes.length payload in
   t.messages <- t.messages + 1;
@@ -208,13 +208,11 @@ let transfer_frame t ~segments ~payload =
     end
   end
 
-let transfer t ~payload = transfer_frame t ~segments:1 ~payload
-
 let transfer_batch t ~payloads =
   (* One frame carries every segment, so a batch pays latency and
      per-message overhead once; a fault hits the whole frame. Slicing
      the received bytes back out keeps the per-segment view while the
-     rng draw stream stays identical to a single [transfer]. A lone
+     rng draw stream stays identical to a one-segment frame. A lone
      segment is its own frame and needs neither the copy nor the
      slice. *)
   match payloads with
@@ -259,7 +257,6 @@ let transfer_piggyback t ~payloads =
   trace t (Trace.Net_recv { bytes = len; cycles = cost });
   (cost, slice_segments received payloads)
 
-let faults t = t.faults
 let messages t = t.messages
 let payload_bytes t = t.payload
 let total_bytes t = t.payload + (t.messages * t.overhead_bytes)

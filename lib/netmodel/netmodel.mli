@@ -9,8 +9,8 @@
 
     A networked deployment also sees faults. [Faults] describes a
     deterministic, seedable per-message fault schedule — drop, payload
-    corruption, spurious duplication, latency spikes — and [transfer]
-    delivers real payload bytes through it, so the controller's CRC /
+    corruption, spurious duplication, latency spikes — and
+    [transfer_batch] delivers real payload bytes through it, so the controller's CRC /
     retry / timeout machinery can be exercised reproducibly. *)
 
 module Rng : sig
@@ -82,22 +82,19 @@ type error = [ `Dropped of int ]
 (** The frame was lost; the payload carries the cycles already burned
     on the wire before the receiver could give up. *)
 
-val transfer : t -> payload:Bytes.t -> (int * Bytes.t, error) result
-(** One MC round trip carrying [payload] through the fault schedule.
-    [Ok (cycles, received)] delivers the (possibly bit-flipped) frame;
-    [Error (`Dropped cycles)] models a lost frame. Duplicates and delay
-    spikes only add cost and accounting; a dropped frame's spurious
-    retransmission is lost with it (only the drop is counted).
-    Deterministic given the [Faults.seed] and the call sequence. *)
-
 val transfer_batch :
   t -> payloads:Bytes.t list -> (int * Bytes.t list, error) result
-(** One MC round trip carrying several payload segments in a single
-    frame: latency and per-message overhead are paid once for the whole
-    batch. Faults apply to the frame as a unit (a drop loses every
-    segment; a corruption flips one bit somewhere in the concatenated
-    payload). A single-segment batch is indistinguishable from
-    [transfer], including the rng draw stream. *)
+(** One MC round trip carrying one or more payload segments in a
+    single frame through the fault schedule: latency and per-message
+    overhead are paid once for the whole batch. [Ok (cycles, received)]
+    delivers the (possibly bit-flipped) segments; [Error (`Dropped
+    cycles)] models a lost frame. Faults apply to the frame as a unit
+    (a drop loses every segment; a corruption flips one bit somewhere
+    in the concatenated payload). Duplicates and delay spikes only add
+    cost and accounting; a dropped frame's spurious retransmission is
+    lost with it (only the drop is counted). Deterministic given the
+    [Faults.seed] and the call sequence: how the bytes are split into
+    segments changes neither the cost nor the rng draw stream. *)
 
 val transfer_piggyback : t -> payloads:Bytes.t list -> int * Bytes.t list
 (** Rider segments appended to a frame already occupying the link
@@ -109,7 +106,6 @@ val transfer_piggyback : t -> payloads:Bytes.t list -> int * Bytes.t list
     onto frames known delivered), but the rider's bytes take their own
     corruption roll. Cannot fail; returns [(cycles, segments)]. *)
 
-val faults : t -> Faults.t
 val messages : t -> int
 val payload_bytes : t -> int
 val total_bytes : t -> int

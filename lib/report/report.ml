@@ -141,53 +141,6 @@ let section title =
 
 let kv key value = Printf.printf "  %-28s : %s\n" key value
 
-let transport ~injected ~drops ~corruptions ~duplicates ~delay_spikes
-    ~retries ~max_chunk_retries ~timeouts ~crc_failures ~recoveries
-    ~chunk_failures =
-  if injected || drops + corruptions + duplicates + delay_spikes + retries
-                 + timeouts + crc_failures + recoveries + chunk_failures
-                 > 0
-  then begin
-    kv "faults injected"
-      (Printf.sprintf "%d dropped, %d corrupted, %d duplicated, %d delayed"
-         drops corruptions duplicates delay_spikes);
-    kv "recovery"
-      (Printf.sprintf "%d retries (max %d per chunk), %d timeouts, %d CRC rejects"
-         retries max_chunk_retries timeouts crc_failures);
-    kv "chunks recovered" (string_of_int recoveries);
-    kv "chunks unavailable" (string_of_int chunk_failures)
-  end
-
-let prefetch ~issued ~installs ~wasted ~crc_failures ~batches ~batch_chunks
-    ~max_batch_chunks =
-  if issued + installs + wasted + crc_failures + batches > 0 then begin
-    kv "prefetch"
-      (Printf.sprintf "%d issued, %d installed, %d wasted, %d CRC rejects"
-         issued installs wasted crc_failures);
-    kv "batched frames"
-      (Printf.sprintf "%d (%d chunks total, largest %d)" batches batch_chunks
-         max_batch_chunks)
-  end
-
-let policy ~name ~entries ~victim ~collateral ~stub_growth ~invalidated
-    ~flushed ~ages =
-  let evicted = victim + collateral + stub_growth + invalidated + flushed in
-  if entries + evicted > 0 then begin
-    kv "replacement policy"
-      (Printf.sprintf "%s (%d observed block entries)" name entries);
-    kv "evictions by reason"
-      (Printf.sprintf
-         "%d victim, %d collateral, %d stub-growth, %d invalidated, %d \
-          flushed"
-         victim collateral stub_growth invalidated flushed);
-    if ages <> [] then
-      kv "victim age (cycles)"
-        (String.concat ", "
-           (List.map
-              (fun (lo, n) -> Printf.sprintf "%d+:%d" lo n)
-              ages))
-  end
-
 let trace_summary ~total ~execute ~translate ~wire ~trap ~dcache ~patch
     ~scrub ~lookup ~events ~dropped ~capacity =
   let pct c =

@@ -75,51 +75,6 @@ val section : string -> unit
 val kv : string -> string -> unit
 (** [kv key value] prints an aligned "  key : value" line. *)
 
-val transport :
-  injected:bool ->
-  drops:int ->
-  corruptions:int ->
-  duplicates:int ->
-  delay_spikes:int ->
-  retries:int ->
-  max_chunk_retries:int ->
-  timeouts:int ->
-  crc_failures:int ->
-  recoveries:int ->
-  chunk_failures:int ->
-  unit
-(** Interconnect fault and recovery summary as [kv] rows. Prints
-    nothing when [injected] is false and every counter is zero, so
-    fault-free runs stay unchanged. *)
-
-val prefetch :
-  issued:int ->
-  installs:int ->
-  wasted:int ->
-  crc_failures:int ->
-  batches:int ->
-  batch_chunks:int ->
-  max_batch_chunks:int ->
-  unit
-(** Prefetch and batching summary as [kv] rows. Prints nothing when
-    every counter is zero, so prefetch-off runs stay unchanged. *)
-
-val policy :
-  name:string ->
-  entries:int ->
-  victim:int ->
-  collateral:int ->
-  stub_growth:int ->
-  invalidated:int ->
-  flushed:int ->
-  ages:(int * int) list ->
-  unit
-(** Replacement-policy summary as [kv] rows: observed block entries,
-    eviction counts broken down by reason, and the victim-age
-    histogram ([Stats.victim_ages] pairs, printed as "lo+:count").
-    Prints nothing when no entries were observed and nothing was
-    evicted, so eviction-free runs stay unchanged. *)
-
 val trace_summary :
   total:int ->
   execute:int ->

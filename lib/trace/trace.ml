@@ -1,5 +1,7 @@
 type fault = Drop | Corrupt | Duplicate | Delay_spike
 
+type evict_reason = Victim | Collateral | Stub_growth | Invalidated | Flushed
+
 type event =
   | Cc_miss of { pc : int }
   | Cc_translated of { chunk : int; base : int; words : int }
@@ -12,10 +14,7 @@ type event =
       base : int;
       bytes : int;
       incoming : int;
-      reason : string;
-          (* why the block died: "victim" | "collateral" | "stub_growth"
-             | "invalidated" | "flushed" — a string rather than
-             [Policy.reason] because the trace layer sits below core *)
+      reason : evict_reason;
     }
   | Cc_flush of { chunks : int }
   | Cc_invalidate of { chunks : int }
@@ -53,6 +52,13 @@ let fault_name = function
   | Duplicate -> "duplicate"
   | Delay_spike -> "delay_spike"
 
+let evict_reason_name = function
+  | Victim -> "victim"
+  | Collateral -> "collateral"
+  | Stub_growth -> "stub_growth"
+  | Invalidated -> "invalidated"
+  | Flushed -> "flushed"
+
 let event_type = function
   | Cc_miss _ -> "cc_miss"
   | Cc_translated _ -> "cc_translated"
@@ -84,11 +90,8 @@ let event_type = function
   | Dc_refill _ -> "dc_refill"
 
 (* The JSONL schema: every event is its type tag plus these integer
-   fields (faults and eviction reasons carry a string). The exporters
-   write [fields]; the validator checks against [schema_fields] below,
-   a second table keyed by type tag. test_trace's "every event kind
-   passes the schema" case emits every constructor and validates both
-   exports, which is what keeps the two tables in step. *)
+   fields, and at most one string [label]. The exporters write them;
+   the validator reads the same two functions off [exemplars]. *)
 let fields = function
   | Cc_miss { pc } -> [ ("pc", pc) ]
   | Cc_translated { chunk; base; words } ->
@@ -132,41 +135,59 @@ let fields = function
   | Dc_spill { words } -> [ ("words", words) ]
   | Dc_refill { words } -> [ ("words", words) ]
 
-let schema_fields = function
-  | "cc_miss" -> Some [ "pc" ]
-  | "cc_translated" -> Some [ "chunk"; "base"; "words" ]
-  | "cc_backpatch" | "cc_unpatch" -> Some [ "site"; "target" ]
-  | "cc_promote" -> Some [ "head"; "members"; "bytes" ]
-  | "cc_depromote" -> Some [ "head"; "members" ]
-  | "cc_evict" -> Some [ "chunk"; "base"; "bytes"; "incoming" ]
-  | "cc_flush" | "cc_invalidate" -> Some [ "chunks" ]
-  | "cc_staged_install" -> Some [ "chunk" ]
-  | "cc_retry" -> Some [ "chunk"; "attempt" ]
-  | "cc_degrade" -> Some [ "chunk"; "bytes" ]
-  | "tc_alloc" -> Some [ "chunk"; "base"; "bytes" ]
-  | "net_send" -> Some [ "bytes"; "segments" ]
-  | "net_recv" -> Some [ "bytes"; "cycles" ]
-  | "net_fault" -> Some []
-  | "fl_request" -> Some [ "client"; "chunk" ]
-  | "fl_coalesce" -> Some [ "client"; "chunk"; "wait" ]
-  | "fl_frame" -> Some [ "client"; "segments"; "queued" ]
-  | "fl_piggyback" -> Some [ "client"; "bytes" ]
-  | "fl_stall" -> Some [ "client"; "cycles" ]
-  | "sh_fill" | "sh_coalesce" -> Some [ "hart"; "chunk"; "wait" ]
-  | "dc_specialise" | "dc_deopt" -> Some [ "site" ]
-  | "dc_miss" -> Some [ "addr" ]
-  | "dc_spill" | "dc_refill" -> Some [ "words" ]
+let label = function
+  | Net_fault { fault } -> Some ("fault", fault_name fault)
+  | Cc_evict { reason; _ } -> Some ("reason", evict_reason_name reason)
   | _ -> None
 
-let evict_reasons =
-  [ "victim"; "collateral"; "stub_growth"; "invalidated"; "flushed" ]
+let exemplars =
+  [
+    Cc_miss { pc = 0x100 };
+    Cc_translated { chunk = 0x100; base = 0x10000; words = 8 };
+    Cc_backpatch { site = 0x10010; target = 0x10020 };
+    Cc_unpatch { site = 0x10010; target = 0x10020 };
+    Cc_promote { head = 0x100; members = 3; bytes = 96 };
+    Cc_depromote { head = 0x100; members = 3 };
+    Cc_evict
+      { chunk = 0x100; base = 0x10000; bytes = 32; incoming = 1;
+        reason = Victim };
+    Cc_flush { chunks = 4 };
+    Cc_invalidate { chunks = 2 };
+    Cc_staged_install { chunk = 0x140 };
+    Cc_retry { chunk = 0x140; attempt = 1 };
+    Cc_degrade { chunk = 0x200; bytes = 512 };
+    Tc_alloc { chunk = 0x100; base = 0x10000; bytes = 32 };
+    Net_send { bytes = 64; segments = 2 };
+    Net_recv { bytes = 64; cycles = 1200 };
+    Net_fault { fault = Drop };
+    Fl_request { client = 1; chunk = 0x100 };
+    Fl_coalesce { client = 1; chunk = 0x100; wait = 50 };
+    Fl_frame { client = 0; segments = 1; queued = 10 };
+    Fl_piggyback { client = 2; bytes = 24 };
+    Fl_stall { client = 1; cycles = 300 };
+    Sh_fill { hart = 0; chunk = 0x100; wait = 20 };
+    Sh_coalesce { hart = 1; chunk = 0x100; wait = 40 };
+    Dc_specialise { site = 0x300 };
+    Dc_deopt { site = 0x300 };
+    Dc_miss { addr = 0x8000 };
+    Dc_spill { words = 16 };
+    Dc_refill { words = 16 };
+  ]
+
+(* The exemplar of type tag [ty], if the tag is known. *)
+let exemplar ty = List.find_opt (fun ev -> event_type ev = ty) exemplars
+
+(* Every value a label may take, by its key. *)
+let label_values = function
+  | "fault" -> List.map fault_name [ Drop; Corrupt; Duplicate; Delay_spike ]
+  | "reason" ->
+    List.map evict_reason_name
+      [ Victim; Collateral; Stub_growth; Invalidated; Flushed ]
+  | _ -> []
 
 let pp_event ppf ev =
   Format.fprintf ppf "%s" (event_type ev);
-  (match ev with
-  | Net_fault { fault } -> Format.fprintf ppf " fault=%s" (fault_name fault)
-  | Cc_evict { reason; _ } -> Format.fprintf ppf " reason=%s" reason
-  | _ -> ());
+  Option.iter (fun (k, v) -> Format.fprintf ppf " %s=%s" k v) (label ev);
   List.iter (fun (k, v) -> Format.fprintf ppf " %s=%d" k v) (fields ev)
 
 (* ---------------------------------------------------------------- *)
@@ -315,16 +336,12 @@ let json_escape b s =
     s
 
 let add_event_fields b ev =
-  (match ev with
-  | Net_fault { fault } ->
-      Buffer.add_string b ",\"fault\":\"";
-      json_escape b (fault_name fault);
-      Buffer.add_string b "\""
-  | Cc_evict { reason; _ } ->
-      Buffer.add_string b ",\"reason\":\"";
-      json_escape b reason;
-      Buffer.add_string b "\""
-  | _ -> ());
+  Option.iter
+    (fun (k, v) ->
+      Buffer.add_string b (Printf.sprintf ",%S:\"" k);
+      json_escape b v;
+      Buffer.add_string b "\"")
+    (label ev);
   List.iter
     (fun (k, v) -> Buffer.add_string b (Printf.sprintf ",%S:%d" k v))
     (fields ev)
@@ -628,9 +645,11 @@ module Schema = struct
         | Some _ -> (
             match Json.member "type" v with
             | Some (Json.Str ty) -> (
-                match schema_fields ty with
+                match exemplar ty with
                 | None -> Error (Printf.sprintf "unknown event type %S" ty)
-                | Some required ->
+                | Some ex -> (
+                    let required = List.map fst (fields ex) in
+                    let label_key = Option.map fst (label ex) in
                     let missing =
                       List.filter
                         (fun f -> int_member f v = None)
@@ -641,8 +660,7 @@ module Schema = struct
                         (fun (k, _) ->
                           (not (List.mem k required))
                           && k <> "cycle" && k <> "type"
-                          && not (ty = "net_fault" && k = "fault")
-                          && not (ty = "cc_evict" && k = "reason"))
+                          && Some k <> label_key)
                         kvs
                     in
                     if missing <> [] then
@@ -653,22 +671,15 @@ module Schema = struct
                       Error
                         (Printf.sprintf "%s: unexpected field %S" ty
                            (fst (List.hd extra)))
-                    else if
-                      ty = "net_fault"
-                      &&
-                      match Json.member "fault" v with
-                      | Some (Json.Str ("drop" | "corrupt" | "duplicate" | "delay_spike")) ->
-                          false
-                      | _ -> true
-                    then Error "net_fault: bad \"fault\" value"
-                    else if
-                      ty = "cc_evict"
-                      &&
-                      match Json.member "reason" v with
-                      | Some (Json.Str r) -> not (List.mem r evict_reasons)
-                      | _ -> true
-                    then Error "cc_evict: bad \"reason\" value"
-                    else Ok ())
+                    else
+                      match label_key with
+                      | Some k
+                        when match Json.member k v with
+                             | Some (Json.Str s) ->
+                                 not (List.mem s (label_values k))
+                             | _ -> true ->
+                          Error (Printf.sprintf "%s: bad %S value" ty k)
+                      | _ -> Ok ()))
             | _ -> Error "missing or non-string \"type\""))
     | _ -> Error "event is not an object"
 

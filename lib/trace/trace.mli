@@ -24,6 +24,15 @@
 
 type fault = Drop | Corrupt | Duplicate | Delay_spike
 
+(** Why a block left the tcache. *)
+type evict_reason =
+  | Victim  (** chosen by the replacement policy or the FIFO sweep *)
+  | Collateral
+      (** overlapped by a placement seeded at another block's address *)
+  | Stub_growth  (** run over by the growing persistent-stub area *)
+  | Invalidated  (** [Controller.invalidate] — self-modifying code *)
+  | Flushed  (** whole-tcache flush *)
+
 type event =
   | Cc_miss of { pc : int }  (** trap taken on a non-resident target *)
   | Cc_translated of { chunk : int; base : int; words : int }
@@ -44,16 +53,11 @@ type event =
       base : int;
       bytes : int;
       incoming : int;
-      reason : string;
+      reason : evict_reason;
     }
-      (** block unlinked ([incoming] = inbound sites reverted).
-          [reason] says why it died: ["victim"] (chosen by the
-          replacement policy or the FIFO sweep), ["collateral"]
-          (overlapped by a placement seeded at another victim),
-          ["stub_growth"] (run over by the persistent-stub area),
-          ["invalidated"], or ["flushed"]. A string rather than a
-          policy type because the trace layer sits below core; see
-          {!evict_reasons}. *)
+      (** block unlinked ([incoming] = inbound sites reverted);
+          [reason] says why it died and is exported as its
+          {!evict_reason_name} *)
   | Cc_flush of { chunks : int }  (** whole-tcache flush of [chunks] chunks *)
   | Cc_invalidate of { chunks : int }
       (** image-write invalidation dropping [chunks] chunks *)
@@ -105,9 +109,14 @@ val event_type : event -> string
 (** Stable snake_case tag, e.g. ["cc_miss"] — the ["type"] field of the
     JSONL schema and the Chrome event name. *)
 
-val evict_reasons : string list
-(** The admissible [Cc_evict.reason] values, in no particular order;
-    the schema validator rejects anything outside this set. *)
+val evict_reason_name : evict_reason -> string
+(** Stable lowercase name: ["victim"], ["collateral"], ["stub_growth"],
+    ["invalidated"] or ["flushed"]. *)
+
+val exemplars : event list
+(** One event of every constructor. The schema validator reads each
+    type's field names off its exemplar, so the exporters and the
+    validator share one table. *)
 
 val pp_event : Format.formatter -> event -> unit
 

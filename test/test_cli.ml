@@ -1,5 +1,5 @@
 (* Golden tests of the CLI's fault/audit surface: exit codes and the
-   transport/recovery rows printed by `softcache run`. The binary is a
+   transport/recovery counters printed by `softcache run`. The binary is a
    dune dependency, available next to the test as ../bin/. *)
 
 let exe = Filename.concat (Filename.concat ".." "bin") "softcache_cli.exe"
@@ -30,8 +30,9 @@ let test_run_clean () =
   Alcotest.(check int) "exit code" 0 code;
   expect_contains out "match" "outputs match";
   expect_contains out "match value" ": true";
-  (* fault-free runs must not grow fault rows *)
-  Alcotest.(check bool) "no fault rows" false (contains out "faults injected")
+  (* fault-free runs must not grow fault lines *)
+  Alcotest.(check bool) "no fault line" false (contains out "dropped,");
+  Alcotest.(check bool) "no transport line" false (contains out "transport:")
 
 let test_run_faults_audit () =
   let code, out =
@@ -45,11 +46,11 @@ let test_run_faults_audit () =
   Alcotest.(check int) "exit code" 0 code;
   expect_contains out "status row" "status";
   expect_contains out "status value" "halted";
-  expect_contains out "fault row" "faults injected";
-  expect_contains out "recovery row" "recovery";
-  expect_contains out "retry detail" "retries (max";
-  expect_contains out "recovered row" "chunks recovered";
-  expect_contains out "unavailable row" "chunks unavailable";
+  expect_contains out "net fault line" "1 dropped, 2 corrupted";
+  expect_contains out "transport line" "transport: retries=";
+  expect_contains out "retry detail" "(max 1/chunk)";
+  expect_contains out "recovered count" "recovered=3";
+  expect_contains out "unavailable count" "unavailable=0";
   expect_contains out "audit row" "audits passed";
   expect_contains out "outputs" "outputs match"
 

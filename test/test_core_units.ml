@@ -337,14 +337,14 @@ let test_tcache_fifo_wrap_evicts () =
   let tc = Softcache.Tcache.create ~base:0x20000 ~bytes:64 in
   (* fill: 4 blocks x 4 words = 64 bytes *)
   for i = 0 to 3 do
-    match Softcache.Tcache.alloc_fifo tc ~words:4 with
+    match Softcache.Tcache.alloc tc ~words:4 with
     | Ok (p, []) ->
       Softcache.Tcache.register tc
         (block ~id:i ~vaddr:(0x1000 + (16 * i)) ~paddr:p ~words:4)
     | _ -> Alcotest.fail "unexpected eviction while filling"
   done;
   (* the next allocation wraps and evicts the first block *)
-  match Softcache.Tcache.alloc_fifo tc ~words:4 with
+  match Softcache.Tcache.alloc tc ~words:4 with
   | Ok (p, [ victim ]) ->
     Alcotest.(check int) "wraps to base" 0x20000 p;
     Alcotest.(check int) "evicts oldest" 0 victim.id
@@ -357,20 +357,20 @@ let test_tcache_fifo_wrap_evicts () =
 let test_tcache_pin_crowding_full () =
   let tc = Softcache.Tcache.create ~base:0x20000 ~bytes:64 in
   for i = 0 to 3 do
-    match Softcache.Tcache.alloc_fifo tc ~words:4 with
+    match Softcache.Tcache.alloc tc ~words:4 with
     | Ok (p, []) ->
       let b = block ~id:i ~vaddr:(0x1000 + (16 * i)) ~paddr:p ~words:4 in
       Softcache.Tcache.register tc b;
       Softcache.Tcache.pin tc b
     | _ -> Alcotest.fail "unexpected eviction while filling"
   done;
-  (match Softcache.Tcache.alloc_fifo tc ~words:4 with
+  (match Softcache.Tcache.alloc tc ~words:4 with
   | Error `Full -> ()
   | Error `Too_large ->
     Alcotest.fail "pin crowding misreported as Too_large"
   | Ok _ -> Alcotest.fail "allocated over pinned blocks");
   (* capacity overflow is still distinguished *)
-  match Softcache.Tcache.alloc_fifo tc ~words:100 with
+  match Softcache.Tcache.alloc tc ~words:100 with
   | Error `Too_large -> ()
   | _ -> Alcotest.fail "expected Too_large for oversize chunk"
 
@@ -420,7 +420,7 @@ let test_controller_pin_crowding () =
 
 let test_tcache_too_large () =
   let tc = Softcache.Tcache.create ~base:0x20000 ~bytes:64 in
-  (match Softcache.Tcache.alloc_fifo tc ~words:100 with
+  (match Softcache.Tcache.alloc tc ~words:100 with
   | Error `Too_large -> ()
   | _ -> Alcotest.fail "expected Too_large");
   match Softcache.Tcache.alloc_append tc ~words:100 with
@@ -445,13 +445,13 @@ let test_tcache_persistent_shrinks_space () =
       (Softcache.Tcache.persist_base tc)
   | _ -> Alcotest.fail "persistent alloc failed");
   (* a 16-word block no longer fits in the remaining 56 bytes *)
-  match Softcache.Tcache.alloc_fifo tc ~words:16 with
+  match Softcache.Tcache.alloc tc ~words:16 with
   | Error `Too_large -> ()
   | _ -> Alcotest.fail "expected Too_large after persistent shrink"
 
 let test_tcache_persistent_evicts_overlap () =
   let tc = Softcache.Tcache.create ~base:0x20000 ~bytes:64 in
-  (match Softcache.Tcache.alloc_fifo tc ~words:16 with
+  (match Softcache.Tcache.alloc tc ~words:16 with
   | Ok (p, []) ->
     Softcache.Tcache.register tc (block ~id:9 ~vaddr:0x1000 ~paddr:p ~words:16)
   | _ -> Alcotest.fail "fill failed");
@@ -462,7 +462,7 @@ let test_tcache_persistent_evicts_overlap () =
 let test_tcache_reset_keeps_persistent () =
   let tc = Softcache.Tcache.create ~base:0x20000 ~bytes:64 in
   ignore (Softcache.Tcache.alloc_persistent tc ~words:2);
-  (match Softcache.Tcache.alloc_fifo tc ~words:4 with
+  (match Softcache.Tcache.alloc tc ~words:4 with
   | Ok (p, _) ->
     Softcache.Tcache.register tc (block ~id:3 ~vaddr:0x1000 ~paddr:p ~words:4)
   | _ -> Alcotest.fail "alloc failed");
@@ -475,13 +475,42 @@ let test_tcache_reset_keeps_persistent () =
 let test_tcache_occupancy () =
   let tc = Softcache.Tcache.create ~base:0x20000 ~bytes:1024 in
   ignore (Softcache.Tcache.alloc_persistent tc ~words:1);
-  (match Softcache.Tcache.alloc_fifo tc ~words:10 with
+  (match Softcache.Tcache.alloc tc ~words:10 with
   | Ok (p, _) ->
     Softcache.Tcache.register tc (block ~id:1 ~vaddr:0x1000 ~paddr:p ~words:10)
   | _ -> Alcotest.fail "alloc failed");
   Alcotest.(check int) "blocks + stub words" ((10 * 4) + 4)
     (Softcache.Tcache.occupied_bytes tc);
   Alcotest.(check int) "map entries" 1 (Softcache.Tcache.map_entries tc)
+
+(* Regression: each CPU parked in a victim is redirected once, through
+   the resume address captured when the eviction began. A's return
+   stub is carved off the top of the arena, inside B (which ends where
+   the stub area starts), so testing the redirected pc against the
+   remaining victims would move it again, to B's resume address. *)
+let test_evict_redirects_parked_cpu_once () =
+  let ctrl =
+    Softcache.Controller.create
+      (Softcache.Config.make ~tcache_bytes:256 ())
+      (image_of [ Isa.Instr.Halt ] ())
+  in
+  let victim ~id ~vaddr ~paddr =
+    {
+      (block ~id ~vaddr ~paddr ~words:4) with
+      resume = Array.init 4 (fun i -> vaddr + (4 * i));
+    }
+  in
+  let a = victim ~id:0 ~vaddr:0x1000 ~paddr:0x10000 in
+  let b = victim ~id:1 ~vaddr:0x1020 ~paddr:0x100f0 in
+  Alcotest.(check int) "B ends at the stub area" (b.paddr + 16)
+    (Softcache.Tcache.persist_base ctrl.tc);
+  ctrl.cpu.pc <- 0x10004;
+  Softcache.Cc_evict.process_evicted ctrl
+    ~reason_of:(fun _ -> Softcache.Policy.Victim)
+    [ a; b ];
+  Alcotest.(check int) "parked on the return stub for 0x1004"
+    (fst (Hashtbl.find ctrl.ret_stubs 0x1004))
+    ctrl.cpu.pc
 
 (* The placement index against a brute-force scan: after every step of
    a random sequence of allocations (each placement registered as a
@@ -564,7 +593,7 @@ let test_placement_index =
       let apply = function
         | Fifo (s, words) ->
           place words
-            (Result.map fst (T.alloc_fifo ~shard:(s mod shards) tc ~words))
+            (Result.map fst (T.alloc ~shard:(s mod shards) tc ~words))
         | Seeded (s, k, words) ->
           let seed =
             match nth_resident k with
@@ -573,7 +602,7 @@ let test_placement_index =
           in
           place words
             (Result.map fst
-               (T.alloc_seeded ~shard:(s mod shards) tc ~seed ~words))
+               (T.alloc ~shard:(s mod shards) ~seed tc ~words))
         | Append (s, words) ->
           place words (T.alloc_append ~shard:(s mod shards) tc ~words)
         | Persistent (s, words) ->
@@ -665,6 +694,8 @@ let () =
             test_tcache_reset_keeps_persistent;
           Alcotest.test_case "occupancy accounting" `Quick
             test_tcache_occupancy;
+          Alcotest.test_case "parked CPU redirected once" `Quick
+            test_evict_redirects_parked_cpu_once;
           QCheck_alcotest.to_alcotest test_placement_index;
         ] );
     ]

@@ -74,8 +74,9 @@ let test_crc32_range () =
 let drain net n =
   let payload = Bytes.of_string "deterministic-payload!" in
   List.init n (fun _ ->
-      match Netmodel.transfer net ~payload with
-      | Ok (cycles, bytes) -> (true, cycles, Bytes.to_string bytes)
+      match Netmodel.transfer_batch net ~payloads:[ payload ] with
+      | Ok (cycles, bytes) ->
+        (true, cycles, Bytes.to_string (Bytes.concat Bytes.empty bytes))
       | Error (`Dropped cycles) -> (false, cycles, ""))
 
 let test_schedule_deterministic () =
@@ -106,7 +107,7 @@ let test_drop_duplicate_combined () =
       ()
   in
   for _ = 1 to n do
-    match Netmodel.transfer net ~payload with
+    match Netmodel.transfer_batch net ~payloads:[ payload ] with
     | Ok _ -> Alcotest.fail "drop=1 delivered a frame"
     | Error (`Dropped _) -> ()
   done;
@@ -123,7 +124,7 @@ let test_drop_duplicate_combined () =
       ()
   in
   for _ = 1 to n do
-    match Netmodel.transfer net2 ~payload with
+    match Netmodel.transfer_batch net2 ~payloads:[ payload ] with
     | Ok _ -> ()
     | Error _ -> Alcotest.fail "duplicate-only schedule dropped a frame"
   done;
@@ -205,7 +206,7 @@ let test_counter_conservation_q =
       let n = 200 in
       let delivered = ref 0 in
       for _ = 1 to n do
-        match Netmodel.transfer net ~payload with
+        match Netmodel.transfer_batch net ~payloads:[ payload ] with
         | Ok _ -> incr delivered
         | Error (`Dropped _) -> ()
       done;
@@ -216,16 +217,16 @@ let test_counter_conservation_q =
       && Netmodel.corruptions net <= !delivered)
 
 let test_fault_free_transfer_matches_request () =
-  (* without faults, [transfer] must charge exactly what [request]
-     does and account messages identically *)
+  (* without faults, a one-segment [transfer_batch] must charge
+     exactly what [request] does and account messages identically *)
   let n1 = Netmodel.ethernet_10mbps () in
   let n2 = Netmodel.ethernet_10mbps () in
   let payload = Bytes.create 120 in
   let c1 = Netmodel.request n1 ~payload_bytes:120 in
-  match Netmodel.transfer n2 ~payload with
+  match Netmodel.transfer_batch n2 ~payloads:[ payload ] with
   | Ok (c2, bytes) ->
     Alcotest.(check int) "cost" c1 c2;
-    Alcotest.(check bytes) "payload intact" payload bytes;
+    Alcotest.(check (list bytes)) "payload intact" [ payload ] bytes;
     Alcotest.(check int) "messages" (Netmodel.messages n1)
       (Netmodel.messages n2);
     Alcotest.(check int) "payload bytes" (Netmodel.payload_bytes n1)

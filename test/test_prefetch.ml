@@ -75,9 +75,10 @@ let test_batch_slicing () =
       (Netmodel.request n2 ~payload_bytes:40)
       cost
 
-let test_batch_single_equals_transfer () =
-  (* a single-segment batch must be bit- and draw-identical to a plain
-     transfer, so degree-0 runs are unchanged by the batching layer *)
+let test_batch_single_equals_split () =
+  (* a lone segment skips the frame concat and slice; it must be bit-
+     and draw-identical to the same bytes sent as two segments, so
+     degree-0 runs are unchanged by the batching layer *)
   let mk () =
     Netmodel.local
       ~faults:
@@ -87,13 +88,15 @@ let test_batch_single_equals_transfer () =
   in
   let n1 = mk () and n2 = mk () in
   let payload = Bytes.of_string "single-segment-frame" in
+  let halves = [ Bytes.sub payload 0 7; Bytes.sub payload 7 13 ] in
   for i = 1 to 100 do
-    let a = Netmodel.transfer n1 ~payload in
-    let b = Netmodel.transfer_batch n2 ~payloads:[ payload ] in
+    let a = Netmodel.transfer_batch n1 ~payloads:[ payload ] in
+    let b = Netmodel.transfer_batch n2 ~payloads:halves in
     match (a, b) with
-    | Ok (ca, ba), Ok (cb, [ bb ]) ->
+    | Ok (ca, [ ba ]), Ok (cb, bs) ->
       Alcotest.(check int) (Printf.sprintf "cost %d" i) ca cb;
-      Alcotest.(check bytes) (Printf.sprintf "bytes %d" i) ba bb
+      Alcotest.(check bytes) (Printf.sprintf "bytes %d" i) ba
+        (Bytes.concat Bytes.empty bs)
     | Error (`Dropped ca), Error (`Dropped cb) ->
       Alcotest.(check int) (Printf.sprintf "drop cost %d" i) ca cb
     | _ -> Alcotest.failf "outcome diverged at message %d" i
@@ -359,8 +362,8 @@ let () =
         [
           Alcotest.test_case "frame slicing + single accounting" `Quick
             test_batch_slicing;
-          Alcotest.test_case "single-segment batch = transfer" `Quick
-            test_batch_single_equals_transfer;
+          Alcotest.test_case "single-segment batch = split batch" `Quick
+            test_batch_single_equals_split;
           Alcotest.test_case "fault hits the whole frame" `Quick
             test_batch_fault_hits_whole_frame;
         ] );

@@ -356,6 +356,40 @@ let test_flush_midrun () =
     (Machine.Cpu.outputs ctrl.cpu);
   Alcotest.(check bool) "flushes counted" true (ctrl.stats.flushes > 0)
 
+(* Regression: a CPU parked in a dead block is redirected once, to the
+   return stub for the resume address it was parked at. Invalidating
+   the whole image every N instructions on registry workloads used to
+   move a redirected pc again whenever its fresh stub landed inside a
+   later victim of the same eviction: the run faulted or printed wrong
+   outputs. *)
+let test_periodic_invalidate_registry () =
+  List.iter
+    (fun (name, tcache_bytes, fuel) ->
+      let img = (Option.get (Workloads.Registry.find name)).build () in
+      let native = Softcache.Runner.native img in
+      let ctrl =
+        Softcache.Controller.create (Softcache.Config.make ~tcache_bytes ()) img
+      in
+      let rec go () =
+        match Softcache.Controller.run ~fuel ctrl with
+        | Machine.Cpu.Halted -> ()
+        | Machine.Cpu.Out_of_fuel ->
+          Softcache.Controller.invalidate ctrl ~lo:0
+            ~hi:(Isa.Image.code_end img);
+          go ()
+      in
+      go ();
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s @%d B, invalidated every %d instructions" name
+           tcache_bytes fuel)
+        native.outputs
+        (Machine.Cpu.outputs ctrl.cpu))
+    [
+      ("sensor_modes", 1024, 20_011);
+      ("sensor_modes", 2048, 4_999);
+      ("compress95", 2048, 20_011);
+    ]
+
 let test_partial_invalidate () =
   (* invalidate only one procedure's range; everything still works *)
   let img = prog_phases () in
@@ -516,37 +550,46 @@ let test_preload_eliminates_misses () =
   Alcotest.(check int) "no further misses" before ctrl.stats.translations
 
 let test_stats_consistency () =
-  (* small enough to page, so the eviction checks are not vacuous *)
-  let cfg = Softcache.Config.make ~tcache_bytes:768 () in
-  let ctrl =
-    Softcache.Controller.create cfg (prog_phases ~pad:80 ~inner:50 ())
-  in
-  (* the Fig. 8 recorder: every eviction event with its cycle stamp *)
-  let events = ref [] in
-  ctrl.on_event <-
-    Some
-      (function
-      | Softcache.Controller.Evicted n ->
-        events := (ctrl.cpu.cycles, n) :: !events
-      | _ -> ());
-  let outcome = Softcache.Controller.run ctrl in
-  let s = ctrl.stats in
-  let series = List.rev !events in
-  Alcotest.(check bool) "halts" true (outcome = Machine.Cpu.Halted);
-  Alcotest.(check bool)
-    "translated words >= translations" true
-    (s.translated_words >= s.translations);
-  Alcotest.(check bool) "evicts" true (series <> []);
-  Alcotest.(check int)
-    "eviction events sum to evicted blocks" s.evicted_blocks
-    (List.fold_left (fun a (_, n) -> a + n) 0 series);
-  Alcotest.(check bool)
-    "events stamped in nondecreasing cycle order" true
-    (let rec mono = function
-       | (c1, _) :: ((c2, _) :: _ as rest) -> c1 <= c2 && mono rest
-       | _ -> true
-     in
-     mono series)
+  List.iter
+    (fun eviction ->
+      let name = Softcache.Config.eviction_name eviction in
+      (* small enough to page, so the eviction checks are not vacuous *)
+      let cfg = Softcache.Config.make ~tcache_bytes:768 ~eviction () in
+      let ctrl =
+        Softcache.Controller.create cfg (prog_phases ~pad:80 ~inner:50 ())
+      in
+      (* the Fig. 8 recorder: every eviction event with its cycle stamp *)
+      let events = ref [] in
+      ctrl.on_event <-
+        Some
+          (function
+          | Softcache.Controller.Evicted n ->
+            events := (ctrl.cpu.cycles, n) :: !events
+          | _ -> ());
+      let outcome = Softcache.Controller.run ctrl in
+      let s = ctrl.stats in
+      let series = List.rev !events in
+      Alcotest.(check bool) (name ^ ": halts") true
+        (outcome = Machine.Cpu.Halted);
+      Alcotest.(check bool)
+        (name ^ ": translated words >= translations")
+        true
+        (s.translated_words >= s.translations);
+      Alcotest.(check bool) (name ^ ": evicts") true (series <> []);
+      Alcotest.(check int)
+        (name ^ ": eviction events sum to evicted blocks")
+        s.evicted_blocks
+        (List.fold_left (fun a (_, n) -> a + n) 0 series);
+      Alcotest.(check bool)
+        (name ^ ": events stamped in nondecreasing cycle order")
+        true
+        (let rec mono = function
+           | (c1, _) :: ((c2, _) :: _ as rest) -> c1 <= c2 && mono rest
+           | _ -> true
+         in
+         mono series))
+    (* a flush is an eviction too: it reaches the same hook *)
+    [ Softcache.Config.Fifo; Softcache.Config.Flush_all ]
 
 (* Host allocation on the miss path: minor-heap words allocated inside
    the trap handler, per translation, on a thrashing run (compress95 at
@@ -781,6 +824,8 @@ let () =
           Alcotest.test_case "invalidate mid-run" `Quick test_invalidate_midrun;
           Alcotest.test_case "flush mid-run" `Quick test_flush_midrun;
           Alcotest.test_case "partial invalidate" `Quick test_partial_invalidate;
+          Alcotest.test_case "periodic invalidation of registry workloads"
+            `Quick test_periodic_invalidate_registry;
         ] );
       ( "pinning",
         [

@@ -321,11 +321,12 @@ let test_chrome_export_validates () =
   | Ok n -> Alcotest.(check bool) "non-trivial" true (n > 0)
   | Error e -> Alcotest.failf "chrome export fails validation: %s" e
 
-(* [Trace.fields] (what the exporters write) and [schema_fields] (what
-   the validator requires) are two hand-kept tables; emitting one event
-   of every kind and validating both exports is what keeps them in
-   step. The match is exhaustive on purpose: a new constructor does not
-   build until it has an exemplar here. *)
+(* [Trace.exemplars] is the schema: the validator reads each type's
+   fields off its exemplar. Emitting every exemplar, plus every other
+   fault and eviction reason, and validating both exports checks the
+   exporters against it. The match is exhaustive on purpose: a new
+   constructor does not build until it is counted here, and the
+   exemplar check below fails until [Trace.exemplars] holds one. *)
 let constructor_index : Trace.event -> int = function
   | Cc_miss _ -> 0
   | Cc_translated _ -> 1
@@ -357,48 +358,20 @@ let constructor_index : Trace.event -> int = function
   | Dc_refill _ -> 27
 
 let exemplars =
-  Trace.
-    [
-      Cc_miss { pc = 0x100 };
-      Cc_translated { chunk = 0x100; base = 0x10000; words = 8 };
-      Cc_backpatch { site = 0x10010; target = 0x10020 };
-      Cc_unpatch { site = 0x10010; target = 0x10020 };
-      Cc_promote { head = 0x100; members = 3; bytes = 96 };
-      Cc_depromote { head = 0x100; members = 3 };
-      Cc_flush { chunks = 4 };
-      Cc_invalidate { chunks = 2 };
-      Cc_staged_install { chunk = 0x140 };
-      Cc_retry { chunk = 0x140; attempt = 1 };
-      Cc_degrade { chunk = 0x200; bytes = 512 };
-      Tc_alloc { chunk = 0x100; base = 0x10000; bytes = 32 };
-      Net_send { bytes = 64; segments = 2 };
-      Net_recv { bytes = 64; cycles = 1200 };
-      Fl_request { client = 1; chunk = 0x100 };
-      Fl_coalesce { client = 1; chunk = 0x100; wait = 50 };
-      Fl_frame { client = 0; segments = 1; queued = 10 };
-      Fl_piggyback { client = 2; bytes = 24 };
-      Fl_stall { client = 1; cycles = 300 };
-      Sh_fill { hart = 0; chunk = 0x100; wait = 20 };
-      Sh_coalesce { hart = 1; chunk = 0x100; wait = 40 };
-      Dc_specialise { site = 0x300 };
-      Dc_deopt { site = 0x300 };
-      Dc_miss { addr = 0x8000 };
-      Dc_spill { words = 16 };
-      Dc_refill { words = 16 };
-    ]
+  Trace.exemplars
   @ List.map
       (fun fault -> Trace.Net_fault { fault })
-      [ Trace.Drop; Trace.Corrupt; Trace.Duplicate; Trace.Delay_spike ]
+      [ Trace.Corrupt; Trace.Duplicate; Trace.Delay_spike ]
   @ List.map
       (fun reason ->
         Trace.Cc_evict
           { chunk = 0x100; base = 0x10000; bytes = 32; incoming = 1; reason })
-      Trace.evict_reasons
+      [ Trace.Collateral; Trace.Stub_growth; Trace.Invalidated; Trace.Flushed ]
 
 let test_every_event_validates () =
   Alcotest.(check (list int))
-    "an exemplar of every constructor" (List.init 28 Fun.id)
-    (List.sort_uniq compare (List.map constructor_index exemplars));
+    "one exemplar of every constructor" (List.init 28 Fun.id)
+    (List.map constructor_index Trace.exemplars);
   let tr = Trace.create () in
   let clock = ref 0 in
   Trace.set_clock tr (fun () -> !clock);
@@ -469,7 +442,7 @@ let test_chrome_sorts_interleaved_stamps () =
   at 7
     (Trace.Cc_evict
        { chunk = 0x200; base = 0x10020; bytes = 32; incoming = 0;
-         reason = "victim" });
+         reason = Trace.Victim });
   let chrome = Trace.to_chrome tr in
   (match Trace.Schema.validate_chrome chrome with
   | Ok _ -> ()
