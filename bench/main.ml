@@ -864,7 +864,11 @@ let fullsystem () =
       Option.iter
         (fun c ->
           let native = Lazy.force w.native in
-          let full, _ = Dcache.Fullsystem.run icfg dcfg w.img in
+          let full =
+            Dcache.Fullsystem.run
+              (Softcache.Controller.create icfg w.img)
+              dcfg
+          in
           if full.outputs <> native.outputs then
             fail "%s: full-system outputs diverge from native" w.name;
           Report.Table.add_row t
@@ -1103,7 +1107,9 @@ let prefetchsweep () =
 (* ------------------------------------------------------------------ *)
 (* Decoded vs interpretive dispatch: host wall time of the two CPU
    engines over the full workload registry, emitted as
-   BENCH_micro.json so CI can gate on the speedup. *)
+   BENCH_micro.json so CI can gate on the speedup. The hooked column
+   (decoded, with a no-op fetch hook) is the stepped path the profiler
+   and [Dcache.Sim] take; it is reported, not gated. *)
 
 let micro_engines () =
   Report.section
@@ -1112,7 +1118,8 @@ let micro_engines () =
   let t =
     sheet ~title:"native run, per engine"
       [ ("app", "name"); ("interpretive (ms)", "interpretive_s");
-        ("decoded (ms)", "decoded_s"); ("speedup", "speedup") ]
+        ("decoded (ms)", "decoded_s"); ("decoded, hooked (ms)", "hooked_s");
+        ("speedup", "speedup") ]
   in
   let speedups =
     List.map
@@ -1120,11 +1127,18 @@ let micro_engines () =
         let mk engine () =
           Machine.Cpu.of_image ~engine ~mem_bytes:(2 * 1024 * 1024) w.img
         in
+        let hooked () =
+          let cpu = mk Machine.Cpu.Decoded () in
+          cpu.on_fetch <- Some ignore;
+          cpu
+        in
         let ti = best_of (mk Machine.Cpu.Interpretive) Machine.Cpu.run in
         let td = best_of (mk Machine.Cpu.Decoded) Machine.Cpu.run in
+        let th = best_of hooked Machine.Cpu.run in
         add t
           [ ("name", Str w.name); ("interpretive_s", Secs ti);
-            ("decoded_s", Secs td); ("speedup", Ratio (ti /. td)) ];
+            ("decoded_s", Secs td); ("hooked_s", Secs th);
+            ("speedup", Ratio (ti /. td)) ];
         ti /. td)
       (registry ())
   in

@@ -686,14 +686,15 @@ let fullsystem_cmd =
     match find_workload name with
     | Error e -> prerr_endline e; 1
     | Ok entry -> (
+      let img = entry.build () in
       match
-        (Softcache.Config.make ~tcache_bytes:tcache (), Dcache.Config.make ())
+        let icfg = Softcache.Config.make ~tcache_bytes:tcache () in
+        (icfg, Dcache.Config.make (), Softcache.Controller.create icfg img)
       with
       | exception Invalid_argument m -> prerr_endline m; 1
-      | icfg, dcfg ->
-      let img = entry.build () in
+      | icfg, dcfg, ctrl ->
       let native = Softcache.Runner.native img in
-      let full, _ = Dcache.Fullsystem.run icfg dcfg img in
+      let full = Dcache.Fullsystem.run ctrl dcfg in
       Report.kv "local memory"
         (Report.fmt_bytes (Dcache.Fullsystem.local_memory_bytes icfg dcfg));
       Report.kv "I+D slowdown"

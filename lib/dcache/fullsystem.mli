@@ -19,15 +19,13 @@ type result = {
   dcache_stats : Sim.stats;
 }
 
-val run :
-  ?fuel:int ->
-  Softcache.Config.t ->
-  Config.t ->
-  Isa.Image.t ->
-  result * Softcache.Controller.t
-(** Execute under both caches. Observable behaviour must equal native
-    execution (tested); the cycle count reflects local memory sized as
-    tcache + scache + dcache. *)
+val run : ?fuel:int -> Softcache.Controller.t -> Config.t -> result
+(** Start a freshly created controller and execute its program under
+    both caches. Observable behaviour must equal native execution
+    (tested); the cycle count reflects local memory sized as tcache +
+    scache + dcache. The caller creates the controller, so a rejected
+    setting ([Controller.create]'s [Invalid_argument]) surfaces before
+    anything runs. *)
 
 val local_memory_bytes : Softcache.Config.t -> Config.t -> int
 (** Total client memory the configuration implies: tcache region plus

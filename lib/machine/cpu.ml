@@ -52,25 +52,29 @@ let of_image ?cost ?engine ?(mem_bytes = 8 * 1024 * 1024) img =
   Memory.load_image mem img;
   create ?cost ?engine ~mem ~pc:img.Isa.Image.entry ()
 
-let reg t r = if Isa.Reg.to_int r = 0 then 0 else t.regs.(Isa.Reg.to_int r)
+(* Reads need no r0 branch: every register write goes through
+   [set_reg], which skips index 0, so [regs.(0)] stays 0. *)
+let[@inline] reg t r = Array.unsafe_get t.regs (Isa.Reg.to_int r)
 
-let set_reg t r v =
+let[@inline] set_reg t r v =
   let i = Isa.Reg.to_int r in
-  if i <> 0 then t.regs.(i) <- v
+  if i <> 0 then Array.unsafe_set t.regs i v
 
 (* Normalise to signed 32-bit represented as an OCaml int. *)
-let norm v =
+let[@inline] norm v =
   let v = v land 0xFFFFFFFF in
   if v land 0x80000000 <> 0 then v - 0x100000000 else v
 
 let u32 v = v land 0xFFFFFFFF
 
-let alu_op (op : Isa.Instr.aluop) a b =
+let fault t f = raise (Fault (f, t.pc))
+
+let alu_op t (op : Isa.Instr.aluop) a b =
   match op with
   | Add -> norm (a + b)
   | Sub -> norm (a - b)
   | Mul -> norm (a * b)
-  | Div -> if b = 0 then raise Exit else norm (a / b)
+  | Div -> if b = 0 then fault t Division_by_zero else norm (a / b)
   | And -> norm (a land b)
   | Or -> norm (a lor b)
   | Xor -> norm (a lxor b)
@@ -85,7 +89,7 @@ let alu_op (op : Isa.Instr.aluop) a b =
 let imm_for (op : Isa.Instr.aluop) imm =
   match op with And | Or | Xor -> imm land 0xFFFF | _ -> imm
 
-let cond_holds (c : Isa.Instr.cond) a b =
+let[@inline] cond_holds (c : Isa.Instr.cond) a b =
   match c with
   | Eq -> a = b
   | Ne -> a <> b
@@ -94,9 +98,7 @@ let cond_holds (c : Isa.Instr.cond) a b =
   | Ltu -> u32 a < u32 b
   | Geu -> u32 a >= u32 b
 
-let fault t f = raise (Fault (f, t.pc))
-
-(* Data-access helpers are top-level (not per-step closures): [step] is
+(* Data-access helpers are top-level (not per-step closures): [exec] is
    the hottest path in every experiment, and allocating six closures
    per retired instruction was a measurable share of its cost. *)
 
@@ -122,40 +124,32 @@ let mem_store8 t a v =
   try Memory.write8 t.mem a v
   with Memory.Out_of_bounds a -> fault t (Out_of_bounds a)
 
+(* Retire an instruction that writes [rd] and falls through. *)
+let[@inline] write t pc rd v cycles =
+  set_reg t rd v;
+  t.cycles <- t.cycles + cycles;
+  t.pc <- pc + 4
+
 (* Execute one already-decoded instruction fetched from [pc]. Shared by
    both engines, so decoded dispatch differs from interpretive dispatch
-   in nothing but how [instr] was obtained. *)
+   in nothing but how [instr] was obtained. The common [Add] and [Sub]
+   skip [alu_op]'s dispatch. *)
 let exec t pc (instr : Isa.Instr.t) =
   let cost = t.cost in
   (match instr with
+  | Alu (Add, rd, rs1, rs2) ->
+    write t pc rd (norm (reg t rs1 + reg t rs2)) cost.alu
+  | Alu (Sub, rd, rs1, rs2) ->
+    write t pc rd (norm (reg t rs1 - reg t rs2)) cost.alu
   | Alu (op, rd, rs1, rs2) ->
-    let v =
-      try alu_op op (reg t rs1) (reg t rs2)
-      with Exit -> fault t Division_by_zero
-    in
-    set_reg t rd v;
-    t.cycles <- t.cycles + cost.alu;
-    t.pc <- pc + 4
+    write t pc rd (alu_op t op (reg t rs1) (reg t rs2)) cost.alu
+  | Alui (Add, rd, rs1, imm) -> write t pc rd (norm (reg t rs1 + imm)) cost.alu
+  | Alui (Sub, rd, rs1, imm) -> write t pc rd (norm (reg t rs1 - imm)) cost.alu
   | Alui (op, rd, rs1, imm) ->
-    let v =
-      try alu_op op (reg t rs1) (imm_for op imm)
-      with Exit -> fault t Division_by_zero
-    in
-    set_reg t rd v;
-    t.cycles <- t.cycles + cost.alu;
-    t.pc <- pc + 4
-  | Lui (rd, imm) ->
-    set_reg t rd (norm (imm lsl 16));
-    t.cycles <- t.cycles + cost.alu;
-    t.pc <- pc + 4
-  | Ld (rd, rs, imm) ->
-    set_reg t rd (mem_load32 t (reg t rs + imm));
-    t.cycles <- t.cycles + cost.load;
-    t.pc <- pc + 4
-  | Ldb (rd, rs, imm) ->
-    set_reg t rd (mem_load8 t (reg t rs + imm));
-    t.cycles <- t.cycles + cost.load;
-    t.pc <- pc + 4
+    write t pc rd (alu_op t op (reg t rs1) (imm_for op imm)) cost.alu
+  | Lui (rd, imm) -> write t pc rd (norm (imm lsl 16)) cost.alu
+  | Ld (rd, rs, imm) -> write t pc rd (mem_load32 t (reg t rs + imm)) cost.load
+  | Ldb (rd, rs, imm) -> write t pc rd (mem_load8 t (reg t rs + imm)) cost.load
   | St (rv, rs, imm) ->
     mem_store32 t (reg t rs + imm) (reg t rv);
     t.cycles <- t.cycles + cost.store;
@@ -205,9 +199,20 @@ let exec t pc (instr : Isa.Instr.t) =
     t.halted <- true);
   t.retired <- t.retired + 1
 
+(* The decoded engine's one fetch path. The handlers cover only the
+   fetch: they name the fetching pc, and a [Memory] exception escaping
+   [exec] (a trap handler's own) passes through untouched. *)
+let[@inline] fetch_exec t pc =
+  match Memory.fetch_decoded t.mem pc with
+  | i -> exec t pc i
+  | exception Memory.Undecodable w -> fault t (Invalid_opcode w)
+  | exception Memory.Out_of_bounds a -> fault t (Out_of_bounds a)
+  | exception Memory.Unaligned a -> fault t (Unaligned_fetch a)
+
 let fetch_interpretive t pc =
+  (* unsigned, as [Memory.Undecodable] reports it *)
   let word =
-    try Memory.read32 t.mem pc with
+    try Memory.read32 t.mem pc land 0xFFFFFFFF with
     | Memory.Out_of_bounds a -> fault t (Out_of_bounds a)
     | Memory.Unaligned a -> fault t (Unaligned_fetch a)
   in
@@ -219,24 +224,31 @@ let step t =
   let pc = t.pc in
   (match t.on_fetch with Some f -> f pc | None -> ());
   match t.engine with
-  | Decoded -> (
-    match Memory.fetch_decoded t.mem pc with
-    | i -> exec t pc i
-    | exception Memory.Undecodable w -> fault t (Invalid_opcode w)
-    | exception Memory.Out_of_bounds a -> fault t (Out_of_bounds a)
-    | exception Memory.Unaligned a -> fault t (Unaligned_fetch a))
+  | Decoded -> fetch_exec t pc
   | Interpretive -> exec t pc (fetch_interpretive t pc)
 
+(* Both loops are top-level, so [run] allocates nothing per call. *)
+let rec run_decoded t fuel =
+  if t.halted then Halted
+  else if fuel <= 0 then Out_of_fuel
+  else begin
+    fetch_exec t t.pc;
+    run_decoded t (fuel - 1)
+  end
+
+let rec run_stepped t fuel =
+  if t.halted then Halted
+  else if fuel <= 0 then Out_of_fuel
+  else begin
+    step t;
+    run_stepped t (fuel - 1)
+  end
+
+(* [engine] is immutable; [on_fetch] is read once per call. *)
 let run ?(fuel = max_int) t =
-  let rec go remaining =
-    if t.halted then Halted
-    else if remaining <= 0 then Out_of_fuel
-    else begin
-      step t;
-      go (remaining - 1)
-    end
-  in
-  go fuel
+  match (t.engine, t.on_fetch) with
+  | Decoded, None -> run_decoded t fuel
+  | _ -> run_stepped t fuel
 
 let outputs t = List.rev t.outputs_rev
 

@@ -47,7 +47,10 @@ type engine =
 
 type t = {
   mem : Memory.t;
-  regs : int array;  (** 32 signed 32-bit values; index 0 reads as 0 *)
+  regs : int array;
+      (** 32 signed 32-bit values. Index 0 is 0 and must never be
+          written: {!set_reg} and every instruction skip it, and reads
+          do not check it. *)
   engine : engine;
   mutable pc : int;
   mutable cycles : int;
@@ -59,6 +62,8 @@ type t = {
       (** invoked on [Trap k] after charging [cost.trap_dispatch]; must
           set [pc] (and may add [cycles]) before returning *)
   mutable on_fetch : (int -> unit) option;
+      (** called with each fetch's pc by {!step}; {!run} reads it once
+          per call *)
   mutable on_load : (int -> unit) option;  (** byte address of data loads *)
   mutable on_store : (int -> unit) option;
 }
@@ -81,7 +86,14 @@ val step : t -> unit
 
 val run : ?fuel:int -> t -> outcome
 (** Run until [Halt] or until [fuel] instructions have retired
-    (default [max_int]). @raise Fault on machine faults. *)
+    (default [max_int]). @raise Fault on machine faults.
+
+    [run] reads [engine] and [on_fetch] once per call and picks its
+    loop then: a {!Decoded} CPU with no [on_fetch] runs a loop that
+    only reads the decode cache and executes; any other CPU goes
+    through {!step}. So set [on_fetch] before calling [run]: a hook a
+    trap handler sets mid-run is heard from the next call on. [run]
+    allocates nothing per call. *)
 
 val outputs : t -> int list
 (** [Out] values in emission order. *)

@@ -82,7 +82,18 @@ let write8 t addr v =
 let decode_flush t =
   Array.fill t.dtags 0 (Array.length t.dtags) (-1)
 
-let fetch_decoded t addr =
+(* Out of line, so the inlined hit path below stays a few instructions. *)
+let fetch_miss t addr idx =
+  t.dmisses <- t.dmisses + 1;
+  let w = read32 t addr land 0xFFFFFFFF in
+  match Isa.Encode.decode w with
+  | Some i ->
+    Array.unsafe_set t.dinstrs idx i;
+    Array.unsafe_set t.dtags idx addr;
+    i
+  | None -> raise (Undecodable w)
+
+let[@inline] fetch_decoded t addr =
   let idx = (addr lsr 2) land t.dmask in
   if Array.unsafe_get t.dtags idx = addr then begin
     (* a tag is only ever installed after [check32] passed for this
@@ -90,16 +101,7 @@ let fetch_decoded t addr =
     t.dhits <- t.dhits + 1;
     Array.unsafe_get t.dinstrs idx
   end
-  else begin
-    t.dmisses <- t.dmisses + 1;
-    let w = read32 t addr land 0xFFFFFFFF in
-    match Isa.Encode.decode w with
-    | Some i ->
-      Array.unsafe_set t.dinstrs idx i;
-      Array.unsafe_set t.dtags idx addr;
-      i
-    | None -> raise (Undecodable w)
-  end
+  else fetch_miss t addr idx
 
 let decode_peek t addr =
   if addr < 0 || addr land 3 <> 0 || addr + 4 > Bytes.length t.bytes then None

@@ -39,7 +39,9 @@ val write8 : t -> int -> int -> unit
 val fetch_decoded : t -> int -> Isa.Instr.t
 (** Predecoded instruction fetch: consult the decode cache, filling it
     from memory on a miss. Exactly [Isa.Encode.decode (read32 t addr)]
-    observationally — the cache is invisible except for speed.
+    observationally — the cache is invisible except for speed. The hit
+    (tag compare, hit count, line read) is inlined into callers; the
+    miss (read, decode, install the line) stays out of line.
     @raise Out_of_bounds and @raise Unaligned as [read32] would.
     @raise Undecodable with the word when it has no decoding. *)
 

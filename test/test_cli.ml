@@ -340,6 +340,10 @@ let () =
             (expect_rejected
                [ "fullsystem"; "sensor_modes"; "--tcache"; "32" ]
                "Config.make: tcache too small");
+          Alcotest.test_case "fullsystem --tcache 1048576 exits 1" `Quick
+            (expect_rejected
+               [ "fullsystem"; "sensor_modes"; "--tcache"; "1048576" ]
+               "Controller.create: tcache overlaps data segment");
         ] );
       ( "trace",
         [

@@ -273,12 +273,13 @@ let test_fullsystem_equivalence () =
       let native = Softcache.Runner.native img in
       let icfg = Softcache.Config.make ~tcache_bytes () in
       let dcfg = Dcache.Config.make () in
-      let full, ctrl = Dcache.Fullsystem.run icfg dcfg img in
+      let full =
+        Dcache.Fullsystem.run (Softcache.Controller.create icfg img) dcfg
+      in
       Alcotest.(check bool) "halts" true (full.outcome = Machine.Cpu.Halted);
       Alcotest.(check (list int)) "outputs" native.outputs full.outputs;
       Alcotest.(check bool) "dearer than native" true
-        (full.cycles > native.cycles);
-      ignore ctrl)
+        (full.cycles > native.cycles))
     [
       (data_image ~iters:1500 ~stride:4, 16 * 1024);
       (data_image ~iters:1500 ~stride:4, 768 (* paging I-cache *));

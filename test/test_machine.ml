@@ -479,6 +479,154 @@ let test_determinism =
       Machine.Cpu.outputs r1 = Machine.Cpu.outputs r2
       && r1.cycles = r2.cycles && r1.retired = r2.retired)
 
+(* ------------------------------------------------------------------ *)
+(* Dispatch paths: [run] takes the decoded loop on a CPU without a
+   fetch hook and steps otherwise, so a decoded run with no hook, a
+   decoded run with a no-op hook and an interpretive run must be one
+   machine. Programs sit at [code_base] above a data window at 0; past
+   them lie zero words ([add zero, zero, zero]) up to the end of
+   memory. Branches and jumps only go forward (r7, the only jump
+   register, is never written), so even a loop that ignored its fuel
+   would end, at the latest by fetching past the end of memory, unless
+   a store rewrote code behind it. *)
+
+let code_base = 0x100
+let mem_bytes = 0x800
+
+let gen_reg_in regs = QCheck.Gen.(map Isa.Reg.r (oneofl regs))
+
+(* destinations: r0 often, never r7 *)
+let gen_rd = gen_reg_in [ 0; 0; 1; 2; 3; 4; 5; 6; 31 ]
+let gen_rs = gen_reg_in [ 0; 1; 2; 3; 4; 5; 6; 7; 31 ]
+
+let gen_aluop =
+  QCheck.Gen.oneofl
+    Isa.Instr.[ Add; Sub; Mul; Div; And; Or; Xor; Sll; Srl; Sra; Slt; Sltu ]
+
+(* the encoded word at instruction index [i] *)
+let gen_word i =
+  let open QCheck.Gen in
+  let open Isa.Instr in
+  let ins g = map Isa.Encode.encode g in
+  let small = int_range (-8) 0x40 in
+  let ahead = map (fun k -> code_base + (4 * (i + k))) (int_range 1 4) in
+  frequency
+    [
+      ( 4,
+        ins
+          (map4 (fun o d a b -> Alu (o, d, a, b)) gen_aluop gen_rd gen_rs gen_rs)
+      );
+      ( 4,
+        ins
+          (map4 (fun o d a v -> Alui (o, d, a, v)) gen_aluop gen_rd gen_rs small)
+      );
+      (1, ins (map2 (fun d v -> Lui (d, v)) gen_rd (int_bound 0xFFFF)));
+      (2, ins (map3 (fun d a v -> Ld (d, a, v)) gen_rd gen_rs small));
+      (1, ins (map3 (fun d a v -> Ldb (d, a, v)) gen_rd gen_rs small));
+      (2, ins (map3 (fun s a v -> St (s, a, v)) gen_rs gen_rs small));
+      (1, ins (map3 (fun s a v -> Stb (s, a, v)) gen_rs gen_rs small));
+      ( 2,
+        ins
+          (map4
+             (fun c a b o -> Br (c, a, b, o))
+             (oneofl [ Eq; Ne; Lt; Ge; Ltu; Geu ])
+             gen_rs gen_rs (int_range 1 4)) );
+      (1, ins (map (fun a -> Jmp a) ahead));
+      (1, ins (map (fun a -> Jal a) ahead));
+      (1, ins (return (Jr (Isa.Reg.r 7))));
+      (1, ins (map (fun d -> Jalr (d, Isa.Reg.r 7)) gen_rd));
+      (1, ins (map (fun r -> Out r) gen_rs));
+      (1, ins (oneofl [ Nop; Halt; Trap 3 ]));
+      (* undecodable: an unused opcode, or a stray bit in a [Nop] *)
+      ( 1,
+        map2
+          (fun op low -> (op lsl 26) lor low)
+          (int_range 32 63) (int_bound 0x3FFFFFF) );
+      (1, return ((30 lsl 26) lor 1));
+    ]
+
+type case = { words : int list; init : int list; jump : int; fuel : int }
+
+let gen_case =
+  let open QCheck.Gen in
+  let* n = int_range 1 24 in
+  let* words = flatten_l (List.init n gen_word) in
+  (* r1..r6: data-window, code, unaligned and out-of-range addresses,
+     zeros for [Div] *)
+  let* init =
+    list_repeat 6
+      (oneofl
+         [ 0; 1; -1; 7; 0x42; 0x80; 0xFC; code_base; 0x7FC; mem_bytes; -4;
+           0x7FFFFFFF ])
+  in
+  (* r7: unaligned, out of range, negative, or forward into the zeros *)
+  let* jump = oneofl [ 0x102; 0x802; 0x1000; -8; 0x7F0 ] in
+  let+ fuel = int_bound 600 in
+  { words; init; jump; fuel }
+
+let print_case c =
+  let word w =
+    match Isa.Encode.decode w with
+    | Some i -> Isa.Instr.to_string i
+    | None -> Printf.sprintf ".word 0x%08x" w
+  in
+  Printf.sprintf "fuel %d, r1-r6 = [%s], r7 = %d\n%s" c.fuel
+    (String.concat "; " (List.map string_of_int c.init))
+    c.jump
+    (String.concat "\n" (List.map word c.words))
+
+let run_case ?on_fetch engine c =
+  let mem = Machine.Memory.create mem_bytes in
+  for i = 0 to (code_base / 4) - 1 do
+    Machine.Memory.write32 mem (4 * i) ((i * 0x9E3779B1) land 0xFFFFFFFF)
+  done;
+  List.iteri
+    (fun i w -> Machine.Memory.write32 mem (code_base + (4 * i)) w)
+    c.words;
+  let cpu = Machine.Cpu.create ~engine ~mem ~pc:code_base () in
+  List.iteri (fun i v -> Machine.Cpu.set_reg cpu (reg (i + 1)) v) c.init;
+  Machine.Cpu.set_reg cpu (reg 7) c.jump;
+  cpu.on_fetch <- on_fetch;
+  let outcome =
+    match Machine.Cpu.run ~fuel:c.fuel cpu with
+    | o -> Ok o
+    | exception Machine.Cpu.Fault (f, pc) -> Error (f, pc)
+  in
+  ( outcome,
+    Array.copy cpu.regs,
+    (cpu.pc, cpu.cycles, cpu.retired),
+    Machine.Cpu.outputs cpu,
+    Machine.Memory.hash mem ~lo:0 ~hi:mem_bytes )
+
+let test_dispatch_paths_agree =
+  QCheck.Test.make ~count:1000
+    ~name:"decoded loop = stepped decoded = interpretive"
+    (QCheck.make ~print:print_case gen_case)
+    (fun c ->
+      let ((_, regs, _, _, _) as loop) = run_case Machine.Cpu.Decoded c in
+      let hooked = run_case ~on_fetch:ignore Machine.Cpu.Decoded c in
+      let interp = run_case Machine.Cpu.Interpretive c in
+      regs.(0) = 0 && loop = hooked && loop = interp)
+
+(* [run] allocates nothing of its own per call: a multi-hart run calls
+   it once per 64-instruction quantum. *)
+let test_run_allocates_nothing () =
+  let b = Isa.Builder.create "spin" in
+  let top = Isa.Builder.label b in
+  Isa.Builder.ins b (Isa.Instr.Alui (Add, reg 1, reg 1, 1));
+  Isa.Builder.jmp b top;
+  let cpu = Machine.Cpu.of_image ~mem_bytes:(64 * 1024) (Isa.Builder.build b) in
+  ignore (Machine.Cpu.run ~fuel:64 cpu);
+  let calls = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Machine.Cpu.run ~fuel:64 cpu)
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "minor words per run call" 0
+    (Float.to_int (Float.round (words /. float_of_int calls)));
+  Alcotest.(check int) "every call ran its fuel" ((calls + 1) * 64) cpu.retired
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "machine"
@@ -535,5 +683,11 @@ let () =
           Alcotest.test_case "fetch hook" `Quick test_fetch_hook;
           Alcotest.test_case "load/store hooks" `Quick test_load_store_hooks;
           qt test_determinism;
+        ] );
+      ( "dispatch",
+        [
+          qt test_dispatch_paths_agree;
+          Alcotest.test_case "run allocates nothing per call" `Quick
+            test_run_allocates_nothing;
         ] );
     ]
