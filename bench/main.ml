@@ -503,7 +503,7 @@ let fig8 () =
   Report.section
     "Figure 8: evictions over time vs CC memory (adpcm encode, procedure \
      chunks; paper: 800B pages in steady state, 900B only at start + end \
-     blip, 1KB less still)";
+     blip, 1KB less still; every cell audited after every event)";
   let w = adpcm_encode () in
   List.iter
     (fun bytes ->
@@ -513,6 +513,7 @@ let fig8 () =
       in
       (* every eviction, stamped with the cycle it happened at *)
       let evictions = ref [] in
+      let audits = ref (ref 0) in
       let prepare (ctrl : Softcache.Controller.t) =
         let prev = ctrl.on_event in
         ctrl.on_event <-
@@ -522,33 +523,40 @@ let fig8 () =
               | Softcache.Controller.Evicted n ->
                 evictions := (ctrl.cpu.cycles, n) :: !evictions
               | _ -> ());
-              Option.iter (fun f -> f ev) prev)
+              Option.iter (fun f -> f ev) prev);
+        audits := Check.Audit.install ctrl
       in
-      Option.iter
-        (fun c ->
-          let total_cycles = max 1 c.run.cycles in
-          let buckets = 10 in
-          let counts = Array.make buckets 0 in
-          List.iter
-            (fun (cycle, n) ->
-              let i = min (buckets - 1) (cycle * buckets / total_cycles) in
-              counts.(i) <- counts.(i) + n)
-            !evictions;
-          let total = Array.fold_left ( + ) 0 counts in
-          if total <> c.ctrl.stats.evicted_blocks then
-            fail "%d B: bars sum to %d evictions, stats count %d" bytes total
-              c.ctrl.stats.evicted_blocks;
-          let series =
-            Report.Series.create
-              ~title:(Printf.sprintf "CC memory = %d B" bytes)
-              ~xlabel:"run decile" ~ylabel:"evictions"
-          in
-          Array.iteri
-            (fun i n ->
-              Report.Series.add series (float_of_int (i + 1)) (float_of_int n))
-            counts;
-          Report.Series.print series)
-        (cell ~prepare w cfg))
+      let label = Printf.sprintf "%s/%dB" w.name bytes in
+      (* an event whose audit fails stops the run; report it as a gate
+         failure like any other *)
+      match cell ~prepare ~audit:true w cfg with
+      | exception Check.Audit.Audit_failure vs ->
+        audit_gate (Printf.sprintf "%s audit %d" label !(!audits)) vs
+      | None -> ()
+      | Some c ->
+        Report.kv (label ^ " audits clean") (string_of_int !(!audits));
+        let total_cycles = max 1 c.run.cycles in
+        let buckets = 10 in
+        let counts = Array.make buckets 0 in
+        List.iter
+          (fun (cycle, n) ->
+            let i = min (buckets - 1) (cycle * buckets / total_cycles) in
+            counts.(i) <- counts.(i) + n)
+          !evictions;
+        let total = Array.fold_left ( + ) 0 counts in
+        if total <> c.ctrl.stats.evicted_blocks then
+          fail "%d B: bars sum to %d evictions, stats count %d" bytes total
+            c.ctrl.stats.evicted_blocks;
+        let series =
+          Report.Series.create
+            ~title:(Printf.sprintf "CC memory = %d B" bytes)
+            ~xlabel:"run decile" ~ylabel:"evictions"
+        in
+        Array.iteri
+          (fun i n ->
+            Report.Series.add series (float_of_int (i + 1)) (float_of_int n))
+          counts;
+        Report.Series.print series)
     [ 800; 900; 1024 ]
 
 (* ------------------------------------------------------------------ *)

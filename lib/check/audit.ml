@@ -20,24 +20,12 @@ let word (t : Controller.t) paddr = Machine.Memory.read32 t.cpu.mem paddr
 
 let block_range (b : Tcache.block) = (b.paddr, b.paddr + (4 * b.words))
 
-let in_block (b : Tcache.block) p =
-  let lo, hi = block_range b in
-  p >= lo && p < hi
+let in_block (b : Tcache.block) p = p >= b.paddr && p < b.paddr + (4 * b.words)
 
 (* Does [w], fetched from [site], transfer control to the start of
    [b]?  Branch offsets are pc-relative in words; jumps are absolute. *)
 let aims_at ~site ~(b : Tcache.block) w =
-  match Isa.Encode.decode w with
-  | Some (Isa.Instr.Jmp p) | Some (Isa.Instr.Jal p) -> p = b.paddr
-  | Some (Isa.Instr.Br (_, _, _, d)) -> site + (4 * d) = b.paddr
-  | Some _ | None -> false
-
-(* The control-flow target of [instr] at [site], if it has a static
-   one. *)
-let static_target ~site = function
-  | Isa.Instr.Jmp p | Isa.Instr.Jal p -> Some p
-  | Isa.Instr.Br (_, _, _, d) -> Some (site + (4 * d))
-  | _ -> None
+  Isa.Encode.static_target ~site w = b.paddr
 
 let has_incoming (b : Tcache.block) ~site_paddr =
   List.exists
@@ -306,11 +294,10 @@ let run (t : Controller.t) : violation list =
     (fun (b : Tcache.block) ->
       for i = 0 to b.words - 1 do
         let site = b.paddr + (4 * i) in
-        match Isa.Encode.decode (word t site) with
-        | None -> ()
-        | Some instr -> (
-          (match static_target ~site instr with
-          | Some p when not (in_block b p) -> (
+        let w = word t site in
+        let p = Isa.Encode.static_target ~site w in
+        if p <> Isa.Encode.none then begin
+          if not (in_block b p) then
             match Hashtbl.find_opt by_paddr p with
             | Some tb ->
               if not (has_incoming tb ~site_paddr:site) then
@@ -323,18 +310,18 @@ let run (t : Controller.t) : violation list =
                 add "wild"
                   "word at 0x%x (block v=0x%x) branches to 0x%x, which is \
                    neither a block start nor a PLT slot"
-                  site b.vaddr p)
-          | Some _ | None -> ());
-          match instr with
-          | Isa.Instr.Trap j ->
-            if j < 0 || j >= t.nstubs then
+                  site b.vaddr p
+        end
+        else
+          let j = Isa.Encode.trap_index w in
+          if j <> Isa.Encode.none then
+            if j >= t.nstubs then
               add "trap" "word at 0x%x traps to out-of-range stub %d" site j
             else if not (List.mem j b.stubs) then
               add "trap"
                 "word at 0x%x (block v=0x%x) traps to stub %d, which the \
                  block does not own"
                 site b.vaddr j
-          | _ -> ())
       done)
     blocks;
 
@@ -609,12 +596,20 @@ let run (t : Controller.t) : violation list =
      valid predecode line must still agree with what a fresh decode of
      the underlying memory word produces.  A disagreement means a write
      path skipped the in-memory invalidation — the stale-instruction
-     bug class the decode cache's design forbids by construction. *)
-  List.iter
-    (fun addr ->
-      add "decode-coherence"
-        "decode cache entry at 0x%x disagrees with the word in memory" addr)
-    (Machine.Memory.decode_audit t.cpu.mem);
+     bug class the decode cache's design forbids by construction.  With
+     harts attached every hart's private memory has its own decode
+     cache, and each is checked. *)
+  let stale_lines hart (mem : Machine.Memory.t) =
+    List.iter
+      (fun addr ->
+        add "decode-coherence"
+          "%sdecode cache entry at 0x%x disagrees with the word in memory"
+          (if hart < 0 then "" else Printf.sprintf "hart %d: " hart)
+          addr)
+      (Machine.Memory.decode_audit mem)
+  in
+  if Array.length t.harts = 0 then stale_lines (-1) t.cpu.mem
+  else Array.iteri (fun i (h : Machine.Cpu.t) -> stale_lines i h.mem) t.harts;
 
   (* -- replacement policy's victim ------------------------------------ *)
   (* [victim] must never name a pinned block: pin means exempt from
@@ -681,9 +676,10 @@ let install (t : Controller.t) =
    books: the fills (single owners, nothing in flight at a quiescent
    point), the suspension-lease discipline (every parked hart's lease
    covers the block its pc sits in, and the tcache's lease counts are
-   exactly the sum of hart leases), and the per-hart waits
-   (non-negative, within the hart's clock, summing to the stats). A
-   resident chunk mapped twice is already a "map" violation of [run]. *)
+   exactly the sum of hart leases), the per-hart waits (non-negative,
+   within the hart's clock, summing to the stats), and the mirrored
+   tcache region (every hart's copy equals hart 0's). A resident chunk
+   mapped twice is already a "map" violation of [run]. *)
 
 let shards (s : Shard.t) : violation list =
   let viols = ref [] in
@@ -793,6 +789,38 @@ let shards (s : Shard.t) : violation list =
   if Shard.mc_free_at s > makespan then
     add "shard-ledger" "mc busy until %d, past every hart clock (max %d)"
       (Shard.mc_free_at s) makespan;
+
+  (* -- tcache mirroring ---------------------------------------------- *)
+  (* [Cc_state.write_word] mirrors every code write into every hart's
+     private memory, so each hart's tcache region is word-for-word the
+     controller CPU's (hart 0's). A missed mirror write leaves a hart
+     running code the controller's books do not describe. *)
+  (match harts with
+  | [] -> ()
+  | (h0 : Shard.hart) :: rest ->
+    let lo = Config.tcache_base in
+    let hi = lo + c.cfg.tcache_bytes in
+    let read (h : Shard.hart) a = Machine.Memory.read32 h.h_cpu.mem a in
+    List.iter
+      (fun (h : Shard.hart) ->
+        let differing = ref 0 and first = ref (-1) in
+        let a = ref lo in
+        while !a < hi do
+          if read h !a <> read h0 !a then begin
+            if !first < 0 then first := !a;
+            incr differing
+          end;
+          a := !a + 4
+        done;
+        if !differing > 0 then
+          add "shard-mirror"
+            "hart %d's tcache region differs from hart %d's in %d word(s), \
+             first at 0x%x (0x%08x, hart %d holds 0x%08x)"
+            h.h_id h0.h_id !differing !first
+            (read h !first land 0xFFFFFFFF)
+            h0.h_id
+            (read h0 !first land 0xFFFFFFFF))
+      rest);
 
   (* plus the full per-controller audit of the shared cache *)
   List.rev !viols @ run c

@@ -32,8 +32,16 @@
       exactly the still-trapping live exit stubs;
     - superblock groups are consistent: every member of a live group is
       resident and [sb_of_block] inverts the group table exactly;
+    - every valid decode-cache line agrees with the word it caches, in
+      every hart's memory when harts are attached
+      ([Machine.Memory.decode_audit]);
     - the replacement policy's victim ([Policy.victim]) is never a
-      pinned or a dead block. *)
+      pinned or a dead block.
+
+    The reverse scan reads each tcache word through the
+    non-allocating [Isa.Encode] readers, and the decode-cache check
+    walks only the lines filled since the last flush, so a full audit
+    costs what the live state costs. *)
 
 type violation = { invariant : string; detail : string }
 
@@ -76,6 +84,9 @@ val shards : Softcache.Shard.t -> violation list
     halted harts hold none, and the tcache's per-block lease counts
     equal the per-hart leases block by block); every hart's waits are
     non-negative and within its clock, and the aggregate fill
-    statistics are the exact sums of the hart counters. Includes the
+    statistics are the exact sums of the hart counters; and every
+    hart's tcache region is word-for-word hart 0's (["shard-mirror"],
+    naming the hart, the number of differing words and the first).
+    Includes the
     full per-controller audit ({!run}) of the shared cache, whose map
     section already rejects a chunk resident twice. *)

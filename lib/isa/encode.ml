@@ -150,6 +150,24 @@ let decode (w : int) : Instr.t option =
       if w land 0x1FFFFF = 0 then Some (Out r25) else None
     else None
 
+(* Readers for one question each about a word, agreeing with [decode]
+   without building the instruction. *)
+
+let none = min_int
+
+let static_target ~site w =
+  if w < 0 || w > 0xFFFFFFFF then none
+  else
+    let op = w lsr 26 in
+    if op = op_jmp || op = op_jal then (w land 0x3FFFFFF) lsl 2
+    else if op >= op_br_base && op < op_br_base + 6 then
+      site + (4 * sext16 (w land 0xFFFF))
+    else none
+
+let trap_index w =
+  if w >= 0 && w <= 0xFFFFFFFF && w lsr 26 = op_trap then w land 0x3FFFFFF
+  else none
+
 let decode_exn w =
   match decode w with
   | Some i -> i

@@ -38,3 +38,24 @@ val decode : int -> Instr.t option
 
 val decode_exn : int -> Instr.t
 (** @raise Encode_error on invalid encodings. *)
+
+(** {2 Readers}
+
+    Each answers one question about a word exactly as matching on
+    [decode w] would, without building the instruction: they allocate
+    nothing, so a scan over every word of the tcache costs a read and a
+    few integer tests per non-branch word. *)
+
+val none : int
+(** The readers' "no answer" sentinel, [min_int]. No real target can
+    take it: a branch at a non-negative [site] aims at [site - 0x20000]
+    or above. A negative target is an answer, not [none] (a [Br] at
+    0x10000 with offset -32768 aims at -0x10000). *)
+
+val static_target : site:int -> int -> int
+(** The static control-flow target of the word [w] fetched from [site]:
+    the absolute byte address of a [Jmp]/[Jal], [site + 4 * off] for a
+    [Br]; [none] for every other word, undecodable ones included. *)
+
+val trap_index : int -> int
+(** [k] when the word decodes to [Trap k], else [none]. *)

@@ -24,6 +24,11 @@ type t = {
   dtags : int array;
   dinstrs : Isa.Instr.t array;
   dmask : int;
+  mutable dlo : int;
+  mutable dhi : int;
+      (* every line filled since the last flush lies in [dlo, dhi]
+         (empty while [dlo > dhi]): the range only grows between
+         flushes, so it covers every valid tag *)
   mutable dhits : int;
   mutable dmisses : int;
   mutable dinvals : int;
@@ -42,6 +47,8 @@ let create n =
     dtags = Array.make lines (-1);
     dinstrs = Array.make lines Isa.Instr.Nop;
     dmask = lines - 1;
+    dlo = lines;
+    dhi = -1;
     dhits = 0;
     dmisses = 0;
     dinvals = 0;
@@ -80,9 +87,13 @@ let write8 t addr v =
   invalidate_word t (addr land lnot 3)
 
 let decode_flush t =
-  Array.fill t.dtags 0 (Array.length t.dtags) (-1)
+  if t.dlo <= t.dhi then Array.fill t.dtags t.dlo (t.dhi - t.dlo + 1) (-1);
+  t.dlo <- Array.length t.dtags;
+  t.dhi <- -1
 
-(* Out of line, so the inlined hit path below stays a few instructions. *)
+(* Out of line, so the inlined hit path below stays a few instructions.
+   The only place a tag is installed, so the only place the filled
+   range widens. *)
 let fetch_miss t addr idx =
   t.dmisses <- t.dmisses + 1;
   let w = read32 t addr land 0xFFFFFFFF in
@@ -90,6 +101,8 @@ let fetch_miss t addr idx =
   | Some i ->
     Array.unsafe_set t.dinstrs idx i;
     Array.unsafe_set t.dtags idx addr;
+    if idx < t.dlo then t.dlo <- idx;
+    if idx > t.dhi then t.dhi <- idx;
     i
   | None -> raise (Undecodable w)
 
@@ -112,16 +125,22 @@ let decode_peek t addr =
 let decode_stats t =
   { hits = t.dhits; misses = t.dmisses; invalidations = t.dinvals }
 
+(* Walks the filled range only, downwards so the list comes out
+   ascending. Decode is canonical ([decode w = Some i] implies
+   [encode i = w]), so re-encoding the cached instruction and comparing
+   words is the same test as re-decoding the word, and allocates
+   nothing while the cache is coherent. *)
 let decode_audit t =
   let stale = ref [] in
-  Array.iteri
-    (fun idx addr ->
-      if addr >= 0 then
-        let w = read32 t addr land 0xFFFFFFFF in
-        if Isa.Encode.decode w <> Some t.dinstrs.(idx) then
-          stale := addr :: !stale)
-    t.dtags;
-  List.rev !stale
+  for idx = t.dhi downto t.dlo do
+    let addr = Array.unsafe_get t.dtags idx in
+    if
+      addr >= 0
+      && Isa.Encode.encode (Array.unsafe_get t.dinstrs idx)
+         <> read32 t addr land 0xFFFFFFFF
+    then stale := addr :: !stale
+  done;
+  !stale
 
 let blit_code t ~addr (img : Isa.Image.t) =
   Array.iteri

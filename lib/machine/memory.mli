@@ -41,7 +41,8 @@ val fetch_decoded : t -> int -> Isa.Instr.t
     from memory on a miss. Exactly [Isa.Encode.decode (read32 t addr)]
     observationally — the cache is invisible except for speed. The hit
     (tag compare, hit count, line read) is inlined into callers; the
-    miss (read, decode, install the line) stays out of line.
+    miss (read, decode, install the line, widen the filled range
+    {!decode_audit} walks) stays out of line.
     @raise Out_of_bounds and @raise Unaligned as [read32] would.
     @raise Undecodable with the word when it has no decoding. *)
 
@@ -54,14 +55,22 @@ type decode_stats = { hits : int; misses : int; invalidations : int }
 
 val decode_stats : t -> decode_stats
 val decode_flush : t -> unit
-(** Drop every decode-cache line (the loaders call this after bulk
-    blits; exposed for tests). *)
+(** Drop every decode-cache line and empty the filled range (the
+    loaders call this after bulk blits; exposed for tests). *)
 
 val decode_audit : t -> int list
 (** Addresses of decode-cache lines whose cached instruction disagrees
-    with what the underlying word currently decodes to. Always [[]]
-    unless the write-driven invalidation rule has been broken — the
-    coherence invariant checked by [Check.Audit]. *)
+    with what the underlying word currently decodes to, ascending by
+    line. Always [[]] unless the write-driven invalidation rule has
+    been broken — the coherence invariant checked by [Check.Audit].
+
+    It walks only the range of lines filled since the last flush
+    (every valid line lies in it), so its cost follows that range, not
+    the cache size; at worst it is the whole cache. It compares
+    [Isa.Encode.encode] of each cached instruction with the word in
+    memory (decode is canonical, so this is the same test as
+    re-decoding) and allocates nothing while the cache is coherent.
+    Read-only: it never touches a tag or the range. *)
 
 val load_image : t -> Isa.Image.t -> unit
 (** Copy an image's text and data segments into memory. *)

@@ -135,6 +135,25 @@ let test_audit_run_reports_without_raising () =
   | () -> Alcotest.fail "check_exn accepted a broken state"
   | exception Check.Audit.Audit_failure (_ :: _) -> ()
 
+(* A branch aimed below address 0 (a [Br] near the tcache base with a
+   large negative offset) is still a branch to a non-block: the reverse
+   scan's "no static target" sentinel is not a negative number. *)
+let test_audit_catches_negative_target () =
+  let ctrl = Softcache.Controller.create (small_cfg ()) (prog_sum 50) in
+  ignore (Softcache.Controller.run ctrl);
+  Alcotest.(check int) "clean before the mutation" 0
+    (List.length (Check.Audit.run ctrl));
+  let b = List.hd (Softcache.Tcache.blocks ctrl.tc) in
+  let site = b.paddr in
+  Alcotest.(check bool) "target below 0" true (site - 0x20000 < 0);
+  Machine.Memory.write32 ctrl.cpu.mem site
+    (Isa.Encode.encode
+       (Isa.Instr.Br (Eq, Isa.Reg.zero, Isa.Reg.zero, -32768)));
+  Alcotest.(check bool) "names the wild invariant" true
+    (List.exists
+       (fun (v : Check.Audit.violation) -> v.invariant = "wild")
+       (Check.Audit.run ctrl))
+
 (* ------------------------------------------------------------------ *)
 (* Lockstep differential runner *)
 
@@ -319,6 +338,8 @@ let () =
         [
           Alcotest.test_case "catches a dropped incoming record" `Quick
             test_audit_catches_dropped_incoming;
+          Alcotest.test_case "catches a branch aimed below 0" `Quick
+            test_audit_catches_negative_target;
           Alcotest.test_case "run returns violations as data" `Quick
             test_audit_run_reports_without_raising;
         ] );

@@ -81,6 +81,46 @@ let test_predecode_identical =
           w' = w && Machine.Memory.decode_peek mem 0 = None
         | _ -> false))
 
+(* The non-allocating readers answer exactly what matching on [decode]
+   answers, on any word: random 32-bit words, encoded instructions, and
+   the sign-extended words a 32-bit memory read returns. Sites below
+   0x40000 put many branch targets below address 0 (a [Br] at 0x10000
+   with offset -32768 aims at -0x10000): those are answers, not
+   [none]. *)
+let test_readers_agree_with_decode =
+  let gen =
+    let open QCheck.Gen in
+    let* w =
+      oneof
+        [
+          int_bound 0xFFFFFFFF;
+          map Isa.Encode.encode gen_instr;
+          map
+            (fun w -> if w land 0x80000000 <> 0 then w - 0x100000000 else w)
+            (int_bound 0xFFFFFFFF);
+        ]
+    in
+    let* site = oneof [ int_bound 0x3FFFC; int_bound 0xFFFFFF ] in
+    return (w, site land lnot 3)
+  in
+  QCheck.Test.make ~count:5000 ~name:"readers agree with decode"
+    (QCheck.make ~print:(fun (w, site) -> Printf.sprintf "0x%x @ 0x%x" w site) gen)
+    (fun (w, site) ->
+      let open Isa.Instr in
+      let target =
+        match Isa.Encode.decode w with
+        | Some (Jmp p | Jal p) -> p
+        | Some (Br (_, _, _, d)) -> site + (4 * d)
+        | Some _ | None -> Isa.Encode.none
+      in
+      let trap =
+        match Isa.Encode.decode w with
+        | Some (Trap k) -> k
+        | Some _ | None -> Isa.Encode.none
+      in
+      Isa.Encode.static_target ~site w = target
+      && Isa.Encode.trap_index w = trap)
+
 let test_encode_errors () =
   let open Isa.Instr in
   List.iter
@@ -440,6 +480,7 @@ let () =
           qt test_roundtrip;
           qt test_canonical;
           qt test_predecode_identical;
+          qt test_readers_agree_with_decode;
           Alcotest.test_case "encode errors" `Quick test_encode_errors;
           Alcotest.test_case "decode garbage" `Quick test_decode_garbage;
           Alcotest.test_case "pretty printing" `Quick test_pp;

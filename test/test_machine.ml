@@ -608,6 +608,129 @@ let test_dispatch_paths_agree =
       let interp = run_case Machine.Cpu.Interpretive c in
       regs.(0) = 0 && loop = hooked && loop = interp)
 
+(* ------------------------------------------------------------------ *)
+(* Decode-cache audit: it walks the lines filled since the last flush,
+   costs no allocation on a coherent cache, and never reports a line
+   that the write-driven invalidation keeps coherent. *)
+
+(* [decode_audit] runs after every controller event of an audited run:
+   on a coherent cache it must allocate nothing, however many lines are
+   filled. *)
+let test_decode_audit_allocates_nothing () =
+  let m = Machine.Memory.create (64 * 1024) in
+  let lines = 4096 in
+  for i = 0 to lines - 1 do
+    Machine.Memory.write32 m (4 * i)
+      (enc (Isa.Instr.Alui (Add, reg (1 + (i mod 30)), reg 2, i - 2048)))
+  done;
+  for i = 0 to lines - 1 do
+    ignore (Machine.Memory.fetch_decoded m (4 * i))
+  done;
+  Alcotest.(check int) "every line filled" lines
+    (Machine.Memory.decode_stats m).Machine.Memory.misses;
+  Alcotest.(check (list int)) "coherent" [] (Machine.Memory.decode_audit m);
+  let calls = 100 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    match Machine.Memory.decode_audit m with
+    | [] -> ()
+    | _ :: _ -> Alcotest.fail "stale line on a coherent cache"
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "minor words per audit" 0
+    (Float.to_int (Float.round (words /. float_of_int calls)))
+
+(* Random fetch / write32 / write8 / flush / bulk-load sequences on a
+   memory with twice as many words as decode lines, over addresses that
+   alias pairwise and sit at both ends of the line array. A flush
+   clears only the filled range, so "every fetched line is gone after a
+   flush" is also the check that the range covers every valid line. *)
+type mop =
+  | Fetch of int
+  | Write32 of int * int
+  | Write8 of int * int
+  | Flush
+  | Load of int * int list
+
+let alias_mem_bytes = 256 * 1024 (* 64 K words over 32 K lines *)
+
+let gen_alias_addr =
+  let open QCheck.Gen in
+  let* line =
+    oneof [ int_range 0 7; int_range 16_380 16_390; int_range 32_760 32_767 ]
+  in
+  let* alias = int_bound 1 in
+  return ((4 * line) + (alias * (alias_mem_bytes / 2)))
+
+let gen_mop =
+  let open QCheck.Gen in
+  frequency
+    [
+      (6, map (fun a -> Fetch a) gen_alias_addr);
+      (3, map2 (fun a w -> Write32 (a, w)) gen_alias_addr (gen_word 0));
+      ( 1,
+        map3
+          (fun a k v -> Write8 (a + k, v))
+          gen_alias_addr (int_bound 3) (int_bound 0xFF) );
+      (1, return Flush);
+      ( 1,
+        map2
+          (fun a ws -> Load (min a (alias_mem_bytes - (4 * List.length ws)), ws))
+          gen_alias_addr
+          (list_size (int_range 1 4) (gen_word 0)) );
+    ]
+
+let print_mop = function
+  | Fetch a -> Printf.sprintf "fetch 0x%x" a
+  | Write32 (a, w) -> Printf.sprintf "write32 0x%x 0x%x" a w
+  | Write8 (a, v) -> Printf.sprintf "write8 0x%x 0x%x" a v
+  | Flush -> "flush"
+  | Load (a, ws) -> Printf.sprintf "load 0x%x (%d words)" a (List.length ws)
+
+let data_image base words =
+  let data = Bytes.create (4 * List.length words) in
+  List.iteri (fun i w -> Bytes.set_int32_le data (4 * i) (Int32.of_int w)) words;
+  Isa.Image.make ~name:"data" ~code_base:0 ~code:[| enc Isa.Instr.Halt |]
+    ~data_base:base ~data ~entry:0 ~symbols:[]
+
+let test_decode_audit_random_ops =
+  QCheck.Test.make ~count:500
+    ~name:"random ops on an aliasing memory: audit [], peeks coherent"
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map print_mop ops))
+        Gen.(list_size (int_range 1 60) gen_mop))
+    (fun ops ->
+      let m = Machine.Memory.create alias_mem_bytes in
+      let fetched = ref [] in
+      let word a = Machine.Memory.read32 m a land 0xFFFFFFFF in
+      let peek_ok a =
+        match Machine.Memory.decode_peek m a with
+        | None -> true
+        | Some i -> Isa.Encode.decode (word a) = Some i
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Fetch a -> (
+            fetched := a :: !fetched;
+            match Machine.Memory.fetch_decoded m a with
+            | i ->
+              if Isa.Encode.decode (word a) <> Some i then
+                QCheck.Test.fail_reportf "fetch 0x%x served a stale line" a
+            | exception Machine.Memory.Undecodable _ -> ())
+          | Write32 (a, w) -> Machine.Memory.write32 m a w
+          | Write8 (a, v) -> Machine.Memory.write8 m a v
+          | Flush -> Machine.Memory.decode_flush m
+          | Load (a, ws) -> Machine.Memory.load_data m (data_image a ws));
+          let emptied () =
+            List.for_all (fun a -> Machine.Memory.decode_peek m a = None) !fetched
+          in
+          Machine.Memory.decode_audit m = []
+          && List.for_all peek_ok !fetched
+          && match op with Flush | Load _ -> emptied () | _ -> true)
+        ops)
+
 (* [run] allocates nothing of its own per call: a multi-hart run calls
    it once per 64-instruction quantum. *)
 let test_run_allocates_nothing () =
@@ -664,6 +787,9 @@ let () =
           Alcotest.test_case "aliasing" `Quick test_decode_aliasing;
           Alcotest.test_case "self-modifying code, both engines" `Quick
             test_selfmod_both_engines;
+          Alcotest.test_case "audit allocates nothing" `Quick
+            test_decode_audit_allocates_nothing;
+          qt test_decode_audit_random_ops;
         ] );
       ( "control",
         [

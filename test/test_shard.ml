@@ -88,6 +88,41 @@ let test_preload_before_attach () =
     Alcotest.failf "shard audit violation: %a" Check.Audit.pp_violation v
 
 (* ------------------------------------------------------------------ *)
+(* every hart's copy of the tcache region is hart 0's word for word: a
+   code word that lands in one hart's memory only (a missed mirror
+   write) is a shard-mirror violation naming that hart and the word *)
+
+let test_mirror_divergence_reported () =
+  let img = Lazy.force compress_img in
+  let cfg =
+    Softcache.Config.make ~tcache_bytes:8192
+      ~chunking:Softcache.Config.Basic_block ~harts:2 ()
+  in
+  let ctrl = Softcache.Controller.create cfg img in
+  let sh = Softcache.Shard.attach ctrl in
+  ignore (Softcache.Shard.run ~fuel:200_000 sh);
+  (match Check.Audit.shards sh with
+  | [] -> ()
+  | v :: _ ->
+    Alcotest.failf "clean before the mutation: %a" Check.Audit.pp_violation v);
+  let h1 = Softcache.Shard.hart sh 1 in
+  let addr = Softcache.Config.tcache_base + 16 in
+  let w = Machine.Memory.read32 h1.h_cpu.mem addr land 0xFFFFFFFF in
+  Machine.Memory.write32 h1.h_cpu.mem addr (w lxor 0x1F);
+  Alcotest.(check (list string))
+    "one shard-mirror violation, naming hart 1 and the word"
+    [
+      Printf.sprintf
+        "hart 1's tcache region differs from hart 0's in 1 word(s), first at \
+         0x%x (0x%08x, hart 0 holds 0x%08x)"
+        addr (w lxor 0x1F) w;
+    ]
+    (List.filter_map
+       (fun (v : Check.Audit.violation) ->
+         if v.invariant = "shard-mirror" then Some v.detail else None)
+       (Check.Audit.shards sh))
+
+(* ------------------------------------------------------------------ *)
 (* coalescing: N harts over one shared tcache put fewer messages on the
    wire than N independent solo caches running the same workload *)
 
@@ -202,6 +237,8 @@ let () =
             test_coalescing_cuts_wire;
           Alcotest.test_case "preload before attach audits clean" `Quick
             test_preload_before_attach;
+          Alcotest.test_case "a missed mirror write is reported" `Quick
+            test_mirror_divergence_reported;
         ] );
       ( "schedules",
         [
