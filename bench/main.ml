@@ -1240,7 +1240,8 @@ let micro () =
    only because it is rendered in stamp order. That row has no
    conservation check (the ledger follows one cycle counter) and no
    lockstep. Exports BENCH_trace.jsonl and BENCH_trace_chrome.json (the
-   first single-hart workload's) and re-validates them from disk. *)
+   first single-hart workload's), re-validates them from disk, and
+   writes their digests to the committed BENCH_trace.digest. *)
 
 let tracesmoke () =
   Report.section
@@ -1324,7 +1325,16 @@ let tracesmoke () =
     ignore
       (validated "BENCH_trace_chrome.json" "events"
          (Trace.Schema.validate_chrome (slurp "BENCH_trace_chrome.json")));
-    Report.kv "written" "BENCH_trace.jsonl, BENCH_trace_chrome.json"
+    (* both exports are deterministic: pin them by digest (md5sum
+       format) in a committed file that CI diffs, so a reordered or
+       lost event shows up as a changed line *)
+    Out_channel.with_open_text "BENCH_trace.digest" (fun oc ->
+        List.iter
+          (fun f ->
+            Printf.fprintf oc "%s  %s\n" (Digest.to_hex (Digest.file f)) f)
+          [ "BENCH_trace.jsonl"; "BENCH_trace_chrome.json" ]);
+    Report.kv "written"
+      "BENCH_trace.jsonl, BENCH_trace_chrome.json, BENCH_trace.digest"
 
 (* ------------------------------------------------------------------ *)
 (* Replacement-policy sweep: policy x tcache size over the paging

@@ -32,26 +32,98 @@ let has_incoming (b : Tcache.block) ~site_paddr =
     (fun (i : Tcache.incoming) -> i.site_paddr = site_paddr)
     b.incoming
 
+let report viols invariant fmt =
+  Format.kasprintf (fun detail -> viols := { invariant; detail } :: !viols) fmt
+
+(* [w] as a [Jmp]'s absolute target, or [Isa.Encode.none]. A [Jmp]
+   keeps its opcode in the bits above its 26-bit word index. *)
+let jmp_opcode = Isa.Encode.encode (Isa.Instr.Jmp 0)
+
+let jmp_target w =
+  if w land lnot 0x3FFFFFF = jmp_opcode then Isa.Encode.static_target ~site:0 w
+  else Isa.Encode.none
+
+(* The in-block island a branch exit traps through: the target of its
+   revert word [rw], or [Isa.Encode.none] if [rw] is not a branch. *)
+let island_of ~site_paddr rw =
+  match Isa.Encode.decode rw with
+  | Some (Isa.Instr.Br (_, _, _, d)) -> site_paddr + (4 * d)
+  | _ -> Isa.Encode.none
+
+(* The one rule for a slot word: a branch island ([inv] "stub"), a
+   return stub ("ret-stub") or a PLT slot ("plt") traps to its own stub
+   [k], or is a [Jmp] to [target]'s resident block and recorded on that
+   block. A trap over a resident target is legal (install and
+   specialisation are distinct steps); a jump over a dead target is the
+   wild branch this rule exists to catch. *)
+let check_slot viols (t : Controller.t) inv ~what slot k target =
+  let w = word t slot in
+  let j = Isa.Encode.trap_index w in
+  if j <> Isa.Encode.none then begin
+    if j <> k then
+      report viols inv "%s 0x%x traps to %d, expected stub %d" what slot j k
+  end
+  else
+    let p = jmp_target w in
+    if p = Isa.Encode.none then
+      report viols inv "%s 0x%x holds 0x%08x, neither trap nor jump" what slot
+        w
+    else
+      match Tcache.lookup t.tc target with
+      | Some tb when tb.paddr = p ->
+        if not (has_incoming tb ~site_paddr:slot) then
+          report viols "incoming"
+            "%s 0x%x jumps to v=0x%x but is not recorded as an incoming \
+             pointer"
+            what slot target
+      | Some tb ->
+        report viols inv "%s 0x%x jumps to 0x%x but v=0x%x resides at 0x%x"
+          what slot p target tb.paddr
+      | None ->
+        report viols inv "%s 0x%x jumps to 0x%x for dead target v=0x%x" what
+          slot p target
+
+(* is [p] inside some shard's persistent stub area?  (the whole region
+   when unsharded — shard 0's [persist_base, top)) *)
+let in_stub_area tc p =
+  p >= Tcache.base tc
+  && p < Tcache.top tc
+  &&
+  let sh = Tcache.shard_of_paddr tc p in
+  let _, sh_top = Tcache.shard_bounds tc sh in
+  p >= Tcache.persist_base ~shard:sh tc && p < sh_top
+
+(* One entry of a persistent-slot table, [ret_stubs] or ([plt]) [plt]:
+   the slot sits in a stub area, its stub entry mirrors the table, and
+   its word obeys [check_slot]. *)
+let check_slot_entry viols (t : Controller.t) ~plt v (paddr, k) =
+  let inv, what =
+    if plt then ("plt", "PLT slot") else ("ret-stub", "return stub")
+  in
+  if not (in_stub_area t.tc paddr) then
+    report viols inv "%s for v=0x%x at 0x%x outside stub area" what v paddr;
+  (if k < 0 || k >= t.nstubs then
+     report viols inv "%s for v=0x%x has bad stub index %d" what v k
+   else
+     let mirrors =
+       match t.stubs.(k) with
+       | Stub.Ret_stub { site_paddr = p; target } ->
+         (not plt) && p = paddr && target = v
+       | Stub.Plt { slot_paddr = p; target } -> plt && p = paddr && target = v
+       | Stub.Exit _ | Stub.Computed _ | Stub.Icall _ -> false
+     in
+     if not mirrors then
+       report viols inv "stub %d is not the %s its table names for v=0x%x" k
+         what v);
+  check_slot viols t inv ~what paddr k v
+
 let run (t : Controller.t) : violation list =
   let viols = ref [] in
-  let add invariant fmt =
-    Format.kasprintf
-      (fun detail -> viols := { invariant; detail } :: !viols)
-      fmt
-  in
+  let add invariant fmt = report viols invariant fmt in
   let tc = t.tc in
   let blocks = Tcache.blocks tc in
   let base = Tcache.base tc in
   let top = Tcache.top tc in
-  (* is [p] inside some shard's persistent stub area?  (the whole
-     region when unsharded — shard 0's [persist_base, top)) *)
-  let in_stub_area p =
-    p >= base && p < top
-    &&
-    let sh = Tcache.shard_of_paddr tc p in
-    let _, sh_top = Tcache.shard_bounds tc sh in
-    p >= Tcache.persist_base ~shard:sh tc && p < sh_top
-  in
   let by_paddr = Hashtbl.create 64 in
   List.iter (fun (b : Tcache.block) -> Hashtbl.replace by_paddr b.paddr b) blocks;
 
@@ -201,42 +273,16 @@ let run (t : Controller.t) : violation list =
       let w = word t site_paddr in
       if w = revert_word then begin
         (* branch exits trap through an in-block island; when the site
-           is in its miss state the island must either still trap or be
-           specialised into a recorded direct jump *)
+           is in its miss state the island obeys the slot rule *)
         match kind with
-        | Stub.Patch_br -> (
-          match Isa.Encode.decode revert_word with
-          | Some (Isa.Instr.Br (_, _, _, d)) -> (
-            let island = site_paddr + (4 * d) in
-            if not (in_block b island) then
-              add "stub" "stub %d br island 0x%x outside block v=0x%x" k
-                island b.vaddr
-            else
-              match Isa.Encode.decode (word t island) with
-              | Some (Isa.Instr.Trap j) ->
-                if j <> k then
-                  add "stub" "island 0x%x traps to %d, expected stub %d"
-                    island j k
-              | Some (Isa.Instr.Jmp p) -> (
-                match Tcache.lookup tc target with
-                | Some tb when tb.paddr = p ->
-                  if not (has_incoming tb ~site_paddr:island) then
-                    add "incoming"
-                      "island 0x%x jumps to v=0x%x but is not recorded as \
-                       an incoming pointer"
-                      island target
-                | Some tb ->
-                  add "stub"
-                    "island 0x%x jumps to 0x%x but v=0x%x resides at 0x%x"
-                    island p target tb.paddr
-                | None ->
-                  add "stub"
-                    "island 0x%x specialised for dead target v=0x%x" island
-                    target)
-              | _ ->
-                add "stub" "island 0x%x holds neither trap nor jump" island)
-          | _ ->
-            add "stub" "br stub %d revert word is not a branch" k)
+        | Stub.Patch_br ->
+          let island = island_of ~site_paddr revert_word in
+          if island = Isa.Encode.none then
+            add "stub" "br stub %d revert word is not a branch" k
+          else if not (in_block b island) then
+            add "stub" "stub %d br island 0x%x outside block v=0x%x" k island
+              b.vaddr
+          else check_slot viols t "stub" ~what:"island" island k target
         | Stub.Patch_jmp | Stub.Patch_jal -> ()
       end
       else begin
@@ -325,84 +371,9 @@ let run (t : Controller.t) : violation list =
       done)
     blocks;
 
-  (* -- persistent return stubs -------------------------------------- *)
-  Hashtbl.iter
-    (fun rv (paddr, k) ->
-      if not (in_stub_area paddr) then
-        add "ret-stub" "return stub for v=0x%x at 0x%x outside stub area"
-          rv paddr;
-      (if k < 0 || k >= t.nstubs then
-         add "ret-stub" "return stub for v=0x%x has bad index %d" rv k
-       else
-         match t.stubs.(k) with
-         | Stub.Ret_stub { site_paddr; target } ->
-           if site_paddr <> paddr || target <> rv then
-             add "ret-stub" "stub %d disagrees with the return-stub table" k
-         | _ ->
-           add "ret-stub" "stub %d for return v=0x%x is not a return stub"
-             k rv);
-      match Isa.Encode.decode (word t paddr) with
-      | Some (Isa.Instr.Trap j) ->
-        if j <> k then
-          add "ret-stub" "return stub 0x%x traps to %d, expected %d" paddr
-            j k
-      | Some (Isa.Instr.Jmp p) -> (
-        match Tcache.lookup tc rv with
-        | Some tb when tb.paddr = p ->
-          if not (has_incoming tb ~site_paddr:paddr) then
-            add "incoming"
-              "specialised return stub 0x%x not recorded on v=0x%x" paddr
-              rv
-        | Some tb ->
-          add "ret-stub"
-            "return stub 0x%x jumps to 0x%x but v=0x%x resides at 0x%x"
-            paddr p rv tb.paddr
-        | None ->
-          add "ret-stub" "return stub 0x%x specialised for dead v=0x%x"
-            paddr rv)
-      | _ ->
-        add "ret-stub" "return stub 0x%x holds neither trap nor jump" paddr)
-    t.ret_stubs;
-
-  (* -- PLT slot table ------------------------------------------------ *)
-  (* One persistent slot per function the cached code calls through:
-     the slot sits in the stub area, its stub entry mirrors the table,
-     and the slot word encodes residency exactly — a trap to its own
-     stub while the function is absent, a recorded direct jump to the
-     resident unit while it is present. The safe directions only: an
-     unpatched slot over a resident target is legal (install and slot
-     patch are distinct steps), a patched slot over a dead target is
-     the wild-branch bug this section exists to catch. *)
-  Hashtbl.iter
-    (fun fv (paddr, k) ->
-      if not (in_stub_area paddr) then
-        add "plt" "slot for v=0x%x at 0x%x outside stub area" fv paddr;
-      (if k < 0 || k >= t.nstubs then
-         add "plt" "slot for v=0x%x has bad stub index %d" fv k
-       else
-         match t.stubs.(k) with
-         | Stub.Plt { slot_paddr; target } ->
-           if slot_paddr <> paddr || target <> fv then
-             add "plt" "stub %d disagrees with the PLT table" k
-         | _ ->
-           add "plt" "stub %d for function v=0x%x is not a PLT slot" k fv);
-      match Isa.Encode.decode (word t paddr) with
-      | Some (Isa.Instr.Trap j) ->
-        if j <> k then
-          add "plt" "slot 0x%x traps to %d, expected %d" paddr j k
-      | Some (Isa.Instr.Jmp p) -> (
-        match Tcache.lookup tc fv with
-        | Some tb when tb.paddr = p ->
-          if not (has_incoming tb ~site_paddr:paddr) then
-            add "incoming" "patched PLT slot 0x%x not recorded on v=0x%x"
-              paddr fv
-        | Some tb ->
-          add "plt" "slot 0x%x jumps to 0x%x but v=0x%x resides at 0x%x"
-            paddr p fv tb.paddr
-        | None ->
-          add "plt" "slot 0x%x patched for dead function v=0x%x" paddr fv)
-      | _ -> add "plt" "slot 0x%x holds neither trap nor jump" paddr)
-    t.plt;
+  (* -- persistent slots: return stubs and PLT slots ------------------ *)
+  Hashtbl.iter (check_slot_entry viols t ~plt:false) t.ret_stubs;
+  Hashtbl.iter (check_slot_entry viols t ~plt:true) t.plt;
 
   (* -- stub-table accounting ---------------------------------------- *)
   let owned =
@@ -467,24 +438,17 @@ let run (t : Controller.t) : violation list =
      and the one the source's own eviction walks to find the record.
      The pending index is the complement: exactly the still-trapping
      exit stubs, keyed by the target they are waiting for. *)
-  let patched_site = function
-    | Stub.Exit { site_paddr; kind; revert_word; _ } -> (
-      let w = word t site_paddr in
-      if w <> revert_word then Some site_paddr
-      else
-        (* a branch exit keeps its site word and specialises the
-           in-block island the branch aims at instead *)
-        match kind with
-        | Stub.Patch_jmp | Stub.Patch_jal -> None
-        | Stub.Patch_br -> (
-          match Isa.Encode.decode revert_word with
-          | Some (Isa.Instr.Br (_, _, _, d)) -> (
-            let island = site_paddr + (4 * d) in
-            match Isa.Encode.decode (word t island) with
-            | Some (Isa.Instr.Jmp _) -> Some island
-            | _ -> None)
-          | _ -> None))
-    | _ -> None
+  let is_patched site_paddr kind revert_word =
+    word t site_paddr <> revert_word
+    ||
+    (* a branch exit keeps its site word and specialises the in-block
+       island the branch aims at instead *)
+    match kind with
+    | Stub.Patch_br ->
+      let island = island_of ~site_paddr revert_word in
+      island <> Isa.Encode.none
+      && jmp_target (word t island) <> Isa.Encode.none
+    | Stub.Patch_jmp | Stub.Patch_jal -> false
   in
   List.iter
     (fun (tb : Tcache.block) ->
@@ -523,8 +487,8 @@ let run (t : Controller.t) : violation list =
         (fun k ->
           if k >= 0 && k < t.nstubs then
             match t.stubs.(k) with
-            | Stub.Exit { target; _ } as st ->
-              let is_patched = patched_site st <> None in
+            | Stub.Exit { target; site_paddr; kind; revert_word; _ } ->
+              let is_patched = is_patched site_paddr kind revert_word in
               let listed = pending_mem ~target k in
               if is_patched && listed then
                 add "links" "patched exit stub %d still in the pending index"

@@ -14,15 +14,19 @@
     - every recorded incoming pointer either still holds its revert
       word or decodes to a branch aiming at its target block;
     - every exit stub of a live block is in its miss state (trapping,
-      with a consistent branch island) or patched at a resident target
-      that has the site recorded;
+      its branch island inside the block) or patched at a resident
+      target that has the site recorded;
     - conversely, every encoded branch leaving a block lands on a block
       start and is recorded there as an incoming pointer (completeness
       — this is the direction that catches records that were never
       made);
     - every trap word names a stub its block owns;
-    - persistent return stubs agree with the return-stub table and are
-      either trapping or specialised at a recorded resident target;
+    - every slot word (the branch island of an exit in its miss state,
+      a return stub, a PLT slot) traps to its own stub or is a [Jmp] to
+      its target's resident block, recorded there: one rule, reported
+      as ["stub"], ["ret-stub"] or ["plt"] (["incoming"] for a missing
+      record); return stubs and PLT slots also sit in a stub area and
+      their stub entries mirror their tables;
     - stub-table accounting balances: live + free = allocated, no stub
       is both live and free, and [Controller.metadata_bytes] matches a
       recomputation;

@@ -33,56 +33,42 @@ let patch_exit t k ~eager ~block ~site_paddr ~kind ~target ~revert_word
      translating the target (and a dead owner means entry [k] was
      recycled — the captured fields are stale) *)
   if pending_mem t ~target k && Tcache.is_alive t.tc block then begin
-    let patched =
+    let p = target_block.paddr in
+    (* where the patch lands, the word it writes there and the word
+       eviction restores; [at] is [Isa.Encode.none] when the site no
+       longer holds the branch it was translated with *)
+    let at, word, revert_word =
       match kind with
-      | Stub.Patch_jmp ->
-        write_word t site_paddr (enc (Isa.Instr.Jmp target_block.paddr));
-        record_incoming target_block ~from_block:block ~site_paddr
-          ~revert_word ~stub:k;
-        true
-      | Stub.Patch_jal ->
-        write_word t site_paddr (enc (Isa.Instr.Jal target_block.paddr));
-        record_incoming target_block ~from_block:block ~site_paddr
-          ~revert_word ~stub:k;
-        true
+      | Stub.Patch_jmp -> (site_paddr, enc (Isa.Instr.Jmp p), revert_word)
+      | Stub.Patch_jal -> (site_paddr, enc (Isa.Instr.Jal p), revert_word)
       | Stub.Patch_br -> (
         match
           Isa.Encode.decode (Machine.Memory.read32 t.cpu.mem site_paddr)
         with
-        | Some (Isa.Instr.Br (c, r1, r2, _)) ->
-          let d = (target_block.paddr - site_paddr) asr 2 in
-          if Isa.Encode.branch_offset_fits d then begin
-            write_word t site_paddr (enc (Isa.Instr.Br (c, r1, r2, d)));
-            record_incoming target_block ~from_block:block ~site_paddr
-              ~revert_word ~stub:k;
-            true
-          end
-          else begin
+        | Some (Isa.Instr.Br (c, r1, r2, _)) -> (
+          let d = (p - site_paddr) asr 2 in
+          if Isa.Encode.branch_offset_fits d then
+            (site_paddr, enc (Isa.Instr.Br (c, r1, r2, d)), revert_word)
+          else
             (* out of reach: specialise the island the branch aims at
                into a direct jump instead. The island's offset is
                encoded in the revert word (site + 4*d), so the eager
                path finds it without having trapped there. *)
             match Isa.Encode.decode revert_word with
             | Some (Isa.Instr.Br (_, _, _, di)) ->
-              let island = site_paddr + (4 * di) in
-              write_word t island (enc (Isa.Instr.Jmp target_block.paddr));
-              record_incoming target_block ~from_block:block
-                ~site_paddr:island
-                ~revert_word:(enc (Isa.Instr.Trap k))
-                ~stub:k;
-              true
-            | Some _ | None -> false
-          end
-        | Some _ | None -> false)
+              ( site_paddr + (4 * di),
+                enc (Isa.Instr.Jmp p),
+                enc (Isa.Instr.Trap k) )
+            | Some _ | None -> (Isa.Encode.none, 0, 0))
+        | Some _ | None -> (Isa.Encode.none, 0, 0))
     in
-    if patched then begin
+    if at <> Isa.Encode.none then begin
+      (* the index forgets [k] before [specialise] announces the patch,
+         so an auditor on [Patched] sees it already updated *)
       pending_remove t ~target k;
-      t.stats.patches <- t.stats.patches + 1;
       if eager then t.stats.chained <- t.stats.chained + 1;
-      charge t Trace.Patch Config.patch_cycles;
-      trace t
-        (Trace.Cc_backpatch { site = site_paddr; target = target_block.paddr });
-      emit_event t Patched
+      specialise t ~at ~site:site_paddr ~word target_block ~from_block:block
+        ~revert_word ~stub:k
     end
   end
 

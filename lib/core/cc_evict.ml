@@ -59,38 +59,44 @@ let rec parked cpus victims acc =
   | [] -> List.rev acc
   | b :: rest -> parked cpus rest (parked_in cpus b acc)
 
-(* Allocate (or reuse) the persistent return stub for a return target.
-   Routed to the return vaddr's home shard so persistent growth stays
-   within one arena. May evict blocks to grow the stub area;
-   [on_evicted] handles them. *)
-let rec persistent_ret_stub t ~on_evicted ret_vaddr =
-  match Hashtbl.find_opt t.ret_stubs ret_vaddr with
+(* The one allocator of persistent slots: return stubs ([plt] false,
+   in [ret_stubs]) and the PLT slots function-granularity calls jump
+   through ([plt] true, in [plt]). A slot holds [Trap k] while its
+   target is absent and a [Jmp] to it while resident. An existing slot
+   is reused without allocating; a new one takes a word in [vaddr]'s
+   home shard (persistent growth stays in one arena), which may evict
+   blocks. *)
+let rec persistent_slot t ~plt vaddr =
+  let table = if plt then t.plt else t.ret_stubs in
+  match Hashtbl.find_opt table vaddr with
   | Some (paddr, _) -> paddr
   | None -> (
     match
-      Tcache.alloc_persistent ~shard:(Tcache.home_shard t.tc ret_vaddr) t.tc
+      Tcache.alloc_persistent ~shard:(Tcache.home_shard t.tc vaddr) t.tc
         ~words:1
     with
     | Error `Too_large -> raise Tcache_too_small
     | Ok (paddr, victims) ->
-      on_evicted victims;
+      process_evicted t ~reason_of:(fun _ -> Policy.Stub_growth) victims;
       let k =
         add_stub t (fun _k ->
-            Stub.Ret_stub { site_paddr = paddr; target = ret_vaddr })
+            if plt then Stub.Plt { slot_paddr = paddr; target = vaddr }
+            else Stub.Ret_stub { site_paddr = paddr; target = vaddr })
       in
       write_word t paddr (enc (Isa.Instr.Trap k));
-      Hashtbl.replace t.ret_stubs ret_vaddr (paddr, k);
-      t.stats.ret_stubs <- t.stats.ret_stubs + 1;
+      Hashtbl.replace table vaddr (paddr, k);
+      if plt then t.stats.plt_slots <- t.stats.plt_slots + 1
+      else t.stats.ret_stubs <- t.stats.ret_stubs + 1;
       paddr)
 
 (* Redirect any live landing-pad address held in [ra] or on the stack
    into a persistent return stub. [pads] lists (pad paddr, return
    vaddr) for the pads that just died; pad addresses are unique among
    live blocks, so the first match is the only one. *)
-and scrub_stack t ~on_evicted cpus pads =
+and scrub_stack t cpus pads =
   let fixup v =
     match List.assoc_opt v pads with
-    | Some ret_vaddr -> Some (persistent_ret_stub t ~on_evicted ret_vaddr)
+    | Some ret_vaddr -> Some (persistent_slot t ~plt:false ret_vaddr)
     | None -> None
   in
   let scanned = ref 0 in
@@ -177,46 +183,16 @@ and process_evicted t ~reason_of victims =
     free_block_stubs t victims;
     (* landing pads that may be live in return addresses *)
     let pads = List.concat_map (fun (b : Tcache.block) -> b.pads) victims in
-    if pads <> [] || parked <> [] then begin
-      let on_evicted =
-        process_evicted t ~reason_of:(fun _ -> Policy.Stub_growth)
-      in
-      if pads <> [] then scrub_stack t ~on_evicted cpus pads;
-      (* park each captured CPU on a persistent stub for its resume
-         address *)
+    if pads <> [] then scrub_stack t cpus pads;
+    (* park each captured CPU on a persistent stub for its resume
+       address; most evictions park none, so skip building the loop *)
+    if parked <> [] then
       List.iter
         (fun ((cpu : Machine.Cpu.t), rv) ->
-          cpu.pc <- persistent_ret_stub t ~on_evicted rv)
-        parked
-    end;
+          cpu.pc <- persistent_slot t ~plt:false rv)
+        parked;
     emit_event t (Evicted n)
   end
-
-(* Allocate (or reuse) the persistent PLT slot for a function entry.
-   Call sites in function-granularity mode jump here instead of at the
-   callee directly; the slot holds [Trap k] while the function is
-   absent and a direct [Jmp] while it is resident. Same growth
-   discipline as return stubs: may evict blocks, [on_evicted] handles
-   them. *)
-let plt_slot t ~on_evicted fn_vaddr =
-  match Hashtbl.find_opt t.plt fn_vaddr with
-  | Some (paddr, _) -> paddr
-  | None -> (
-    match
-      Tcache.alloc_persistent ~shard:(Tcache.home_shard t.tc fn_vaddr) t.tc
-        ~words:1
-    with
-    | Error `Too_large -> raise Tcache_too_small
-    | Ok (paddr, victims) ->
-      on_evicted victims;
-      let k =
-        add_stub t (fun _k ->
-            Stub.Plt { slot_paddr = paddr; target = fn_vaddr })
-      in
-      write_word t paddr (enc (Isa.Instr.Trap k));
-      Hashtbl.replace t.plt fn_vaddr (paddr, k);
-      t.stats.plt_slots <- t.stats.plt_slots + 1;
-      paddr)
 
 let do_flush t =
   let former = Tcache.reset t.tc in

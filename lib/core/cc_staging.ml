@@ -86,11 +86,14 @@ let fetch_chunk t ~vaddr ~(words : int array) ~prefetch =
       charge t Trace.Wire (wasted + Config.timeout_cycles);
       t.stats.net_timeouts <- t.stats.net_timeouts + 1;
       attempt (tries + 1)
-    | Ok (cycles, received) ->
+    | Ok (_, []) ->
+      (* the direct link always carries the demand segment back; only an
+         [mc_transport] hook can reply without one *)
+      raise
+        (Internal_invariant_broken
+           { chunk = vaddr; detail = "transport reply has no demand segment" })
+    | Ok (cycles, demand :: rest) ->
       charge t Trace.Wire cycles;
-      let demand, rest =
-        match received with d :: r -> (d, r) | [] -> assert false
-      in
       if Crc32.bytes demand <> crc then begin
         t.stats.crc_failures <- t.stats.crc_failures + 1;
         attempt (tries + 1)

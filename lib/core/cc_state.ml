@@ -234,6 +234,34 @@ let record_incoming (b : Tcache.block) ~from_block ~site_paddr ~revert_word
   b.incoming <-
     { Tcache.from_block; site_paddr; revert_word; stub } :: b.incoming
 
+(* The one write of a direct transfer into cached code after
+   translation: exit sites, branch islands, return stubs and PLT slots
+   all come through here, as every unpatch goes through
+   [Cc_evict.revert_incoming]. [word] lands at [at], aimed at [b], and
+   is recorded on [b] so its eviction can put [revert_word] back; the
+   trace names [site], the exit whose branch the patch serves. *)
+let specialise t ~at ~site ~word (b : Tcache.block) ~from_block ~revert_word
+    ~stub =
+  write_word t at word;
+  record_incoming b ~from_block ~site_paddr:at ~revert_word ~stub;
+  t.stats.patches <- t.stats.patches + 1;
+  charge t Trace.Patch Config.patch_cycles;
+  trace t (Trace.Cc_backpatch { site; target = b.paddr });
+  emit_event t Patched
+
+(* Specialise persistent slot [k] at [slot] (a return stub or a PLT
+   slot, which [plt_patches] also counts) into a jump at [b]; [b]'s
+   eviction re-arms its trap. *)
+let specialise_slot t ~slot k (b : Tcache.block) =
+  (match t.stubs.(k) with
+  | Stub.Plt _ -> t.stats.plt_patches <- t.stats.plt_patches + 1
+  | _ -> ());
+  specialise t ~at:slot ~site:slot
+    ~word:(enc (Isa.Instr.Jmp b.paddr))
+    b ~from_block:(-1)
+    ~revert_word:(enc (Isa.Instr.Trap k))
+    ~stub:k
+
 (* ---- granularity ----
    The single effective-granularity chunk acquisition point. Block mode
    defers to the configured chunking untouched. Function mode chunks

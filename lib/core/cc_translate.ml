@@ -123,14 +123,10 @@ let translate_unit ?placed t v =
      (they determine which external [Jal]s need islands) and before
      placement (growing the slot area during translation could evict a
      block the rewriter already bound against). *)
-  (if t.cfg.granularity = Config.Function then
-     let on_stub_growth =
-       Cc_evict.process_evicted t ~reason_of:(fun _ -> Policy.Stub_growth)
-     in
-     List.iter
-       (fun fv ->
-         ignore (Cc_evict.plt_slot t ~on_evicted:on_stub_growth fv))
-       (Chunker.call_targets t.image chunk));
+  if t.cfg.granularity = Config.Function then
+    List.iter
+      (fun fv -> ignore (Cc_evict.persistent_slot t ~plt:true fv))
+      (Chunker.call_targets t.image chunk);
   let plt_of tv = Option.map fst (Hashtbl.find_opt t.plt tv) in
   let words_needed = Rewriter.layout_words ~plt_of chunk in
   let base =
@@ -247,15 +243,7 @@ let translate_unit ?placed t v =
      its slot (if any) is trapping — and byte-reversible: the incoming
      record restores the trap when the unit is evicted. *)
   (match Hashtbl.find_opt t.plt v with
-  | Some (slot_paddr, k) ->
-    write_word t slot_paddr (enc (Isa.Instr.Jmp base));
-    record_incoming block ~from_block:(-1) ~site_paddr:slot_paddr
-      ~revert_word:(enc (Isa.Instr.Trap k)) ~stub:k;
-    t.stats.patches <- t.stats.patches + 1;
-    t.stats.plt_patches <- t.stats.plt_patches + 1;
-    charge t Trace.Patch Config.patch_cycles;
-    trace t (Trace.Cc_backpatch { site = slot_paddr; target = base });
-    emit_event t Patched
+  | Some (slot, k) -> specialise_slot t ~slot k block
   | None -> ());
   (* eager chaining: patch every exit already waiting for this chunk *)
   Cc_chain.chain_install t block;

@@ -1,6 +1,7 @@
 (* Trap dispatch: every [Trap] the rewriter planted lands here —
    unresolved direct exits (translate + backpatch), computed jumps and
-   indirect calls (tcache-map lookup), and persistent return stubs. *)
+   indirect calls (tcache-map lookup), and the persistent slots (return
+   stubs and PLT slots), which share one arm. *)
 
 open Cc_state
 
@@ -32,45 +33,20 @@ let handle_trap t k =
     Machine.Cpu.set_reg t.cpu rd pad_paddr;
     let b = Cc_translate.ensure_resident t target in
     t.cpu.pc <- b.paddr
-  | Stub.Ret_stub { site_paddr; target } ->
+  | Stub.Ret_stub { site_paddr = slot; target }
+  | Stub.Plt { slot_paddr = slot; target } ->
     t.stats.lookups <- t.stats.lookups + 1;
     charge t Trace.Lookup Config.lookup_cycles;
     let b = Cc_translate.ensure_resident t target in
-    (* specialise this stub into a direct jump while the target lives;
+    (* specialise the slot into a direct jump while the target lives;
        the target's incoming record restores the trap word when it
-       dies, whether evicted, invalidated or flushed. A return stub is
-       never freed or moved, so the stub that trapped is the one
-       [ret_stubs] names for [target]. *)
-    write_word t site_paddr (enc (Isa.Instr.Jmp b.paddr));
-    record_incoming b ~from_block:(-1) ~site_paddr
-      ~revert_word:(enc (Isa.Instr.Trap k)) ~stub:k;
-    t.stats.patches <- t.stats.patches + 1;
-    charge t Trace.Patch Config.patch_cycles;
-    trace t (Trace.Cc_backpatch { site = site_paddr; target = b.paddr });
-    emit_event t Patched;
-    t.cpu.pc <- b.paddr
-  | Stub.Plt { slot_paddr; target } ->
-    t.stats.lookups <- t.stats.lookups + 1;
-    charge t Trace.Lookup Config.lookup_cycles;
-    let b = Cc_translate.ensure_resident t target in
-    (* translating a missing callee patches its slot on install, so
-       this trap usually resumes through an already-patched slot. A
-       slot is allocated when its caller is translated, though, so its
-       callee can already be resident (a function first reached through
-       a pointer): that slot starts as a trap word and is specialised
-       here *)
-    (if Machine.Memory.read32 t.cpu.mem slot_paddr = enc (Isa.Instr.Trap k)
-     then
-       match Tcache.find_by_id t.tc b.id with
-       | Some tb ->
-         write_word t slot_paddr (enc (Isa.Instr.Jmp tb.paddr));
-         record_incoming tb ~from_block:(-1) ~site_paddr:slot_paddr
-           ~revert_word:(enc (Isa.Instr.Trap k)) ~stub:k;
-         t.stats.patches <- t.stats.patches + 1;
-         t.stats.plt_patches <- t.stats.plt_patches + 1;
-         charge t Trace.Patch Config.patch_cycles;
-         trace t
-           (Trace.Cc_backpatch { site = slot_paddr; target = tb.paddr });
-         emit_event t Patched
-       | None -> ());
+       dies. A slot is never freed or moved, so the one that trapped is
+       the one its table names for [target]. A return stub is
+       specialised only here, so it still traps. A PLT slot is
+       specialised when its callee installs, so this trap usually
+       resumes through an already-specialised slot — unless the callee
+       was resident before the slot was allocated (a function first
+       reached through a pointer). *)
+    if Isa.Encode.trap_index (Machine.Memory.read32 t.cpu.mem slot) = k then
+      specialise_slot t ~slot k b;
     t.cpu.pc <- b.paddr

@@ -2,26 +2,26 @@ type chunking = Basic_block | Procedure
 type eviction = Flush_all | Fifo | Lru | Trrip
 
 (* The one place the CLI flag, the pretty-printer and the policy sweep
-   all draw the valid-policy set from; adding a policy here is what
-   makes it exist everywhere. *)
-let eviction_table =
-  [ ("fifo", Fifo); ("flush", Flush_all); ("lru", Lru); ("trrip", Trrip) ]
+   all draw the valid-policy set from. The name is a total match over
+   the constructors; the table lists them in the order everything
+   enumerates. *)
+let eviction_name = function
+  | Fifo -> "fifo"
+  | Flush_all -> "flush"
+  | Lru -> "lru"
+  | Trrip -> "trrip"
 
-let eviction_name ev =
-  match List.find_opt (fun (_, e) -> e = ev) eviction_table with
-  | Some (n, _) -> n
-  | None -> assert false (* the table is total by construction *)
+let eviction_table =
+  List.map (fun e -> (eviction_name e, e)) [ Fifo; Flush_all; Lru; Trrip ]
 
 type granularity = Block | Function
 
 (* Same single-table discipline as [eviction_table]: the CLI flag, the
    pretty-printer and the gransweep grid all read this. *)
-let granularity_table = [ ("block", Block); ("function", Function) ]
+let granularity_name = function Block -> "block" | Function -> "function"
 
-let granularity_name g =
-  match List.find_opt (fun (_, x) -> x = g) granularity_table with
-  | Some (n, _) -> n
-  | None -> assert false (* the table is total by construction *)
+let granularity_table =
+  List.map (fun g -> (granularity_name g, g)) [ Block; Function ]
 
 type t = {
   tcache_bytes : int;

@@ -40,7 +40,8 @@ val eviction_table : (string * eviction) list
     so the valid-value set can never drift between them. *)
 
 val eviction_name : eviction -> string
-(** Flag-style name of a policy, per [eviction_table]. *)
+(** Flag-style name of a policy: a total match, from which
+    [eviction_table] is built. *)
 
 type granularity =
   | Block  (** cache units are chunker output (basic blocks / procedures) *)

@@ -3,71 +3,12 @@
    (eviction, scrubbing, flush), [Cc_staging] (prefetch staging +
    transport), [Cc_translate] (the miss path, asking [Policy.victim]
    which block dies) and [Cc_trap] (trap dispatch) — and this module
-   re-exports the state types and stitches the public API together.
-   The record equations ([type t = Cc_state.t = {...}]) keep every
-   existing [t.field] access in tests, benches and tools valid. *)
+   includes the state types and exceptions and stitches the public API
+   together. [controller.mli] restates the documented record with its
+   equation ([type t = Cc_state.t = {...}]), so every [t.field] access
+   in tests, benches and tools stays valid. *)
 
-type event = Cc_state.event =
-  | Translated of int
-  | Evicted of int
-  | Flushed
-  | Invalidated
-  | Patched
-  | Promoted of int
-
-type staged = Cc_state.staged = { st_bytes : Bytes.t; st_crc : int }
-
-type superblock = Cc_state.superblock = {
-  sb_head : int;
-  sb_members : int list;
-}
-
-type t = Cc_state.t = {
-  cfg : Config.t;
-  image : Isa.Image.t;
-  mutable cpu : Machine.Cpu.t;
-  mutable harts : Machine.Cpu.t array;
-  tc : Tcache.t;
-  stats : Stats.t;
-  staging : (int, staged) Hashtbl.t;
-  staging_order : int Queue.t;
-  mutable prefetch_ranker : (lo:int -> hi:int -> int) option;
-  mutable temperature : (lo:int -> hi:int -> Policy.temperature) option;
-  mutable chain_oracle : (int -> (int * int) option) option;
-  mutable dynamic_text_hint : int option;
-  pending_exits : (int, (int, unit) Hashtbl.t) Hashtbl.t;
-  superblocks : (int, superblock) Hashtbl.t;
-  sb_of_block : (int, int) Hashtbl.t;
-  mutable next_sb_id : int;
-  mutable stubs : Stub.t array;
-  mutable nstubs : int;
-  ret_stubs : (int, int * int) Hashtbl.t;
-  plt : (int, int * int) Hashtbl.t;
-  gran_degraded : (int, int) Hashtbl.t;
-  stack_top : int;
-  mutable next_block_id : int;
-  mutable started : bool;
-  mutable ra_regions : (int * int) list;
-  mutable free_stubs : int list;
-  mutable live_stubs : int;
-  mutable on_event : (event -> unit) option;
-  mutable tracer : Trace.t option;
-  mutable alloc_guard : int;
-  mutable chaos_evict_bound : bool;
-  mutable mc_transport :
-    (vaddr:int ->
-    prefetch_vaddrs:int list ->
-    payloads:Bytes.t list ->
-    (int * Bytes.t list, Netmodel.error) result)
-    option;
-  mutable mc_crc : (Bytes.t -> int) option;
-}
-
-exception Chunk_too_large = Cc_state.Chunk_too_large
-exception Tcache_too_small = Cc_state.Tcache_too_small
-exception Chunk_unavailable = Cc_state.Chunk_unavailable
-exception Alloc_guard_exhausted = Cc_state.Alloc_guard_exhausted
-exception Internal_invariant_broken = Cc_state.Internal_invariant_broken
+include Cc_state
 
 let ensure_resident = Cc_translate.ensure_resident
 
@@ -154,7 +95,7 @@ let run ?fuel t =
   Machine.Cpu.run ?fuel t.cpu
 
 let invalidate t ~lo ~hi =
-  Cc_state.Log.info (fun m -> m "invalidate [0x%x, 0x%x)" lo hi);
+  Log.info (fun m -> m "invalidate [0x%x, 0x%x)" lo hi);
   (* staged copies of invalidated source ranges are stale code *)
   Cc_staging.drop_staged_in t ~lo ~hi;
   let victims =
@@ -165,8 +106,8 @@ let invalidate t ~lo ~hi =
   in
   List.iter (Tcache.remove t.tc) victims;
   Cc_evict.process_evicted t ~reason_of:(fun _ -> Policy.Invalidated) victims;
-  Cc_state.trace t (Trace.Cc_invalidate { chunks = List.length victims });
-  Cc_state.emit_event t Invalidated
+  trace t (Trace.Cc_invalidate { chunks = List.length victims });
+  emit_event t Invalidated
 
 let flush t = Cc_evict.do_flush t
 

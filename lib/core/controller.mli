@@ -38,7 +38,9 @@ type event = Cc_state.event =
   | Evicted of int  (** this many blocks were just unlinked *)
   | Flushed
   | Invalidated
-  | Patched  (** an exit or return stub was specialised in place *)
+  | Patched
+      (** an exit site, branch island, return stub or PLT slot was
+          specialised in place ([Cc_state.specialise]) *)
   | Promoted of int
       (** a hot chain was fused into a superblock of this many members *)
 

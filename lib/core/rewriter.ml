@@ -118,7 +118,7 @@ let translate ?(plt_of = fun _ -> None) (c : Chunker.t) ~block_id ~base
       resume.(oi) <- vi;
       let site = paddr_of oi in
       match (i : Isa.Instr.t) with
-      | Trap _ -> assert false (* rejected by the chunker *)
+      | Trap _ -> err "trap word at 0x%x in a chunk (the chunker rejects these)" vi
       | Br (cond, r1, r2, boff) ->
         let tv = vi + (4 * boff) in
         if is_internal c tv then
@@ -208,5 +208,8 @@ let translate ?(plt_of = fun _ -> None) (c : Chunker.t) ~block_id ~base
         words.(oi) <- enc i)
     c.instrs;
   if fall_off >= 0 then emit_word_slot fall_off (c.vaddr + (4 * len));
-  assert (!next_island = total);
+  if !next_island <> total then
+    err "chunk at 0x%x: emitted %d islands, layout reserved %d" c.vaddr
+      (!next_island - islands_start)
+      (total - islands_start);
   { words; bound = !bound; pads = !pads; resume; overhead_words = total - len }

@@ -30,7 +30,10 @@
 
 exception Rewrite_error of string
 (** An intra-chunk branch offset does not fit its field (chunk too
-    large) — translate at finer granularity instead. *)
+    large) — translate at finer granularity instead. Also raised, with
+    the address, for a chunk holding a [Trap] word (the chunker rejects
+    those) and for an emission whose island count disagrees with its
+    layout. *)
 
 type emission = {
   words : int array;  (** encoded tcache words, in placement order *)

@@ -242,7 +242,10 @@ let evict_range t lo hi =
    the candidate range would overlap one, skip past it. [budget] bounds
    the number of skips so a region crowded with obstacles terminates in
    [`Full] — the chunk would fit an empty region, the obstacles are
-   what is in the way. *)
+   what is in the way. An evicting sweep wraps to the start of the code
+   area and takes the first obstacle-free range; an appending one never
+   wraps and takes only a vacant range. Either way it returns the
+   placement alone: [alloc] reclaims the range itself. *)
 let rec place_skipping_pinned t (r : region) ~bytes ~budget ~can_evict =
   if budget = 0 then Error `Full
   else if r.r_alloc_ptr + bytes > r.r_persist_base then
@@ -260,15 +263,9 @@ let rec place_skipping_pinned t (r : region) ~bytes ~budget ~can_evict =
       r.r_alloc_ptr <- skip_to;
       place_skipping_pinned t r ~bytes ~budget:(budget - 1) ~can_evict
     end
-    else if can_evict then begin
-      let victims = overlapping t lo hi in
-      List.iter (remove t) victims;
+    else if can_evict || vacant t lo hi then begin
       r.r_alloc_ptr <- hi;
-      Ok (lo, victims)
-    end
-    else if vacant t lo hi then begin
-      r.r_alloc_ptr <- hi;
-      Ok (lo, [])
+      Ok lo
     end
     else Error `Full
 
@@ -291,9 +288,13 @@ let alloc ?(shard = 0) ?seed t ~words =
     (match seed with
     | Some p when p >= r.r_lo && p < r.r_persist_base -> r.r_alloc_ptr <- p
     | Some _ | None -> ());
-    place_skipping_pinned t r ~bytes
-      ~budget:(2 * (obstacles t + 2))
-      ~can_evict:true
+    match
+      place_skipping_pinned t r ~bytes
+        ~budget:(2 * (obstacles t + 2))
+        ~can_evict:true
+    with
+    | Ok lo -> Ok (lo, evict_range t lo (lo + bytes))
+    | Error `Full -> Error `Full
   end
 
 let alloc_ptr ?(shard = 0) t = (region t shard).r_alloc_ptr
@@ -303,15 +304,8 @@ let alloc_append ?(shard = 0) t ~words =
   let bytes = words * 4 in
   if bytes > r.r_persist_base - r.r_lo then Error `Too_large
   else
-    match
-      place_skipping_pinned t r ~bytes
-        ~budget:(obstacles t + 2)
-        ~can_evict:false
-    with
-    | Ok (lo, victims) ->
-      assert (victims = []);
-      Ok lo
-    | Error _ as e -> e
+    place_skipping_pinned t r ~bytes ~budget:(obstacles t + 2)
+      ~can_evict:false
 
 let persist_base ?(shard = 0) t = (region t shard).r_persist_base
 

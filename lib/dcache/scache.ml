@@ -6,8 +6,6 @@ type t = {
   mutable refills : int;
 }
 
-type event = Entered | Entered_spilling of int | Left | Left_refilling
-
 let create ~frames =
   if frames < 2 then invalid_arg "Dcache.Scache.create: need >= 2 frames";
   { frames; depth = 0; resident = 0; spills = 0; refills = 0 }
@@ -16,12 +14,12 @@ let enter t =
   t.depth <- t.depth + 1;
   if t.resident < t.frames then begin
     t.resident <- t.resident + 1;
-    Entered
+    false
   end
   else begin
     (* buffer full: the deepest resident frame spills to the server *)
     t.spills <- t.spills + 1;
-    Entered_spilling 1
+    true
   end
 
 let leave t =
@@ -31,9 +29,9 @@ let leave t =
     (* the frame being returned into had been spilled: refill it *)
     t.refills <- t.refills + 1;
     t.resident <- 1;
-    Left_refilling
+    true
   end
-  else Left
+  else false
 
 let depth t = t.depth
 let resident t = t.resident

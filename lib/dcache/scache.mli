@@ -11,19 +11,19 @@
 
 type t
 
-type event =
-  | Entered  (** frame fits, no traffic *)
-  | Entered_spilling of int  (** had to spill this many frames *)
-  | Left  (** frame resident, no traffic *)
-  | Left_refilling  (** frame had been spilled; refilled *)
-
 val create : frames:int -> t
 (** @raise Invalid_argument if [frames < 2]. *)
 
-val enter : t -> event
-val leave : t -> event
-(** Leaving below an empty logical stack is tolerated (the initial
-    frame is implicit) and counts as [Left]. *)
+val enter : t -> bool
+(** Push a frame; [true] when the buffer was full and its deepest frame
+    spilled to the server (always exactly one), [false] when the frame
+    fit with no traffic. *)
+
+val leave : t -> bool
+(** Pop a frame; [true] when the frame returned into had been spilled
+    and was refilled (one frame), [false] when it was resident. Leaving
+    below an empty logical stack is tolerated (the initial frame is
+    implicit) and refills nothing. *)
 
 val depth : t -> int
 (** Current logical call depth. *)

@@ -168,15 +168,14 @@ let attach ?tracer (cfg : Config.t) (cpu : Machine.Cpu.t) =
       (* procedure entry *)
       stats.scache_checks <- stats.scache_checks + 1;
       charge Config.scache_check_cycles;
-      (match Scache.enter scache with
-      | Scache.Entered -> ()
-      | Scache.Entered_spilling n ->
-        stats.scache_spills <- stats.scache_spills + n;
-        trace (Trace.Dc_spill { words = n });
+      if Scache.enter scache then begin
+        (* one frame spilled *)
+        stats.scache_spills <- stats.scache_spills + 1;
+        trace (Trace.Dc_spill { words = 1 });
         charge
-          ((Config.spill_refill_cycles * n)
+          (Config.spill_refill_cycles
           + Netmodel.request cfg.net ~payload_bytes:64)
-      | Scache.Left | Scache.Left_refilling -> assert false);
+      end;
       let d = Scache.depth scache in
       flag_set d false;
       if d > 0 then flag_set (d - 1) true
@@ -188,15 +187,13 @@ let attach ?tracer (cfg : Config.t) (cpu : Machine.Cpu.t) =
         stats.scache_checks <- stats.scache_checks + 1;
         charge Config.scache_check_cycles
       end;
-      match Scache.leave scache with
-      | Scache.Left -> ()
-      | Scache.Left_refilling ->
+      if Scache.leave scache then begin
         stats.scache_refills <- stats.scache_refills + 1;
         trace (Trace.Dc_refill { words = 1 });
         charge
           (Config.spill_refill_cycles
           + Netmodel.request cfg.net ~payload_bytes:64)
-      | Scache.Entered | Scache.Entered_spilling _ -> assert false
+      end
     end;
     prev_sp := now;
     if now < !min_sp then min_sp := now

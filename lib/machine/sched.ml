@@ -33,21 +33,19 @@ let next t =
 
 let pick t runnable =
   match runnable with
-  | [] -> invalid_arg "Sched.pick: no runnable harts"
   | [ (id, _) ] ->
     (* single runnable hart: no draw, so a 1-hart run consumes no
        PRNG state and is seed-independent *)
     id
-  | _ ->
-    let sorted =
-      List.sort
-        (fun (i1, c1) (i2, c2) -> compare (c1, i1) (c2, i2))
-        runnable
-    in
-    let cmin = match sorted with (_, c) :: _ -> c | [] -> assert false in
-    let window =
-      List.filter (fun (_, c) -> c <= cmin + t.window) sorted
-    in
-    let n = List.length window in
-    let k = if n = 1 then 0 else next t mod n in
-    fst (List.nth window k)
+  | _ -> (
+    match
+      List.sort (fun (i1, c1) (i2, c2) -> compare (c1, i1) (c2, i2)) runnable
+    with
+    | [] -> invalid_arg "Sched.pick: no runnable harts"
+    | (_, cmin) :: _ as sorted ->
+      let window =
+        List.filter (fun (_, c) -> c <= cmin + t.window) sorted
+      in
+      let n = List.length window in
+      let k = if n = 1 then 0 else next t mod n in
+      fst (List.nth window k))

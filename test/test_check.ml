@@ -4,52 +4,7 @@
    differential runner must track native execution access-for-access —
    including across mid-run invalidations and flushes. *)
 
-let reg = Isa.Reg.r
-
-let prog_sum n =
-  let b = Isa.Builder.create "sum" in
-  Isa.Builder.li b (reg 1) n;
-  Isa.Builder.li b (reg 2) 0;
-  let top = Isa.Builder.label b in
-  Isa.Builder.ins b (Isa.Instr.Alu (Add, reg 2, reg 2, reg 1));
-  Isa.Builder.ins b (Isa.Instr.Alui (Add, reg 1, reg 1, -1));
-  Isa.Builder.br b Ne (reg 1) Isa.Reg.zero top;
-  Isa.Builder.ins b (Isa.Instr.Out (reg 2));
-  Isa.Builder.ins b Isa.Instr.Halt;
-  Isa.Builder.build b
-
-let prog_fib n =
-  let b = Isa.Builder.create "fib" in
-  let fib = Isa.Builder.new_label b in
-  let base = Isa.Builder.new_label b in
-  let main = Isa.Builder.new_label b in
-  Isa.Builder.entry b main;
-  Isa.Builder.func b "fib" fib (fun () ->
-      Isa.Builder.li b (reg 3) 2;
-      Isa.Builder.br b Lt (reg 1) (reg 3) base;
-      Isa.Builder.ins b (Isa.Instr.Alui (Add, Isa.Reg.sp, Isa.Reg.sp, -12));
-      Isa.Builder.ins b (Isa.Instr.St (Isa.Reg.ra, Isa.Reg.sp, 0));
-      Isa.Builder.ins b (Isa.Instr.St (reg 1, Isa.Reg.sp, 4));
-      Isa.Builder.ins b (Isa.Instr.Alui (Add, reg 1, reg 1, -1));
-      Isa.Builder.jal b fib;
-      Isa.Builder.ins b (Isa.Instr.St (reg 2, Isa.Reg.sp, 8));
-      Isa.Builder.ins b (Isa.Instr.Ld (reg 1, Isa.Reg.sp, 4));
-      Isa.Builder.ins b (Isa.Instr.Alui (Add, reg 1, reg 1, -2));
-      Isa.Builder.jal b fib;
-      Isa.Builder.ins b (Isa.Instr.Ld (reg 3, Isa.Reg.sp, 8));
-      Isa.Builder.ins b (Isa.Instr.Alu (Add, reg 2, reg 2, reg 3));
-      Isa.Builder.ins b (Isa.Instr.Ld (Isa.Reg.ra, Isa.Reg.sp, 0));
-      Isa.Builder.ins b (Isa.Instr.Alui (Add, Isa.Reg.sp, Isa.Reg.sp, 12));
-      Isa.Builder.ins b (Isa.Instr.Jr Isa.Reg.ra);
-      Isa.Builder.here b base;
-      Isa.Builder.ins b (Isa.Instr.Alu (Add, reg 2, reg 1, Isa.Reg.zero));
-      Isa.Builder.ins b (Isa.Instr.Jr Isa.Reg.ra));
-  Isa.Builder.func b "main" main (fun () ->
-      Isa.Builder.li b (reg 1) n;
-      Isa.Builder.jal b fib;
-      Isa.Builder.ins b (Isa.Instr.Out (reg 2));
-      Isa.Builder.ins b Isa.Instr.Halt);
-  Isa.Builder.build b
+open Fixtures
 
 let small_cfg ?(tcache_bytes = 1024) ?(eviction = Softcache.Config.Fifo) ()
     =
@@ -153,6 +108,153 @@ let test_audit_catches_negative_target () =
     (List.exists
        (fun (v : Check.Audit.violation) -> v.invariant = "wild")
        (Check.Audit.run ctrl))
+
+(* ------------------------------------------------------------------ *)
+(* Mutation tests for slot words. A branch island, a return stub and a
+   PLT slot obey one rule: the word traps to its own stub, or it is a
+   [Jmp] to its target's resident block, recorded on that block. Each
+   mutation below is one [Memory.write32] over a slot whose target is
+   resident, undone before the next:
+   a) a trap to another stub, b) a jump beside the target's block,
+   c) a jump to the target's block that no incoming record names (only
+   over a trapping slot: a specialised one is already recorded), d) a
+   call in place of the jump. a), b) and d) must be reported under the
+   slot's section, c) as [incoming]. *)
+
+let registry_img name = (Option.get (Workloads.Registry.find name)).build ()
+
+let check_slot_mutations section (ctrl : Softcache.Controller.t) ~slot ~k
+    ~target =
+  let mem = ctrl.cpu.mem in
+  let enc = Isa.Encode.encode in
+  let tb = Option.get (Softcache.Tcache.lookup ctrl.tc target) in
+  let original = Machine.Memory.read32 mem slot in
+  let trapping = original = enc (Isa.Instr.Trap k) in
+  let clean what =
+    Alcotest.(check (list string))
+      (Printf.sprintf "%s 0x%x clean %s" section slot what)
+      []
+      (List.map
+         (Format.asprintf "%a" Check.Audit.pp_violation)
+         (Check.Audit.run ctrl))
+  in
+  let expect what word invariant =
+    Machine.Memory.write32 mem slot word;
+    let vs = Check.Audit.run ctrl in
+    Machine.Memory.write32 mem slot original;
+    if
+      not
+        (List.exists
+           (fun (v : Check.Audit.violation) -> v.invariant = invariant)
+           vs)
+    then
+      Alcotest.failf "%s 0x%x, %s: no [%s] among %d violation(s)" section slot
+        what invariant (List.length vs)
+  in
+  clean "before";
+  expect "a) trap to another stub" (enc (Isa.Instr.Trap (k + 1))) section;
+  expect "b) jump beside the target" (enc (Isa.Instr.Jmp (tb.paddr + 4)))
+    section;
+  if trapping then
+    expect "c) unrecorded jump" (enc (Isa.Instr.Jmp tb.paddr)) "incoming";
+  expect "d) call in place of the jump" (enc (Isa.Instr.Jal tb.paddr)) section;
+  clean "after";
+  trapping
+
+(* Mutate every slot of [table] whose target is resident; returns how
+   many of them trapped and how many were specialised. *)
+let check_slot_table section ctrl table =
+  let slots =
+    List.sort compare
+      (Hashtbl.fold
+         (fun v (slot, k) acc ->
+           if Softcache.Controller.resident ctrl v then (v, slot, k) :: acc
+           else acc)
+         table [])
+  in
+  let trapping =
+    List.length
+      (List.filter
+         (fun (target, slot, k) ->
+           check_slot_mutations section ctrl ~slot ~k ~target)
+         slots)
+  in
+  (trapping, List.length slots - trapping)
+
+let test_audit_catches_bad_return_stubs () =
+  (* compress95 thrashing a 2 KB cache under flush leaves 300 return
+     stubs: some trap over a resident target, one is specialised *)
+  let ctrl =
+    Softcache.Controller.create
+      (small_cfg ~tcache_bytes:2048 ~eviction:Softcache.Config.Flush_all ())
+      (registry_img "compress95")
+  in
+  ignore (Softcache.Controller.run ctrl);
+  let trapping, specialised = check_slot_table "ret-stub" ctrl ctrl.ret_stubs in
+  Alcotest.(check bool) "a trapping return stub" true (trapping > 0);
+  Alcotest.(check bool) "a specialised return stub" true (specialised > 0)
+
+let test_audit_catches_bad_plt_slots () =
+  let cfg tcache_bytes =
+    Softcache.Config.make ~tcache_bytes ~granularity:Softcache.Config.Function
+      ()
+  in
+  let img = registry_img "sensor_modes" in
+  (* a finished run has specialised every slot whose callee is resident *)
+  let ctrl = Softcache.Controller.create (cfg 2048) img in
+  ignore (Softcache.Controller.run ctrl);
+  let _, specialised = check_slot_table "plt" ctrl ctrl.plt in
+  Alcotest.(check bool) "a specialised PLT slot" true (specialised > 0);
+  (* a callee resident before its caller is translated gets a slot that
+     traps over a resident target, as a function first reached through
+     a pointer does *)
+  let callees v =
+    Softcache.Chunker.call_targets img (Softcache.Chunker.chunk_function img v)
+  in
+  let main = img.entry in
+  let leaf =
+    List.find (fun g -> g <> main && not (List.mem g (callees g))) (callees main)
+  in
+  let ctrl = Softcache.Controller.create (cfg 8192) img in
+  ignore (Softcache.Controller.ensure_resident ctrl leaf);
+  ignore (Softcache.Controller.ensure_resident ctrl main);
+  let trapping, _ = check_slot_table "plt" ctrl ctrl.plt in
+  Alcotest.(check bool) "a trapping PLT slot" true (trapping > 0)
+
+let test_audit_catches_bad_branch_islands () =
+  (* sensor_modes in a 2 KB cache leaves branch exits still in their
+     miss state (the site holds its revert word, so the branch reaches
+     the island) whose target is resident *)
+  let ctrl =
+    Softcache.Controller.create (small_cfg ~tcache_bytes:2048 ())
+      (registry_img "sensor_modes")
+  in
+  ignore (Softcache.Controller.run ctrl);
+  let islands =
+    List.concat_map
+      (fun (b : Softcache.Tcache.block) ->
+        List.filter_map
+          (fun k ->
+            match ctrl.stubs.(k) with
+            | Softcache.Stub.Exit
+                { kind = Patch_br; site_paddr; revert_word; target; _ }
+              when Softcache.Controller.resident ctrl target
+                   && Machine.Memory.read32 ctrl.cpu.mem site_paddr
+                      = revert_word -> (
+              match Isa.Encode.decode revert_word with
+              | Some (Isa.Instr.Br (_, _, _, d)) ->
+                Some (target, site_paddr + (4 * d), k)
+              | _ -> None)
+            | _ -> None)
+          b.stubs)
+      (Softcache.Tcache.blocks ctrl.tc)
+  in
+  Alcotest.(check bool) "a branch island over a resident target" true
+    (islands <> []);
+  List.iter
+    (fun (target, slot, k) ->
+      ignore (check_slot_mutations "stub" ctrl ~slot ~k ~target))
+    islands
 
 (* ------------------------------------------------------------------ *)
 (* Lockstep differential runner *)
@@ -342,6 +444,12 @@ let () =
             test_audit_catches_negative_target;
           Alcotest.test_case "run returns violations as data" `Quick
             test_audit_run_reports_without_raising;
+          Alcotest.test_case "catches bad return-stub words" `Quick
+            test_audit_catches_bad_return_stubs;
+          Alcotest.test_case "catches bad PLT-slot words" `Quick
+            test_audit_catches_bad_plt_slots;
+          Alcotest.test_case "catches bad branch-island words" `Quick
+            test_audit_catches_bad_branch_islands;
         ] );
       ( "lockstep",
         [

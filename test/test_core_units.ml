@@ -1,7 +1,7 @@
 (* Unit tests of the SoftCache internals: the chunker, the rewriter's
    layout and emission rules, and the translation-cache bookkeeping. *)
 
-let reg = Isa.Reg.r
+open Fixtures
 
 let image_of instrs ?(symbols = []) () =
   Isa.Image.make ~name:"unit" ~code_base:0x1000
@@ -127,6 +127,16 @@ let translate ?(resident = fun _ -> None) instrs =
       ~alloc_stub:alloc
   in
   (e, List.rev !stubs)
+
+(* A [Trap] word in a chunk is the chunker's to reject; one that reaches
+   the rewriter anyway raises [Rewrite_error] naming its address. *)
+let test_emit_rejects_trap () =
+  match translate [ Isa.Instr.Nop; Isa.Instr.Trap 3; Isa.Instr.Halt ] with
+  | _ -> Alcotest.fail "translated a chunk holding a trap"
+  | exception Softcache.Rewriter.Rewrite_error msg ->
+    let at = "0x1004" in
+    Alcotest.(check bool) ("names " ^ at ^ ": " ^ msg) true
+      (List.mem at (String.split_on_char ' ' msg))
 
 let test_emit_verbatim_body () =
   let e, stubs =
@@ -512,6 +522,21 @@ let test_evict_redirects_parked_cpu_once () =
     (fst (Hashtbl.find ctrl.ret_stubs 0x1004))
     ctrl.cpu.pc
 
+(* A transport hook (a fleet MC's) that replies without the demand
+   segment is a broken server: the miss raises a typed invariant naming
+   the chunk, not an anonymous assertion. *)
+let test_transport_reply_without_demand () =
+  let img = prog_sum 10 in
+  let ctrl =
+    Softcache.Controller.create (Softcache.Config.make ~tcache_bytes:1024 ()) img
+  in
+  ctrl.mc_transport <-
+    Some (fun ~vaddr:_ ~prefetch_vaddrs:_ ~payloads:_ -> Ok (100, []));
+  match Softcache.Controller.run ctrl with
+  | _ -> Alcotest.fail "a reply without the demand segment went unnoticed"
+  | exception Softcache.Controller.Internal_invariant_broken { chunk; _ } ->
+    Alcotest.(check int) "names the demanded chunk" img.entry chunk
+
 (* The placement index against a brute-force scan: after every step of
    a random sequence of allocations (each placement registered as a
    block), pins, leases, removals and flushes, [overlapping] over a
@@ -661,6 +686,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest test_rewriter_invariants;
           Alcotest.test_case "verbatim body" `Quick test_emit_verbatim_body;
+          Alcotest.test_case "trap in a chunk is a Rewrite_error" `Quick
+            test_emit_rejects_trap;
           Alcotest.test_case "unbound jmp traps" `Quick
             test_emit_unbound_jmp_is_trap;
           Alcotest.test_case "bound jmp direct" `Quick
@@ -696,6 +723,8 @@ let () =
             test_tcache_occupancy;
           Alcotest.test_case "parked CPU redirected once" `Quick
             test_evict_redirects_parked_cpu_once;
+          Alcotest.test_case "transport reply without demand is typed" `Quick
+            test_transport_reply_without_demand;
           QCheck_alcotest.to_alcotest test_placement_index;
         ] );
     ]

@@ -1,7 +1,7 @@
 (* Tests of the Section 3 software data cache: the sorted fully
    associative store, the stack cache, and the end-to-end driver. *)
 
-let reg = Isa.Reg.r
+open Fixtures
 
 (* ------------------------------------------------------------------ *)
 (* Assoc: the sorted, predicted, fully associative block store *)
@@ -73,22 +73,18 @@ let test_assoc_duplicate_insert_is_benign () =
 
 let test_scache_basic () =
   let s = Dcache.Scache.create ~frames:2 in
-  Alcotest.(check bool) "enter 1" true (Dcache.Scache.enter s = Dcache.Scache.Entered);
-  Alcotest.(check bool) "enter 2" true (Dcache.Scache.enter s = Dcache.Scache.Entered);
+  Alcotest.(check bool) "enter 1 fits" false (Dcache.Scache.enter s);
+  Alcotest.(check bool) "enter 2 fits" false (Dcache.Scache.enter s);
   Alcotest.(check int) "depth" 2 (Dcache.Scache.depth s);
   (* third frame spills the deepest *)
-  (match Dcache.Scache.enter s with
-  | Dcache.Scache.Entered_spilling 1 -> ()
-  | _ -> Alcotest.fail "expected spill");
+  Alcotest.(check bool) "enter 3 spills" true (Dcache.Scache.enter s);
   Alcotest.(check int) "spills" 1 (Dcache.Scache.spills s);
   (* leaving twice: resident frames cover them *)
-  Alcotest.(check bool) "leave 1" true (Dcache.Scache.leave s = Dcache.Scache.Left);
+  Alcotest.(check bool) "leave 1 resident" false (Dcache.Scache.leave s);
   (* next leave returns into the spilled frame: refill *)
-  (match Dcache.Scache.leave s with
-  | Dcache.Scache.Left_refilling -> ()
-  | _ -> Alcotest.fail "expected refill");
+  Alcotest.(check bool) "leave 2 refills" true (Dcache.Scache.leave s);
   Alcotest.(check int) "refills" 1 (Dcache.Scache.refills s);
-  Alcotest.(check bool) "final leave" true (Dcache.Scache.leave s = Dcache.Scache.Left);
+  Alcotest.(check bool) "final leave resident" false (Dcache.Scache.leave s);
   Alcotest.(check int) "depth 0" 0 (Dcache.Scache.depth s)
 
 let test_scache_no_spill_within_capacity =

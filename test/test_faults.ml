@@ -3,43 +3,10 @@
    schedule the SoftCache either produces exactly the native output or
    stops cleanly with Chunk_unavailable, never silently corrupts. *)
 
-let reg = Isa.Reg.r
+open Fixtures
 
 (* Recursive Fibonacci (deep stack, cross-chunk calls) — the program
    that exercises the most cache machinery per instruction. *)
-let prog_fib n =
-  let b = Isa.Builder.create "fib" in
-  let fib = Isa.Builder.new_label b in
-  let base = Isa.Builder.new_label b in
-  let main = Isa.Builder.new_label b in
-  Isa.Builder.entry b main;
-  Isa.Builder.func b "fib" fib (fun () ->
-      Isa.Builder.li b (reg 3) 2;
-      Isa.Builder.br b Lt (reg 1) (reg 3) base;
-      Isa.Builder.ins b (Isa.Instr.Alui (Add, Isa.Reg.sp, Isa.Reg.sp, -12));
-      Isa.Builder.ins b (Isa.Instr.St (Isa.Reg.ra, Isa.Reg.sp, 0));
-      Isa.Builder.ins b (Isa.Instr.St (reg 1, Isa.Reg.sp, 4));
-      Isa.Builder.ins b (Isa.Instr.Alui (Add, reg 1, reg 1, -1));
-      Isa.Builder.jal b fib;
-      Isa.Builder.ins b (Isa.Instr.St (reg 2, Isa.Reg.sp, 8));
-      Isa.Builder.ins b (Isa.Instr.Ld (reg 1, Isa.Reg.sp, 4));
-      Isa.Builder.ins b (Isa.Instr.Alui (Add, reg 1, reg 1, -2));
-      Isa.Builder.jal b fib;
-      Isa.Builder.ins b (Isa.Instr.Ld (reg 3, Isa.Reg.sp, 8));
-      Isa.Builder.ins b (Isa.Instr.Alu (Add, reg 2, reg 2, reg 3));
-      Isa.Builder.ins b (Isa.Instr.Ld (Isa.Reg.ra, Isa.Reg.sp, 0));
-      Isa.Builder.ins b (Isa.Instr.Alui (Add, Isa.Reg.sp, Isa.Reg.sp, 12));
-      Isa.Builder.ins b (Isa.Instr.Jr Isa.Reg.ra);
-      Isa.Builder.here b base;
-      Isa.Builder.ins b (Isa.Instr.Alu (Add, reg 2, reg 1, Isa.Reg.zero));
-      Isa.Builder.ins b (Isa.Instr.Jr Isa.Reg.ra));
-  Isa.Builder.func b "main" main (fun () ->
-      Isa.Builder.li b (reg 1) n;
-      Isa.Builder.jal b fib;
-      Isa.Builder.ins b (Isa.Instr.Out (reg 2));
-      Isa.Builder.ins b Isa.Instr.Halt);
-  Isa.Builder.build b
-
 (* ------------------------------------------------------------------ *)
 (* CRC32 *)
 

@@ -1,7 +1,7 @@
 (* Unit and property tests for the ERISC ISA: registers, encoding,
    images, the builder DSL and the textual assembler. *)
 
-let reg n = Isa.Reg.r n
+open Fixtures
 
 (* ------------------------------------------------------------------ *)
 (* Generators *)

@@ -1,7 +1,7 @@
 (* Tests for the ERISC interpreter: memory, ALU semantics, control
    flow, faults, costs and hooks. *)
 
-let reg = Isa.Reg.r
+open Fixtures
 
 (* Build and run a straight-line program; return the CPU. *)
 let run_prog ?cost ?(fuel = 100_000) instrs =

@@ -37,7 +37,7 @@ let test_net_ethernet_preset () =
 (* ------------------------------------------------------------------ *)
 (* Profiler *)
 
-let reg = Isa.Reg.r
+open Fixtures
 
 (* Two functions: [hot] runs a long loop, [cold] runs once. *)
 let profiled_image n =

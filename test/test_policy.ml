@@ -12,7 +12,7 @@
    - the miss path's re-allocation guard surfaces pathological
      persistent-stub growth as a diagnosable exception. *)
 
-let reg = Isa.Reg.r
+open Fixtures
 
 (* ------------------------------------------------------------------ *)
 (* Golden cycle-identity: fifo and flush-all, re-expressed as victim
@@ -599,39 +599,6 @@ let test_pinned_only_tcache () =
 (* Eviction of the block containing the current pc's fall-through
    target: the patched (or pending) fall-through exit must revert to a
    trap and re-translate, never branch into reclaimed memory. *)
-
-let prog_fib n =
-  let b = Isa.Builder.create "fib" in
-  let fib = Isa.Builder.new_label b in
-  let base = Isa.Builder.new_label b in
-  let main = Isa.Builder.new_label b in
-  Isa.Builder.entry b main;
-  Isa.Builder.func b "fib" fib (fun () ->
-      Isa.Builder.li b (reg 3) 2;
-      Isa.Builder.br b Lt (reg 1) (reg 3) base;
-      Isa.Builder.ins b (Isa.Instr.Alui (Add, Isa.Reg.sp, Isa.Reg.sp, -12));
-      Isa.Builder.ins b (Isa.Instr.St (Isa.Reg.ra, Isa.Reg.sp, 0));
-      Isa.Builder.ins b (Isa.Instr.St (reg 1, Isa.Reg.sp, 4));
-      Isa.Builder.ins b (Isa.Instr.Alui (Add, reg 1, reg 1, -1));
-      Isa.Builder.jal b fib;
-      Isa.Builder.ins b (Isa.Instr.St (reg 2, Isa.Reg.sp, 8));
-      Isa.Builder.ins b (Isa.Instr.Ld (reg 1, Isa.Reg.sp, 4));
-      Isa.Builder.ins b (Isa.Instr.Alui (Add, reg 1, reg 1, -2));
-      Isa.Builder.jal b fib;
-      Isa.Builder.ins b (Isa.Instr.Ld (reg 3, Isa.Reg.sp, 8));
-      Isa.Builder.ins b (Isa.Instr.Alu (Add, reg 2, reg 2, reg 3));
-      Isa.Builder.ins b (Isa.Instr.Ld (Isa.Reg.ra, Isa.Reg.sp, 0));
-      Isa.Builder.ins b (Isa.Instr.Alui (Add, Isa.Reg.sp, Isa.Reg.sp, 12));
-      Isa.Builder.ins b (Isa.Instr.Jr Isa.Reg.ra);
-      Isa.Builder.here b base;
-      Isa.Builder.ins b (Isa.Instr.Alu (Add, reg 2, reg 1, Isa.Reg.zero));
-      Isa.Builder.ins b (Isa.Instr.Jr Isa.Reg.ra));
-  Isa.Builder.func b "main" main (fun () ->
-      Isa.Builder.li b (reg 1) n;
-      Isa.Builder.jal b fib;
-      Isa.Builder.ins b (Isa.Instr.Out (reg 2));
-      Isa.Builder.ins b Isa.Instr.Halt);
-  Isa.Builder.build b
 
 let test_fallthrough_target_eviction () =
   let img = prog_fib 12 in

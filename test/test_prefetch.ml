@@ -2,43 +2,10 @@
    staging buffer (bound, lazy install, install-time CRC, invalidation),
    the audit's staging invariants, and the prefetch-on/off lockstep. *)
 
-let reg = Isa.Reg.r
+open Fixtures
 
 (* Recursive Fibonacci — deep stack, cross-chunk calls, enough distinct
    chunks for successors to predict. *)
-let prog_fib n =
-  let b = Isa.Builder.create "fib" in
-  let fib = Isa.Builder.new_label b in
-  let base = Isa.Builder.new_label b in
-  let main = Isa.Builder.new_label b in
-  Isa.Builder.entry b main;
-  Isa.Builder.func b "fib" fib (fun () ->
-      Isa.Builder.li b (reg 3) 2;
-      Isa.Builder.br b Lt (reg 1) (reg 3) base;
-      Isa.Builder.ins b (Isa.Instr.Alui (Add, Isa.Reg.sp, Isa.Reg.sp, -12));
-      Isa.Builder.ins b (Isa.Instr.St (Isa.Reg.ra, Isa.Reg.sp, 0));
-      Isa.Builder.ins b (Isa.Instr.St (reg 1, Isa.Reg.sp, 4));
-      Isa.Builder.ins b (Isa.Instr.Alui (Add, reg 1, reg 1, -1));
-      Isa.Builder.jal b fib;
-      Isa.Builder.ins b (Isa.Instr.St (reg 2, Isa.Reg.sp, 8));
-      Isa.Builder.ins b (Isa.Instr.Ld (reg 1, Isa.Reg.sp, 4));
-      Isa.Builder.ins b (Isa.Instr.Alui (Add, reg 1, reg 1, -2));
-      Isa.Builder.jal b fib;
-      Isa.Builder.ins b (Isa.Instr.Ld (reg 3, Isa.Reg.sp, 8));
-      Isa.Builder.ins b (Isa.Instr.Alu (Add, reg 2, reg 2, reg 3));
-      Isa.Builder.ins b (Isa.Instr.Ld (Isa.Reg.ra, Isa.Reg.sp, 0));
-      Isa.Builder.ins b (Isa.Instr.Alui (Add, Isa.Reg.sp, Isa.Reg.sp, 12));
-      Isa.Builder.ins b (Isa.Instr.Jr Isa.Reg.ra);
-      Isa.Builder.here b base;
-      Isa.Builder.ins b (Isa.Instr.Alu (Add, reg 2, reg 1, Isa.Reg.zero));
-      Isa.Builder.ins b (Isa.Instr.Jr Isa.Reg.ra));
-  Isa.Builder.func b "main" main (fun () ->
-      Isa.Builder.li b (reg 1) n;
-      Isa.Builder.jal b fib;
-      Isa.Builder.ins b (Isa.Instr.Out (reg 2));
-      Isa.Builder.ins b Isa.Instr.Halt);
-  Isa.Builder.build b
-
 let ethernet_cfg ?(tcache_bytes = 4096) ?(prefetch = 0) ?(staging = 8) () =
   Softcache.Config.make ~tcache_bytes
     ~net:(Netmodel.ethernet_10mbps ())
