@@ -1119,7 +1119,7 @@ let prefetchsweep () =
    (decoded, with a no-op fetch hook) is the stepped path the profiler
    and [Dcache.Sim] take; it is reported, not gated. *)
 
-let micro_engines () =
+let micro_engines ~copy_path () =
   Report.section
     "Dispatch engines (host wall time): predecoded fetch vs per-fetch \
      interpretive decode";
@@ -1154,7 +1154,8 @@ let micro_engines () =
   let gm = Report.geomean speedups in
   Report.kv "geomean speedup" (fmt_f gm);
   emit_json ~file:"BENCH_micro.json" ~benchmark:"micro_engines"
-    [ ("workloads", json_rows (rows t)); ("geomean_speedup", json (Ratio gm)) ];
+    [ ("workloads", json_rows (rows t)); ("geomean_speedup", json (Ratio gm));
+      ("copy_path", json_rows copy_path) ];
   if gm <= 1.0 then fail "decoded dispatch is not faster than interpretive"
 
 (* ------------------------------------------------------------------ *)
@@ -1184,9 +1185,33 @@ let micro () =
     ignore (Dcache.Assoc.insert assoc ~tag:(i * 7))
   done;
   let counter = ref 0 in
+  (* the miss path's copy steps, piece by piece: one compress95 block
+     (its entry chunk) and one 32-byte payload, the size of a typical
+     thrashing chunk's emission *)
+  let compress = (Option.get (Workloads.Registry.find "compress95")).build () in
+  let payload = Bytes.init 32 (fun i -> Char.chr (i * 37 land 0xFF)) in
+  let copy_path_tests =
+    [
+      Test.make ~name:"crc32 of a 32-byte payload"
+        (Staged.stage (fun () -> Softcache.Crc32.bytes payload));
+      Test.make ~name:"chunk + layout + rewrite of one compress95 block"
+        (Staged.stage (fun () ->
+             let chunk =
+               Softcache.Chunker.chunk_at compress
+                 Softcache.Config.Basic_block compress.entry
+             in
+             Softcache.Rewriter.translate
+               (Softcache.Rewriter.layout chunk)
+               ~block_id:0 ~base:Softcache.Config.tcache_base
+               ~resident:(fun _ -> None)
+               ~alloc_stub:(fun make ->
+                 ignore (make 0 : Softcache.Stub.t);
+                 0)));
+    ]
+  in
   let tests =
     Test.make_grouped ~name:"softcache"
-      [
+      (copy_path_tests @ [
         Test.make ~name:"encode+decode instruction"
           (Staged.stage (fun () -> Isa.Encode.decode word));
         Test.make ~name:"interpret 3k-instr loop"
@@ -1209,7 +1234,7 @@ let micro () =
                    sum_img
                in
                Softcache.Controller.start ctrl));
-      ]
+      ])
   in
   let instances = Bechamel.Toolkit.Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~quota:(Time.second 0.25) ~stabilize:false () in
@@ -1219,13 +1244,29 @@ let micro () =
   in
   let results = Analyze.all ols (List.hd instances) raw in
   let rows = Hashtbl.fold (fun name res acc -> (name, res) :: acc) results [] in
+  let estimate res =
+    match Analyze.OLS.estimates res with Some [ ns ] -> Some ns | _ -> None
+  in
   List.iter
     (fun (name, res) ->
-      match Analyze.OLS.estimates res with
-      | Some [ ns ] -> Report.kv name (Printf.sprintf "%.1f ns/run" ns)
-      | Some _ | None -> Report.kv name "n/a")
+      match estimate res with
+      | Some ns -> Report.kv name (Printf.sprintf "%.1f ns/run" ns)
+      | None -> Report.kv name "n/a")
     (List.sort compare rows);
-  micro_engines ()
+  (* reported in BENCH_micro.json, not gated *)
+  let copy_path =
+    List.map
+      (fun test ->
+        let ns =
+          Option.bind
+            (List.assoc_opt ("softcache/" ^ Test.name test) rows)
+            estimate
+        in
+        [ ("step", Str (Test.name test));
+          ("ns_per_run", Opt (Option.map (fun ns -> Ratio ns) ns)) ])
+      copy_path_tests
+  in
+  micro_engines ~copy_path ()
 
 (* ------------------------------------------------------------------ *)
 (* Traced smoke run: the CI gate for the tracing subsystem. Every

@@ -37,18 +37,16 @@ let report viols invariant fmt =
 
 (* [w] as a [Jmp]'s absolute target, or [Isa.Encode.none]. A [Jmp]
    keeps its opcode in the bits above its 26-bit word index. *)
-let jmp_opcode = Isa.Encode.encode (Isa.Instr.Jmp 0)
+let jmp_opcode = Isa.Encode.jmp 0
 
 let jmp_target w =
   if w land lnot 0x3FFFFFF = jmp_opcode then Isa.Encode.static_target ~site:0 w
   else Isa.Encode.none
 
 (* The in-block island a branch exit traps through: the target of its
-   revert word [rw], or [Isa.Encode.none] if [rw] is not a branch. *)
-let island_of ~site_paddr rw =
-  match Isa.Encode.decode rw with
-  | Some (Isa.Instr.Br (_, _, _, d)) -> site_paddr + (4 * d)
-  | _ -> Isa.Encode.none
+   revert word [rw], or [Isa.Encode.none] if [rw] is not a branch. Reads
+   the word's fields, so it allocates nothing. *)
+let island_of ~site_paddr rw = Isa.Encode.branch_target ~site:site_paddr rw
 
 (* The one rule for a slot word: a branch island ([inv] "stub"), a
    return stub ("ret-stub") or a PLT slot ("plt") traps to its own stub
@@ -271,21 +269,28 @@ let run (t : Controller.t) : violation list =
         add "stub" "exit stub %d site 0x%x outside its block v=0x%x" k
           site_paddr b.vaddr;
       let w = word t site_paddr in
-      if w = revert_word then begin
-        (* branch exits trap through an in-block island; when the site
-           is in its miss state the island obeys the slot rule *)
-        match kind with
-        | Stub.Patch_br ->
-          let island = island_of ~site_paddr revert_word in
-          if island = Isa.Encode.none then
-            add "stub" "br stub %d revert word is not a branch" k
-          else if not (in_block b island) then
-            add "stub" "stub %d br island 0x%x outside block v=0x%x" k island
-              b.vaddr
-          else check_slot viols t "stub" ~what:"island" island k target
-        | Stub.Patch_jmp | Stub.Patch_jal -> ()
-      end
-      else begin
+      (* branch exits trap through an in-block island: while the site
+         is in its miss state the island obeys the slot rule; once the
+         site is patched the island lies dormant and must still trap to
+         this stub ([patch_exit] specialises an island only while its
+         site holds the revert word) *)
+      (match kind with
+      | Stub.Patch_br ->
+        let island = island_of ~site_paddr revert_word in
+        if island = Isa.Encode.none then
+          add "stub" "br stub %d revert word is not a branch" k
+        else if not (in_block b island) then
+          add "stub" "stub %d br island 0x%x outside block v=0x%x" k island
+            b.vaddr
+        else if w = revert_word then
+          check_slot viols t "stub" ~what:"island" island k target
+        else if Isa.Encode.trap_index (word t island) <> k then
+          add "stub"
+            "exit site 0x%x is patched but its island 0x%x holds 0x%08x, \
+             not a trap to stub %d"
+            site_paddr island (word t island) k
+      | Stub.Patch_jmp | Stub.Patch_jal -> ());
+      if w <> revert_word then begin
         (* site patched: must aim at the resident target block, and the
            target must know about it *)
         match Tcache.lookup tc target with

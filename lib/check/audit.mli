@@ -15,7 +15,9 @@
       word or decodes to a branch aiming at its target block;
     - every exit stub of a live block is in its miss state (trapping,
       its branch island inside the block) or patched at a resident
-      target that has the site recorded;
+      target that has the site recorded; a branch exit patched at its
+      site leaves its island dormant, still trapping to the exit's own
+      stub (["stub"]);
     - conversely, every encoded branch leaving a block lands on a block
       start and is recorded there as an incoming pointer (completeness
       — this is the direction that catches records that were never

@@ -34,35 +34,36 @@ let patch_exit t k ~eager ~block ~site_paddr ~kind ~target ~revert_word
      recycled — the captured fields are stale) *)
   if pending_mem t ~target k && Tcache.is_alive t.tc block then begin
     let p = target_block.paddr in
-    (* where the patch lands, the word it writes there and the word
-       eviction restores; [at] is [Isa.Encode.none] when the site no
-       longer holds the branch it was translated with *)
-    let at, word, revert_word =
+    let d = (p - site_paddr) asr 2 in
+    let site_word = Machine.Memory.read32 t.cpu.mem site_paddr in
+    (* where the patch lands: the site itself, or, for a branch out of
+       reach, the island it aims at instead (the island's offset is
+       encoded in the revert word, so the eager path finds it without
+       having trapped there); [none] when the site no longer holds the
+       branch it was translated with *)
+    let at =
       match kind with
-      | Stub.Patch_jmp -> (site_paddr, enc (Isa.Instr.Jmp p), revert_word)
-      | Stub.Patch_jal -> (site_paddr, enc (Isa.Instr.Jal p), revert_word)
-      | Stub.Patch_br -> (
-        match
-          Isa.Encode.decode (Machine.Memory.read32 t.cpu.mem site_paddr)
-        with
-        | Some (Isa.Instr.Br (c, r1, r2, _)) -> (
-          let d = (p - site_paddr) asr 2 in
-          if Isa.Encode.branch_offset_fits d then
-            (site_paddr, enc (Isa.Instr.Br (c, r1, r2, d)), revert_word)
-          else
-            (* out of reach: specialise the island the branch aims at
-               into a direct jump instead. The island's offset is
-               encoded in the revert word (site + 4*d), so the eager
-               path finds it without having trapped there. *)
-            match Isa.Encode.decode revert_word with
-            | Some (Isa.Instr.Br (_, _, _, di)) ->
-              ( site_paddr + (4 * di),
-                enc (Isa.Instr.Jmp p),
-                enc (Isa.Instr.Trap k) )
-            | Some _ | None -> (Isa.Encode.none, 0, 0))
-        | Some _ | None -> (Isa.Encode.none, 0, 0))
+      | Stub.Patch_jmp | Stub.Patch_jal -> site_paddr
+      | Stub.Patch_br ->
+        if
+          Isa.Encode.branch_target ~site:site_paddr site_word
+          = Isa.Encode.none
+        then Isa.Encode.none
+        else if Isa.Encode.branch_offset_fits d then site_paddr
+        else Isa.Encode.branch_target ~site:site_paddr revert_word
     in
     if at <> Isa.Encode.none then begin
+      let word =
+        match kind with
+        | Stub.Patch_jal -> Isa.Encode.jal p
+        | Stub.Patch_br when at = site_paddr ->
+          Isa.Encode.with_branch_offset site_word d
+        | Stub.Patch_br | Stub.Patch_jmp -> Isa.Encode.jmp p
+      in
+      (* a specialised island reverts to its trap *)
+      let revert_word =
+        if at = site_paddr then revert_word else Isa.Encode.trap k
+      in
       (* the index forgets [k] before [specialise] announces the patch,
          so an auditor on [Patched] sees it already updated *)
       pending_remove t ~target k;
@@ -171,16 +172,16 @@ let oracle_of_profile ~image ~chunking ~edges_from ~samples_at =
     match Chunker.chunk_at image chunking v with
     | exception _ -> None
     | c -> (
-      let n = Array.length c.instrs in
+      let n = c.len in
       let last = c.vaddr + (4 * (n - 1)) in
-      let term = c.instrs.(n - 1) in
-      match (term : Isa.Instr.t) with
-      | Jr _ | Jalr _ | Halt -> None (* no static successor *)
+      let term = Isa.Encode.form (Chunker.word c (n - 1)) in
+      match term with
+      | Jr | Jalr | Halt -> None (* no static successor *)
       | _ ->
         let taken = edges_from last in
         let candidates =
-          match (term : Isa.Instr.t) with
-          | Jmp _ | Jal _ -> taken
+          match term with
+          | Jmp | Jal -> taken
           | _ ->
             (* fall-through heat: samples at the terminator minus its
                taken transfers *)

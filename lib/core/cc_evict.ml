@@ -83,7 +83,7 @@ let rec persistent_slot t ~plt vaddr =
             if plt then Stub.Plt { slot_paddr = paddr; target = vaddr }
             else Stub.Ret_stub { site_paddr = paddr; target = vaddr })
       in
-      write_word t paddr (enc (Isa.Instr.Trap k));
+      write_word t paddr (Isa.Encode.trap k);
       Hashtbl.replace table vaddr (paddr, k);
       if plt then t.stats.plt_slots <- t.stats.plt_slots + 1
       else t.stats.ret_stubs <- t.stats.ret_stubs + 1;
@@ -165,12 +165,13 @@ and process_evicted t ~reason_of victims =
     let cpus = cpus t in
     let parked = parked cpus victims [] in
     let n = List.length victims in
-    Log.debug (fun m ->
-        m "evict %d block(s): %s" n
-          (String.concat ","
-             (List.map
-                (fun (b : Tcache.block) -> Printf.sprintf "v=0x%x" b.vaddr)
-                victims)));
+    if debug_logging () then
+      Log.debug (fun m ->
+          m "evict %d block(s): %s" n
+            (String.concat ","
+               (List.map
+                  (fun (b : Tcache.block) -> Printf.sprintf "v=0x%x" b.vaddr)
+                  victims)));
     t.stats.evicted_blocks <- t.stats.evicted_blocks + n;
     List.iter (fun b -> note_evicted t ~reason:(reason_of b) b) victims;
     revert_incoming t victims;

@@ -26,11 +26,14 @@ let stage_chunk t vaddr st_bytes st_crc =
   end
 
 let take_staged t v =
-  match Hashtbl.find_opt t.staging v with
-  | None -> None
-  | Some s ->
-    Hashtbl.remove t.staging v;
-    Some s
+  (* most misses find staging empty: skip hashing [v] *)
+  if Hashtbl.length t.staging = 0 then None
+  else
+    match Hashtbl.find_opt t.staging v with
+    | None -> None
+    | Some s ->
+      Hashtbl.remove t.staging v;
+      Some s
 
 let drop_staged_in t ~lo ~hi =
   let doomed =
@@ -45,84 +48,93 @@ let drop_staged_in t ~lo ~hi =
       t.stats.prefetch_wasted <- t.stats.prefetch_wasted + 1)
     doomed
 
-(* Ship a rewritten chunk from the MC to the CC through the (possibly
-   faulty) interconnect, with up to [prefetch_degree] speculative chunk
-   bodies riding in the same frame. The MC stamps each segment with a
-   CRC32; the CC verifies the demand segment on receipt, waits out
-   dropped frames, and re-requests with exponential backoff. Prefetched
-   segments are staged unverified — their CRC is checked at install
-   time. All waiting, wire time and backoff are charged through the
-   cost model. *)
-let fetch_chunk t ~vaddr ~(words : int array) ~prefetch =
-  (* MC-side CRC stamping goes through the [mc_crc] hook when set: a
-     fleet MC memoizes stamps in its shared chunk cache, so identical
-     content requested by many clients is CRC-computed once *)
-  let stamp b = match t.mc_crc with Some f -> f b | None -> Crc32.bytes b in
-  let payload = bytes_of_words words in
-  let crc = stamp payload in
-  let pf_segments = List.map (fun (pv, pb) -> (pv, pb, stamp pb)) prefetch in
-  let payloads = payload :: List.map (fun (_, pb, _) -> pb) pf_segments in
-  let prefetch_vaddrs = List.map (fun (pv, _, _) -> pv) pf_segments in
-  let send () =
-    match t.mc_transport with
-    | None -> Netmodel.transfer_batch t.cfg.net ~payloads
-    | Some f -> f ~vaddr ~prefetch_vaddrs ~payloads
-  in
-  let rec attempt tries =
-    if tries > Config.max_retries then begin
-      t.stats.chunk_failures <- t.stats.chunk_failures + 1;
-      Log.warn (fun m ->
-          m "chunk v=0x%x unavailable after %d attempts" vaddr tries);
-      raise (Chunk_unavailable { vaddr; attempts = tries })
-    end;
-    if tries > 0 then begin
-      t.stats.net_retries <- t.stats.net_retries + 1;
-      t.stats.max_chunk_retries <- max t.stats.max_chunk_retries tries;
-      trace t (Trace.Cc_retry { chunk = vaddr; attempt = tries });
-      charge t Trace.Wire (Config.retry_backoff_cycles * (1 lsl (tries - 1)))
-    end;
-    match send () with
-    | Error (`Dropped wasted) ->
-      charge t Trace.Wire (wasted + Config.timeout_cycles);
-      t.stats.net_timeouts <- t.stats.net_timeouts + 1;
-      attempt (tries + 1)
-    | Ok (_, []) ->
-      (* the direct link always carries the demand segment back; only an
-         [mc_transport] hook can reply without one *)
-      raise
-        (Internal_invariant_broken
-           { chunk = vaddr; detail = "transport reply has no demand segment" })
-    | Ok (cycles, demand :: rest) ->
-      charge t Trace.Wire cycles;
-      if Crc32.bytes demand <> crc then begin
-        t.stats.crc_failures <- t.stats.crc_failures + 1;
-        attempt (tries + 1)
-      end
-      else begin
-        if tries > 0 then t.stats.recoveries <- t.stats.recoveries + 1;
-        (demand, rest)
-      end
-  in
-  let demand, rest = attempt 0 in
-  (* pair up to the shorter list: a coalesced fleet delivery carries the
-     demand segment only (nothing new went on the wire, so no prefetch
-     riders arrive); the direct path always returns the full batch *)
-  let rec stage_pairs pfs rs =
-    match (pfs, rs) with
-    | (pv, _, pcrc) :: pfs', received :: rs' ->
-      stage_chunk t pv received pcrc;
-      stage_pairs pfs' rs'
-    | _, [] | [], _ -> ()
-  in
-  stage_pairs pf_segments rest;
-  let staged = min (List.length pf_segments) (List.length rest) in
+(* MC-side CRC stamping goes through the [mc_crc] hook when set: a
+   fleet MC memoizes stamps in its shared chunk cache, so identical
+   content requested by many clients is CRC-computed once. *)
+let stamp t b = match t.mc_crc with Some f -> f b | None -> Crc32.bytes b
+
+let rec stamp_riders t = function
+  | [] -> []
+  | (pv, pb) :: rest ->
+    let crc = stamp t pb in
+    (pv, pb, crc) :: stamp_riders t rest
+
+let send t ~vaddr ~prefetch_vaddrs ~payloads =
+  match t.mc_transport with
+  | None -> Netmodel.transfer_batch t.cfg.net ~payloads
+  | Some f -> f ~vaddr ~prefetch_vaddrs ~payloads
+
+(* Send the frame until its demand segment arrives with the CRC the MC
+   stamped, or the retry budget runs out. *)
+let rec deliver t ~vaddr ~prefetch_vaddrs ~payloads ~crc tries =
+  if tries > Config.max_retries then begin
+    t.stats.chunk_failures <- t.stats.chunk_failures + 1;
+    Log.warn (fun m ->
+        m "chunk v=0x%x unavailable after %d attempts" vaddr tries);
+    raise (Chunk_unavailable { vaddr; attempts = tries })
+  end;
+  if tries > 0 then begin
+    t.stats.net_retries <- t.stats.net_retries + 1;
+    t.stats.max_chunk_retries <- max t.stats.max_chunk_retries tries;
+    trace t (Trace.Cc_retry { chunk = vaddr; attempt = tries });
+    charge t Trace.Wire (Config.retry_backoff_cycles * (1 lsl (tries - 1)))
+  end;
+  match send t ~vaddr ~prefetch_vaddrs ~payloads with
+  | Error (`Dropped wasted) ->
+    charge t Trace.Wire (wasted + Config.timeout_cycles);
+    t.stats.net_timeouts <- t.stats.net_timeouts + 1;
+    deliver t ~vaddr ~prefetch_vaddrs ~payloads ~crc (tries + 1)
+  | Ok (_, []) ->
+    (* the direct link always carries the demand segment back; only an
+       [mc_transport] hook can reply without one *)
+    raise
+      (Internal_invariant_broken
+         { chunk = vaddr; detail = "transport reply has no demand segment" })
+  | Ok (cycles, demand :: rest) ->
+    charge t Trace.Wire cycles;
+    if Crc32.bytes demand <> crc then begin
+      t.stats.crc_failures <- t.stats.crc_failures + 1;
+      deliver t ~vaddr ~prefetch_vaddrs ~payloads ~crc (tries + 1)
+    end
+    else begin
+      if tries > 0 then t.stats.recoveries <- t.stats.recoveries + 1;
+      (demand, rest)
+    end
+
+(* Pair up to the shorter list: a coalesced fleet delivery carries the
+   demand segment only (nothing new went on the wire, so no prefetch
+   riders arrive); the direct path always returns the full batch.
+   Returns how many riders were staged. *)
+let rec stage_riders t riders received n =
+  match (riders, received) with
+  | (pv, _, pcrc) :: riders', r :: received' ->
+    stage_chunk t pv r pcrc;
+    stage_riders t riders' received' (n + 1)
+  | _, [] | [], _ -> n
+
+(* Ship a rewritten chunk's [payload] from the MC to the CC through the
+   (possibly faulty) interconnect, with the [prefetch] chunk bodies
+   riding in the same frame. The MC stamps each segment with a CRC32;
+   the CC verifies the demand segment on receipt (even when the link
+   hands back [payload] itself), waits out dropped frames, and
+   re-requests with exponential backoff. Prefetched segments are staged
+   unverified — their CRC is checked at install time. All waiting, wire
+   time and backoff are charged through the cost model. Returns the
+   delivered demand segment, which the caller installs. *)
+let fetch_chunk t ~vaddr ~payload ~prefetch =
+  let crc = stamp t payload in
+  let riders = stamp_riders t prefetch in
+  let payloads = payload :: List.map (fun (_, pb, _) -> pb) riders in
+  let prefetch_vaddrs = List.map (fun (pv, _, _) -> pv) riders in
+  let demand, rest = deliver t ~vaddr ~prefetch_vaddrs ~payloads ~crc 0 in
+  let staged = stage_riders t riders rest 0 in
   if staged > 0 then begin
     let n = 1 + staged in
     t.stats.batches <- t.stats.batches + 1;
     t.stats.batch_chunks <- t.stats.batch_chunks + n;
     t.stats.max_batch_chunks <- max t.stats.max_batch_chunks n
   end;
-  words_of_bytes demand
+  demand
 
 (* Which chunks should ride along with this demand miss? Static
    successors of the chunk being translated, minus anything already
@@ -165,22 +177,10 @@ let prefetch_candidates t (chunk : Chunker.t) =
     take t.cfg.prefetch_degree ranked
   end
 
-(* Rebuild a [Chunker.t] from a staged chunk body: CRC-check then
-   decode. [None] means the staged copy is unusable (corrupted in
-   flight) and the miss must go back to the wire. *)
+(* A staged chunk body as a chunk: CRC-check, then view its words.
+   [None] means the staged copy is unusable (corrupted in flight, or
+   holding a word with no decoding) and the miss must go back to the
+   wire. *)
 let chunk_of_staged v (s : staged) =
   if Crc32.bytes s.st_bytes <> s.st_crc then None
-  else
-    let words = words_of_bytes s.st_bytes in
-    let n = Array.length words in
-    let rec decode_all i acc =
-      if i = n then Some (List.rev acc)
-      else
-        match Isa.Encode.decode words.(i) with
-        | Some instr -> decode_all (i + 1) (instr :: acc)
-        | None -> None
-    in
-    match decode_all 0 [] with
-    | Some (_ :: _ as instrs) ->
-      Some { Chunker.vaddr = v; instrs = Array.of_list instrs }
-    | Some [] | None -> None
+  else Chunker.of_payload ~vaddr:v s.st_bytes

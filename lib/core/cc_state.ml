@@ -135,7 +135,9 @@ let log_src =
 
 module Log = (val Logs.src_log log_src)
 
-let enc = Isa.Encode.encode
+(* Guards the miss path's [Log.debug] calls, so a run with debug logging
+   off does not build their message closures. *)
+let debug_logging () = Logs.Src.level log_src = Some Logs.Debug
 
 (* Every explicit client-side charge is labelled with its attribution
    category so an attached tracer can conserve: the labelled categories
@@ -159,6 +161,18 @@ let write_word t addr w =
     Array.iter
       (fun (h : Machine.Cpu.t) ->
         if h != t.cpu then Machine.Memory.write32 h.mem addr w)
+      t.harts
+
+(* Install a delivered segment at [addr], a block placement (so inside
+   the tcache region): one range write per hart memory. It mirrors to
+   the harts as [write_word] does and drops exactly the decode lines
+   one [write_word] per word would. *)
+let write_payload t addr b =
+  Machine.Memory.write_bytes t.cpu.mem addr b;
+  if Array.length t.harts > 0 then
+    Array.iter
+      (fun (h : Machine.Cpu.t) ->
+        if h != t.cpu then Machine.Memory.write_bytes h.mem addr b)
       t.harts
 
 let add_stub t make =
@@ -257,9 +271,9 @@ let specialise_slot t ~slot k (b : Tcache.block) =
   | Stub.Plt _ -> t.stats.plt_patches <- t.stats.plt_patches + 1
   | _ -> ());
   specialise t ~at:slot ~site:slot
-    ~word:(enc (Isa.Instr.Jmp b.paddr))
+    ~word:(Isa.Encode.jmp b.paddr)
     b ~from_block:(-1)
-    ~revert_word:(enc (Isa.Instr.Trap k))
+    ~revert_word:(Isa.Encode.trap k)
     ~stub:k
 
 (* ---- granularity ----
@@ -297,7 +311,7 @@ let chunk_for t v =
       in
       match Chunker.chunk_function t.image v with
       | c ->
-        if Array.length c.instrs > Chunker.max_function_instrs then
+        if c.len > Chunker.max_function_instrs then
           degrade_to_block (v + Chunker.span_bytes c)
         else c
       | exception Chunker.Bad_address a when a > v -> degrade_to_block a
@@ -310,12 +324,3 @@ let resident_oracle t v =
   match Tcache.lookup t.tc v with
   | Some b -> Some (b.id, b.paddr)
   | None -> None
-
-let bytes_of_words (words : int array) =
-  let b = Bytes.create (4 * Array.length words) in
-  Array.iteri (fun i w -> Bytes.set_int32_le b (4 * i) (Int32.of_int w)) words;
-  b
-
-let words_of_bytes b =
-  Array.init (Bytes.length b / 4) (fun i ->
-      Int32.to_int (Bytes.get_int32_le b (4 * i)) land 0xFFFFFFFF)

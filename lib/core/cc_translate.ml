@@ -127,8 +127,14 @@ let translate_unit ?placed t v =
     List.iter
       (fun fv -> ignore (Cc_evict.persistent_slot t ~plt:true fv))
       (Chunker.call_targets t.image chunk);
-  let plt_of tv = Option.map fst (Hashtbl.find_opt t.plt tv) in
-  let words_needed = Rewriter.layout_words ~plt_of chunk in
+  let plt_of =
+    match t.cfg.granularity with
+    | Config.Block -> None
+    | Config.Function ->
+      Some (fun tv -> Option.map fst (Hashtbl.find_opt t.plt tv))
+  in
+  let layout = Rewriter.layout ?plt_of chunk in
+  let words_needed = Rewriter.words layout in
   let base =
     match placed with
     | Some base -> base
@@ -147,30 +153,31 @@ let translate_unit ?placed t v =
     k
   in
   let emission =
-    Rewriter.translate ~plt_of chunk ~block_id:id ~base ~resident ~alloc_stub
+    Rewriter.translate layout ~block_id:id ~base ~resident ~alloc_stub
   in
   (* the rewritten words travel MC -> CC over the link (unless a staged
      prefetch already delivered the chunk body); a chunk that cannot be
      delivered intact within the retry budget must leave the cache
      state exactly as it was (minus any evictions already done) *)
-  let words =
-    if from_staging then emission.words
+  let delivered =
+    if from_staging then emission.payload
     else
       let prefetch =
         List.map
-          (fun (c : Chunker.t) ->
-            (c.vaddr, bytes_of_words (Array.map enc c.instrs)))
+          (fun (c : Chunker.t) -> (c.vaddr, Chunker.to_bytes c))
           (Cc_staging.prefetch_candidates t chunk)
       in
-      match Cc_staging.fetch_chunk t ~vaddr:v ~words:emission.words ~prefetch with
-      | w -> w
+      match
+        Cc_staging.fetch_chunk t ~vaddr:v ~payload:emission.payload ~prefetch
+      with
+      | d -> d
       | exception (Chunk_unavailable _ as e) ->
         free_stub_list t !allocated;
         raise e
   in
-  Array.iteri (fun i w -> write_word t (base + (4 * i)) w) words;
-  let emitted = Array.length emission.words in
-  let orig_words = Array.length chunk.instrs in
+  write_payload t base delivered;
+  let emitted = words_needed in
+  let orig_words = chunk.len in
   let block =
     {
       Tcache.id;
@@ -225,8 +232,9 @@ let translate_unit ?placed t v =
              }))
     emission.bound;
   Cc_chain.register_pending t block;
-  Log.debug (fun m ->
-      m "translate v=0x%x -> @0x%x (%d words, id=%d)" v base emitted id);
+  if debug_logging () then
+    Log.debug (fun m ->
+        m "translate v=0x%x -> @0x%x (%d words, id=%d)" v base emitted id);
   t.stats.translations <- t.stats.translations + 1;
   t.stats.translated_words <- t.stats.translated_words + emitted;
   t.stats.overhead_words <- t.stats.overhead_words + emission.overhead_words;
@@ -242,9 +250,10 @@ let translate_unit ?placed t v =
      direct jump. Unconditional — the unit was absent a moment ago, so
      its slot (if any) is trapping — and byte-reversible: the incoming
      record restores the trap when the unit is evicted. *)
-  (match Hashtbl.find_opt t.plt v with
-  | Some (slot, k) -> specialise_slot t ~slot k block
-  | None -> ());
+  (if t.cfg.granularity = Config.Function then
+     match Hashtbl.find_opt t.plt v with
+     | Some (slot, k) -> specialise_slot t ~slot k block
+     | None -> ());
   (* eager chaining: patch every exit already waiting for this chunk *)
   Cc_chain.chain_install t block;
   block

@@ -1,64 +1,96 @@
-type t = { vaddr : int; instrs : Isa.Instr.t array }
+type source = Code of int array | Payload of Bytes.t
+type t = { vaddr : int; source : source; first : int; len : int }
 
 exception Bad_address of int
 exception Trap_in_source of int
 
 let max_chunk_instrs = 16384
 
-let decode_at img addr =
-  match Isa.Image.fetch img addr with
-  | Isa.Instr.Trap _ -> raise (Trap_in_source addr)
-  | i -> i
-  | exception Invalid_argument _ -> raise (Bad_address addr)
-  | exception Isa.Encode.Encode_error _ -> raise (Bad_address addr)
+let[@inline] word t i =
+  if i < 0 || i >= t.len then invalid_arg "Chunker.word";
+  match t.source with
+  | Code a -> Array.unsafe_get a (t.first + i)
+  | Payload b ->
+    Int32.to_int (Bytes.get_int32_le b (4 * (t.first + i))) land 0xFFFFFFFF
 
-(* [v, limit): decode until the first block terminator (inclusive) or
-   until [limit]. *)
-let scan img v limit =
-  let rec go acc addr n =
-    if addr >= limit || n >= max_chunk_instrs then List.rev acc
-    else
-      let i = decode_at img addr in
-      if Isa.Instr.is_block_terminator i then List.rev (i :: acc)
-      else go (i :: acc) (addr + 4) (n + 1)
-  in
-  Array.of_list (go [] v 0)
+(* The image word at [addr], an aligned text address. *)
+let image_word (img : Isa.Image.t) addr =
+  img.code.((addr - img.code_base) lsr 2)
+
+(* The form of the image word at [addr], raising where decoding it
+   would: [Bad_address] for a word with no decoding, [Trap_in_source]
+   for a trap. *)
+let form_at img addr =
+  match Isa.Encode.form (image_word img addr) with
+  | Isa.Encode.Invalid -> raise (Bad_address addr)
+  | Isa.Encode.Trap -> raise (Trap_in_source addr)
+  | f -> f
+
+(* Raise as [form_at] at the first bad word of [v, v + 4n). *)
+let check img v n =
+  for i = 0 to n - 1 do
+    ignore (form_at img (v + (4 * i)) : Isa.Encode.form)
+  done
+
+(* [n] plus the number of words from [addr] up to the first block
+   terminator (inclusive), [limit] or [max_chunk_instrs] words in all,
+   whichever comes first. *)
+let rec scan_from img ~limit addr n =
+  if addr >= limit || n >= max_chunk_instrs then n
+  else
+    match form_at img addr with
+    | Isa.Encode.Plain -> scan_from img ~limit (addr + 4) (n + 1)
+    | _ -> n + 1
+
+let scan img v limit = scan_from img ~limit v 0
+
+let view (img : Isa.Image.t) v len =
+  if len = 0 then raise (Bad_address v);
+  { vaddr = v; source = Code img.code; first = (v - img.code_base) lsr 2; len }
 
 let chunk_at img mode v =
   if v land 3 <> 0 || not (Isa.Image.contains_code img v) then
     raise (Bad_address v);
-  let limit =
-    match mode with
-    | Config.Basic_block -> Isa.Image.code_end img
-    | Config.Procedure -> (
+  match mode with
+  | Config.Basic_block -> view img v (scan img v (Isa.Image.code_end img))
+  | Config.Procedure ->
+    let limit =
       match Isa.Image.symbol_at img v with
       | Some s -> s.sym_addr + s.sym_size
-      | None -> Isa.Image.code_end img)
-  in
-  let instrs =
-    match mode with
-    | Config.Basic_block -> scan img v limit
-    | Config.Procedure ->
-      let n = (limit - v) / 4 in
-      let n = min n max_chunk_instrs in
-      Array.init n (fun i -> decode_at img (v + (4 * i)))
-  in
-  if Array.length instrs = 0 then raise (Bad_address v);
-  { vaddr = v; instrs }
+      | None -> Isa.Image.code_end img
+    in
+    let n = min ((limit - v) / 4) max_chunk_instrs in
+    check img v n;
+    view img v n
 
-let span_bytes t = Array.length t.instrs * Isa.Instr.word_size
+let of_payload ~vaddr b =
+  let t = { vaddr; source = Payload b; first = 0; len = Bytes.length b / 4 } in
+  let rec decodable i =
+    i = t.len
+    || (Isa.Encode.form (word t i) <> Isa.Encode.Invalid && decodable (i + 1))
+  in
+  if t.len > 0 && decodable 0 then Some t else None
+
+let to_bytes t =
+  let b = Bytes.create (4 * t.len) in
+  for i = 0 to t.len - 1 do
+    Bytes.set_int32_le b (4 * i) (Int32.of_int (word t i))
+  done;
+  b
+
+let span_bytes t = t.len * Isa.Instr.word_size
 
 (* Whole-function extraction for [Config.granularity = Function]: a
    CFG worklist walk over the basic blocks reachable from [v] inside
    the enclosing symbol (or the rest of the text segment when there is
    no symbol), closed over fall-throughs — a [Jal]/[Jalr] continues the
    walk at its return site, the callee being its own unit — and then
-   decoded as ONE contiguous chunk covering [v, hi) where hi is the
+   checked as ONE contiguous chunk covering [v, hi) where hi is the
    highest byte any reachable block touches. Contiguity is what lets
    the rewriter keep every internal edge branch-direct: the unit is a
    plain (large) chunk, no new instruction forms.
 
-   A decode failure or embedded trap in the contiguous span raises
+   An undecodable word or embedded trap in the contiguous span raises
    exactly as [chunk_at] would; callers distinguish "the requested
    address is bad" (carried address = [v]) from "the function body is
    not contiguously decodable" (carried address > [v]) and degrade the
@@ -85,53 +117,53 @@ let chunk_function img v =
   let hi = ref (v + 4) in
   while not (Queue.is_empty queue) do
     let a = Queue.pop queue in
-    let instrs = scan img a cap in
-    let n = Array.length instrs in
+    let n = scan img a cap in
     if n > 0 then begin
       hi := max !hi (a + (4 * n));
-      let last_addr = a + (4 * (n - 1)) in
-      match instrs.(n - 1) with
-      | Isa.Instr.Br (_, _, _, off) ->
-        push (last_addr + (4 * off));
-        push (last_addr + 4)
-      | Isa.Instr.Jmp target -> push target
-      | Isa.Instr.Jal _ | Isa.Instr.Jalr _ ->
+      let last = a + (4 * (n - 1)) in
+      let w = image_word img last in
+      match Isa.Encode.form w with
+      | Isa.Encode.Br ->
+        push (Isa.Encode.branch_target ~site:last w);
+        push (last + 4)
+      | Isa.Encode.Jmp -> push (Isa.Encode.static_target ~site:last w)
+      | Isa.Encode.Jal | Isa.Encode.Jalr ->
         (* fall-through closure: the return site belongs to this unit *)
-        push (last_addr + 4)
-      | Isa.Instr.Jr _ | Isa.Instr.Halt | Isa.Instr.Trap _ -> ()
-      | _ -> () (* scan hit [cap] without a terminator *)
+        push (last + 4)
+      | Isa.Encode.Jr | Isa.Encode.Halt | Isa.Encode.Trap -> ()
+      | Isa.Encode.Plain | Isa.Encode.Invalid ->
+        () (* scan hit [cap] without a terminator *)
     end
   done;
   (* no truncation: the caller applies the degradation rule against
      [max_function_instrs], so it must see the unit's true extent *)
   let len = (!hi - v) / 4 in
-  let instrs = Array.init len (fun i -> decode_at img (v + (4 * i))) in
-  if Array.length instrs = 0 then raise (Bad_address v);
-  { vaddr = v; instrs }
+  check img v len;
+  view img v len
 
 let successors img t =
-  let n = Array.length t.instrs in
-  let fallthrough = t.vaddr + (n * 4) in
-  let last = t.instrs.(n - 1) in
-  let static_exits =
-    (* fallthrough first: straight-line continuation is the likeliest
-       next miss unless the chunk ends in an unconditional transfer *)
-    (match last with
-    | Isa.Instr.Jmp _ | Isa.Instr.Jr _ | Isa.Instr.Halt | Isa.Instr.Trap _ ->
-      []
-    | _ -> [ fallthrough ])
-    @ List.concat
-        (List.mapi
-           (fun i instr ->
-             let a = t.vaddr + (4 * i) in
-             match instr with
-             | Isa.Instr.Br (_, _, _, off) -> [ a + (4 * off) ]
-             | Isa.Instr.Jmp target -> [ target ]
-             | Isa.Instr.Jal target -> [ target; a + 4 ]
-             | Isa.Instr.Jalr _ -> [ a + 4 ]
-             | _ -> [])
-           (Array.to_list t.instrs))
+  let n = t.len in
+  (* fallthrough first: straight-line continuation is the likeliest
+     next miss unless the chunk ends in an unconditional transfer *)
+  let exits =
+    ref
+      (match Isa.Encode.form (word t (n - 1)) with
+      | Isa.Encode.Jmp | Isa.Encode.Jr | Isa.Encode.Halt | Isa.Encode.Trap ->
+        []
+      | _ -> [ t.vaddr + (n * 4) ])
   in
+  (* consed in reverse, then restored to source order *)
+  for i = 0 to n - 1 do
+    let a = t.vaddr + (4 * i) in
+    let w = word t i in
+    match Isa.Encode.form w with
+    | Isa.Encode.Br | Isa.Encode.Jmp ->
+      exits := Isa.Encode.static_target ~site:a w :: !exits
+    | Isa.Encode.Jal ->
+      exits := (a + 4) :: Isa.Encode.static_target ~site:a w :: !exits
+    | Isa.Encode.Jalr -> exits := (a + 4) :: !exits
+    | _ -> ()
+  done;
   let seen = Hashtbl.create 8 in
   List.filter
     (fun a ->
@@ -144,7 +176,7 @@ let successors img t =
         Hashtbl.add seen a ();
         true
       end)
-    static_exits
+    (List.rev !exits)
 
 (* Successors outside the unit's own span — in function mode the
    internal block heads are already part of this chunk, so only
@@ -162,19 +194,21 @@ let call_targets img t =
   let lo = t.vaddr and hi = t.vaddr + span_bytes t in
   let seen = Hashtbl.create 8 in
   let acc = ref [] in
-  Array.iter
-    (fun instr ->
-      match instr with
-      | Isa.Instr.Jal target
-        when (target < lo || target >= hi)
-             && target land 3 = 0
-             && Isa.Image.contains_code img target
-             && not (Hashtbl.mem seen target) ->
+  for i = 0 to t.len - 1 do
+    let w = word t i in
+    if Isa.Encode.form w = Isa.Encode.Jal then begin
+      let target = Isa.Encode.static_target ~site:0 w in
+      if
+        (target < lo || target >= hi)
+        && target land 3 = 0
+        && Isa.Image.contains_code img target
+        && not (Hashtbl.mem seen target)
+      then begin
         Hashtbl.add seen target ();
         acc := target :: !acc
-      | _ -> ())
-    t.instrs;
+      end
+    end
+  done;
   List.rev !acc
 
-let pp ppf t =
-  Format.fprintf ppf "chunk 0x%x (%d instrs)" t.vaddr (Array.length t.instrs)
+let pp ppf t = Format.fprintf ppf "chunk 0x%x (%d instrs)" t.vaddr t.len

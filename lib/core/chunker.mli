@@ -12,10 +12,22 @@
     - in procedure mode, to the end of the procedure symbol containing
       [v] (falling back to basic-block extent for symbol-less code). *)
 
-type t = {
+type source =
+  | Code of int array  (** an image's [code] array *)
+  | Payload of Bytes.t
+      (** a staged segment: encoded words, 4 bytes each, little-endian *)
+
+type t = private {
   vaddr : int;  (** first instruction's virtual address *)
-  instrs : Isa.Instr.t array;
+  source : source;  (** the words the chunk is a view of *)
+  first : int;  (** index of the chunk's first word in [source] *)
+  len : int;  (** number of source words, at least 1 *)
 }
+(** A chunk is a view of source words, never a copy: the MC cuts it
+    straight out of the image's encoded text, and a staged prefetch is
+    a view of the CRC-verified segment that delivered it. Every word of
+    a view decodes (the constructors check), so readers classify words
+    with {!Isa.Encode.form} instead of decoding them. *)
 
 exception Bad_address of int
 (** The requested address is unaligned or outside the image's text
@@ -29,8 +41,24 @@ val max_chunk_instrs : int
 (** Safety bound on chunk length (16384 instructions). *)
 
 val chunk_at : Isa.Image.t -> Config.chunking -> int -> t
-(** Extract the chunk starting at a virtual address.
-    @raise Bad_address / Trap_in_source as above. *)
+(** The chunk starting at a virtual address, found by classifying the
+    image's raw words: nothing is decoded or copied.
+    @raise Bad_address / Trap_in_source as above, at the first word in
+    address order that does not decode or is a trap. *)
+
+val word : t -> int -> int
+(** [word c i] is the [i]th source word, [0 <= i < c.len].
+    @raise Invalid_argument otherwise. *)
+
+val of_payload : vaddr:int -> Bytes.t -> t option
+(** A view of a staged segment's words as the chunk at [vaddr]; [None]
+    when the segment holds no whole word or a word with no decoding.
+    Unlike {!chunk_at} it accepts [Trap] words, which the rewriter then
+    rejects. *)
+
+val to_bytes : t -> Bytes.t
+(** A fresh segment holding the chunk's source words: what the MC ships
+    as a prefetched chunk body. *)
 
 val span_bytes : t -> int
 (** Original footprint of the chunk in the source image. *)
@@ -48,7 +76,7 @@ val chunk_function : Isa.Image.t -> int -> t
     inside the enclosing symbol (or the rest of the text segment when
     there is no symbol), closed over call fall-throughs — a call's
     return site belongs to this unit, the callee is its own unit — and
-    decoded as ONE contiguous chunk covering the entry up to the
+    checked as ONE contiguous chunk covering the entry up to the
     highest byte any reachable block touches.
 
     @raise Bad_address with the entry address if the entry itself is

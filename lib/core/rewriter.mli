@@ -36,7 +36,10 @@ exception Rewrite_error of string
     layout. *)
 
 type emission = {
-  words : int array;  (** encoded tcache words, in placement order *)
+  payload : Bytes.t;
+      (** the emitted words, 4 bytes each, little-endian, in placement
+          order: a fresh exact-size buffer, and the very segment the MC
+          ships (the CC installs it with one range write) *)
   bound : (int * int * int * int) list;
       (** (target block id, site paddr, revert word, stub index) for
           every exit bound directly at translation time; the controller
@@ -51,25 +54,39 @@ type emission = {
   overhead_words : int;  (** words beyond the source instruction count *)
 }
 
+type layout
+(** Where each source word lands in the emission, the fall-through
+    slot and the islands: everything about a chunk's emission that
+    does not depend on cache state. *)
+
+val layout : ?plt_of:(int -> int option) -> Chunker.t -> layout
+(** Lay a chunk out, before placement. [plt_of] is the
+    function-granularity PLT slot map: an external [Jal] whose target
+    has a slot needs no call island. The layout keeps it, so
+    {!translate} routes exactly the calls the layout sized for. *)
+
+val words : layout -> int
+(** Emitted size in words: the placement the chunk needs. *)
+
 val layout_words : ?plt_of:(int -> int option) -> Chunker.t -> int
-(** Emitted size of a chunk, computable before placement (it does not
-    depend on cache state). [plt_of] is the function-granularity PLT
-    slot map: an external [Jal] whose target has a slot needs no call
-    island, so it must be the same map later given to {!translate}. *)
+(** [words (layout ?plt_of c)]. *)
 
 val translate :
-  ?plt_of:(int -> int option) ->
-  Chunker.t ->
+  layout ->
   block_id:int ->
   base:int ->
   resident:(int -> (int * int) option) ->
   alloc_stub:((int -> Stub.t) -> int) ->
   emission
-(** Rewrite a chunk for placement at physical address [base].
+(** Rewrite a laid-out chunk for placement at physical address [base],
+    writing its words straight into the payload. Every non-control word
+    is copied as it is (decodable words are canonical, so the copy is
+    the word re-encoding it would give); only control transfers are
+    rewritten, with the {!Isa.Encode} writers.
     [resident v] returns [(block id, paddr)] for chunks already in the
     tcache. [alloc_stub make] allocates a stub-table index [k] and
-    stores [make k]. [plt_of tv], when it returns a slot paddr, turns
-    an external [Jal tv] into a direct call through that PLT slot: no
-    island, no exit stub, and the call site itself is never patched —
-    only the controller-owned slot word is.
+    stores [make k]. A [plt_of] slot for [tv] turns an external
+    [Jal tv] into a direct call through that PLT slot: no island, no
+    exit stub, and the call site itself is never patched — only the
+    controller-owned slot word is.
     @raise Rewrite_error as above. *)

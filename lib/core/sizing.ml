@@ -59,7 +59,7 @@ let walk_units image chunking granularity =
     | Config.Function -> (
       let degraded () = (Chunker.chunk_at image Config.Basic_block v, Config.Block) in
       match Chunker.chunk_function image v with
-      | c when Array.length c.instrs <= Chunker.max_function_instrs ->
+      | c when c.len <= Chunker.max_function_instrs ->
         (c, Config.Function)
       | _ -> degraded ()
       | exception Chunker.Bad_address a when a > v -> degraded ()

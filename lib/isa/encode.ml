@@ -84,6 +84,15 @@ let jtarget what a =
 
 let mk op f25 f20 f15_0 = (op lsl 26) lor (f25 lsl 21) lor (f20 lsl 16) lor f15_0
 
+(* Writers for the words the rewriter emits; [encode] goes through them
+   too, so each field check is written once. *)
+let jmp target = (op_jmp lsl 26) lor jtarget "jmp" target
+let jal target = (op_jal lsl 26) lor jtarget "jal" target
+
+let trap k =
+  if k >= 0 && k < 1 lsl 26 then (op_trap lsl 26) lor k
+  else err "trap index %d out of range" k
+
 let encode : Instr.t -> int = function
   | Alu (op, rd, rs1, rs2) ->
     mk op_r_alu (reg rd) (reg rs1) ((reg rs2 lsl 11) lor aluop_code op)
@@ -97,13 +106,11 @@ let encode : Instr.t -> int = function
   | Stb (rv, rs, imm) -> mk op_stb (reg rv) (reg rs) (imm16 "stb" imm)
   | Br (c, rs1, rs2, off) ->
     mk (op_br_base + cond_code c) (reg rs1) (reg rs2) (imm16 "branch" off)
-  | Jmp target -> (op_jmp lsl 26) lor jtarget "jmp" target
-  | Jal target -> (op_jal lsl 26) lor jtarget "jal" target
+  | Jmp target -> jmp target
+  | Jal target -> jal target
   | Jr rs -> mk op_jr (reg rs) 0 0
   | Jalr (rd, rs) -> mk op_jalr (reg rd) (reg rs) 0
-  | Trap k ->
-    if k >= 0 && k < 1 lsl 26 then (op_trap lsl 26) lor k
-    else err "trap index %d out of range" k
+  | Trap k -> trap k
   | Out rs -> mk op_out (reg rs) 0 0
   | Nop -> op_nop lsl 26
   | Halt -> op_halt lsl 26
@@ -155,6 +162,49 @@ let decode (w : int) : Instr.t option =
 
 let none = min_int
 
+type form = Invalid | Plain | Br | Jmp | Jal | Jr | Jalr | Trap | Halt
+
+(* [decode]'s validity tests as two tables over the opcode: the form,
+   and the bits that must be clear ([Jr], [Jalr], [Lui], [Out], [Nop],
+   [Halt] and the R-type ALU form carry unused fields). R-type
+   additionally needs a known function code. *)
+let forms, must_be_clear =
+  let forms = Array.make 64 Invalid and clear = Array.make 64 0 in
+  for op = 0 to op_out do
+    forms.(op) <- Plain
+  done;
+  clear.(op_r_alu) <- 0x7C0;
+  clear.(op_lui) <- 0x1F0000;
+  for op = op_br_base to op_br_base + 5 do
+    forms.(op) <- Br
+  done;
+  forms.(op_jmp) <- Jmp;
+  forms.(op_jal) <- Jal;
+  forms.(op_jr) <- Jr;
+  clear.(op_jr) <- 0x1FFFFF;
+  forms.(op_jalr) <- Jalr;
+  clear.(op_jalr) <- 0xFFFF;
+  forms.(op_trap) <- Trap;
+  forms.(op_halt) <- Halt;
+  clear.(op_halt) <- 0x3FFFFFF;
+  clear.(op_nop) <- 0x3FFFFFF;
+  clear.(op_out) <- 0x1FFFFF;
+  (forms, clear)
+
+let form w =
+  if w < 0 || w > 0xFFFFFFFF then Invalid
+  else
+    let op = w lsr 26 in
+    if
+      w land Array.unsafe_get must_be_clear op <> 0
+      || (op = op_r_alu && w land 0x3F >= 12)
+    then Invalid
+    else Array.unsafe_get forms op
+
+let is_br w =
+  w >= 0 && w <= 0xFFFFFFFF && w lsr 26 >= op_br_base
+  && w lsr 26 < op_br_base + 6
+
 let static_target ~site w =
   if w < 0 || w > 0xFFFFFFFF then none
   else
@@ -164,9 +214,19 @@ let static_target ~site w =
       site + (4 * sext16 (w land 0xFFFF))
     else none
 
+let branch_target ~site w =
+  if is_br w then site + (4 * sext16 (w land 0xFFFF)) else none
+
 let trap_index w =
   if w >= 0 && w <= 0xFFFFFFFF && w lsr 26 = op_trap then w land 0x3FFFFFF
   else none
+
+let reg25 w = Reg.r ((w lsr 21) land 0x1F)
+let reg20 w = Reg.r ((w lsr 16) land 0x1F)
+
+let with_branch_offset w off =
+  if not (is_br w) then err "0x%08x is not a branch" w
+  else (w land lnot 0xFFFF) lor imm16 "branch" off
 
 let decode_exn w =
   match decode w with

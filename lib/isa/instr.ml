@@ -34,12 +34,6 @@ type t =
 
 let word_size = 4
 
-let is_control_flow = function
-  | Br _ | Jmp _ | Jal _ | Jr _ | Jalr _ | Trap _ | Halt -> true
-  | Alu _ | Alui _ | Lui _ | Ld _ | St _ | Ldb _ | Stb _ | Out _ | Nop ->
-    false
-
-let is_block_terminator = is_control_flow
 let equal (a : t) (b : t) = a = b
 
 let aluop_name = function

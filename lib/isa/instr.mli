@@ -62,15 +62,6 @@ type t =
 val word_size : int
 (** Bytes per instruction (4). *)
 
-val is_control_flow : t -> bool
-(** True for instructions that may transfer control ([Br], [Jmp],
-    [Jal], [Jr], [Jalr], [Trap], [Halt]). *)
-
-val is_block_terminator : t -> bool
-(** True for instructions that always end a basic block: every control
-    flow transfer. Conditional branches terminate blocks even though
-    they may fall through. *)
-
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

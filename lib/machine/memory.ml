@@ -77,6 +77,19 @@ let write32 t addr v =
   Bytes.set_int32_le t.bytes addr (Int32.of_int v);
   invalidate_word t addr
 
+let write_bytes t addr b =
+  let len = Bytes.length b in
+  if len land 3 <> 0 then invalid_arg "Memory.write_bytes: not whole words";
+  if addr < 0 || addr + len > Bytes.length t.bytes then
+    raise (Out_of_bounds addr);
+  if addr land 3 <> 0 then raise (Unaligned addr);
+  Bytes.blit b 0 t.bytes addr len;
+  let a = ref addr in
+  while !a < addr + len do
+    invalidate_word t !a;
+    a := !a + 4
+  done
+
 let read8 t addr =
   if addr < 0 || addr >= Bytes.length t.bytes then raise (Out_of_bounds addr);
   Char.code (Bytes.get t.bytes addr)

@@ -7,12 +7,12 @@
     The decode cache predecodes instruction words so the interpreter
     does not re-decode on every fetch. Its coherence rule lives in this
     module and nowhere else: {b every} mutation of memory —
-    [write32], [write8], and the bulk loaders — invalidates the
-    covering decode-cache line(s). Code that patches instructions at
-    runtime (the SoftCache controller backpatches, reverts stubs,
-    unlinks evicted blocks, flushes) therefore needs no invalidation
-    protocol of its own, and [fetch_decoded] can never return a stale
-    instruction. *)
+    [write32], [write8], [write_bytes] and the bulk loaders —
+    invalidates the covering decode-cache line(s). Code that patches
+    instructions at runtime (the SoftCache controller installs blocks,
+    backpatches, reverts stubs, unlinks evicted blocks, flushes)
+    therefore needs no invalidation protocol of its own, and
+    [fetch_decoded] can never return a stale instruction. *)
 
 type t
 
@@ -33,6 +33,16 @@ val create : int -> t
 val size : t -> int
 val read32 : t -> int -> int
 val write32 : t -> int -> int -> unit
+val write_bytes : t -> int -> Bytes.t -> unit
+(** [write_bytes t addr b] stores the words of [b] (4 bytes each,
+    little-endian) at [addr] with one blit, and drops the decode line
+    of each word it overwrote, exactly the lines (and the
+    [invalidations] count) that one [write32] per word would. Checks
+    the whole range before writing anything.
+    @raise Invalid_argument if [Bytes.length b] is not a multiple of 4.
+    @raise Out_of_bounds with [addr] if the range leaves memory.
+    @raise Unaligned if [addr] is not 4-aligned. *)
+
 val read8 : t -> int -> int
 val write8 : t -> int -> int -> unit
 

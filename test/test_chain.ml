@@ -213,7 +213,7 @@ let sum_entry_edge img =
   let entry = img.Isa.Image.entry in
   let c = Softcache.Chunker.chunk_at img Softcache.Config.Basic_block entry in
   let fall = c.Softcache.Chunker.vaddr
-             + (4 * Array.length c.Softcache.Chunker.instrs) in
+             + (4 * c.Softcache.Chunker.len) in
   let taken =
     List.find (fun v -> v <> fall) (Softcache.Chunker.successors img c)
   in

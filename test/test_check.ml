@@ -256,6 +256,63 @@ let test_audit_catches_bad_branch_islands () =
       ignore (check_slot_mutations "stub" ctrl ~slot ~k ~target))
     islands
 
+(* A branch exit patched in reach leaves its island dormant: the island
+   must still trap to the exit's own stub, since an unpatch restores
+   only the site. Overwrite each dormant island with a trap to the next
+   stub; the audit must report it under [stub]. *)
+let test_audit_catches_bad_dormant_islands () =
+  let ctrl =
+    Softcache.Controller.create (small_cfg ~tcache_bytes:2048 ())
+      (registry_img "sensor_modes")
+  in
+  ignore (Softcache.Controller.run ctrl);
+  let mem = ctrl.cpu.mem in
+  let dormant =
+    List.concat_map
+      (fun (b : Softcache.Tcache.block) ->
+        List.filter_map
+          (fun k ->
+            match ctrl.stubs.(k) with
+            | Softcache.Stub.Exit
+                { kind = Patch_br; site_paddr; revert_word; _ }
+              when Machine.Memory.read32 mem site_paddr <> revert_word ->
+              Some (Isa.Encode.branch_target ~site:site_paddr revert_word, k)
+            | _ -> None)
+          b.stubs)
+      (Softcache.Tcache.blocks ctrl.tc)
+  in
+  Alcotest.(check bool) "a branch exit patched in reach" true (dormant <> []);
+  let clean what =
+    Alcotest.(check (list string))
+      ("dormant islands clean " ^ what)
+      []
+      (List.map
+         (Format.asprintf "%a" Check.Audit.pp_violation)
+         (Check.Audit.run ctrl))
+  in
+  clean "before";
+  List.iter
+    (fun (island, k) ->
+      let original = Machine.Memory.read32 mem island in
+      Alcotest.(check int)
+        (Printf.sprintf "island 0x%x traps to stub %d" island k)
+        (Isa.Encode.encode (Isa.Instr.Trap k))
+        original;
+      Machine.Memory.write32 mem island
+        (Isa.Encode.encode (Isa.Instr.Trap (k + 1)));
+      let vs = Check.Audit.run ctrl in
+      Machine.Memory.write32 mem island original;
+      if
+        not
+          (List.exists
+             (fun (v : Check.Audit.violation) -> v.invariant = "stub")
+             vs)
+      then
+        Alcotest.failf "island 0x%x of stub %d: no [stub] among %d violation(s)"
+          island k (List.length vs))
+    dormant;
+  clean "after"
+
 (* ------------------------------------------------------------------ *)
 (* Lockstep differential runner *)
 
@@ -450,6 +507,8 @@ let () =
             test_audit_catches_bad_plt_slots;
           Alcotest.test_case "catches bad branch-island words" `Quick
             test_audit_catches_bad_branch_islands;
+          Alcotest.test_case "catches bad dormant-island words" `Quick
+            test_audit_catches_bad_dormant_islands;
         ] );
       ( "lockstep",
         [

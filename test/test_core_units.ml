@@ -24,14 +24,14 @@ let test_chunk_basic_block () =
       ()
   in
   let c = Softcache.Chunker.chunk_at img Softcache.Config.Basic_block 0x1000 in
-  Alcotest.(check int) "ends at branch" 3 (Array.length c.instrs);
+  Alcotest.(check int) "ends at branch" 3 c.len;
   Alcotest.(check int) "span" 12 (Softcache.Chunker.span_bytes c);
   (* a chunk can start mid-block (tail duplication) *)
   let c2 = Softcache.Chunker.chunk_at img Softcache.Config.Basic_block 0x1004 in
-  Alcotest.(check int) "tail chunk" 2 (Array.length c2.instrs);
+  Alcotest.(check int) "tail chunk" 2 c2.len;
   (* and right at the terminator *)
   let c3 = Softcache.Chunker.chunk_at img Softcache.Config.Basic_block 0x1008 in
-  Alcotest.(check int) "terminator-only" 1 (Array.length c3.instrs)
+  Alcotest.(check int) "terminator-only" 1 c3.len
 
 let test_chunk_procedure () =
   let symbols =
@@ -52,12 +52,12 @@ let test_chunk_procedure () =
       ~symbols ()
   in
   let c = Softcache.Chunker.chunk_at img Softcache.Config.Procedure 0x1000 in
-  Alcotest.(check int) "whole procedure" 3 (Array.length c.instrs);
+  Alcotest.(check int) "whole procedure" 3 c.len;
   (* entering mid-procedure chunks to the procedure's end *)
   let c2 = Softcache.Chunker.chunk_at img Softcache.Config.Procedure 0x1004 in
-  Alcotest.(check int) "rest of procedure" 2 (Array.length c2.instrs);
+  Alcotest.(check int) "rest of procedure" 2 c2.len;
   let c3 = Softcache.Chunker.chunk_at img Softcache.Config.Procedure 0x100c in
-  Alcotest.(check int) "next procedure" 2 (Array.length c3.instrs)
+  Alcotest.(check int) "next procedure" 2 c3.len
 
 let test_chunk_bad_addresses () =
   let img = image_of [ Isa.Instr.Halt ] () in
@@ -79,9 +79,22 @@ let test_chunk_rejects_trap () =
 (* ------------------------------------------------------------------ *)
 (* Rewriter: layout rules *)
 
-let layout instrs =
-  Softcache.Rewriter.layout_words
-    { Softcache.Chunker.vaddr = 0x1000; instrs = Array.of_list instrs }
+(* The chunk of [instrs] at 0x1000, built outside an image: a view of
+   the segment the MC would stage for it. *)
+let chunk_of instrs =
+  let b = Bytes.create (4 * List.length instrs) in
+  List.iteri
+    (fun i instr ->
+      Bytes.set_int32_le b (4 * i) (Int32.of_int (Isa.Encode.encode instr)))
+    instrs;
+  Option.get (Softcache.Chunker.of_payload ~vaddr:0x1000 b)
+
+(* Every emitted word, read back from the payload. *)
+let words (e : Softcache.Rewriter.emission) =
+  Array.init (Bytes.length e.payload / 4) (fun i ->
+      Int32.to_int (Bytes.get_int32_le e.payload (4 * i)) land 0xFFFFFFFF)
+
+let layout instrs = Softcache.Rewriter.layout_words (chunk_of instrs)
 
 let test_layout_sizes () =
   (* plain + halt: verbatim *)
@@ -113,9 +126,7 @@ let test_layout_internal_branch () =
 (* Rewriter: emission *)
 
 let translate ?(resident = fun _ -> None) instrs =
-  let chunk =
-    { Softcache.Chunker.vaddr = 0x1000; instrs = Array.of_list instrs }
-  in
+  let chunk = chunk_of instrs in
   let stubs = ref [] in
   let alloc make =
     let k = List.length !stubs in
@@ -123,8 +134,9 @@ let translate ?(resident = fun _ -> None) instrs =
     k
   in
   let e =
-    Softcache.Rewriter.translate chunk ~block_id:7 ~base:0x20000 ~resident
-      ~alloc_stub:alloc
+    Softcache.Rewriter.translate
+      (Softcache.Rewriter.layout chunk)
+      ~block_id:7 ~base:0x20000 ~resident ~alloc_stub:alloc
   in
   (e, List.rev !stubs)
 
@@ -142,16 +154,16 @@ let test_emit_verbatim_body () =
   let e, stubs =
     translate [ Isa.Instr.Alui (Add, reg 1, reg 1, 1); Isa.Instr.Halt ]
   in
-  Alcotest.(check int) "2 words" 2 (Array.length e.words);
+  Alcotest.(check int) "2 words" 2 (Array.length (words e));
   Alcotest.(check int) "no stubs" 0 (List.length stubs);
   Alcotest.(check bool) "body verbatim" true
-    (Isa.Encode.decode e.words.(0)
+    (Isa.Encode.decode (words e).(0)
     = Some (Isa.Instr.Alui (Add, reg 1, reg 1, 1)));
   Alcotest.(check int) "no overhead beyond none" 0 e.overhead_words
 
 let test_emit_unbound_jmp_is_trap () =
   let e, stubs = translate [ Isa.Instr.Jmp 0x3000 ] in
-  (match Isa.Encode.decode e.words.(0) with
+  (match Isa.Encode.decode (words e).(0) with
   | Some (Isa.Instr.Trap 0) -> ()
   | _ -> Alcotest.fail "expected trap in jmp slot");
   match stubs with
@@ -165,19 +177,19 @@ let test_emit_bound_jmp_is_direct () =
   let resident v = if v = 0x3000 then Some (42, 0x21000) else None in
   let e, _ = translate ~resident [ Isa.Instr.Jmp 0x3000 ] in
   Alcotest.(check bool) "direct jmp" true
-    (Isa.Encode.decode e.words.(0) = Some (Isa.Instr.Jmp 0x21000));
+    (Isa.Encode.decode (words e).(0) = Some (Isa.Instr.Jmp 0x21000));
   match e.bound with
   | [ (42, 0x20000, _, _) ] -> ()
   | _ -> Alcotest.fail "expected bound record to block 42"
 
 let test_emit_call_shape () =
   let e, stubs = translate [ Isa.Instr.Jal 0x3000 ] in
-  Alcotest.(check int) "3 words" 3 (Array.length e.words);
+  Alcotest.(check int) "3 words" 3 (Array.length (words e));
   (* word 0: jal to the island (word 2) *)
   Alcotest.(check bool) "jal to island" true
-    (Isa.Encode.decode e.words.(0) = Some (Isa.Instr.Jal (0x20000 + 8)));
+    (Isa.Encode.decode (words e).(0) = Some (Isa.Instr.Jal (0x20000 + 8)));
   (* word 1: the landing pad, trapping until the return target exists *)
-  (match Isa.Encode.decode e.words.(1) with
+  (match Isa.Encode.decode (words e).(1) with
   | Some (Isa.Instr.Trap _) -> ()
   | _ -> Alcotest.fail "pad should trap");
   (* pad is registered for stack scrubbing with the return vaddr *)
@@ -189,22 +201,22 @@ let test_emit_call_shape () =
 let test_emit_branch_shape () =
   let e, _ = translate [ Isa.Instr.Br (Ne, reg 1, reg 2, 64) ] in
   (* [br -> island][fall slot][island trap] *)
-  Alcotest.(check int) "3 words" 3 (Array.length e.words);
-  (match Isa.Encode.decode e.words.(0) with
+  Alcotest.(check int) "3 words" 3 (Array.length (words e));
+  (match Isa.Encode.decode (words e).(0) with
   | Some (Isa.Instr.Br (Ne, _, _, 2)) -> () (* island at +2 *)
   | i ->
     Alcotest.failf "branch aims at island, got %s"
       (match i with Some i -> Isa.Instr.to_string i | None -> "???"));
-  (match Isa.Encode.decode e.words.(1) with
+  (match Isa.Encode.decode (words e).(1) with
   | Some (Isa.Instr.Trap _) -> ()
   | _ -> Alcotest.fail "fall slot should trap");
-  match Isa.Encode.decode e.words.(2) with
+  match Isa.Encode.decode (words e).(2) with
   | Some (Isa.Instr.Trap _) -> ()
   | _ -> Alcotest.fail "island should trap"
 
 let test_emit_computed_jump () =
   let e, stubs = translate [ Isa.Instr.Jr (reg 9) ] in
-  Alcotest.(check int) "1 word" 1 (Array.length e.words);
+  Alcotest.(check int) "1 word" 1 (Array.length (words e));
   match stubs with
   | [ Softcache.Stub.Computed { rs } ] ->
     Alcotest.(check bool) "register" true (Isa.Reg.equal rs (reg 9))
@@ -213,7 +225,7 @@ let test_emit_computed_jump () =
 let test_emit_return_verbatim () =
   let e, stubs = translate [ Isa.Instr.Jr Isa.Reg.ra ] in
   Alcotest.(check bool) "jr ra verbatim" true
-    (Isa.Encode.decode e.words.(0) = Some (Isa.Instr.Jr Isa.Reg.ra));
+    (Isa.Encode.decode (words e).(0) = Some (Isa.Instr.Jr Isa.Reg.ra));
   Alcotest.(check int) "no stubs" 0 (List.length stubs)
 
 let test_emit_resume_map () =
@@ -229,19 +241,48 @@ let test_emit_resume_map () =
 let test_emit_internal_jmp () =
   (* jmp back to the chunk's first instruction (proc-mode idiom) *)
   let chunk =
-    {
-      Softcache.Chunker.vaddr = 0x1000;
-      instrs =
-        [| Isa.Instr.Alui (Add, reg 1, reg 1, 1); Isa.Instr.Jmp 0x1000 |];
-    }
+    chunk_of [ Isa.Instr.Alui (Add, reg 1, reg 1, 1); Isa.Instr.Jmp 0x1000 ]
   in
   let e =
-    Softcache.Rewriter.translate chunk ~block_id:1 ~base:0x20000
+    Softcache.Rewriter.translate
+      (Softcache.Rewriter.layout chunk)
+      ~block_id:1 ~base:0x20000
       ~resident:(fun _ -> None)
       ~alloc_stub:(fun _ -> Alcotest.fail "no stubs for internal jmp")
   in
   Alcotest.(check bool) "internal jmp direct" true
-    (Isa.Encode.decode e.words.(1) = Some (Isa.Instr.Jmp 0x20000))
+    (Isa.Encode.decode (words e).(1) = Some (Isa.Instr.Jmp 0x20000))
+
+(* A call before the last word shifts every later word by its landing
+   pad: the pad jumps to the next source word, and an internal branch
+   back over the call is measured in emitted words. *)
+let test_emit_call_shifts_offsets () =
+  let e, stubs =
+    translate
+      [
+        Isa.Instr.Jal 0x3000;
+        Isa.Instr.Alui (Add, reg 1, reg 1, 1);
+        Isa.Instr.Br (Eq, reg 1, reg 2, -2);
+        Isa.Instr.Halt;
+      ]
+  in
+  (* [jal island][pad][add][br -> 0][halt][island] *)
+  Alcotest.(check (list string))
+    "emitted words"
+    (List.map Isa.Instr.to_string
+       [
+         Isa.Instr.Jal (0x20000 + 20);
+         Isa.Instr.Jmp (0x20000 + 8);
+         Isa.Instr.Alui (Add, reg 1, reg 1, 1);
+         Isa.Instr.Br (Eq, reg 1, reg 2, -3);
+         Isa.Instr.Halt;
+         Isa.Instr.Trap 0;
+       ])
+    (Array.to_list
+       (Array.map
+          (fun w -> Isa.Instr.to_string (Isa.Encode.decode_exn w))
+          (words e)));
+  Alcotest.(check int) "one stub: the call's exit" 1 (List.length stubs)
 
 (* Structural invariants over random chunks: the emission always
    matches the layout size, every word decodes, every stub site lies
@@ -275,13 +316,12 @@ let test_rewriter_invariants =
       let rec cut acc = function
         | [] -> List.rev acc
         | i :: rest ->
-          if Isa.Instr.is_block_terminator i then List.rev (i :: acc)
+          if Isa.Encode.form (Isa.Encode.encode i) <> Isa.Encode.Plain then
+            List.rev (i :: acc)
           else cut (i :: acc) rest
       in
       let instrs = cut [] instrs in
-      let chunk =
-        { Softcache.Chunker.vaddr = 0x1000; instrs = Array.of_list instrs }
-      in
+      let chunk = chunk_of instrs in
       let expect = Softcache.Rewriter.layout_words chunk in
       let stubs = ref [] in
       let alloc make =
@@ -291,14 +331,16 @@ let test_rewriter_invariants =
       in
       let base = 0x20000 in
       let e =
-        Softcache.Rewriter.translate chunk ~block_id:1 ~base
+        Softcache.Rewriter.translate
+          (Softcache.Rewriter.layout chunk)
+          ~block_id:1 ~base
           ~resident:(fun v -> if v land 8 = 0 then Some (2, 0x30000) else None)
           ~alloc_stub:alloc
       in
-      let total = Array.length e.words in
+      let total = Bytes.length e.payload / 4 in
       let in_block a = a >= base && a < base + (4 * total) in
       total = expect
-      && Array.for_all (fun w -> Isa.Encode.decode w <> None) e.words
+      && Array.for_all (fun w -> Isa.Encode.decode w <> None) (words e)
       && Array.for_all (fun rv -> rv >= 0 && rv land 3 = 0) e.resume
       && List.for_all
            (fun s ->
@@ -700,6 +742,8 @@ let () =
             test_emit_return_verbatim;
           Alcotest.test_case "resume map" `Quick test_emit_resume_map;
           Alcotest.test_case "internal jmp" `Quick test_emit_internal_jmp;
+          Alcotest.test_case "a call shifts later offsets" `Quick
+            test_emit_call_shifts_offsets;
         ] );
       ( "tcache",
         [

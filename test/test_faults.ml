@@ -35,6 +35,36 @@ let test_crc32_range () =
     "pos/len window" 0xCBF43926
     (Softcache.Crc32.bytes ~pos:2 ~len:9 b)
 
+(* The textbook bytewise CRC-32, kept here as the reference the
+   library's slice-by-4 loop must agree with. *)
+let crc32_bytewise ~pos ~len b =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let crc = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    let byte = Char.code (Bytes.get b i) in
+    crc := table.((!crc lxor byte) land 0xFF) lxor (!crc lsr 8)
+  done;
+  !crc lxor 0xFFFFFFFF
+
+let test_crc32_slice_by_4 =
+  QCheck.Test.make ~count:500 ~name:"slice-by-4 crc32 = bytewise crc32"
+    QCheck.(
+      triple (string_of_size (QCheck.Gen.int_range 0 200)) small_nat small_nat)
+    (fun (s, a, b) ->
+      let buf = Bytes.of_string s in
+      let n = Bytes.length buf in
+      let pos = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - pos = 0 then 0 else b mod (n - pos + 1) in
+      Softcache.Crc32.bytes ~pos ~len buf = crc32_bytewise ~pos ~len buf
+      && Softcache.Crc32.bytes buf = crc32_bytewise ~pos:0 ~len:n buf)
+
 (* ------------------------------------------------------------------ *)
 (* Fault schedule determinism *)
 
@@ -344,6 +374,7 @@ let () =
           Alcotest.test_case "known vector" `Quick test_crc32_vector;
           Alcotest.test_case "window" `Quick test_crc32_range;
           QCheck_alcotest.to_alcotest test_crc32_bit_flip;
+          QCheck_alcotest.to_alcotest test_crc32_slice_by_4;
         ] );
       ( "schedule",
         [

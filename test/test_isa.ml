@@ -52,9 +52,41 @@ let test_roundtrip =
   QCheck.Test.make ~count:2000 ~name:"encode/decode roundtrip" arb_instr
     (fun i -> Isa.Encode.decode (Isa.Encode.encode i) = Some i)
 
+module E = Isa.Encode
+
+(* Words shaped like encodings: any of the 32 opcodes with random
+   fields, and on half the draws the fields its form requires to be
+   zero cleared (and an R-type function code made valid), so that most
+   draws decode. *)
+let gen_shaped_word =
+  let open QCheck.Gen in
+  let* op = int_bound 31 in
+  let* fields = int_bound 0x3FFFFFF in
+  let* clear = bool in
+  let mask =
+    if not clear then 0
+    else
+      match op with
+      | 0 -> 0x7C0 (* R-type: bits 10..6 *)
+      | 13 -> 0x1F0000 (* lui: rs1 *)
+      | 26 | 31 -> 0x1FFFFF (* jr, out *)
+      | 27 -> 0xFFFF (* jalr *)
+      | 29 | 30 -> 0x3FFFFFF (* halt, nop *)
+      | _ -> 0
+  in
+  let fields = fields land lnot mask in
+  let fields =
+    (* R-type also needs a known function code *)
+    if op = 0 && clear then
+      fields land lnot 0x3F lor ((fields land 0x3F) mod 12)
+    else fields
+  in
+  return ((op lsl 26) lor fields)
+
 let test_canonical =
-  QCheck.Test.make ~count:5000 ~name:"decode gives canonical encodings"
-    QCheck.(make Gen.(int_bound 0xFFFFFFFF))
+  QCheck.Test.make ~count:20000 ~name:"decode gives canonical encodings"
+    (QCheck.make ~print:(Printf.sprintf "0x%08x")
+       QCheck.Gen.(oneof [ int_bound 0xFFFFFFFF; gen_shaped_word ]))
     (fun w ->
       match Isa.Encode.decode w with
       | None -> true
@@ -82,8 +114,9 @@ let test_predecode_identical =
         | _ -> false))
 
 (* The non-allocating readers answer exactly what matching on [decode]
-   answers, on any word: random 32-bit words, encoded instructions, and
-   the sign-extended words a 32-bit memory read returns. Sites below
+   answers, on any word: random 32-bit words, words shaped like
+   encodings, encoded instructions, and the sign-extended words a
+   32-bit memory read returns. Sites below
    0x40000 put many branch targets below address 0 (a [Br] at 0x10000
    with offset -32768 aims at -0x10000): those are answers, not
    [none]. *)
@@ -94,6 +127,7 @@ let test_readers_agree_with_decode =
       oneof
         [
           int_bound 0xFFFFFFFF;
+          gen_shaped_word;
           map Isa.Encode.encode gen_instr;
           map
             (fun w -> if w land 0x80000000 <> 0 then w - 0x100000000 else w)
@@ -103,7 +137,7 @@ let test_readers_agree_with_decode =
     let* site = oneof [ int_bound 0x3FFFC; int_bound 0xFFFFFF ] in
     return (w, site land lnot 3)
   in
-  QCheck.Test.make ~count:5000 ~name:"readers agree with decode"
+  QCheck.Test.make ~count:10000 ~name:"readers agree with decode"
     (QCheck.make ~print:(fun (w, site) -> Printf.sprintf "0x%x @ 0x%x" w site) gen)
     (fun (w, site) ->
       let open Isa.Instr in
@@ -116,10 +150,80 @@ let test_readers_agree_with_decode =
       let trap =
         match Isa.Encode.decode w with
         | Some (Trap k) -> k
-        | Some _ | None -> Isa.Encode.none
+        | Some _ | None -> E.none
       in
-      Isa.Encode.static_target ~site w = target
-      && Isa.Encode.trap_index w = trap)
+      let branch =
+        match Isa.Encode.decode w with
+        | Some (Br (_, _, _, d)) -> site + (4 * d)
+        | Some _ | None -> E.none
+      in
+      let form =
+        match Isa.Encode.decode w with
+        | None -> E.Invalid
+        | Some (Br _) -> E.Br
+        | Some (Jmp _) -> E.Jmp
+        | Some (Jal _) -> E.Jal
+        | Some (Jr _) -> E.Jr
+        | Some (Jalr _) -> E.Jalr
+        | Some (Trap _) -> E.Trap
+        | Some Halt -> E.Halt
+        | Some
+            (Alu _ | Alui _ | Lui _ | Ld _ | St _ | Ldb _ | Stb _ | Out _ | Nop)
+          ->
+          E.Plain
+      in
+      let regs =
+        match Isa.Encode.decode w with
+        | Some (Jr rs) -> Isa.Reg.equal (E.reg25 w) rs
+        | Some (Jalr (rd, rs)) ->
+          Isa.Reg.equal (E.reg25 w) rd && Isa.Reg.equal (E.reg20 w) rs
+        | Some _ | None -> true
+      in
+      E.static_target ~site w = target
+      && E.trap_index w = trap
+      && E.branch_target ~site w = branch
+      && E.form w = form && regs)
+
+(* The rewriter copies every non-control word as it is and the CC
+   installs the shipped bytes, so both rest on every decodable word
+   being the encoding of what it decodes to ([test_canonical]), in
+   every registry image's text too. *)
+let test_registry_text_canonical () =
+  List.iter
+    (fun (e : Workloads.Registry.entry) ->
+      let img = e.build () in
+      Array.iteri
+        (fun i w ->
+          match Isa.Encode.decode w with
+          | Some instr when Isa.Encode.encode instr = w -> ()
+          | Some _ | None ->
+            Alcotest.failf "%s: text word %d (0x%08x) is not canonical" e.name
+              i w)
+        img.code)
+    Workloads.Registry.all
+
+(* The writers build what [encode] builds from the same fields, and
+   raise where it raises, in-range and out-of-range operands alike. *)
+let test_writers_agree_with_encode =
+  let outcome f =
+    match f () with w -> Some w | exception E.Encode_error _ -> None
+  and gen =
+    let open QCheck.Gen in
+    quad gen_cond (pair gen_reg gen_reg)
+      (oneof [ gen_imm16; int_range (-100000) 100000 ])
+      (oneof [ gen_jtarget; int_range (-8) 0x10000001 ])
+  in
+  QCheck.Test.make ~count:5000 ~name:"writers agree with encode"
+    (QCheck.make gen)
+    (fun (c, (r1, r2), off, a) ->
+      let open Isa.Instr in
+      let enc i () = E.encode i in
+      let br = E.encode (Br (c, r1, r2, 0)) in
+      outcome (fun () -> E.jmp a) = outcome (enc (Jmp a))
+      && outcome (fun () -> E.jal a) = outcome (enc (Jal a))
+      && outcome (fun () -> E.trap a) = outcome (enc (Trap a))
+      && outcome (fun () -> E.with_branch_offset br off)
+         = outcome (enc (Br (c, r1, r2, off))))
 
 let test_encode_errors () =
   let open Isa.Instr in
@@ -481,6 +585,9 @@ let () =
           qt test_canonical;
           qt test_predecode_identical;
           qt test_readers_agree_with_decode;
+          Alcotest.test_case "registry text is canonical" `Quick
+            test_registry_text_canonical;
+          qt test_writers_agree_with_encode;
           Alcotest.test_case "encode errors" `Quick test_encode_errors;
           Alcotest.test_case "decode garbage" `Quick test_decode_garbage;
           Alcotest.test_case "pretty printing" `Quick test_pp;

@@ -144,11 +144,7 @@ let test_staged_good_crc_installs_without_wire () =
   in
   (* hand-stage the genuine chunk body, as the MC would ship it *)
   let c = Softcache.Chunker.chunk_at img cfg.chunking fib in
-  let words = Array.map Isa.Encode.encode c.instrs in
-  let st_bytes = Bytes.create (4 * Array.length words) in
-  Array.iteri
-    (fun i w -> Bytes.set_int32_le st_bytes (4 * i) (Int32.of_int w))
-    words;
+  let st_bytes = Softcache.Chunker.to_bytes c in
   Hashtbl.replace ctrl.staging fib
     { Softcache.Controller.st_bytes; st_crc = Softcache.Crc32.bytes st_bytes };
   Queue.add fib ctrl.staging_order;
@@ -172,11 +168,7 @@ let test_staged_bad_crc_falls_back_to_wire () =
       .sym_addr
   in
   let c = Softcache.Chunker.chunk_at img cfg.chunking fib in
-  let words = Array.map Isa.Encode.encode c.instrs in
-  let st_bytes = Bytes.create (4 * Array.length words) in
-  Array.iteri
-    (fun i w -> Bytes.set_int32_le st_bytes (4 * i) (Int32.of_int w))
-    words;
+  let st_bytes = Softcache.Chunker.to_bytes c in
   let st_crc = Softcache.Crc32.bytes st_bytes in
   (* corrupt one byte after the CRC was stamped *)
   Bytes.set st_bytes 2 (Char.chr (Char.code (Bytes.get st_bytes 2) lxor 0x40));
@@ -203,11 +195,7 @@ let test_invalidate_drops_staged () =
       .sym_addr
   in
   let c = Softcache.Chunker.chunk_at img cfg.chunking fib in
-  let words = Array.map Isa.Encode.encode c.instrs in
-  let st_bytes = Bytes.create (4 * Array.length words) in
-  Array.iteri
-    (fun i w -> Bytes.set_int32_le st_bytes (4 * i) (Int32.of_int w))
-    words;
+  let st_bytes = Softcache.Chunker.to_bytes c in
   Hashtbl.replace ctrl.staging fib
     { Softcache.Controller.st_bytes; st_crc = Softcache.Crc32.bytes st_bytes };
   Queue.add fib ctrl.staging_order;
@@ -227,11 +215,7 @@ let test_audit_staging_violations () =
   Softcache.Controller.start ctrl;
   let staged_of v =
     let c = Softcache.Chunker.chunk_at img cfg.chunking v in
-    let words = Array.map Isa.Encode.encode c.instrs in
-    let st_bytes = Bytes.create (4 * Array.length words) in
-    Array.iteri
-      (fun i w -> Bytes.set_int32_le st_bytes (4 * i) (Int32.of_int w))
-      words;
+    let st_bytes = Softcache.Chunker.to_bytes c in
     { Softcache.Controller.st_bytes;
       st_crc = Softcache.Crc32.bytes st_bytes }
   in
