@@ -380,7 +380,8 @@ let run (t : Controller.t) : violation list =
   Hashtbl.iter (check_slot_entry viols t ~plt:false) t.ret_stubs;
   Hashtbl.iter (check_slot_entry viols t ~plt:true) t.plt;
 
-  (* -- stub-table accounting ---------------------------------------- *)
+  (* -- stub-table accounting: every allocated entry is owned by a
+        block, a return stub or a PLT slot, or is free, never both ---- *)
   let owned =
     List.fold_left
       (fun acc (b : Tcache.block) -> acc + List.length b.stubs)
@@ -388,13 +389,10 @@ let run (t : Controller.t) : violation list =
     + Hashtbl.length t.ret_stubs
     + Hashtbl.length t.plt
   in
-  if t.live_stubs <> owned then
-    add "accounting" "live_stubs=%d but blocks+return stubs own %d"
-      t.live_stubs owned;
   let free = List.length t.free_stubs in
-  if t.live_stubs + free <> t.nstubs then
-    add "accounting" "live=%d + free=%d <> allocated=%d" t.live_stubs free
-      t.nstubs;
+  if owned <> t.nstubs - free then
+    add "accounting" "blocks and slots own %d stubs, allocated %d - free %d"
+      owned t.nstubs free;
   let seen = Hashtbl.create 64 in
   List.iter
     (fun k ->
@@ -414,24 +412,17 @@ let run (t : Controller.t) : violation list =
     (fun _ (_, k) -> check_live_not_free "a return stub" k)
     t.ret_stubs;
   Hashtbl.iter (fun _ (_, k) -> check_live_not_free "a PLT slot" k) t.plt;
-  let expected_md =
-    (Tcache.map_entries tc * 12) + (t.live_stubs * 8)
-    + (Hashtbl.length t.plt * 12)
-  in
-  if Controller.metadata_bytes t <> expected_md then
-    add "accounting" "metadata_bytes=%d, recomputed %d"
-      (Controller.metadata_bytes t) expected_md;
 
   (* -- prefetch staging buffer ---------------------------------------- *)
   (* Staged chunk bodies live CC-side only: a staged vaddr that is also
      resident means first touch went to the wire (or a translate forgot
      to consume its staged copy) — the copy can silently go stale. The
      bound is what keeps staging memory finite on the client. *)
-  if Hashtbl.length t.staging > t.cfg.staging_chunks then
+  if List.length t.staging > t.cfg.staging_chunks then
     add "staging" "staging holds %d chunks, bound is %d"
-      (Hashtbl.length t.staging) t.cfg.staging_chunks;
-  Hashtbl.iter
-    (fun v (_ : Controller.staged) ->
+      (List.length t.staging) t.cfg.staging_chunks;
+  List.iter
+    (fun (v, (_ : Controller.staged)) ->
       if Tcache.lookup tc v <> None then
         add "staging" "staged chunk v=0x%x aliases a resident block" v)
     t.staging;
@@ -643,12 +634,12 @@ let install (t : Controller.t) =
 
    On top of the full per-controller audit, the shard layer's own
    books: the fills (single owners, nothing in flight at a quiescent
-   point), the suspension-lease discipline (every parked hart's lease
-   covers the block its pc sits in, and the tcache's lease counts are
-   exactly the sum of hart leases), the per-hart waits (non-negative,
-   within the hart's clock, summing to the stats), and the mirrored
-   tcache region (every hart's copy equals hart 0's). A resident chunk
-   mapped twice is already a "map" violation of [run]. *)
+   point), the suspension-lease discipline (each resident block's
+   lease count is the number of non-halted harts parked in it), the
+   per-hart waits (non-negative, within the hart's clock, summing to
+   the stats), and the mirrored tcache region (every hart's copy
+   equals hart 0's). A resident chunk mapped twice is already a "map"
+   violation of [run]. *)
 
 let shards (s : Shard.t) : violation list =
   let viols = ref [] in
@@ -674,64 +665,23 @@ let shards (s : Shard.t) : violation list =
           f.f_vaddr)
     (Shard.fills s);
 
-  (* -- lease discipline --------------------------------------------- *)
-  let block_of pc =
-    List.find_opt
-      (fun (b : Tcache.block) ->
-        pc >= b.paddr && pc < b.paddr + (4 * b.words))
-      blocks
-  in
-  List.iter
-    (fun (h : Shard.hart) ->
-      match h.h_lease with
-      | Some b ->
-        if h.h_cpu.halted then
-          add "shard-lease" "halted hart %d still holds a lease on id=%d"
-            h.h_id b.id;
-        if not (Tcache.is_alive tc b.id) then
-          add "shard-lease" "hart %d leases dead block id=%d" h.h_id b.id
-        else begin
-          if Tcache.lease_count tc b.id < 1 then
-            add "shard-lease"
-              "hart %d's lease on id=%d is not counted by the tcache"
-              h.h_id b.id;
-          if not (h.h_cpu.pc >= b.paddr && h.h_cpu.pc < b.paddr + (4 * b.words))
-          then
-            add "shard-lease"
-              "hart %d parked at 0x%x outside its leased block id=%d" h.h_id
-              h.h_cpu.pc b.id
-        end
-      | None ->
-        if (not h.h_cpu.halted) && block_of h.h_cpu.pc <> None then
-          add "shard-lease"
-            "hart %d parked at 0x%x inside a resident block without a lease"
-            h.h_id h.h_cpu.pc)
-    harts;
-  (* conservation: the tcache's per-block lease counts are exactly the
-     hart leases, block by block *)
-  let hart_leases = Hashtbl.create 8 in
-  List.iter
-    (fun (h : Shard.hart) ->
-      match h.h_lease with
-      | Some b ->
-        Hashtbl.replace hart_leases b.Tcache.id
-          (1
-          + Option.value ~default:0 (Hashtbl.find_opt hart_leases b.Tcache.id))
-      | None -> ())
-    harts;
+  (* -- lease discipline: a lease lives only in the tcache, so each
+        resident block's count must equal the non-halted harts parked
+        in it (a lease on a dead id is [run]'s "leased" violation) --- *)
   List.iter
     (fun (b : Tcache.block) ->
-      let want = Option.value ~default:0 (Hashtbl.find_opt hart_leases b.id) in
-      let got = Tcache.lease_count tc b.id in
-      if got <> want then
-        add "shard-lease" "block id=%d holds %d lease(s), harts account for %d"
-          b.id got want)
+      let parked =
+        List.fold_left
+          (fun acc (h : Shard.hart) ->
+            if (not h.h_cpu.halted) && in_block b h.h_cpu.pc then acc + 1
+            else acc)
+          0 harts
+      in
+      let leases = Tcache.lease_count tc b.id in
+      if leases <> parked then
+        add "shard-lease" "block id=%d holds %d lease(s), %d hart(s) parked"
+          b.id leases parked)
     blocks;
-  List.iter
-    (fun id ->
-      if not (Hashtbl.mem hart_leases id) then
-        add "shard-lease" "leased id=%d is not held by any hart" id)
-    (Tcache.leased_ids tc);
 
   (* -- per-hart waits ------------------------------------------------ *)
   List.iter
@@ -869,8 +819,8 @@ let fleet (f : Fleet.t) : violation list =
               "client %d resident chunk 0x%x is outside its workload %s" id
               b.vaddr img.Isa.Image.name)
         (Tcache.blocks c.tc);
-      Hashtbl.iter
-        (fun v (_ : Controller.staged) ->
+      List.iter
+        (fun (v, (_ : Controller.staged)) ->
           if not (Fleet.requested s v) then
             add "fleet-isolation"
               "client %d staged chunk 0x%x was never requested by it" id v;

@@ -10,7 +10,7 @@
       each shard's code area, in paddr order, and the occupancy count
       equals a fold over the blocks and the stub areas;
     - the tcache map agrees exactly with the set of resident blocks;
-    - every pinned id names a resident block;
+    - every pinned and every leased id names a resident block;
     - every recorded incoming pointer either still holds its revert
       word or decodes to a branch aiming at its target block;
     - every exit stub of a live block is in its miss state (trapping,
@@ -29,9 +29,9 @@
       as ["stub"], ["ret-stub"] or ["plt"] (["incoming"] for a missing
       record); return stubs and PLT slots also sit in a stub area and
       their stub entries mirror their tables;
-    - stub-table accounting balances: live + free = allocated, no stub
-      is both live and free, and [Controller.metadata_bytes] matches a
-      recomputation;
+    - stub-table accounting balances: blocks, return stubs and PLT
+      slots own exactly the [nstubs] entries not on the free list, and
+      no entry is free twice or both owned and free;
     - every block-to-block incoming record names a live source block
       and an exit stub of that source aimed at the record's block (the
       stub an unpatch re-arms), and the pending-exit index lists
@@ -41,6 +41,8 @@
     - every valid decode-cache line agrees with the word it caches, in
       every hart's memory when harts are attached
       ([Machine.Memory.decode_audit]);
+    - every staged chunk is within the staging bound and aliases no
+      resident block;
     - the replacement policy's victim ([Policy.victim]) is never a
       pinned or a dead block.
 
@@ -85,10 +87,9 @@ val shards : Softcache.Shard.t -> violation list
 (** Audit a multi-hart (sharded) session at a quiescent point (between
     {!Softcache.Shard.run} calls): every fill has a single in-range
     owner and none is still in flight ([f_done = max_int]); the
-    suspension-lease discipline holds (every non-halted hart parked
-    inside a resident block holds exactly one lease on that block,
-    halted harts hold none, and the tcache's per-block lease counts
-    equal the per-hart leases block by block); every hart's waits are
+    suspension-lease discipline holds (["shard-lease"]: each resident
+    block's lease count equals the number of non-halted harts parked
+    in it, the lease living only in the tcache); every hart's waits are
     non-negative and within its clock, and the aggregate fill
     statistics are the exact sums of the hart counters; and every
     hart's tcache region is word-for-word hart 0's (["shard-mirror"],

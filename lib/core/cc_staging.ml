@@ -4,49 +4,39 @@
 
 open Cc_state
 
-(* The queue tracks arrival order for bounded FIFO discard; consumed or
-   invalidated entries leave stale vaddrs behind that are skipped here. *)
+(* The staging list is in arrival order, oldest first, and holds at
+   most [staging_chunks] entries (8 by default), so a walk costs
+   little. A full list discards its oldest entry. *)
 let rec make_staging_room t =
-  if Hashtbl.length t.staging >= t.cfg.staging_chunks then
-    match Queue.take_opt t.staging_order with
-    | None -> ()
-    | Some old ->
-      if Hashtbl.mem t.staging old then begin
-        Hashtbl.remove t.staging old;
-        t.stats.prefetch_wasted <- t.stats.prefetch_wasted + 1
-      end;
-      make_staging_room t
+  match t.staging with
+  | _ :: rest when List.length t.staging >= t.cfg.staging_chunks ->
+    t.staging <- rest;
+    t.stats.prefetch_wasted <- t.stats.prefetch_wasted + 1;
+    make_staging_room t
+  | _ -> ()
 
 let stage_chunk t vaddr st_bytes st_crc =
-  if not (Hashtbl.mem t.staging vaddr) then begin
+  if not (List.mem_assoc vaddr t.staging) then begin
     make_staging_room t;
-    Hashtbl.replace t.staging vaddr { st_bytes; st_crc };
-    Queue.add vaddr t.staging_order;
+    t.staging <- t.staging @ [ (vaddr, { st_bytes; st_crc }) ];
     t.stats.prefetch_issued <- t.stats.prefetch_issued + 1
   end
 
 let take_staged t v =
-  (* most misses find staging empty: skip hashing [v] *)
-  if Hashtbl.length t.staging = 0 then None
-  else
-    match Hashtbl.find_opt t.staging v with
-    | None -> None
-    | Some s ->
-      Hashtbl.remove t.staging v;
-      Some s
+  match List.assoc_opt v t.staging with
+  | None -> None
+  | Some s ->
+    t.staging <- List.remove_assoc v t.staging;
+    Some s
 
 let drop_staged_in t ~lo ~hi =
-  let doomed =
-    Hashtbl.fold
-      (fun v (s : staged) acc ->
-        if v < hi && v + Bytes.length s.st_bytes > lo then v :: acc else acc)
-      t.staging []
-  in
-  List.iter
-    (fun v ->
-      Hashtbl.remove t.staging v;
-      t.stats.prefetch_wasted <- t.stats.prefetch_wasted + 1)
-    doomed
+  t.staging <-
+    List.filter
+      (fun (v, (s : staged)) ->
+        let doomed = v < hi && v + Bytes.length s.st_bytes > lo in
+        if doomed then t.stats.prefetch_wasted <- t.stats.prefetch_wasted + 1;
+        not doomed)
+      t.staging
 
 (* MC-side CRC stamping goes through the [mc_crc] hook when set: a
    fleet MC memoizes stamps in its shared chunk cache, so identical
@@ -154,7 +144,7 @@ let prefetch_candidates t (chunk : Chunker.t) =
     let cands =
       succs
       |> List.filter (fun a ->
-             Tcache.lookup t.tc a = None && not (Hashtbl.mem t.staging a))
+             Tcache.lookup t.tc a = None && not (List.mem_assoc a t.staging))
       |> List.filter_map (fun a ->
              match chunk_for t a with
              | c -> Some c

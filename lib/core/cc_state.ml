@@ -32,8 +32,8 @@ type t = {
          coherent shared code over private data *)
   tc : Tcache.t;
   stats : Stats.t;
-  staging : (int, staged) Hashtbl.t;
-  staging_order : int Queue.t;
+  mutable staging : (int * staged) list;
+      (* staged prefetched chunks by source vaddr, oldest first *)
   mutable prefetch_ranker : (lo:int -> hi:int -> int) option;
   mutable temperature : (lo:int -> hi:int -> Policy.temperature) option;
       (* profile temperature oracle over a source range; sampled once
@@ -77,8 +77,8 @@ type t = {
   mutable ra_regions : (int * int) list;
       (* registered non-stack storage holding return addresses *)
   mutable free_stubs : int list;
-      (* recycled stub-table entries from evicted blocks *)
-  mutable live_stubs : int;
+      (* recycled stub-table entries from evicted blocks; the live
+         entries are the other [nstubs - List.length free_stubs] *)
   mutable on_event : (event -> unit) option;
   mutable tracer : Trace.t option;
   mutable alloc_guard : int;
@@ -86,12 +86,6 @@ type t = {
          processing keeps growing the persistent stub area into the
          fresh placement; mutable as a test hook so the exhaustion
          exception is reachable without a pathological workload *)
-  mutable chaos_evict_bound : bool;
-      (* test hook: evict the first bound-exit target block between
-         translation and incoming-pointer recording, making the
-         "resident during this translation" invariant of the bound loop
-         false — proves [Internal_invariant_broken] is raised, not an
-         anonymous assert *)
   mutable mc_transport :
     (vaddr:int ->
     prefetch_vaddrs:int list ->
@@ -176,7 +170,6 @@ let write_payload t addr b =
       t.harts
 
 let add_stub t make =
-  t.live_stubs <- t.live_stubs + 1;
   match t.free_stubs with
   | k :: rest ->
     t.free_stubs <- rest;
@@ -230,8 +223,7 @@ let free_stub_list t ks =
       (match t.stubs.(k) with
       | Stub.Exit { target; _ } -> pending_remove t ~target k
       | _ -> ());
-      t.free_stubs <- k :: t.free_stubs;
-      t.live_stubs <- t.live_stubs - 1)
+      t.free_stubs <- k :: t.free_stubs)
     ks
 
 (* A dead block's stub entries can never fire again (its memory is
@@ -281,10 +273,10 @@ let specialise_slot t ~slot k (b : Tcache.block) =
    defers to the configured chunking untouched. Function mode chunks
    the whole enclosing function as one unit, except for functions that
    have been degraded to block granularity: a unit that cannot be
-   cached (more instructions than [Chunker.max_function_instrs], a body
-   the tcache can never hold, or a non-contiguously-decodable extent)
-   is recorded in [gran_degraded] and every miss inside its extent —
-   this one and all later ones — chunks as a basic block instead.
+   cached ([Chunker.function_unit]'s rule, or a body the tcache can
+   never hold) is recorded in [gran_degraded] and every miss inside
+   its extent — this one and all later ones — chunks as a basic block
+   instead.
    Degradation is sticky because it is a property of the function
    (size, decodability, capacity), not of a particular cache state. *)
 
@@ -305,22 +297,14 @@ let chunk_for t v =
     if in_degraded_extent t v then
       Chunker.chunk_at t.image Config.Basic_block v
     else begin
-      let degrade_to_block hi =
+      match Chunker.function_unit t.image v with
+      | Ok c -> c
+      | Error hi ->
         record_degraded t v hi;
         Chunker.chunk_at t.image Config.Basic_block v
-      in
-      match Chunker.chunk_function t.image v with
-      | c ->
-        if c.len > Chunker.max_function_instrs then
-          degrade_to_block (v + Chunker.span_bytes c)
-        else c
-      | exception Chunker.Bad_address a when a > v -> degrade_to_block a
-      | exception Chunker.Trap_in_source a when a > v -> degrade_to_block a
-      (* carried address = [v]: the requested address itself is bad —
-         that is the caller's error in any granularity, propagate *)
     end
 
 let resident_oracle t v =
   match Tcache.lookup t.tc v with
-  | Some b -> Some (b.id, b.paddr)
+  | Some b -> Some (b, b.paddr)
   | None -> None

@@ -50,22 +50,16 @@ let alloc_evicting t ~vaddr ~words_needed =
       in
       (* label the victims: the block the policy chose — or, when the
          sweep chose implicitly, the lowest-placed block the placement
-         ran over — is the victim; everything else the placement
-         consumed is collateral. (Labelling every implicit-sweep victim
-         [Victim] was a latent bug: multi-block placements hid their
-         collateral damage from policies, stats and auditors.) *)
+         ran over, the head of [victims] (ascending paddr) — is the
+         victim; everything else the placement consumed is collateral.
+         (Labelling every implicit-sweep victim [Victim] was a latent
+         bug: multi-block placements hid their collateral damage from
+         policies, stats and auditors.) *)
       let primary =
-        match chosen with
-        | Some (vb : Tcache.block) -> vb.id
-        | None -> (
-          match victims with
-          | [] -> -1
-          | v0 :: rest ->
-            (List.fold_left
-               (fun (best : Tcache.block) (b : Tcache.block) ->
-                 if b.paddr < best.paddr then b else best)
-               v0 rest)
-              .id)
+        match (chosen, victims) with
+        | Some (vb : Tcache.block), _ -> vb.id
+        | None, (v0 : Tcache.block) :: _ -> v0.id
+        | None, [] -> -1
       in
       Cc_evict.process_evicted t victims
         ~reason_of:(fun (b : Tcache.block) ->
@@ -200,36 +194,13 @@ let translate_unit ?placed t v =
     }
   in
   Tcache.register t.tc block;
-  (* test hook: evict a bound target between translation and the
-     incoming-record loop, falsifying the loop's residency invariant *)
-  (if t.chaos_evict_bound then
-     match emission.bound with
-     | (tb, _, _, _) :: _ -> (
-       t.chaos_evict_bound <- false;
-       match Tcache.find_by_id t.tc tb with
-       | Some victim -> Tcache.remove t.tc victim
-       | None -> ())
-     | [] -> () (* keep the hook armed until a translation binds *));
+  (* each bound target is still resident: between translation and here
+     only delivery, rider staging, [write_payload] and [register] ran,
+     and none of them evicts *)
   List.iter
-    (fun (tb, site_paddr, revert_word, stub) ->
-      match Tcache.find_by_id t.tc tb with
-      | Some target_block ->
-        record_incoming target_block ~from_block:id ~site_paddr
-          ~revert_word ~stub
-      | None ->
-        (* the rewriter bound this exit against a block the resident
-           oracle reported during this very translation; nothing may
-           evict between translation and here *)
-        raise
-          (Internal_invariant_broken
-             {
-               chunk = v;
-               detail =
-                 Printf.sprintf
-                   "bound exit target block %d vanished before its \
-                    incoming pointer was recorded"
-                   tb;
-             }))
+    (fun (target_block, site_paddr, revert_word, stub) ->
+      record_incoming target_block ~from_block:id ~site_paddr ~revert_word
+        ~stub)
     emission.bound;
   Cc_chain.register_pending t block;
   if debug_logging () then

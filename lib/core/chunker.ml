@@ -135,11 +135,19 @@ let chunk_function img v =
         () (* scan hit [cap] without a terminator *)
     end
   done;
-  (* no truncation: the caller applies the degradation rule against
-     [max_function_instrs], so it must see the unit's true extent *)
+  (* no truncation: [function_unit] applies the degradation rule
+     against [max_function_instrs], so it must see the true extent *)
   let len = (!hi - v) / 4 in
   check img v len;
   view img v len
+
+(* The one degradation rule; a bad [v] itself propagates. *)
+let function_unit img v =
+  match chunk_function img v with
+  | c when c.len > max_function_instrs -> Error (v + span_bytes c)
+  | c -> Ok c
+  | exception Bad_address a when a > v -> Error a
+  | exception Trap_in_source a when a > v -> Error a
 
 let successors img t =
   let n = t.len in

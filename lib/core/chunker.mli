@@ -66,9 +66,9 @@ val span_bytes : t -> int
 val max_function_instrs : int
 (** Degradation bound on whole-function units (8192 instructions):
     3n emitted words stay within the 16-bit branch-offset range, and
-    anything larger is degraded to block granularity by the controller
-    rather than cached as one unit. [chunk_function] itself does not
-    enforce it — callers compare against the returned length. *)
+    anything larger is degraded to block granularity rather than
+    cached as one unit. [chunk_function] itself does not enforce it;
+    {!function_unit} does. *)
 
 val chunk_function : Isa.Image.t -> int -> t
 (** Whole-function extraction for [Config.granularity = Function]: a
@@ -83,6 +83,14 @@ val chunk_function : Isa.Image.t -> int -> t
     unaligned or outside the text segment; with a higher address (or
     [Trap_in_source]) if the contiguous extent is not cleanly
     decodable — callers degrade the latter to block granularity. *)
+
+val function_unit : Isa.Image.t -> int -> (t, int) result
+(** The whole-function unit at an entry, or [Error hi]: degrade to
+    block granularity over [\[v, hi)]. It degrades a unit of more than
+    {!max_function_instrs} words ([hi] is its end) and a body that is
+    not contiguously decodable ([hi] is the first bad address). The
+    controller's misses and [Sizing]'s walk both apply this one rule.
+    @raise Bad_address / Trap_in_source when [v] itself is bad. *)
 
 val external_successors : Isa.Image.t -> t -> int list
 (** [successors] restricted to addresses outside the chunk's own span —

@@ -36,8 +36,7 @@ let create (cfg : Config.t) image =
         Tcache.create_sharded ~shards:cfg.shards ~base:Config.tcache_base
           ~bytes:cfg.tcache_bytes;
       stats = Stats.create ();
-      staging = Hashtbl.create 16;
-      staging_order = Queue.create ();
+      staging = [];
       prefetch_ranker = None;
       temperature = None;
       chain_oracle = None;
@@ -56,11 +55,9 @@ let create (cfg : Config.t) image =
       started = false;
       ra_regions = [];
       free_stubs = [];
-      live_stubs = 0;
       on_event = None;
       tracer = None;
       alloc_guard = 64;
-      chaos_evict_bound = false;
       mc_transport = None;
       mc_crc = None;
     }
@@ -138,7 +135,8 @@ let preload t ~lo ~hi =
   done
 
 let metadata_bytes t =
-  (Tcache.map_entries t.tc * 12) + (t.live_stubs * 8)
+  (Tcache.map_entries t.tc * 12)
+  + ((t.nstubs - List.length t.free_stubs) * 8)
   + (Hashtbl.length t.plt * 12)
 
 let resident t v = Tcache.lookup t.tc v <> None

@@ -73,12 +73,10 @@ type t = Cc_state.t = {
           byte-identically into each hart's private memory *)
   tc : Tcache.t;
   stats : Stats.t;
-  staging : (int, staged) Hashtbl.t;
-      (** staged prefetched chunks keyed by source vaddr; bounded by
-          [Config.staging_chunks], consumed on first touch *)
-  staging_order : int Queue.t;
-      (** staging arrival order for bounded FIFO discard; may hold
-          stale vaddrs of consumed entries (skipped lazily) *)
+  mutable staging : (int * staged) list;
+      (** staged prefetched chunks by source vaddr, in arrival order
+          (oldest first); bounded by [Config.staging_chunks], which
+          drops the oldest entry when full; consumed on first touch *)
   mutable prefetch_ranker : (lo:int -> hi:int -> int) option;
       (** optional hotness oracle over a source byte range (typically
           [Profiler.samples_in]); ranks prefetch candidates when set *)
@@ -135,8 +133,9 @@ type t = Cc_state.t = {
       (** registered non-stack return-address storage, scanned by the
           scrubber alongside the stack *)
   mutable free_stubs : int list;
-      (** recycled stub-table entries from evicted blocks *)
-  mutable live_stubs : int;
+      (** recycled stub-table entries from evicted blocks; every other
+          entry below [nstubs] is live (owned by a block, a return stub
+          or a PLT slot) *)
   mutable on_event : (event -> unit) option;
       (** fired after every state-changing controller operation, with
           the cache in a consistent state — the hook the [Check.Audit]
@@ -151,12 +150,6 @@ type t = Cc_state.t = {
           residents). Exhaustion raises {!Alloc_guard_exhausted}.
           Mutable as a test hook — lower it to make the exception
           reachable without a pathological workload. *)
-  mutable chaos_evict_bound : bool;
-      (** test hook: evict the first translate-time-bound exit target
-          between translation and incoming-pointer recording, breaking
-          the "bound targets stay resident through [translate_one]"
-          invariant so the {!Internal_invariant_broken} raise path is
-          testable. Leave [false] in production. *)
   mutable mc_transport :
     (vaddr:int ->
     prefetch_vaddrs:int list ->
@@ -209,10 +202,10 @@ exception
 
 exception Internal_invariant_broken of { chunk : int; detail : string }
 (** A controller bookkeeping invariant failed while processing the
-    chunk at this virtual address — e.g. a translate-time-bound exit
-    target vanished before its incoming pointer could be recorded.
-    Replaces what used to be a bare assertion, so audit-off production
-    runs fail with the failing chunk identified. *)
+    chunk at this virtual address — e.g. an [mc_transport] hook
+    replied without the demand segment. Replaces what used to be a
+    bare assertion, so audit-off production runs fail with the failing
+    chunk identified. *)
 
 val create : Config.t -> Isa.Image.t -> t
 (** Build the client machine (8 MiB of memory: data segment + tcache +
@@ -299,8 +292,9 @@ val preload : t -> lo:int -> hi:int -> unit
 
 val metadata_bytes : t -> int
 (** CC-side bookkeeping footprint: tcache map entries plus *live* stub
-    table entries (12 bytes per map entry, 8 per stub) plus PLT table
-    entries (12 bytes each: function vaddr, slot paddr, stub index).
+    table entries ([nstubs] minus the free list; 12 bytes per map
+    entry, 8 per stub) plus PLT table entries (12 bytes each: function
+    vaddr, slot paddr, stub index).
     Stub entries are recycled when their block is evicted, so this
     stays proportional to residency — the paper's "adjustable
     tradeoff" — rather than growing with run length. *)

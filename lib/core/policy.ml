@@ -22,11 +22,11 @@ let eligible ?shard tc (b : Tcache.block) =
   | None -> true
   | Some s -> Tcache.shard_of_paddr tc b.paddr = s
 
-(* One fold over the residents, O(resident blocks) — the same order
-   the allocation sweep already pays. Ties break on the smaller key,
-   and exact key ties on the smaller block id — never on the fold's
-   visit order, which depends on table history rather than on any
-   stable property of the blocks. *)
+(* One fold over the residents, O(resident blocks); lru and trrip run
+   it only when the sweep's candidate is protected. Ties break on the
+   smaller key, and exact key ties on the smaller block id — never on
+   the fold's visit order, which depends on table history rather than
+   on any stable property of the blocks. *)
 let pick_min ?shard ~key tc =
   Tcache.fold
     (fun (b : Tcache.block) best ->
@@ -42,37 +42,20 @@ let pick_min ?shard ~key tc =
   |> Option.map snd
 
 (* Which block would the circular FIFO sweep reclaim next? The first
-   unpinned block whose extent ends past the sweep pointer, lowest
-   placement first; when the sweep is past every block it wraps, so
-   fall back to the lowest-placed unpinned block. Recency policies use
-   this to decide whether deviating from the sweep is worth it at all:
-   block entries are only observable at trap granularity (transfers
-   along patched direct branches are invisible — the cache state is
-   encoded in the branches), so most of the time a recency policy has
+   eligible block the placement index shows at or past the sweep
+   pointer; when the sweep is past every block it wraps, so fall back
+   to the lowest-placed eligible block. Recency policies use this to
+   decide whether deviating from the sweep is worth it at all: block
+   entries are only observable at trap granularity (transfers along
+   patched direct branches are invisible — the cache state is encoded
+   in the branches), so most of the time a recency policy has
    *no* evidence distinguishing the sweep's candidate from any other
    block. Deviating without evidence buys nothing and costs a lot:
    placements seeded away from the sweep point fragment the region,
    evict collateral neighbours and spill landing pads into persistent
    stubs. A policy therefore returns a victim only when the sweep is
    about to kill a block with a recent observed entry. *)
-let sweep_candidate ?shard tc =
-  let ptr = Tcache.alloc_ptr ?shard tc in
-  let better best (b : Tcache.block) =
-    match best with
-    | Some (bb : Tcache.block)
-      when bb.paddr < b.paddr || (bb.paddr = b.paddr && bb.id < b.id) ->
-      best
-    | _ -> Some b
-  in
-  let ahead, wrapped =
-    Tcache.fold
-      (fun (b : Tcache.block) (ahead, wrapped) ->
-        if not (eligible ?shard tc b) then (ahead, wrapped)
-        else if b.paddr + (4 * b.words) > ptr then (better ahead b, wrapped)
-        else (ahead, better wrapped b))
-      tc (None, None)
-  in
-  match ahead with Some _ -> ahead | None -> wrapped
+let sweep_candidate ?shard tc = Tcache.sweep_next ?shard tc ~ok:(eligible tc)
 
 (* The clock ticks once per install or observed entry, so
    [2 * residents] ticks is roughly two sweep laps: long enough that a

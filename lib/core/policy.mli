@@ -65,10 +65,11 @@ val victim :
 
 (** {2 Selection primitives}
 
-    Exposed so the tie-break discipline can be unit-tested directly:
-    both must be deterministic in the residents' facts, never in the
-    order a fold happens to visit them (which depends on insertion
-    history). *)
+    Exposed so they can be unit-tested directly. [pick_min] must be
+    deterministic in the residents' facts, never in the order its fold
+    happens to visit them (which depends on insertion history);
+    [sweep_candidate] reads the placement index, which holds one block
+    per word. *)
 
 val pick_min :
   ?shard:int -> key:(Tcache.block -> 'k) -> Tcache.t -> Tcache.block option
@@ -81,4 +82,5 @@ val sweep_candidate : ?shard:int -> Tcache.t -> Tcache.block option
 (** The block the shard's circular FIFO allocation sweep would reclaim
     next: the lowest-placed unpinned, unleased block whose extent ends
     past the sweep pointer, else (wrapped) the lowest-placed such
-    block overall; placement ties break on the smaller block id. *)
+    block overall. Read off the placement index
+    ([Tcache.sweep_next]), not a fold over the residents. *)

@@ -1,8 +1,8 @@
 exception Rewrite_error of string
 
-type emission = {
+type 'b emission = {
   payload : Bytes.t;
-  bound : (int * int * int * int) list;
+  bound : ('b * int * int * int) list;
   pads : (int * int) list;
   resume : int array;
   overhead_words : int;
@@ -90,18 +90,18 @@ let fits = Isa.Encode.branch_offset_fits
 
 (* One translation in progress. A record rather than closures over
    locals: the miss path allocates it once. *)
-type emitter = {
+type 'b emitter = {
   l : layout;
   base : int;
   block_id : int;
-  resident : int -> (int * int) option;
+  resident : int -> ('b * int) option;
   alloc_stub : (int -> Stub.t) -> int;
   payload : Bytes.t;
   resume : int array;
       (* source vaddr at which execution can safely resume for each
          emitted word; pads resume at their return target, islands at
          the branch target control had already committed to *)
-  mutable bound : (int * int * int * int) list;
+  mutable bound : ('b * int * int * int) list;
   mutable pads : (int * int) list;
   mutable next_island : int;
 }

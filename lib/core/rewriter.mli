@@ -35,17 +35,18 @@ exception Rewrite_error of string
     those) and for an emission whose island count disagrees with its
     layout. *)
 
-type emission = {
+type 'b emission = {
   payload : Bytes.t;
       (** the emitted words, 4 bytes each, little-endian, in placement
           order: a fresh exact-size buffer, and the very segment the MC
           ships (the CC installs it with one range write) *)
-  bound : (int * int * int * int) list;
-      (** (target block id, site paddr, revert word, stub index) for
-          every exit bound directly at translation time; the controller
-          records these as incoming pointers on the target blocks. The
-          stub index names the new block's own [Exit] stub, which an
-          unpatch re-arms *)
+  bound : ('b * int * int * int) list;
+      (** (target, site paddr, revert word, stub index) for every exit
+          bound directly at translation time. The target is what
+          [resident] returned for it (the controller's oracle returns
+          the resident block), and the controller records an incoming
+          pointer on it. The stub index names the new block's own
+          [Exit] stub, which an unpatch re-arms *)
   pads : (int * int) list;  (** (pad paddr, return vaddr) *)
   resume : int array;
       (** for each emitted word, the source virtual address at which
@@ -75,17 +76,19 @@ val translate :
   layout ->
   block_id:int ->
   base:int ->
-  resident:(int -> (int * int) option) ->
+  resident:(int -> ('b * int) option) ->
   alloc_stub:((int -> Stub.t) -> int) ->
-  emission
+  'b emission
 (** Rewrite a laid-out chunk for placement at physical address [base],
     writing its words straight into the payload. Every non-control word
     is copied as it is (decodable words are canonical, so the copy is
     the word re-encoding it would give); only control transfers are
     rewritten, with the {!Isa.Encode} writers.
-    [resident v] returns [(block id, paddr)] for chunks already in the
-    tcache. [alloc_stub make] allocates a stub-table index [k] and
-    stores [make k]. A [plt_of] slot for [tv] turns an external
+    [resident v] returns the target and its paddr for chunks already
+    in the tcache; the target comes back untouched in [bound] (the
+    controller passes the resident block, tests any plain value).
+    [alloc_stub make] allocates a stub-table index [k] and stores
+    [make k]. A [plt_of] slot for [tv] turns an external
     [Jal tv] into a direct call through that PLT slot: no island, no
     exit stub, and the call site itself is never patched — only the
     controller-owned slot word is.

@@ -33,17 +33,18 @@
    ([Audit.shards]).
 
    Lease discipline. Only *suspended* harts hold read leases — one per
-   hart, on the resident block containing its parked pc — making those
-   blocks immovable for the allocation sweep exactly like pins. The
-   *active* hart holds no lease: it is the one mutating the cache, and
-   its parked-pc safety is the controller's existing resume-redirect
-   discipline. Flush and invalidation override leases (the writer
-   takes the arenas by force; [Cc_evict] redirects every parked hart
-   through its resume address). A 1-hart run therefore never has a
-   lease alive while controller code runs, which is one half of the
-   cycle-identity argument [Check.Lockstep.shards] proves; the other
-   half is that a lone hart's fills always complete before its next
-   miss ([f_done <= cycles]), so no wait is ever charged. *)
+   hart, on the resident block containing its parked pc, kept only as
+   the tcache's lease count — making those blocks immovable for the
+   allocation sweep exactly like pins. The *active* hart holds no
+   lease: it is the one mutating the cache, and its parked-pc safety
+   is the controller's existing resume-redirect discipline. Flush and
+   invalidation override leases (the writer takes the arenas by force;
+   [Cc_evict] redirects every parked hart through its resume address).
+   A 1-hart run therefore never has a lease alive while controller
+   code runs, which is one half of the cycle-identity argument
+   [Check.Lockstep.shards] proves; the other half is that a lone
+   hart's fills always complete before its next miss
+   ([f_done <= cycles]), so no wait is ever charged. *)
 
 open Cc_state
 
@@ -57,8 +58,6 @@ type fill = {
 type hart = {
   h_id : int;
   h_cpu : Machine.Cpu.t;
-  mutable h_lease : Tcache.block option;
-      (* the block this hart's read lease is on, while suspended *)
   mutable h_wait_fill : int;  (* cycles suspended on other harts' fills *)
   mutable h_wait_mc : int;  (* cycles waiting for the MC link to free *)
   mutable h_fills : int;  (* fills this hart owned *)
@@ -186,7 +185,6 @@ let attach (ctrl : Cc_state.t) =
         {
           h_id = i;
           h_cpu = cpu;
-          h_lease = None;
           h_wait_fill = 0;
           h_wait_mc = 0;
           h_fills = 0;
@@ -208,43 +206,22 @@ let attach (ctrl : Cc_state.t) =
   Array.iter
     (fun h -> h.h_cpu.trap_handler <- Some (fun _cpu k -> on_trap t h k))
     harts;
-  (* blocks can die under a lease — flush, invalidation and persistent
-     stub growth override it by design. The tcache entry and the parked
-     pc are already fixed by [Cc_evict] when the event fires; here we
-     drop the hart-side record so it never dangles on a dead block. *)
-  let prev = ctrl.on_event in
-  ctrl.on_event <-
-    Some
-      (fun ev ->
-        (match prev with Some f -> f ev | None -> ());
-        match ev with
-        | Evicted _ | Flushed | Invalidated ->
-          Array.iter
-            (fun h ->
-              match h.h_lease with
-              | Some b when not (Tcache.is_alive ctrl.tc b.Tcache.id) ->
-                h.h_lease <- None
-              | Some _ | None -> ())
-            harts
-        | Translated _ | Patched | Promoted _ -> ());
   t
 
 (* ---- lease discipline at scheduling boundaries ------------------ *)
 
+(* [resume] releases the block [suspend] leased: a suspended pc moves
+   only when its block dies, which drops the lease ([Tcache.remove])
+   and parks the pc on a persistent stub, which no block ever covers
+   (the stub area only grows). *)
 let suspend t (h : hart) =
   if not h.h_cpu.halted then
-    match Tcache.covering t.ctrl.tc h.h_cpu.pc with
-    | Some b ->
-      Tcache.lease t.ctrl.tc b;
-      h.h_lease <- Some b
-    | None -> h.h_lease <- None
+    Option.iter (Tcache.lease t.ctrl.tc)
+      (Tcache.covering t.ctrl.tc h.h_cpu.pc)
 
 let resume t (h : hart) =
-  (match h.h_lease with
-  | Some b ->
-    Tcache.release t.ctrl.tc b;
-    h.h_lease <- None
-  | None -> ());
+  Option.iter (Tcache.release t.ctrl.tc)
+    (Tcache.covering t.ctrl.tc h.h_cpu.pc);
   t.ctrl.cpu <- h.h_cpu
 
 (* ---- the run loop ----------------------------------------------- *)

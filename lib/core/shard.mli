@@ -17,7 +17,9 @@
     fills instead of re-requesting over the wire. Suspended harts hold
     read leases on the tcache blocks their pc is parked in, which the
     allocation sweep treats as immovable; flush and invalidation
-    override leases and redirect the parked harts.
+    override leases and redirect the parked harts. A lease is kept only
+    as the tcache's count ([Tcache.lease_count]): the hart record holds
+    no copy, and resuming releases the block that covers the pc.
 
     A 1-hart run is cycle-identical to the plain solo controller —
     the active hart holds no lease while controller code runs, and a
@@ -38,9 +40,6 @@ type fill = {
 type hart = {
   h_id : int;
   h_cpu : Machine.Cpu.t;
-  mutable h_lease : Tcache.block option;
-      (** the block this hart's read lease covers while suspended;
-          [None] while active, halted, or parked outside the tcache *)
   mutable h_wait_fill : int;
       (** cycles spent suspended on fills owned by other harts *)
   mutable h_wait_mc : int;

@@ -40,10 +40,10 @@ type estimate = {
 
    In function granularity the unit is the whole-function chunk and the
    edges are its external successors; a function the controller would
-   degrade (oversized, or a body that is not cleanly decodable) is
-   priced as its entry basic block, mirroring the runtime degradation
-   rule one block at a time — the walk reaches the rest of the degraded
-   extent through ordinary block successors. *)
+   degrade ([Chunker.function_unit], the controller's own rule) is
+   priced as its entry basic block, one block at a time — the walk
+   reaches the rest of the degraded extent through ordinary block
+   successors. *)
 let walk_units image chunking granularity =
   let visited = Hashtbl.create 256 in
   let acc = ref [] in
@@ -57,13 +57,9 @@ let walk_units image chunking granularity =
     match granularity with
     | Config.Block -> (Chunker.chunk_at image chunking v, Config.Block)
     | Config.Function -> (
-      let degraded () = (Chunker.chunk_at image Config.Basic_block v, Config.Block) in
-      match Chunker.chunk_function image v with
-      | c when c.len <= Chunker.max_function_instrs ->
-        (c, Config.Function)
-      | _ -> degraded ()
-      | exception Chunker.Bad_address a when a > v -> degraded ()
-      | exception Chunker.Trap_in_source a when a > v -> degraded ())
+      match Chunker.function_unit image v with
+      | Ok c -> (c, Config.Function)
+      | Error _ -> (Chunker.chunk_at image Config.Basic_block v, Config.Block))
   in
   while not (Queue.is_empty queue) do
     let v = Queue.pop queue in

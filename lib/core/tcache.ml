@@ -107,7 +107,6 @@ let shard_bounds t i =
   (r.r_lo, r.r_top)
 
 let lookup t vaddr = Hashtbl.find_opt t.by_vaddr vaddr
-let find_by_id t id = Hashtbl.find_opt t.by_id id
 let is_alive t id = Hashtbl.mem t.by_id id
 
 (* Index slot of the word holding [a], and one past the slot of the
@@ -298,6 +297,32 @@ let alloc ?(shard = 0) ?seed t ~words =
   end
 
 let alloc_ptr ?(shard = 0) t = (region t shard).r_alloc_ptr
+
+(* Read the index from slot [i] up to [i1], hopping over each block
+   [ok] rejects; the first block it accepts, if any. *)
+let rec first_ok t ~ok i i1 =
+  if i >= i1 then None
+  else
+    let id = t.owner.(i) in
+    if id < 0 then first_ok t ~ok (i + 1) i1
+    else
+      let b = Hashtbl.find t.by_id id in
+      if ok b then Some b
+      else
+        first_ok t ~ok (max (i + 1) (slot_end t (b.paddr + (b.words * 4)))) i1
+
+let sweep_next ?shard t ~ok =
+  let ptr, lo, hi =
+    match shard with
+    | Some s ->
+      let r = region t s in
+      (r.r_alloc_ptr, r.r_lo, r.r_top)
+    | None -> (t.regions.(0).r_alloc_ptr, t.base, t.top)
+  in
+  let p = slot t ptr in
+  match first_ok t ~ok p (slot_end t hi) with
+  | Some _ as ahead -> ahead
+  | None -> first_ok t ~ok (slot t lo) p
 
 let alloc_append ?(shard = 0) t ~words =
   let r = region t shard in

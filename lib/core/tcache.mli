@@ -19,8 +19,9 @@
 
     A placement index maps every tcache word to the resident block
     covering it, so allocation and eviction touch only the words they
-    overwrite; no operation on the miss path walks every resident
-    block.
+    overwrite, and the block the circular sweep reaches next
+    ({!sweep_next}) is read off it; no operation of this module on the
+    miss path walks every resident block.
 
     On top of pins, the multi-hart controller takes {e read leases} on
     blocks that suspended harts are executing inside: a leased block is
@@ -105,7 +106,6 @@ val shard_bounds : t -> int -> int * int
 val lookup : t -> int -> block option
 (** tcache-map probe by chunk virtual address (global across shards). *)
 
-val find_by_id : t -> int -> block option
 val is_alive : t -> int -> bool
 val register : t -> block -> unit
 (** Make [b] resident: map its vaddr and index its words. Its id must
@@ -172,6 +172,15 @@ val alloc_ptr : ?shard:int -> t -> int
 (** Current position of the shard's circular allocation sweep
     (diagnostic; also used by tests that emulate pathological stub
     growth). *)
+
+val sweep_next : ?shard:int -> t -> ok:(block -> bool) -> block option
+(** The block the shard's circular sweep reaches next among those [ok]
+    accepts: the first one at or above {!alloc_ptr} (a block straddling
+    the pointer included) up to the shard's top, else, wrapping, the
+    first from the shard's start. Reads the placement index, hopping
+    over each block [ok] rejects; [None] if [ok] accepts no resident of
+    the shard. Without [shard] it reads the whole tcache from shard 0's
+    pointer. *)
 
 val alloc_append : ?shard:int -> t -> words:int -> (int, [ `Full | `Too_large ]) result
 (** Allocate without evicting (flush-all policy): fail when the sweep

@@ -29,9 +29,10 @@ let live_links (ctrl : Softcache.Controller.t) =
         (fun (i : Softcache.Tcache.incoming) ->
           if i.from_block < 0 then None
           else
-            Option.map
-              (fun b -> (b, tb, i))
-              (Softcache.Tcache.find_by_id ctrl.tc i.from_block))
+            List.find_map
+              (fun (b : Softcache.Tcache.block) ->
+                if b.id = i.from_block then Some (b, tb, i) else None)
+              (Softcache.Tcache.blocks ctrl.tc))
         tb.incoming)
     (Softcache.Tcache.blocks ctrl.tc)
 

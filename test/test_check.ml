@@ -181,6 +181,41 @@ let check_slot_table section ctrl table =
   in
   (trapping, List.length slots - trapping)
 
+(* Stub accounting is stored once: the live entries are the [nstubs]
+   not on the free list, and blocks and slots must own exactly those.
+   A live stub pushed onto the free list, and a free entry dropped from
+   it, must each give "accounting". *)
+let test_audit_catches_stub_accounting () =
+  let ctrl =
+    Softcache.Controller.create (small_cfg ()) (registry_img "sensor_modes")
+  in
+  ignore (Softcache.Controller.run ctrl);
+  let accounting () =
+    List.exists
+      (fun (v : Check.Audit.violation) -> v.invariant = "accounting")
+      (Check.Audit.run ctrl)
+  in
+  let clean label =
+    Alcotest.(check int) label 0 (List.length (Check.Audit.run ctrl))
+  in
+  clean "clean before the edits";
+  let free = ctrl.free_stubs in
+  Alcotest.(check bool) "evictions freed stubs" true (free <> []);
+  let live =
+    List.find_map
+      (fun (b : Softcache.Tcache.block) -> List.nth_opt b.stubs 0)
+      (Softcache.Tcache.blocks ctrl.tc)
+    |> Option.get
+  in
+  ctrl.free_stubs <- live :: free;
+  Alcotest.(check bool) "live stub on the free list" true (accounting ());
+  ctrl.free_stubs <- free;
+  clean "clean once restored";
+  ctrl.free_stubs <- List.tl free;
+  Alcotest.(check bool) "free entry dropped" true (accounting ());
+  ctrl.free_stubs <- free;
+  clean "clean after the edits"
+
 let test_audit_catches_bad_return_stubs () =
   (* compress95 thrashing a 2 KB cache under flush leaves 300 return
      stubs: some trap over a resident target, one is specialised *)
@@ -499,6 +534,8 @@ let () =
             test_audit_catches_dropped_incoming;
           Alcotest.test_case "catches a branch aimed below 0" `Quick
             test_audit_catches_negative_target;
+          Alcotest.test_case "catches stub accounting edits" `Quick
+            test_audit_catches_stub_accounting;
           Alcotest.test_case "run returns violations as data" `Quick
             test_audit_run_reports_without_raising;
           Alcotest.test_case "catches bad return-stub words" `Quick

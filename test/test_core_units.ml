@@ -90,7 +90,7 @@ let chunk_of instrs =
   Option.get (Softcache.Chunker.of_payload ~vaddr:0x1000 b)
 
 (* Every emitted word, read back from the payload. *)
-let words (e : Softcache.Rewriter.emission) =
+let words (e : _ Softcache.Rewriter.emission) =
   Array.init (Bytes.length e.payload / 4) (fun i ->
       Int32.to_int (Bytes.get_int32_le e.payload (4 * i)) land 0xFFFFFFFF)
 

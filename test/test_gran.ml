@@ -128,24 +128,6 @@ let test_degradation_sticky () =
     degraded ctrl.stats.gran_degraded
 
 (* ------------------------------------------------------------------ *)
-(* Satellite: the bound loop raises a typed invariant, not assert false *)
-
-let test_bound_loop_typed_invariant () =
-  let ctrl =
-    Softcache.Controller.create
-      (gran_cfg ~granularity:Softcache.Config.Block ())
-      (prog_fib 12)
-  in
-  ctrl.chaos_evict_bound <- true;
-  match Softcache.Controller.run ctrl with
-  | _ -> Alcotest.fail "bound-target eviction went unnoticed"
-  | exception Softcache.Controller.Internal_invariant_broken { chunk; detail }
-    ->
-    Alcotest.(check bool) "carries the chunk vaddr" true (chunk >= 0x1000);
-    Alcotest.(check bool) "names the bound loop" true
-      (String.length detail > 0)
-
-(* ------------------------------------------------------------------ *)
 (* Satellites: Report.percentile stays strict; the fleet summary
    renders n/a instead of masking an empty stall population *)
 
@@ -328,8 +310,6 @@ let () =
         ] );
       ( "satellites",
         [
-          Alcotest.test_case "bound loop raises typed invariant" `Quick
-            test_bound_loop_typed_invariant;
           Alcotest.test_case "percentile stays strict" `Quick
             test_percentile_strict;
           Alcotest.test_case "fleet renders n/a for empty stalls" `Quick

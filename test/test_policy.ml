@@ -155,7 +155,8 @@ let test_rrip_promotes_on_entry () =
 (* Tie-break determinism: equal keys must resolve on the smaller block
    id — never on the fold's visit order, which depends on the table's
    insertion history. Same residents, both insertion orders, same
-   answer. *)
+   answer. (The sweep candidate needs no such rule: it reads the
+   placement index, which holds one block per word.) *)
 
 let test_pick_min_tie_breaks_on_id () =
   let pick ?(pinned = []) order =
@@ -185,29 +186,14 @@ let test_pick_min_tie_breaks_on_id () =
   Alcotest.(check (option int)) "pinned winner skipped" (Some 4)
     (pick ~pinned:[ 3 ] ids)
 
-let test_sweep_candidate_tie_breaks_on_id () =
-  let pick order =
-    let tc = Tc.create ~base:0x10000 ~bytes:4096 in
-    List.iter
-      (fun id ->
-        (* all at the same placement: live blocks never overlap, but
-           the selection must be syntactically deterministic anyway *)
-        ignore (install tc ~id ~vaddr:(id * 64) ~paddr:0x10100 ~words:8))
-      order;
-    Option.map
-      (fun (b : Tc.block) -> b.id)
-      (Softcache.Policy.sweep_candidate tc)
-  in
-  Alcotest.(check (option int)) "forward insertion" (Some 2) (pick [ 2; 8; 5 ]);
-  Alcotest.(check (option int)) "reverse insertion" (Some 2) (pick [ 5; 8; 2 ])
-
 (* ------------------------------------------------------------------ *)
 (* Equivalence: the victim functions decide exactly as lru and trrip
    did when each kept its own table of residents and its own clock.
    [Ref] replays that bookkeeping beside a tcache driven through random
    installs (placed by the FIFO or the seeded sweep, so the sweep
    pointer moves), observed entries, removals, pins and leases, over
-   one or two shards. *)
+   one or two shards. The sweep candidate is compared at every step
+   too: a wrong candidate hides whenever no victim is offered. *)
 
 module Ref = struct
   type meta = {
@@ -383,23 +369,32 @@ let victims_prop (shards, ops) =
       (not (Tc.is_pinned tc id))
       && (not (Tc.is_leased tc id))
       &&
-      match (Tc.find_by_id tc id, shard) with
+      match
+        (List.find_opt (fun (b : Tc.block) -> b.id = id) (Tc.blocks tc), shard)
+      with
       | None, _ -> false
       | Some _, None -> true
       | Some (b : Tc.block), Some s -> Tc.shard_of_paddr tc b.paddr = s)
   in
   let agrees i shard =
-    let got ev =
-      Option.map
-        (fun (b : Tc.block) -> b.id)
-        (Softcache.Policy.victim ev ?shard tc)
-    in
+    let id_of = Option.map (fun (b : Tc.block) -> b.id) in
+    let got ev = id_of (Softcache.Policy.victim ev ?shard tc) in
     let lru = got Softcache.Config.Lru and trrip = got Softcache.Config.Trrip in
     if lru <> None then incr lru_offers;
     if trrip <> None then incr trrip_offers;
     let want_lru = Ref.lru ?shard r tc and want_trrip = Ref.trrip ?shard r tc in
     let show = function None -> "none" | Some id -> string_of_int id in
-    if lru <> want_lru || trrip <> want_trrip then
+    let cand = id_of (Softcache.Policy.sweep_candidate ?shard tc)
+    and want_cand =
+      Option.map
+        (fun (m : Ref.meta) -> m.b.id)
+        (Ref.sweep_candidate ?shard r tc)
+    in
+    if cand <> want_cand then
+      QCheck.Test.fail_reportf
+        "step %d, shard %s: sweep candidate %s (reference %s)" i (show shard)
+        (show cand) (show want_cand)
+    else if lru <> want_lru || trrip <> want_trrip then
       QCheck.Test.fail_reportf
         "step %d, shard %s: lru %s (reference %s), trrip %s (reference %s)" i
         (show shard) (show lru) (show want_lru) (show trrip) (show want_trrip)
@@ -711,8 +706,6 @@ let () =
             test_rrip_promotes_on_entry;
           Alcotest.test_case "pick_min ties break on block id" `Quick
             test_pick_min_tie_breaks_on_id;
-          Alcotest.test_case "sweep candidate ties break on block id" `Quick
-            test_sweep_candidate_tie_breaks_on_id;
           Alcotest.test_case "victims = table-and-clock reference" `Quick
             test_victims_match_reference;
         ] );

@@ -18,7 +18,7 @@ let check_conservation (ctrl : Softcache.Controller.t) =
   Alcotest.(check int) "issued = installs + wasted + crc + staged"
     s.prefetch_issued
     (s.prefetch_installs + s.prefetch_wasted + s.prefetch_crc_failures
-    + Hashtbl.length ctrl.staging)
+    + List.length ctrl.staging)
 
 (* ------------------------------------------------------------------ *)
 (* transfer_batch framing *)
@@ -128,10 +128,33 @@ let test_staging_bound_and_audit () =
   Alcotest.(check bool) "halted" true (outcome = Machine.Cpu.Halted);
   Alcotest.(check bool) "auditor ran" true (!audits > 0);
   Alcotest.(check bool) "bound respected at end" true
-    (Hashtbl.length ctrl.staging <= 1);
+    (List.length ctrl.staging <= 1);
   Alcotest.(check bool) "FIFO discards happened" true
     (ctrl.stats.prefetch_wasted > 0);
   check_conservation ctrl
+
+(* A vaddr consumed and staged again arrives last, so a full buffer
+   discards older entries ahead of it. With a bound of 2: stage a,
+   stage b, take a, stage a, stage c; b is now the oldest entry and the
+   one discarded. *)
+let test_restaged_vaddr_is_newest () =
+  let ctrl =
+    Softcache.Controller.create (ethernet_cfg ~staging:2 ()) (prog_fib 10)
+  in
+  let a = 0x1000 and b = 0x1004 and c = 0x1008 in
+  let stage v =
+    Softcache.Cc_staging.stage_chunk ctrl v (Bytes.make 4 '\000') 0
+  in
+  let take v = Softcache.Cc_staging.take_staged ctrl v <> None in
+  stage a;
+  stage b;
+  Alcotest.(check bool) "a taken" true (take a);
+  stage a;
+  stage c;
+  Alcotest.(check int) "one discard" 1 ctrl.stats.prefetch_wasted;
+  Alcotest.(check bool) "b, the oldest, discarded" false (take b);
+  Alcotest.(check bool) "re-staged a kept" true (take a);
+  Alcotest.(check bool) "c kept" true (take c)
 
 let test_staged_good_crc_installs_without_wire () =
   let img = prog_fib 10 in
@@ -145,9 +168,9 @@ let test_staged_good_crc_installs_without_wire () =
   (* hand-stage the genuine chunk body, as the MC would ship it *)
   let c = Softcache.Chunker.chunk_at img cfg.chunking fib in
   let st_bytes = Softcache.Chunker.to_bytes c in
-  Hashtbl.replace ctrl.staging fib
-    { Softcache.Controller.st_bytes; st_crc = Softcache.Crc32.bytes st_bytes };
-  Queue.add fib ctrl.staging_order;
+  ctrl.staging <-
+    [ (fib, { Softcache.Controller.st_bytes;
+              st_crc = Softcache.Crc32.bytes st_bytes }) ];
   let msgs0 = Netmodel.messages cfg.net in
   ignore (Softcache.Controller.ensure_resident ctrl fib);
   Alcotest.(check int) "no wire traffic for a staged install" msgs0
@@ -156,7 +179,7 @@ let test_staged_good_crc_installs_without_wire () =
   Alcotest.(check bool) "resident" true
     (Softcache.Controller.resident ctrl fib);
   Alcotest.(check bool) "consumed from staging" false
-    (Hashtbl.mem ctrl.staging fib)
+    (List.mem_assoc fib ctrl.staging)
 
 let test_staged_bad_crc_falls_back_to_wire () =
   let img = prog_fib 10 in
@@ -172,8 +195,7 @@ let test_staged_bad_crc_falls_back_to_wire () =
   let st_crc = Softcache.Crc32.bytes st_bytes in
   (* corrupt one byte after the CRC was stamped *)
   Bytes.set st_bytes 2 (Char.chr (Char.code (Bytes.get st_bytes 2) lxor 0x40));
-  Hashtbl.replace ctrl.staging fib { Softcache.Controller.st_bytes; st_crc };
-  Queue.add fib ctrl.staging_order;
+  ctrl.staging <- [ (fib, { Softcache.Controller.st_bytes; st_crc }) ];
   let msgs0 = Netmodel.messages cfg.net in
   ignore (Softcache.Controller.ensure_resident ctrl fib);
   Alcotest.(check int) "CRC reject counted" 1
@@ -196,15 +218,15 @@ let test_invalidate_drops_staged () =
   in
   let c = Softcache.Chunker.chunk_at img cfg.chunking fib in
   let st_bytes = Softcache.Chunker.to_bytes c in
-  Hashtbl.replace ctrl.staging fib
-    { Softcache.Controller.st_bytes; st_crc = Softcache.Crc32.bytes st_bytes };
-  Queue.add fib ctrl.staging_order;
+  ctrl.staging <-
+    [ (fib, { Softcache.Controller.st_bytes;
+              st_crc = Softcache.Crc32.bytes st_bytes }) ];
   let wasted0 = ctrl.stats.prefetch_wasted in
   (* invalidation over the chunk's source range must also drop the
      staged copy — it is about to go stale *)
   Softcache.Controller.invalidate ctrl ~lo:fib ~hi:(fib + 4);
   Alcotest.(check bool) "staged copy dropped" false
-    (Hashtbl.mem ctrl.staging fib);
+    (List.mem_assoc fib ctrl.staging);
   Alcotest.(check int) "accounted as wasted" (wasted0 + 1)
     ctrl.stats.prefetch_wasted
 
@@ -228,18 +250,16 @@ let test_audit_staging_violations () =
        (fun (v : Check.Audit.violation) -> v.invariant)
        (Check.Audit.run ctrl));
   (* overfill past the configured bound, behind the controller's back *)
-  Hashtbl.replace ctrl.staging fib (staged_of fib);
-  Hashtbl.replace ctrl.staging (fib + 4) (staged_of (fib + 4));
+  ctrl.staging <- [ (fib, staged_of fib); (fib + 4, staged_of (fib + 4)) ];
   let vs = Check.Audit.run ctrl in
   Alcotest.(check bool) "overflow flagged" true
     (List.exists
        (fun (v : Check.Audit.violation) -> v.invariant = "staging")
        vs);
-  Hashtbl.remove ctrl.staging (fib + 4);
-  Hashtbl.remove ctrl.staging fib;
+  ctrl.staging <- [];
   (* a staged vaddr aliasing a resident block is also a violation *)
   ignore (Softcache.Controller.ensure_resident ctrl fib);
-  Hashtbl.replace ctrl.staging fib (staged_of fib);
+  ctrl.staging <- [ (fib, staged_of fib) ];
   let vs = Check.Audit.run ctrl in
   Alcotest.(check bool) "resident alias flagged" true
     (List.exists
@@ -293,7 +313,7 @@ let test_prefetch_fault_robustness =
       let conserved =
         s.prefetch_issued
         = s.prefetch_installs + s.prefetch_wasted + s.prefetch_crc_failures
-          + Hashtbl.length ctrl.staging
+          + List.length ctrl.staging
       in
       conserved
       &&
@@ -324,6 +344,8 @@ let () =
             test_prefetch_reduces_messages;
           Alcotest.test_case "staging bound + audit" `Quick
             test_staging_bound_and_audit;
+          Alcotest.test_case "a re-staged vaddr is the newest" `Quick
+            test_restaged_vaddr_is_newest;
           Alcotest.test_case "good CRC installs without wire" `Quick
             test_staged_good_crc_installs_without_wire;
           Alcotest.test_case "bad CRC falls back to wire" `Quick

@@ -123,6 +123,53 @@ let test_mirror_divergence_reported () =
        (Check.Audit.shards sh))
 
 (* ------------------------------------------------------------------ *)
+(* a lease lives only in the tcache: stopped while harts still run, the
+   shard audit must report a released lease on a block a suspended
+   hart sits in, and a lease on a block no hart sits in ("shard-lease"
+   both times), and be clean before and after each edit *)
+
+let test_lease_edits_reported () =
+  let img = (Option.get (Workloads.Registry.find "sensor_modes")).build () in
+  let cfg = Softcache.Config.make ~tcache_bytes:8192 ~harts:4 () in
+  let ctrl = Softcache.Controller.create cfg img in
+  let sh = Softcache.Shard.attach ctrl in
+  Alcotest.(check bool) "stopped by fuel" true
+    (Softcache.Shard.run ~fuel:100_000 sh = Machine.Cpu.Out_of_fuel);
+  let invariants () =
+    List.sort_uniq compare
+      (List.map
+         (fun (v : Check.Audit.violation) -> v.invariant)
+         (Check.Audit.shards sh))
+  in
+  Alcotest.(check (list string)) "clean at the stop" [] (invariants ());
+  let parked_in (b : Softcache.Tcache.block) =
+    List.exists
+      (fun (h : Softcache.Shard.hart) ->
+        (not h.h_cpu.halted)
+        && h.h_cpu.pc >= b.paddr
+        && h.h_cpu.pc < b.paddr + (4 * b.words))
+      (Softcache.Shard.harts sh)
+  in
+  let blocks = Softcache.Tcache.blocks ctrl.tc in
+  let find what p =
+    match List.find_opt p blocks with
+    | Some b -> b
+    | None -> Alcotest.failf "no resident block %s" what
+  in
+  let held = find "with a hart parked in it" parked_in in
+  Softcache.Tcache.release ctrl.tc held;
+  Alcotest.(check (list string)) "released lease reported" [ "shard-lease" ]
+    (invariants ());
+  Softcache.Tcache.lease ctrl.tc held;
+  Alcotest.(check (list string)) "clean once re-leased" [] (invariants ());
+  let empty = find "without a hart" (fun b -> not (parked_in b)) in
+  Softcache.Tcache.lease ctrl.tc empty;
+  Alcotest.(check (list string)) "stray lease reported" [ "shard-lease" ]
+    (invariants ());
+  Softcache.Tcache.release ctrl.tc empty;
+  Alcotest.(check (list string)) "clean once released" [] (invariants ())
+
+(* ------------------------------------------------------------------ *)
 (* coalescing: N harts over one shared tcache put fewer messages on the
    wire than N independent solo caches running the same workload *)
 
@@ -237,6 +284,8 @@ let () =
             test_coalescing_cuts_wire;
           Alcotest.test_case "preload before attach audits clean" `Quick
             test_preload_before_attach;
+          Alcotest.test_case "lease edits are reported" `Quick
+            test_lease_edits_reported;
           Alcotest.test_case "a missed mirror write is reported" `Quick
             test_mirror_divergence_reported;
         ] );
