@@ -183,21 +183,15 @@ let run (t : Controller.t) : violation list =
       | i :: is, e :: es -> i.id = e.id && agree is es
       | _ :: _, [] | [], _ :: _ -> false
     in
-    match Tcache.overlapping tc lo pb with
-    | exception Not_found ->
+    let indexed = Tcache.overlapping tc lo pb in
+    if not (agree indexed sorted) then
+      let pp_ids ppf =
+        List.iter (fun (b : Tcache.block) -> Format.fprintf ppf " %d" b.id)
+      in
       add "placement"
-        "shard %d code area [0x%x,0x%x): the index names a block that is \
-         not resident"
-        sh lo pb
-    | indexed ->
-      if not (agree indexed sorted) then
-        let pp_ids ppf =
-          List.iter (fun (b : Tcache.block) -> Format.fprintf ppf " %d" b.id)
-        in
-        add "placement"
-          "shard %d code area [0x%x,0x%x): index lists ids [%a ], \
-           residents are [%a ]"
-          sh lo pb pp_ids indexed pp_ids (List.filter meets sorted)
+        "shard %d code area [0x%x,0x%x): index lists ids [%a ], residents \
+         are [%a ]"
+        sh lo pb pp_ids indexed pp_ids (List.filter meets sorted)
   done;
   let folded =
     List.fold_left
@@ -427,25 +421,14 @@ let run (t : Controller.t) : violation list =
         add "staging" "staged chunk v=0x%x aliases a resident block" v)
     t.staging;
 
-  (* -- chaining: incoming records and the pending index ---------------- *)
+  (* -- chaining: incoming records --------------------------------------- *)
   (* A patched edge is recorded once, on its target. A block-to-block
-     record must name a live source and one of that source's exit
-     stubs aimed at this block: the stub the target's eviction re-arms,
-     and the one the source's own eviction walks to find the record.
-     The pending index is the complement: exactly the still-trapping
-     exit stubs, keyed by the target they are waiting for. *)
-  let is_patched site_paddr kind revert_word =
-    word t site_paddr <> revert_word
-    ||
-    (* a branch exit keeps its site word and specialises the in-block
-       island the branch aims at instead *)
-    match kind with
-    | Stub.Patch_br ->
-      let island = island_of ~site_paddr revert_word in
-      island <> Isa.Encode.none
-      && jmp_target (word t island) <> Isa.Encode.none
-    | Stub.Patch_jmp | Stub.Patch_jal -> false
-  in
+     record must name a live source that holds the recorded site (the
+     target's eviction reverts the site only while its source owns it)
+     and one of that source's exit stubs aimed at this block: the stub
+     the site reverts to, and the one the source's own eviction walks
+     to find the record. A waiting exit has no record anywhere: its
+     branch bytes are the only state it has. *)
   List.iter
     (fun (tb : Tcache.block) ->
       List.iter
@@ -454,6 +437,12 @@ let run (t : Controller.t) : violation list =
             if not (Tcache.is_alive tc inc.from_block) then
               add "links"
                 "incoming record at 0x%x on v=0x%x names dead source id=%d"
+                inc.site_paddr tb.vaddr inc.from_block
+            else if not (Tcache.owns tc ~id:inc.from_block inc.site_paddr)
+            then
+              add "links"
+                "incoming record at 0x%x on v=0x%x lies outside its source \
+                 id=%d"
                 inc.site_paddr tb.vaddr inc.from_block
             else
               let aimed_exit =
@@ -471,51 +460,6 @@ let run (t : Controller.t) : violation list =
                   inc.site_paddr tb.vaddr inc.stub inc.from_block)
         tb.incoming)
     blocks;
-  (* the pending index is exactly the still-trapping live exit stubs *)
-  let pending_mem ~target k =
-    match Hashtbl.find_opt t.pending_exits target with
-    | Some ks -> Hashtbl.mem ks k
-    | None -> false
-  in
-  List.iter
-    (fun (b : Tcache.block) ->
-      List.iter
-        (fun k ->
-          if k >= 0 && k < t.nstubs then
-            match t.stubs.(k) with
-            | Stub.Exit { target; site_paddr; kind; revert_word; _ } ->
-              let is_patched = is_patched site_paddr kind revert_word in
-              let listed = pending_mem ~target k in
-              if is_patched && listed then
-                add "links" "patched exit stub %d still in the pending index"
-                  k
-              else if (not is_patched) && not listed then
-                add "links"
-                  "trapping exit stub %d (target v=0x%x) missing from the \
-                   pending index"
-                  k target
-            | _ -> ())
-        b.stubs)
-    blocks;
-  Hashtbl.iter
-    (fun target ks ->
-      Hashtbl.iter
-        (fun k () ->
-          if k < 0 || k >= t.nstubs then
-            add "links" "pending index holds out-of-range stub %d" k
-          else
-            match t.stubs.(k) with
-            | Stub.Exit { block; target = starget; _ } ->
-              if starget <> target then
-                add "links"
-                  "pending[v=0x%x] holds stub %d whose target is v=0x%x"
-                  target k starget;
-              if not (Tcache.is_alive tc block) then
-                add "links" "pending[v=0x%x] holds stub %d of dead block id=%d"
-                  target k block
-            | _ -> add "links" "pending[v=0x%x] holds non-exit stub %d" target k)
-        ks)
-    t.pending_exits;
 
   (* -- superblock groups ---------------------------------------------- *)
   (* Any member eviction dissolves its group, so a live group's members

@@ -33,9 +33,9 @@
       slots own exactly the [nstubs] entries not on the free list, and
       no entry is free twice or both owned and free;
     - every block-to-block incoming record names a live source block
-      and an exit stub of that source aimed at the record's block (the
-      stub an unpatch re-arms), and the pending-exit index lists
-      exactly the still-trapping live exit stubs;
+      that holds the record's site, and an exit stub of that source
+      aimed at the record's block (the stub the site reverts to); a
+      waiting exit has no state beyond its trapping bytes;
     - superblock groups are consistent: every member of a live group is
       resident and [sb_of_block] inverts the group table exactly;
     - every valid decode-cache line agrees with the word it caches, in

@@ -3,12 +3,13 @@
    Chaining is the paper's rewrite rule applied eagerly: the moment a
    chunk becomes resident, every unresolved exit branch of an
    already-resident block that targets it is patched to jump
-   tcache-direct, instead of waiting for each branch to trap once. The
-   [pending_exits] index (target vaddr -> waiting exit stubs) makes the
-   install-time sweep O(predecessors). A patched edge is recorded once,
-   on its target; source-side unlinking walks the dead block's own
-   exit stubs, which name every edge it can have patched. The index
-   lives in [Cc_state]; this module owns the transitions.
+   tcache-direct, instead of waiting for each branch to trap once.
+   Exits wait in their branches: whether an exit is still unresolved is
+   read off its bytes ([trapping]), as the paper keeps cache state in
+   the rewritten branches, so no table of waiting exits exists. A
+   patched edge is recorded once, on its target; source-side unlinking
+   walks the dead block's own exit stubs, which name every edge it can
+   have patched.
 
    Superblocks lay a profile-hot chain of chunks out contiguously
    (Dynamo-style trace formation): one group reservation, members
@@ -20,109 +21,110 @@
 
 open Cc_state
 
+(* Does an exit still wait for its target? Its site holds the revert
+   word it was translated with and, for a branch exit, the island the
+   branch aims at holds no [Jmp] (an out-of-reach patch specialises the
+   island and leaves the site alone). *)
+let trapping t ~site_paddr ~kind ~revert_word =
+  Machine.Memory.read32 t.cpu.mem site_paddr = revert_word
+  &&
+  match kind with
+  | Stub.Patch_br ->
+    let island = Isa.Encode.branch_target ~site:site_paddr revert_word in
+    island = Isa.Encode.none
+    || Isa.Encode.form (Machine.Memory.read32 t.cpu.mem island)
+       <> Isa.Encode.Jmp
+  | Stub.Patch_jmp | Stub.Patch_jal -> true
+
 (* Patch one unresolved exit stub [k] to jump straight at
    [target_block]. Shared by the lazy trap path (patch on first use)
    and the eager install path ([chain_install]); [eager] selects which
    statistic advances. The caller passes the stub fields it captured
-   *before* any translation could recycle entry [k]: the
-   [Tcache.is_alive block] guard then rejects a stale capture. *)
-let patch_exit t k ~eager ~block ~site_paddr ~kind ~target ~revert_word
+   *before* any translation could recycle entry [k]. *)
+let patch_exit t k ~eager ~block ~site_paddr ~kind ~revert_word
     (target_block : Tcache.block) =
-  (* only a still-pending stub needs patching: the trap path's own
-     [ensure_resident] can have chained this very stub eagerly while
-     translating the target (and a dead owner means entry [k] was
-     recycled — the captured fields are stale) *)
-  if pending_mem t ~target k && Tcache.is_alive t.tc block then begin
+  (* only a waiting exit needs patching: the trap path's own
+     [ensure_resident] can have chained this very exit eagerly while
+     translating the target, and a source that no longer owns the site
+     died (block ids are never reused), so entry [k] may have been
+     recycled and the captured fields are stale *)
+  if
+    Tcache.owns t.tc ~id:block site_paddr
+    && trapping t ~site_paddr ~kind ~revert_word
+  then begin
     let p = target_block.paddr in
     let d = (p - site_paddr) asr 2 in
-    let site_word = Machine.Memory.read32 t.cpu.mem site_paddr in
     (* where the patch lands: the site itself, or, for a branch out of
        reach, the island it aims at instead (the island's offset is
        encoded in the revert word, so the eager path finds it without
-       having trapped there); [none] when the site no longer holds the
-       branch it was translated with *)
+       having trapped there) *)
     let at =
       match kind with
-      | Stub.Patch_jmp | Stub.Patch_jal -> site_paddr
-      | Stub.Patch_br ->
-        if
-          Isa.Encode.branch_target ~site:site_paddr site_word
-          = Isa.Encode.none
-        then Isa.Encode.none
-        else if Isa.Encode.branch_offset_fits d then site_paddr
-        else Isa.Encode.branch_target ~site:site_paddr revert_word
+      | Stub.Patch_br when not (Isa.Encode.branch_offset_fits d) ->
+        Isa.Encode.branch_target ~site:site_paddr revert_word
+      | Stub.Patch_br | Stub.Patch_jmp | Stub.Patch_jal -> site_paddr
     in
-    if at <> Isa.Encode.none then begin
-      let word =
-        match kind with
-        | Stub.Patch_jal -> Isa.Encode.jal p
-        | Stub.Patch_br when at = site_paddr ->
-          Isa.Encode.with_branch_offset site_word d
-        | Stub.Patch_br | Stub.Patch_jmp -> Isa.Encode.jmp p
-      in
-      (* a specialised island reverts to its trap *)
-      let revert_word =
-        if at = site_paddr then revert_word else Isa.Encode.trap k
-      in
-      (* the index forgets [k] before [specialise] announces the patch,
-         so an auditor on [Patched] sees it already updated *)
-      pending_remove t ~target k;
-      if eager then t.stats.chained <- t.stats.chained + 1;
-      specialise t ~at ~site:site_paddr ~word target_block ~from_block:block
-        ~revert_word ~stub:k
-    end
+    let word =
+      match kind with
+      | Stub.Patch_jal -> Isa.Encode.jal p
+      | Stub.Patch_br when at = site_paddr ->
+        Isa.Encode.with_branch_offset revert_word d
+      | Stub.Patch_br | Stub.Patch_jmp -> Isa.Encode.jmp p
+    in
+    (* a specialised island reverts to its trap *)
+    let revert_word =
+      if at = site_paddr then revert_word else Isa.Encode.trap k
+    in
+    if eager then t.stats.chained <- t.stats.chained + 1;
+    specialise t ~at ~site:site_paddr ~word target_block ~from_block:block
+      ~revert_word ~stub:k
   end
 
-(* Index a fresh block's still-unresolved exits by target vaddr. A
-   site whose word differs from its revert word was bound at translate
-   time and needs no entry. Maintained whether or not chaining is on —
-   the index is part of the audited state either way. *)
-let register_pending t (b : Tcache.block) =
-  List.iter
-    (fun k ->
-      match t.stubs.(k) with
-      | Stub.Exit { target; site_paddr; revert_word; _ } ->
-        if Machine.Memory.read32 t.cpu.mem site_paddr = revert_word then
-          pending_add t ~target k
-      | _ -> ())
-    b.stubs
-
-(* The eager rewrite sweep: patch every exit already waiting for the
-   block that just became resident. *)
+(* The eager rewrite sweep: offer every exit aimed at the block that
+   just became resident to [patch_exit], in stub order. Its guard skips
+   the dead (a recycled or free entry's captured source) and the
+   already patched, so exactly the waiting exits are patched. *)
 let chain_install t (b : Tcache.block) =
   if t.cfg.chain then
-    List.iter
-      (fun k ->
-        match t.stubs.(k) with
-        | Stub.Exit { block; site_paddr; kind; target; revert_word }
-          when target = b.vaddr ->
-          patch_exit t k ~eager:true ~block ~site_paddr ~kind ~target
-            ~revert_word b
-        | _ -> ())
-      (pending_at t b.vaddr)
+    for k = 0 to t.nstubs - 1 do
+      match t.stubs.(k) with
+      | Stub.Exit { block; site_paddr; kind; target; revert_word }
+        when target = b.vaddr ->
+        patch_exit t k ~eager:true ~block ~site_paddr ~kind ~revert_word b
+      | _ -> ()
+    done
+
+(* [l] without the records whose source is block [id], in order; the
+   list itself when it has none. *)
+let rec without_source id = function
+  | [] -> []
+  | (i : Tcache.incoming) :: rest as l ->
+    let rest' = without_source id rest in
+    if i.from_block = id then rest' else if rest' == rest then l
+    else i :: rest'
+
+let rec unlink_stubs t id = function
+  | [] -> ()
+  | k :: ks ->
+    (match t.stubs.(k) with
+    | Stub.Exit { target; site_paddr; kind; revert_word; _ }
+      when not (trapping t ~site_paddr ~kind ~revert_word) -> (
+      match Tcache.lookup t.tc target with
+      | Some tb -> tb.incoming <- without_source id tb.incoming
+      | None -> ())
+    | _ -> ());
+    unlink_stubs t id ks
 
 (* Source-side unlinking: when a block dies, its own outgoing patches
    die with its memory, so the matching incoming records on still-live
    targets are stale — prune them. The dead block's [Exit] stubs name
    every target it can have patched (its stubs are recycled only after
-   this runs). Without this, incoming lists accumulate records from
-   dead sources for the life of the target. *)
+   this runs), and only an exit that no longer traps has a record on
+   its target (its words are still intact: a victim's memory is reused
+   only after this runs). Without this, incoming lists accumulate
+   records from dead sources for the life of the target. *)
 let unlink_sources t victims =
-  List.iter
-    (fun (b : Tcache.block) ->
-      let names_b (i : Tcache.incoming) = i.from_block = b.id in
-      List.iter
-        (fun k ->
-          match t.stubs.(k) with
-          | Stub.Exit { target; _ } -> (
-            match Tcache.lookup t.tc target with
-            | Some tb when List.exists names_b tb.incoming ->
-              tb.incoming <-
-                List.filter (fun i -> not (names_b i)) tb.incoming
-            | Some _ | None -> ())
-          | _ -> ())
-        b.stubs)
-    victims
+  List.iter (fun (b : Tcache.block) -> unlink_stubs t b.id b.stubs) victims
 
 (* ---- superblock bookkeeping ---- *)
 

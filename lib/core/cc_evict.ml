@@ -24,15 +24,16 @@ let note_evicted t ~(reason : Policy.reason) (b : Tcache.block) =
     t.stats.evicted_invalidated <- t.stats.evicted_invalidated + 1
   | Policy.Flushed -> t.stats.evicted_flushed <- t.stats.evicted_flushed + 1);
   Stats.record_victim_age t.stats ~age:(t.cpu.cycles - b.installed_at);
-  trace t
-    (Trace.Cc_evict
-       {
-         chunk = b.vaddr;
-         base = b.paddr;
-         bytes = 4 * b.words;
-         incoming = List.length b.incoming;
-         reason;
-       })
+  if tracing t then
+    trace t
+      (Trace.Cc_evict
+         {
+           chunk = b.vaddr;
+           base = b.paddr;
+           bytes = 4 * b.words;
+           incoming = List.length b.incoming;
+           reason;
+         })
 
 (* Every CPU this controller is responsible for: the solo CPU, or all
    harts of a multi-hart run. Stack scrubs and parked-pc redirects must
@@ -129,25 +130,23 @@ and scrub_stack t cpus pads =
 
 and revert_incoming t victims =
   (* unlink: revert every recorded incoming pointer whose own block
-     still exists — the stub bytes are restored before the victim's
-     memory is reclaimed, so no patched branch ever dangles *)
+     still owns the site — the stub bytes are restored before the
+     victim's memory is reclaimed, so no patched branch ever dangles,
+     and the reverted exit waits in its branch again *)
   List.iter
     (fun (b : Tcache.block) ->
       List.iter
         (fun (inc : Tcache.incoming) ->
-          if inc.from_block = -1 || Tcache.is_alive t.tc inc.from_block
+          if
+            inc.from_block = -1
+            || Tcache.owns t.tc ~id:inc.from_block inc.site_paddr
           then begin
             write_word t inc.site_paddr inc.revert_word;
             t.stats.reverts <- t.stats.reverts + 1;
             charge t Trace.Patch Config.patch_cycles;
-            trace t
-              (Trace.Cc_unpatch { site = inc.site_paddr; target = b.paddr });
-            (* re-index the source's exit stub as pending, so a future
-               install can re-chain it *)
-            if inc.from_block >= 0 then
-              match t.stubs.(inc.stub) with
-              | Stub.Exit { target; _ } -> pending_add t ~target inc.stub
-              | _ -> ()
+            if tracing t then
+              trace t
+                (Trace.Cc_unpatch { site = inc.site_paddr; target = b.paddr })
           end)
         b.incoming)
     victims
@@ -192,7 +191,7 @@ and process_evicted t ~reason_of victims =
         (fun ((cpu : Machine.Cpu.t), rv) ->
           cpu.pc <- persistent_slot t ~plt:false rv)
         parked;
-    emit_event t (Evicted n)
+    if listening t then emit_event t (Evicted n)
   end
 
 let do_flush t =

@@ -47,9 +47,6 @@ type t = {
          ([Profiler.dynamic_text_bytes]), set alongside [chain_oracle];
          the promotion guard's working-set estimate — see
          [Cc_translate.promotion_guarded] *)
-  pending_exits : (int, (int, unit) Hashtbl.t) Hashtbl.t;
-      (* target vaddr -> exit stubs still in trap state aiming there;
-         consulted on install for eager chaining ([cfg.chain]) *)
   superblocks : (int, superblock) Hashtbl.t;
       (* superblock id -> its head vaddr and member block ids *)
   sb_of_block : (int, int) Hashtbl.t;
@@ -123,6 +120,11 @@ exception
 let emit_event t ev = match t.on_event with Some f -> f ev | None -> ()
 let trace t ev = match t.tracer with Some tr -> Trace.emit tr ev | None -> ()
 
+(* Is anyone listening? The miss path tests these before building an
+   event, so a run with no tracer or subscriber allocates none. *)
+let tracing t = Option.is_some t.tracer
+let listening t = Option.is_some t.on_event
+
 let log_src =
   Logs.Src.create "softcache.controller"
     ~doc:"SoftCache cache-controller events"
@@ -188,43 +190,7 @@ let add_stub t make =
     t.nstubs <- k + 1;
     k
 
-(* ---- pending-exit index (eager chaining) ----
-   Every unresolved exit stub is indexed by its target vaddr so a fresh
-   install can patch all the branches already waiting for it. *)
-
-let pending_add t ~target k =
-  match Hashtbl.find_opt t.pending_exits target with
-  | Some ks -> Hashtbl.replace ks k ()
-  | None ->
-    let ks = Hashtbl.create 4 in
-    Hashtbl.replace ks k ();
-    Hashtbl.replace t.pending_exits target ks
-
-let pending_remove t ~target k =
-  match Hashtbl.find_opt t.pending_exits target with
-  | Some ks ->
-    Hashtbl.remove ks k;
-    if Hashtbl.length ks = 0 then Hashtbl.remove t.pending_exits target
-  | None -> ()
-
-let pending_mem t ~target k =
-  match Hashtbl.find_opt t.pending_exits target with
-  | Some ks -> Hashtbl.mem ks k
-  | None -> false
-
-let pending_at t target =
-  match Hashtbl.find_opt t.pending_exits target with
-  | None -> []
-  | Some ks -> List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) ks [])
-
-let free_stub_list t ks =
-  List.iter
-    (fun k ->
-      (match t.stubs.(k) with
-      | Stub.Exit { target; _ } -> pending_remove t ~target k
-      | _ -> ());
-      t.free_stubs <- k :: t.free_stubs)
-    ks
+let free_stub_list t ks = t.free_stubs <- List.rev_append ks t.free_stubs
 
 (* A dead block's stub entries can never fire again (its memory is
    unreachable once the resume redirect has run), so they are recycled
@@ -252,7 +218,7 @@ let specialise t ~at ~site ~word (b : Tcache.block) ~from_block ~revert_word
   record_incoming b ~from_block ~site_paddr:at ~revert_word ~stub;
   t.stats.patches <- t.stats.patches + 1;
   charge t Trace.Patch Config.patch_cycles;
-  trace t (Trace.Cc_backpatch { site; target = b.paddr });
+  if tracing t then trace t (Trace.Cc_backpatch { site; target = b.paddr });
   emit_event t Patched
 
 (* Specialise persistent slot [k] at [slot] (a return stub or a PLT

@@ -96,7 +96,7 @@ let alloc t ~vaddr ~words_needed =
 (* Translate one chunk. [placed] hands in a pre-reserved placement
    (superblock group allocation) instead of allocating here. *)
 let translate_unit ?placed t v =
-  trace t (Trace.Cc_miss { pc = v });
+  if tracing t then trace t (Trace.Cc_miss { pc = v });
   (* a staged prefetched copy of this chunk skips the wire entirely;
      a corrupted one is discarded and the miss pays the round trip *)
   let chunk, from_staging =
@@ -134,7 +134,8 @@ let translate_unit ?placed t v =
     | Some base -> base
     | None -> alloc t ~vaddr:v ~words_needed
   in
-  trace t (Trace.Tc_alloc { chunk = v; base; bytes = 4 * words_needed });
+  if tracing t then
+    trace t (Trace.Tc_alloc { chunk = v; base; bytes = 4 * words_needed });
   let id = t.next_block_id in
   t.next_block_id <- id + 1;
   let resident =
@@ -202,7 +203,6 @@ let translate_unit ?placed t v =
       record_incoming target_block ~from_block:id ~site_paddr ~revert_word
         ~stub)
     emission.bound;
-  Cc_chain.register_pending t block;
   if debug_logging () then
     Log.debug (fun m ->
         m "translate v=0x%x -> @0x%x (%d words, id=%d)" v base emitted id);
@@ -215,8 +215,9 @@ let translate_unit ?placed t v =
     max t.stats.max_occupied_bytes (Tcache.occupied_bytes t.tc);
   charge t Trace.Translate
     (Config.miss_fixed_cycles + (Config.translate_cycles_per_word * emitted));
-  trace t (Trace.Cc_translated { chunk = v; base; words = emitted });
-  emit_event t (Translated v);
+  if tracing t then
+    trace t (Trace.Cc_translated { chunk = v; base; words = emitted });
+  if listening t then emit_event t (Translated v);
   (* function granularity: specialise this unit's own PLT slot into a
      direct jump. Unconditional — the unit was absent a moment ago, so
      its slot (if any) is trapping — and byte-reversible: the incoming

@@ -17,8 +17,8 @@ let handle_trap t k =
     (* capture the stub fields before [ensure_resident]: the
        translation can evict [block] and recycle entry [k] *)
     let b = Cc_translate.ensure_resident t target in
-    Cc_chain.patch_exit t k ~eager:false ~block ~site_paddr ~kind ~target
-      ~revert_word b;
+    Cc_chain.patch_exit t k ~eager:false ~block ~site_paddr ~kind ~revert_word
+      b;
     t.cpu.pc <- b.paddr
   | Stub.Computed { rs } ->
     t.stats.lookups <- t.stats.lookups + 1;

@@ -41,7 +41,6 @@ let create (cfg : Config.t) image =
       temperature = None;
       chain_oracle = None;
       dynamic_text_hint = None;
-      pending_exits = Hashtbl.create 64;
       superblocks = Hashtbl.create 16;
       sb_of_block = Hashtbl.create 16;
       next_sb_id = 0;

@@ -16,8 +16,10 @@
 
     Eviction unlinks a block by reverting all recorded incoming
     pointers to miss stubs (each record names the stub its site
-    re-arms) and drops the records the block's own exit stubs left on
-    surviving targets; it then scrubs the stack: live landing-pad
+    reverts to) and drops the records the block's own exit stubs left
+    on surviving targets; no table lists the exits still waiting, as
+    an exit waits exactly while its branch bytes trap, so restoring
+    the word re-arms it. It then scrubs the stack: live landing-pad
     addresses in [ra] or stack slots are redirected to persistent
     return stubs ("the runtime system must know the layout of all such
     data"). A flush is that same eviction applied to every unpinned
@@ -97,11 +99,6 @@ type t = Cc_state.t = {
           marginally exceed the tcache (the knee), superblock
           reservations are suppressed — [None] (the default) never
           suppresses *)
-  pending_exits : (int, (int, unit) Hashtbl.t) Hashtbl.t;
-      (** target vaddr -> exit-stub indices still trapping for it; the
-          eager-chaining work list consulted when a chunk installs.
-          Patched edges have no table of their own: each lives once, as
-          an [incoming] record on its target block *)
   superblocks : (int, superblock) Hashtbl.t;
       (** live superblocks by group id *)
   sb_of_block : (int, int) Hashtbl.t;

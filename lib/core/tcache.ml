@@ -21,6 +21,16 @@ type block = {
   prior : int;
 }
 
+(* The vaddr map's table: keys are word-aligned vaddrs, so the word
+   index is its own hash, and a probe compares ints directly. The map
+   is never iterated, so its order is free. *)
+module Vmap = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash v = v lsr 2
+end)
+
 (* One allocation arena. The unsharded tcache is a single region
    spanning the whole [base, top) range; [--shards K] partitions the
    range into K equal regions, each with its own circular sweep pointer
@@ -37,8 +47,11 @@ type t = {
   top : int;  (* one past the whole tcache *)
   regions : region array;
   span : int;  (* bytes per region *)
-  by_vaddr : (int, block) Hashtbl.t;  (* global: cross-shard lookup *)
+  by_vaddr : block Vmap.t;  (* global: cross-shard lookup *)
   by_id : (int, block) Hashtbl.t;
+      (* the enumeration [fold] and [blocks] read. Flush and
+         invalidation evict in its iteration order, which the generic
+         hash fixes, so it keeps that hash *)
   pinned : (int, unit) Hashtbl.t;  (* block ids exempt from eviction *)
   leased : (int, int) Hashtbl.t;
       (* block id -> read-lease count. A leased block has a suspended
@@ -49,14 +62,37 @@ type t = {
          reader (the lease is re-established on a live block when the
          hart next suspends). *)
   owner : int array;
-      (* the placement index: one slot per tcache word, holding the id
-         of the resident block covering it or -1, so placement and
-         eviction touch only the words they overwrite *)
+      (* the placement index: one slot per tcache word, holding the
+         slot of the first word of the resident block covering it, or
+         -1, so placement and eviction touch only the words they
+         overwrite *)
+  heads : block array;
+      (* the index's second column: each resident block at the slot of
+         its first word, [no_block] at every other slot. An [owner]
+         entry names its block through it, with no table lookup *)
   mutable code_bytes : int;  (* summed size of the resident blocks *)
   mutable clock : int;
       (* the observation clock the replacement policies read: ticked
          once per install and once per controller-observed entry *)
 }
+
+(* The filler of [heads]' vacant slots; no resident block has its id. *)
+let no_block =
+  {
+    id = -1;
+    vaddr = -1;
+    paddr = -1;
+    words = 0;
+    orig_words = 0;
+    incoming = [];
+    pads = [];
+    resume = [||];
+    stubs = [];
+    installed_at = 0;
+    seq = 0;
+    entered = -1;
+    prior = 3;
+  }
 
 let create_sharded ~shards ~base ~bytes =
   if base land 3 <> 0 then invalid_arg "Tcache.create: unaligned base";
@@ -78,11 +114,12 @@ let create_sharded ~shards ~base ~bytes =
     top = base + (shards * span);
     regions;
     span;
-    by_vaddr = Hashtbl.create 256;
+    by_vaddr = Vmap.create 256;
     by_id = Hashtbl.create 256;
     pinned = Hashtbl.create 8;
     leased = Hashtbl.create 8;
     owner = Array.make (shards * span / 4) (-1);
+    heads = Array.make (shards * span / 4) no_block;
     code_bytes = 0;
     clock = 0;
   }
@@ -106,40 +143,51 @@ let shard_bounds t i =
   let r = t.regions.(i) in
   (r.r_lo, r.r_top)
 
-let lookup t vaddr = Hashtbl.find_opt t.by_vaddr vaddr
+let lookup t vaddr = Vmap.find_opt t.by_vaddr vaddr
 let is_alive t id = Hashtbl.mem t.by_id id
 
 (* Index slot of the word holding [a], and one past the slot of the
-   word holding [a - 1]; both clamped to [base, top), because unit
-   tests register blocks at arbitrary addresses. *)
+   word holding [a - 1]; both clamped to [base, top), so a probe range
+   may straddle the tcache. *)
 let slot t a = (min (max a t.base) t.top - t.base) asr 2
 let slot_end t a = (min (max a t.base) t.top - t.base + 3) asr 2
+
+(* Is [b] itself resident? Read off its head slot, without hashing:
+   block ids are never reused. *)
+let indexed t b =
+  let h = slot t b.paddr in
+  h < Array.length t.heads && t.heads.(h).id = b.id
 
 (* Take a block out of the index and the occupancy count, clearing
    only the words it still owns. *)
 let unindex t b =
   t.code_bytes <- t.code_bytes - (b.words * 4);
-  for i = slot t b.paddr to slot_end t (b.paddr + (b.words * 4)) - 1 do
-    if t.owner.(i) = b.id then t.owner.(i) <- -1
+  let h = slot t b.paddr in
+  t.heads.(h) <- no_block;
+  for i = h to slot_end t (b.paddr + (b.words * 4)) - 1 do
+    if t.owner.(i) = h then t.owner.(i) <- -1
   done
 
 let register t b =
-  Hashtbl.replace t.by_vaddr b.vaddr b;
+  if b.words < 1 || b.paddr < t.base || b.paddr + (b.words * 4) > t.top then
+    invalid_arg "Tcache.register: block outside the tcache";
+  Vmap.replace t.by_vaddr b.vaddr b;
   Hashtbl.replace t.by_id b.id b;
   t.code_bytes <- t.code_bytes + (b.words * 4);
-  for i = slot t b.paddr to slot_end t (b.paddr + (b.words * 4)) - 1 do
-    t.owner.(i) <- b.id
+  let h = slot t b.paddr in
+  t.heads.(h) <- b;
+  for i = h to slot_end t (b.paddr + (b.words * 4)) - 1 do
+    t.owner.(i) <- h
   done
 
-let pin t (b : block) =
-  if Hashtbl.mem t.by_id b.id then Hashtbl.replace t.pinned b.id ()
+let pin t (b : block) = if indexed t b then Hashtbl.replace t.pinned b.id ()
 
 let unpin t (b : block) = Hashtbl.remove t.pinned b.id
 let is_pinned t id = Hashtbl.mem t.pinned id
 let pinned_ids t = Hashtbl.fold (fun id () acc -> id :: acc) t.pinned []
 
 let lease t (b : block) =
-  if Hashtbl.mem t.by_id b.id then
+  if indexed t b then
     Hashtbl.replace t.leased b.id
       (1 + Option.value ~default:0 (Hashtbl.find_opt t.leased b.id))
 
@@ -162,13 +210,13 @@ let is_obstacle t id = Hashtbl.mem t.pinned id || Hashtbl.mem t.leased id
 let obstacles t = Hashtbl.length t.pinned + Hashtbl.length t.leased
 
 let remove t b =
-  Hashtbl.remove t.pinned b.id;
-  Hashtbl.remove t.leased b.id;
-  (match Hashtbl.find_opt t.by_vaddr b.vaddr with
-  | Some b' when b'.id = b.id -> Hashtbl.remove t.by_vaddr b.vaddr
+  if Hashtbl.length t.pinned > 0 then Hashtbl.remove t.pinned b.id;
+  if Hashtbl.length t.leased > 0 then Hashtbl.remove t.leased b.id;
+  (match Vmap.find_opt t.by_vaddr b.vaddr with
+  | Some b' when b'.id = b.id -> Vmap.remove t.by_vaddr b.vaddr
   | Some _ | None -> ());
-  if Hashtbl.mem t.by_id b.id then begin
-    unindex t (Hashtbl.find t.by_id b.id);
+  if indexed t b then begin
+    unindex t b;
     Hashtbl.remove t.by_id b.id
   end
 
@@ -187,7 +235,7 @@ let occupied_bytes t =
     (fun acc r -> acc + (r.r_top - r.r_persist_base))
     t.code_bytes t.regions
 
-let map_entries t = Hashtbl.length t.by_vaddr
+let map_entries t = Vmap.length t.by_vaddr
 
 (* Walk the index down from [hi], hopping over each block found to the
    slot below its start: every block is read once, and consing while
@@ -198,12 +246,11 @@ let overlapping t lo hi =
   let i = ref (if hi <= lo then i0 - 1 else slot_end t hi - 1) in
   let acc = ref [] in
   while !i >= i0 do
-    let id = t.owner.(!i) in
-    if id < 0 then decr i
+    let h = t.owner.(!i) in
+    if h < 0 then decr i
     else begin
-      let b = Hashtbl.find t.by_id id in
-      acc := b :: !acc;
-      i := min (!i - 1) (slot t b.paddr - 1)
+      acc := t.heads.(h) :: !acc;
+      i := min (!i - 1) (h - 1)
     end
   done;
   !acc
@@ -213,7 +260,13 @@ let covering t a =
   else
     match t.owner.((a - t.base) asr 2) with
     | -1 -> None
-    | id -> Hashtbl.find_opt t.by_id id
+    | h -> Some t.heads.(h)
+
+let owns t ~id a =
+  a >= t.base && a < t.top
+  &&
+  let h = t.owner.((a - t.base) asr 2) in
+  h >= 0 && t.heads.(h).id = id
 
 let vacant t lo hi =
   let i = ref (slot t lo) and i1 = slot_end t hi in
@@ -303,10 +356,10 @@ let alloc_ptr ?(shard = 0) t = (region t shard).r_alloc_ptr
 let rec first_ok t ~ok i i1 =
   if i >= i1 then None
   else
-    let id = t.owner.(i) in
-    if id < 0 then first_ok t ~ok (i + 1) i1
+    let h = t.owner.(i) in
+    if h < 0 then first_ok t ~ok (i + 1) i1
     else
-      let b = Hashtbl.find t.by_id id in
+      let b = t.heads.(h) in
       if ok b then Some b
       else
         first_ok t ~ok (max (i + 1) (slot_end t (b.paddr + (b.words * 4)))) i1

@@ -21,7 +21,10 @@
     covering it, so allocation and eviction touch only the words they
     overwrite, and the block the circular sweep reaches next
     ({!sweep_next}) is read off it; no operation of this module on the
-    miss path walks every resident block.
+    miss path walks every resident block. The index names its blocks
+    itself (each word holds the slot of its block's first word, and a
+    second column holds each block at that slot), so no query of it
+    looks a block up by id.
 
     On top of pins, the multi-hart controller takes {e read leases} on
     blocks that suspended harts are executing inside: a leased block is
@@ -107,9 +110,14 @@ val lookup : t -> int -> block option
 (** tcache-map probe by chunk virtual address (global across shards). *)
 
 val is_alive : t -> int -> bool
+(** Is a block with this id resident? A table probe, for audits and
+    tests; the controller asks {!owns} instead. *)
+
 val register : t -> block -> unit
 (** Make [b] resident: map its vaddr and index its words. Its id must
-    not be resident already. *)
+    not be resident already, and no resident block may overlap it.
+    @raise Invalid_argument if [b] has no words or does not lie inside
+    [\[base, top)]. *)
 
 val fold : (block -> 'a -> 'a) -> t -> 'a -> 'a
 (** Fold over every resident block, in no particular order, without
@@ -128,8 +136,15 @@ val overlapping : t -> int -> int -> block list
 
 val covering : t -> int -> block option
 (** [covering t paddr] — the resident block whose words include
-    [paddr], if any: one read of the placement index. [None] outside
-    [\[base, top)], on a free word and on a persistent stub. *)
+    [paddr], if any: two array reads of the placement index. [None]
+    outside [\[base, top)], on a free word and on a persistent stub. *)
+
+val owns : t -> id:int -> int -> bool
+(** [owns t ~id paddr] — the resident block covering [paddr] has id
+    [id]. Block ids are never reused, so once block [id] dies this is
+    false at every address, whatever is placed there later: the
+    controller's test that a captured site still belongs to its
+    block. *)
 
 val resident_blocks : t -> int
 

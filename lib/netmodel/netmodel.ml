@@ -115,6 +115,10 @@ let set_tracer t tr = t.tracer <- tr
 
 let trace t ev = match t.tracer with Some tr -> Trace.emit tr ev | None -> ()
 
+(* Tested before building a per-frame event, so an untraced transfer
+   allocates none. *)
+let tracing t = Option.is_some t.tracer
+
 let local ?faults () = create ?faults ()
 
 let ethernet_10mbps ?(cpu_mhz = 200) ?faults () =
@@ -161,11 +165,11 @@ let transfer_frame t ~segments ~payload =
   let len = Bytes.length payload in
   t.messages <- t.messages + 1;
   t.payload <- t.payload + len;
-  trace t (Trace.Net_send { bytes = len; segments });
+  if tracing t then trace t (Trace.Net_send { bytes = len; segments });
   let cost = ref (t.latency_cycles + wire_cost t len) in
   let f = t.faults in
   if Faults.is_none f then begin
-    trace t (Trace.Net_recv { bytes = len; cycles = !cost });
+    if tracing t then trace t (Trace.Net_recv { bytes = len; cycles = !cost });
     Ok (!cost, payload)
   end
   else begin
@@ -199,11 +203,13 @@ let transfer_frame t ~segments ~payload =
       t.corruptions <- t.corruptions + 1;
       trace t (Trace.Net_fault { fault = Trace.Corrupt });
       let received = flip_one_bit t payload in
-      trace t (Trace.Net_recv { bytes = len; cycles = !cost });
+      if tracing t then
+        trace t (Trace.Net_recv { bytes = len; cycles = !cost });
       Ok (!cost, received)
     end
     else begin
-      trace t (Trace.Net_recv { bytes = len; cycles = !cost });
+      if tracing t then
+        trace t (Trace.Net_recv { bytes = len; cycles = !cost });
       Ok (!cost, payload)
     end
   end

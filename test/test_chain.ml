@@ -41,6 +41,14 @@ let stub_target (ctrl : Softcache.Controller.t) k =
   | Softcache.Stub.Exit { target; _ } -> target
   | _ -> Alcotest.fail "link stub is not an exit stub"
 
+(* Does exit stub [k] still wait for its target? Read off its branch
+   bytes, the only place that state lives. *)
+let exit_trapping (ctrl : Softcache.Controller.t) k =
+  match ctrl.stubs.(k) with
+  | Softcache.Stub.Exit { site_paddr; kind; revert_word; _ } ->
+    Softcache.Cc_chain.trapping ctrl ~site_paddr ~kind ~revert_word
+  | _ -> Alcotest.fail "link stub is not an exit stub"
+
 (* ------------------------------------------------------------------ *)
 (* Eager chaining: correct outputs, fewer traps *)
 
@@ -112,8 +120,7 @@ let test_evict_target_unpatches_and_rechains () =
   Alcotest.(check int) "stub bytes restored" revert (read32 ctrl site);
   Alcotest.(check bool) "revert counted" true (ctrl.stats.reverts > reverts0);
   Alcotest.(check bool) "edge gone with its target" false (edge_into target);
-  Alcotest.(check bool) "pending re-armed" true
-    (Softcache.Cc_state.pending_mem ctrl ~target k);
+  Alcotest.(check bool) "pending re-armed" true (exit_trapping ctrl k);
   (* round-trip: re-installing the target must eagerly re-chain the
      re-armed stub *)
   let chained0 = ctrl.stats.chained in
@@ -122,7 +129,7 @@ let test_evict_target_unpatches_and_rechains () =
     (ctrl.stats.chained > chained0);
   Alcotest.(check bool) "site re-patched" true (read32 ctrl site <> revert);
   Alcotest.(check bool) "pending cleared again" true
-    (not (Softcache.Cc_state.pending_mem ctrl ~target k));
+    (not (exit_trapping ctrl k));
   Alcotest.(check bool) "new edge recorded" true (edge_into target);
   Check.Audit.check_exn ctrl
 
@@ -187,22 +194,129 @@ let test_flush_unpatches_everything () =
   let expect =
     List.map
       (fun (_, _, (i : Softcache.Tcache.incoming)) ->
-        (i.site_paddr, i.revert_word, i.stub, stub_target ctrl i.stub))
+        (i.site_paddr, i.revert_word, i.stub))
       pinned
   in
   Softcache.Controller.flush ctrl;
   List.iter
-    (fun (site, revert, k, target) ->
+    (fun (site, revert, k) ->
       Alcotest.(check int)
         (Printf.sprintf "site 0x%x restored" site)
         revert (read32 ctrl site);
       Alcotest.(check bool)
         (Printf.sprintf "stub %d re-armed" k)
-        true
-        (Softcache.Cc_state.pending_mem ctrl ~target k))
+        true (exit_trapping ctrl k))
     expect;
   Alcotest.(check int) "no chained edge survives" 0
     (List.length (live_links ctrl));
+  Check.Audit.check_exn ctrl
+
+(* ------------------------------------------------------------------ *)
+(* The byte-check guard: [patch_exit] writes only for an exit that
+   still traps, from a source that still owns its site *)
+
+let tcache_words (ctrl : Softcache.Controller.t) =
+  let base = Softcache.Tcache.base ctrl.tc in
+  Array.init
+    ((Softcache.Tcache.top ctrl.tc - base) / 4)
+    (fun i -> read32 ctrl (base + (4 * i)))
+
+(* Offer exit [k] (its captured fields) to [patch_exit] aimed at [tb],
+   and require that nothing happens: no word, statistic, record or
+   event moves. *)
+let patch_changes_nothing (ctrl : Softcache.Controller.t) what k ~block
+    ~site_paddr ~kind ~revert_word (tb : Softcache.Tcache.block) =
+  let words = tcache_words ctrl in
+  let patches = ctrl.stats.patches and chained = ctrl.stats.chained in
+  let incoming = tb.incoming in
+  let events = ref 0 in
+  let hook = ctrl.on_event in
+  ctrl.on_event <- Some (fun _ -> incr events);
+  Softcache.Cc_chain.patch_exit ctrl k ~eager:true ~block ~site_paddr ~kind
+    ~revert_word tb;
+  ctrl.on_event <- hook;
+  Alcotest.(check bool) (what ^ ": no word changed") true
+    (words = tcache_words ctrl);
+  Alcotest.(check int) (what ^ ": patches unchanged") patches
+    ctrl.stats.patches;
+  Alcotest.(check int) (what ^ ": chained unchanged") chained
+    ctrl.stats.chained;
+  Alcotest.(check bool) (what ^ ": target's records unchanged") true
+    (tb.incoming == incoming);
+  Alcotest.(check int) (what ^ ": no event") 0 !events
+
+let test_repatch_is_noop () =
+  let img = (Option.get (Workloads.Registry.find "compress95")).build () in
+  let ctrl = Softcache.Controller.create (chain_cfg ~tcache_bytes:4096 ()) img in
+  Alcotest.(check bool) "halts" true
+    (Softcache.Controller.run ctrl = Machine.Cpu.Halted);
+  Check.Audit.check_exn ctrl;
+  (* a live exit of this kind whose site holds a branch at its resident
+     target: a [Br] offset reaches +-128 KB, so in a 4 KB tcache every
+     branch exit is patched in reach, at its site *)
+  let patched kind =
+    List.find_map
+      (fun (b : Softcache.Tcache.block) ->
+        List.find_map
+          (fun k ->
+            match ctrl.stubs.(k) with
+            | Softcache.Stub.Exit
+                { block; site_paddr; kind = kd; target; revert_word }
+              when kd = kind && read32 ctrl site_paddr <> revert_word ->
+              Option.map
+                (fun tb -> (k, block, site_paddr, revert_word, tb))
+                (Softcache.Tcache.lookup ctrl.tc target)
+            | _ -> None)
+          b.stubs)
+      (Softcache.Tcache.blocks ctrl.tc)
+  in
+  List.iter
+    (fun (what, kind) ->
+      match patched kind with
+      | None -> Alcotest.failf "no live patched %s exit at halt" what
+      | Some (k, block, site_paddr, revert_word, tb) ->
+        patch_changes_nothing ctrl what k ~block ~site_paddr ~kind
+          ~revert_word tb;
+        Check.Audit.check_exn ctrl)
+    Softcache.Stub.[ ("jmp", Patch_jmp); ("jal", Patch_jal); ("br", Patch_br) ]
+
+let test_stale_capture_patches_nothing () =
+  let ctrl =
+    Softcache.Controller.create (chain_cfg ~chain:false ()) (prog_fib 12)
+  in
+  Alcotest.(check bool) "halts" true
+    (Softcache.Controller.run ctrl = Machine.Cpu.Halted);
+  (* a patched edge whose endpoints' source ranges are disjoint, so
+     each can be invalidated alone *)
+  let b, tb, (inc : Softcache.Tcache.incoming) =
+    match
+      List.find_opt
+        (fun ((b : Softcache.Tcache.block), (tb : Softcache.Tcache.block), _) ->
+          b.vaddr + (4 * b.orig_words) <= tb.vaddr
+          || tb.vaddr + (4 * tb.orig_words) <= b.vaddr)
+        (live_links ctrl)
+    with
+    | Some x -> x
+    | None -> Alcotest.fail "no patched edge survived to halt"
+  in
+  let k = inc.stub and target = tb.vaddr in
+  (* the target's eviction reverts the site: the exit waits again *)
+  Softcache.Controller.invalidate ctrl ~lo:target ~hi:(target + 4);
+  Alcotest.(check bool) "the exit traps again" true (exit_trapping ctrl k);
+  let block, site_paddr, kind, revert_word =
+    match ctrl.stubs.(k) with
+    | Softcache.Stub.Exit { block; site_paddr; kind; revert_word; _ } ->
+      (block, site_paddr, kind, revert_word)
+    | _ -> Alcotest.fail "link stub is not an exit stub"
+  in
+  (* the source dies and the target comes back: the capture is stale,
+     though the dead source's bytes still read as a waiting exit *)
+  Softcache.Controller.invalidate ctrl ~lo:b.vaddr ~hi:(b.vaddr + 4);
+  let tb' = Softcache.Controller.ensure_resident ctrl target in
+  Alcotest.(check bool) "the dead site still holds its revert word" true
+    (read32 ctrl site_paddr = revert_word);
+  patch_changes_nothing ctrl "stale capture" k ~block ~site_paddr ~kind
+    ~revert_word tb';
   Check.Audit.check_exn ctrl
 
 (* ------------------------------------------------------------------ *)
@@ -522,6 +636,10 @@ let () =
             test_evict_source_drops_its_records;
           Alcotest.test_case "flush unpatches everything" `Quick
             test_flush_unpatches_everything;
+          Alcotest.test_case "a second patch of a patched exit is a no-op"
+            `Quick test_repatch_is_noop;
+          Alcotest.test_case "a stale capture patches nothing" `Quick
+            test_stale_capture_patches_nothing;
         ] );
       ( "superblocks",
         [

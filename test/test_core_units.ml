@@ -708,6 +708,174 @@ let test_placement_index =
           && occupancy_folds ())
         steps)
 
+(* The index's block column against a brute-force scan of
+   [Tcache.blocks]: after every step of a random sequence of placements
+   (each registered as a fresh block), persistent growth, removals (of
+   any block ever registered: removing a dead one changes nothing) and
+   flushes, on one or two shards of 64 to 512 bytes, [covering] at every
+   word, [owns] for every id ever registered (and the vacant column's
+   -1), [overlapping] over a random range, [sweep_next] for each shard
+   and for none, and the occupancy count agree with the residents. *)
+let index_cases_executed = ref 0
+
+let gen_index_step =
+  QCheck.Gen.(
+    let shard = int_bound 1 and words = int_range 1 12 and pick = int_bound 63 in
+    triple
+      (frequency
+         [
+           (4, map2 (fun s w -> Fifo (s, w)) shard words);
+           (2, map3 (fun s k w -> Seeded (s, k, w)) shard pick words);
+           (3, map2 (fun s w -> Append (s, w)) shard words);
+           (1, map2 (fun s w -> Persistent (s, w)) shard (int_range 1 2));
+           (3, map (fun k -> Remove k) pick);
+           (1, return Reset);
+         ])
+      (pair (int_range (-16) 527) (int_range 0 64))
+      (int_bound 2) (* which ids the sweep's filter rejects *))
+
+let index_names_blocks (shards, words, steps) =
+  let module T = Softcache.Tcache in
+  incr index_cases_executed;
+  let base = 0x20000 in
+  let tc = T.create_sharded ~shards ~base ~bytes:(4 * words) in
+  let ever = ref [] and next_id = ref 0 in
+  let place words = function
+    | Ok p ->
+      let b = block ~id:!next_id ~vaddr:(0x1000 + (4 * !next_id)) ~paddr:p ~words in
+      incr next_id;
+      T.register tc b;
+      ever := b :: !ever
+    | Error _ -> ()
+  in
+  let pick bs k =
+    match List.sort (fun (a : T.block) b -> compare a.id b.id) bs with
+    | [] -> None
+    | bs -> Some (List.nth bs (k mod List.length bs))
+  in
+  let apply = function
+    | Fifo (s, words) ->
+      place words (Result.map fst (T.alloc ~shard:(s mod shards) tc ~words))
+    | Seeded (s, k, words) ->
+      let seed =
+        match pick (T.blocks tc) k with
+        | Some b -> b.paddr
+        | None -> base + (4 * k)
+      in
+      place words
+        (Result.map fst (T.alloc ~shard:(s mod shards) ~seed tc ~words))
+    | Append (s, words) ->
+      place words (T.alloc_append ~shard:(s mod shards) tc ~words)
+    | Persistent (s, words) ->
+      ignore (T.alloc_persistent ~shard:(s mod shards) tc ~words)
+    | Remove k -> Option.iter (T.remove tc) (pick !ever k)
+    | Reset -> ignore (T.reset tc)
+    | Pin _ | Lease _ -> ()
+  in
+  let id_of = Option.map (fun (b : T.block) -> b.id) in
+  let ends (b : T.block) = b.paddr + (4 * b.words) in
+  let words_agree () =
+    let residents = T.blocks tc in
+    let ids = -1 :: List.map (fun (b : T.block) -> b.id) !ever in
+    let rec from a =
+      a >= T.top tc + 8
+      ||
+      let want =
+        id_of
+          (List.find_opt
+             (fun (b : T.block) -> b.paddr <= a && a < ends b)
+             residents)
+      in
+      id_of (T.covering tc a) = want
+      && List.for_all (fun id -> T.owns tc ~id a = (want = Some id)) ids
+      && from (a + 4)
+    in
+    from (base - 8)
+  in
+  let overlapping_agrees lo hi =
+    let brute =
+      List.filter
+        (fun (b : T.block) -> lo < hi && b.paddr < hi && ends b > lo)
+        (T.blocks tc)
+    in
+    List.map (fun (b : T.block) -> b.id) (T.overlapping tc lo hi)
+    = List.map
+        (fun (b : T.block) -> b.id)
+        (List.sort (fun (a : T.block) b -> compare a.paddr b.paddr) brute)
+  in
+  let sweeps_agree salt =
+    let lowest =
+      List.fold_left
+        (fun best (b : T.block) ->
+          match best with
+          | Some (c : T.block) when c.paddr <= b.paddr -> best
+          | _ -> Some b)
+        None
+    in
+    List.for_all
+      (fun (ok : T.block -> bool) ->
+        List.for_all
+          (fun shard ->
+            let ptr = T.alloc_ptr ?shard tc in
+            let mine =
+              List.filter
+                (fun (b : T.block) ->
+                  ok b
+                  &&
+                  match shard with
+                  | None -> true
+                  | Some s -> T.shard_of_paddr tc b.paddr = s)
+                (T.blocks tc)
+            in
+            let brute =
+              match lowest (List.filter (fun b -> ends b > ptr) mine) with
+              | Some _ as ahead -> ahead
+              | None -> lowest mine
+            in
+            id_of (T.sweep_next ?shard tc ~ok) = id_of brute)
+          (None :: List.init shards Option.some))
+      [ (fun _ -> true); (fun b -> (b.id + salt) mod 3 <> 0) ]
+  in
+  let occupancy_folds () =
+    let stubs = ref 0 in
+    for sh = 0 to shards - 1 do
+      stubs :=
+        !stubs + (snd (T.shard_bounds tc sh) - T.persist_base ~shard:sh tc)
+    done;
+    T.occupied_bytes tc
+    = List.fold_left (fun acc b -> acc + (4 * b.T.words)) !stubs (T.blocks tc)
+  in
+  List.for_all
+    (fun (op, (lo, len), salt) ->
+      apply op;
+      words_agree ()
+      && overlapping_agrees (base + lo) (base + lo + len)
+      && sweeps_agree salt
+      && occupancy_folds ())
+    steps
+
+let test_index_names_blocks () =
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:300 ~name:"index names its blocks"
+       (QCheck.make
+          ~print:(fun (shards, words, steps) ->
+            Printf.sprintf "%d shard(s), %d bytes: %s" shards (4 * words)
+              (String.concat "; "
+                 (List.map
+                    (fun (op, (lo, len), salt) ->
+                      Printf.sprintf "%s ?[%d,+%d) ~%d" (tc_op_name op) lo len
+                        salt)
+                    steps)))
+          QCheck.Gen.(
+            triple (int_range 1 2) (int_range 16 128)
+              (list_size (int_range 1 40) gen_index_step)))
+       index_names_blocks);
+  (* the property must not silently shrink: the counter lives inside it *)
+  Alcotest.(check bool)
+    (Printf.sprintf "qcheck executed %d cases (>= 300)" !index_cases_executed)
+    true
+    (!index_cases_executed >= 300)
+
 let () =
   Alcotest.run "core-units"
     [
@@ -770,5 +938,7 @@ let () =
           Alcotest.test_case "transport reply without demand is typed" `Quick
             test_transport_reply_without_demand;
           QCheck_alcotest.to_alcotest test_placement_index;
+          Alcotest.test_case "index column, 300 cases" `Quick
+            test_index_names_blocks;
         ] );
     ]

@@ -578,16 +578,16 @@ let test_trap_alloc_per_translation () =
         true
         (per_miss <= float_of_int bound))
     [
-      ("compress95", Softcache.Config.make ~tcache_bytes:4096 (), 320);
+      ("compress95", Softcache.Config.make ~tcache_bytes:4096 (), 214);
       ( "compress95",
         Softcache.Config.make ~tcache_bytes:4096
           ~granularity:Softcache.Config.Function (),
-        562 );
+        506 );
       ( "mpeg2enc",
         Softcache.Config.make ~tcache_bytes:4096
           ~eviction:Softcache.Config.Trrip ~prefetch_degree:2
           ~net:(Netmodel.ethernet_10mbps ()) (),
-        716 );
+        371 );
     ]
 
 (* Soak test: interleave execution slices with random controller
